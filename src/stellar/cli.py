@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -370,6 +371,12 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return BADINPUT if exc.code not in (0, None) else OK
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None:
+        if jobs < 1:
+            print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+            return BADINPUT
+        args.jobs = min(jobs, os.cpu_count() or 1)
     try:
         return args.fn(args)
     except BudgetError as exc:

@@ -51,7 +51,7 @@ def ids_of(mask: int) -> tuple[int, ...]:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -1,7 +1,8 @@
 """Exact simplicial homology over Q and Z_p.
 
 Absolute, reduced, and relative Betti numbers via boundary-map ranks; the
-inclusion-injectivity test used by the tightness machinery; orientability.
+inclusion-injectivity test used by the tightness machinery; orientability;
+the homology-sphere test that gates the sigma duality path.
 Chain bases are faces as bitmasks, so chain spaces of an induced
 subcomplex embed in those of the ambient complex with no reindexing.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Complex, InputError, StructureError, bits,
-                   is_closed_pseudomanifold, mask_of)
+                   is_closed_pseudomanifold, link, mask_of)
 from .exactlinalg import kernel_basis, rank_cols, rank_gf2, rank_int, rank_modp
 
 
@@ -55,7 +56,11 @@ class FieldSpec:
         if token in ("q", "qq", "rationals"):
             return FieldSpec.rationals()
         if token.startswith("z"):
-            return FieldSpec.prime(int(token[1:]))
+            try:
+                p = int(token[1:])
+            except ValueError:
+                raise InputError(f"cannot parse field {token!r}") from None
+            return FieldSpec.prime(p)
         raise InputError(f"cannot parse field {token!r}")
 
     def __str__(self) -> str:
@@ -262,6 +267,23 @@ def inclusion_injective(X: Complex, A, j: int, field: FieldSpec) -> bool:
     dim_sum = rank_cols(z_basis + bx_cols, field)
     dim_meet = dim_z + dim_bx - dim_sum
     return dim_meet == dim_ba
+
+
+def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:
+    """Is X an F-homology sphere whose vertex links are F-homology
+    spheres too (an F-homology manifold), the hypothesis of Alexander
+    duality for its induced subcomplexes?  Recursive and exact: in
+    dimension 0, exactly two points; in dimension d >= 1, a closed
+    pseudomanifold with the Betti numbers of S^d over ``field`` whose
+    every vertex link passes the same test in dimension d - 1."""
+    d = X.dim
+    if d <= 0:
+        return d == 0 and X.m == 2
+    if not is_closed_pseudomanifold(X):
+        return False
+    if betti(X, field).beta != (1,) + (0,) * (d - 1) + (1,):
+        return False
+    return all(is_homology_sphere(link(X, (v,)), field) for v in range(X.m))
 
 
 def orientable(X: Complex, field: FieldSpec) -> bool:

@@ -1,6 +1,8 @@
 """CLI surface: verbs, exit codes, deterministic JSON."""
 import json
+import os
 
+from stellar import cli
 from stellar.cli import run
 
 
@@ -19,6 +21,35 @@ def test_tight_exit_codes(capsys):
 def test_bad_input_exit_code(capsys):
     assert run(["fvec", "corpus:nothing"]) == 3
     assert run(["betti", "corpus:torus_7", "--field", "z6"]) == 3
+    assert run(["betti", "corpus:torus_7", "--field", "zx"]) == 3
+    assert run(["sigma", "corpus:torus_7", "--field", "z"]) == 3
+
+
+def test_jobs_checked_before_any_work(capsys, monkeypatch):
+    def no_load(spec):
+        raise AssertionError("input loaded before --jobs was checked")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+    for jobs in ("0", "-3"):
+        assert run(["sigma", "corpus:torus_7", "--jobs", jobs]) == 3
+    assert run(["verify-paper", "--jobs", "0"]) == 3
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    seen = []
+
+    def fake_sigma(X, field, cap, jobs):
+        seen.append(jobs)  # stands in for the pool, so no process starts
+        return ()
+
+    monkeypatch.setattr(cli, "sigma_vector", fake_sigma)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in ("1", "2", "64"):
+        assert run(["sigma", "corpus:torus_7", "--jobs", jobs]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(["sigma", "corpus:torus_7", "--jobs", "3"]) == 0
+    assert seen == [1, 2, 2, 1]
 
 
 def test_budget_exit_code(capsys):

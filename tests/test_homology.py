@@ -6,10 +6,10 @@ import pytest
 
 from stellar.constructions import (corpus, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import Complex, induced, link
+from stellar.core import Complex, InputError, induced, link
 from stellar.homology import (QQ, FieldSpec, betti, inclusion_injective,
-                              orientable, reduced_betti, relative_betti,
-                              relative_betti_pair)
+                              is_homology_sphere, orientable, reduced_betti,
+                              relative_betti, relative_betti_pair)
 from stellar.vectors import f_vector
 
 
@@ -18,6 +18,26 @@ def test_field_spec_parsing():
     assert FieldSpec.parse("z5").p == 5
     with pytest.raises(Exception):
         FieldSpec.prime(6)
+    for token in ("zx", "z", "z2.5", "f7", "z6"):
+        with pytest.raises(InputError):
+            FieldSpec.parse(token)
+
+
+def test_is_homology_sphere(corp, fields):
+    for fld in (QQ, FieldSpec.prime(2), FieldSpec.prime(5)):
+        assert is_homology_sphere(corp["Sigma3_16"].complex, fld)
+    for d in range(5):
+        assert is_homology_sphere(standard_sphere(d), QQ)
+    for name in ("S3_16", "lutz_S3_8", "ziegler_S2_10"):
+        assert is_homology_sphere(corp[name].complex, FieldSpec.prime(3))
+    not_spheres = [Complex.empty(), standard_ball(0), standard_ball(3),
+                   Complex.from_facets([["a"], ["b"], ["c"]]),
+                   Complex.from_facets([[1, 2], [2, 3], [3, 1], [4, 5], [5, 6], [6, 4]]),
+                   corp["lutz_B2"].complex, corp["torus_7"].complex,
+                   corp["rp2_6"].complex]
+    for X in not_spheres:
+        for fld in fields:
+            assert not is_homology_sphere(X, fld), (X, fld)
 
 
 def test_spheres_all_fields(fields):

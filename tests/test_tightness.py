@@ -3,18 +3,43 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stellar.constructions import (corpus, cross_polytope,
                                    random_stacked_sphere, standard_ball,
                                    standard_sphere)
-from stellar.core import Complex, link
-from stellar.homology import QQ, FieldSpec, betti
-from stellar.moves import w_k_membership
-from stellar.tightness import (BudgetError, criterion_battery, is_tight,
-                               morse_report, mu_vector, mu_via_pairs,
-                               p23_bounds, sigma_g_report, sigma_vector)
+from stellar.core import Complex, join, link
+from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
+                              is_homology_sphere)
+from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
+from stellar.tightness import (BudgetError, _sigma_chunk, _subset_sums,
+                               criterion_battery, is_tight, morse_report,
+                               mu_vector, mu_via_pairs, p23_bounds,
+                               sigma_g_report, sigma_vector)
 
 Z2 = FieldSpec.prime(2)
+ORACLE_FIELDS = (QQ, Z2, FieldSpec.prime(3))
+
+
+def loop_table(X, field):
+    """The subset loop's table, the oracle for every other path."""
+    return _sigma_chunk((_faces_by_dim(X), X.m, X.dim, field, 0, 1 << X.m))
+
+
+@st.composite
+def moved_stacked_spheres(draw):
+    """A random stacked 2- or 3-sphere on d + 3 to 10 vertices, followed by
+    up to three random bistellar moves of positive index."""
+    d = draw(st.sampled_from((2, 3)))
+    X = random_stacked_sphere(d, draw(st.integers(d + 3, 10)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    for _ in range(draw(st.integers(0, 3))):
+        moves = enumerate_bistellar(X)
+        if not moves:  # the boundary of a simplex has none
+            break
+        X = apply_bistellar(X, draw(st.sampled_from(moves)))
+    return X
 
 
 def test_sigma_point():
@@ -42,14 +67,52 @@ def test_sigma_cross_polytope_closed_form():
 def test_sigma_cap():
     with pytest.raises(BudgetError):
         sigma_vector(corpus()["S5_18"].complex, QQ)  # 18 > 16
+    with pytest.raises(BudgetError):  # the duality and cone paths keep the cap
+        sigma_vector(random_stacked_sphere(2, 17), QQ)
+    with pytest.raises(BudgetError):
+        sigma_vector(standard_ball(16), QQ)
     # override works on something small enough to force through
     x = cross_polytope(2)
     assert sigma_vector(x, QQ, cap=None) == sigma_vector(x, QQ)
 
 
-def test_sigma_parallel_agrees():
-    x = cross_polytope(3)
+def test_sigma_parallel_agrees(corp):
+    # 2^12 subsets or more and no shortcut: jobs=2 runs the worker pool
+    x = corp["M_2_4"].complex
+    assert x.m >= 12 and x.dim > 3
     assert sigma_vector(x, QQ, jobs=2) == sigma_vector(x, QQ, jobs=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(moved_stacked_spheres(), st.sampled_from(ORACLE_FIELDS))
+def test_duality_path_matches_loop(X, field):
+    assert is_homology_sphere(X, field)
+    assert _subset_sums(X, field) == loop_table(X, field)
+
+
+@settings(max_examples=15, deadline=None)
+@given(moved_stacked_spheres(), st.sampled_from(ORACLE_FIELDS))
+def test_cone_path_matches_loop(S, field):
+    X = join(S, Complex.from_facets([["apex"]]))
+    assert _subset_sums(X, field) == loop_table(X, field)
+
+
+def test_duality_path_on_poincare_sphere_links(corp):
+    sig = corp["Sigma3_16"].complex
+    links = [lk for lk in (link(sig, (v,)) for v in range(sig.m)) if lk.m <= 12]
+    assert links
+    for lk in links:
+        for field in ORACLE_FIELDS:
+            assert is_homology_sphere(lk, field)
+            assert _subset_sums(lk, field) == loop_table(lk, field)
+
+
+@pytest.mark.parametrize("name", ["standard_ball", "lutz_B2", "torus_7", "rp2_6"])
+def test_gate_rejects_and_paths_agree(corp, name):
+    X = standard_ball(3) if name == "standard_ball" else corp[name].complex
+    for field in ORACLE_FIELDS:
+        assert not is_homology_sphere(X, field)
+        assert _subset_sums(X, field) == loop_table(X, field)
 
 
 def test_mu_standard_spheres():
