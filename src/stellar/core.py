@@ -64,13 +64,41 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def _dominated(masks: Sequence[int]) -> list[int]:
+    """Indices, in increasing order, of the masks strictly contained in
+    another mask of ``masks``.
+
+    Masks of one popcount cannot contain each other, so a pure family
+    returns ``[]`` at once.  Otherwise a mask is compared only with the
+    masks that contain its lowest vertex, through a vertex index.
+    """
+    if len({m.bit_count() for m in masks}) <= 1:
+        return []
+    containing: dict[int, list[int]] = {}
+    for b in set(masks):
+        for v in bits(b):
+            containing.setdefault(v, []).append(b)
+    out = []
+    for i, a in enumerate(masks):
+        if a == 0:
+            if any(masks):
+                out.append(i)
+            continue
+        low = (a & -a).bit_length() - 1
+        if any(b != a and a & b == a for b in containing[low]):
+            out.append(i)
+    return out
+
+
 class Complex:
     """An immutable finite abstract simplicial complex, stored by facets.
 
     ``names`` maps dense ids ``0..m-1`` to vertex names; every id occurs
-    in some facet.  ``facets`` are pairwise inclusion-incomparable.  The
-    complex whose only face is the empty set is represented with a single
-    empty facet and ``dim == -1``.
+    in some facet.  ``facets`` are pairwise inclusion-incomparable; the
+    constructor checks this with ``_dominated``, which costs O(F) on a
+    pure facet list and compares a facet only with the facets through
+    its lowest vertex otherwise.  The complex whose only face is the
+    empty set is represented with a single empty facet and ``dim == -1``.
     """
 
     __slots__ = ("names", "facets", "facet_masks", "dim", "m",
@@ -83,16 +111,13 @@ class Complex:
         if len(set(names)) != len(names):
             raise InputError("duplicate vertex names in name table")
         norm = sorted({tuple(sorted(set(f))) for f in facets})
-        used = set()
-        for f in norm:
-            used.update(f)
+        used = set().union(*norm)
         if used != set(range(len(names))):
             raise InputError("vertex ids must be exactly 0..m-1, each used in a facet")
         masks = [mask_of(f) for f in norm]
-        for i, a in enumerate(masks):
-            for b in masks:
-                if a != b and a & b == a:
-                    raise InputError(f"facet {norm[i]} is contained in another facet")
+        bad = _dominated(masks)
+        if bad:
+            raise InputError(f"facet {norm[bad[0]]} is contained in another facet")
         self.names = names
         self.facets = tuple(norm)
         self.facet_masks = tuple(masks)
@@ -126,29 +151,26 @@ class Complex:
                 raise InputError("empty facet in input")
             if len(set(toks)) != len(toks):
                 raise InputError(f"duplicate vertex within facet {toks}")
-            for t in toks:
-                if t not in name_ids:
-                    name_ids[t] = len(name_ids)
-            raw.append(tuple(sorted(name_ids[t] for t in toks)))
+            raw.append(tuple(sorted([name_ids.setdefault(t, len(name_ids))
+                                     for t in toks])))
         masks = [mask_of(f) for f in raw]
+        dominated = set(_dominated(masks))
+        seen: set[int] = set()
         keep = []
         dropped = 0
         for i, a in enumerate(masks):
-            dominated = any(a != b and a & b == a for b in masks) or \
-                any(a == b and j < i for j, b in enumerate(masks))
-            if dominated:
+            if i in dominated or a in seen:
                 dropped += 1
             else:
                 keep.append(raw[i])
+            seen.add(a)
         if dropped:
             warnings.warn(f"dropped {dropped} inclusion-dominated input facet(s)",
                           stacklevel=2)
         names = [None] * len(name_ids)
         for n, i in name_ids.items():
             names[i] = n
-        used = set()
-        for f in keep:
-            used.update(f)
+        used = set().union(*keep)
         if len(used) != len(names):
             # unused names can only arise from dropped facets; compact ids
             remap = {}
@@ -186,7 +208,7 @@ class Complex:
             idx = [set() for _ in range(self.dim + 2)]  # slot t+1 holds dim t; slot 0 dim -1
             for fm in self.facet_masks:
                 for sub in submasks(fm):
-                    idx[popcount(sub) - 1 + 1].add(sub)
+                    idx[sub.bit_count()].add(sub)
             self._faces_by_dim = idx
         return idx
 
@@ -470,11 +492,20 @@ def connected_sum(X: Complex, Y: Complex, sigma_x: Iterable[int],
 # -- facet file format ------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are an
+    input error, not a crash."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
+
+
 def load_facets(path) -> Complex:
     """Read the facet file format: '#' comments, one facet per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_facets(text)
+    return parse_facets(read_text(path))
 
 
 def parse_facets(text: str) -> Complex:

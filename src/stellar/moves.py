@@ -128,7 +128,7 @@ def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
         for fm in owners:
             w |= fm
         w &= ~alpha
-        if popcount(w) != i + 1 or X.has_face(w):
+        if popcount(w) != i + 1 or w in star:
             continue
         out.append(BistellarMove(X.names_of_mask(alpha), X.names_of_mask(w), i))
     out.sort(key=lambda mv: (mv.index, mv.alpha, mv.beta))
@@ -157,7 +157,7 @@ def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
         raise MoveError(f"move {mv}: beta vertices must exist for index >= 1") from None
     if am & bm:
         raise MoveError(f"move {mv}: alpha and beta overlap")
-    if X.has_face(bm):
+    if any(fm & bm == bm for fm in X.facet_masks):
         raise MoveError(f"move {mv}: beta is already a face")
     owners = [fm for fm in X.facet_masks if fm & am == am]
     expect = {am | (bm ^ (1 << b)) for b in bits(bm)}
@@ -327,57 +327,99 @@ def find_shelling(B: Complex, budget: int = 10 ** 6) -> SearchOutcome:
     every intermediate complex is a shellable ball, where both conditions
     are necessary, so the pruning preserves completeness and "none" means
     the full tree was exhausted.
+
+    The depth-first search keeps an explicit stack of candidate
+    iterators, one per peeled facet, so its depth is not bounded by the
+    recursion limit.  Three counters are updated as a facet is peeled and
+    restored instead of being recounted at every node: the number of live
+    facets on each ridge, the number of live facets containing each face,
+    and the number of boundary ridges (ridges on one live facet)
+    containing each face.  A live facet with boundary-ridge vertex set E
+    and complement T = facet - E, with E neither empty nor the whole
+    facet, is a candidate iff no boundary ridge contains E (the ear test)
+    and no other live facet contains T (T is a free face).  Candidates
+    are tried in ``B.facet_masks`` order, and a node's iterator resumes
+    only after its child has restored every counter, so it yields what a
+    full recount at that node would.
     """
     if not B.is_pure():
         raise StructureError("find_shelling needs a pure complex")
-    nodes = 0
-    budget_hit = False
-    reversed_order: list[int] = []
+    masks = B.facet_masks
+    ridges = [[(fm ^ (1 << v), 1 << v) for v in bits(fm)] for fm in masks]
+    live = [True] * len(masks)
+    ridge_count: dict[int, int] = {}
+    face_count: dict[int, int] = {}
+    bd_cover: dict[int, int] = {}
 
-    def candidates(current: list[int]) -> list[int]:
-        ridge_count: dict[int, int] = {}
-        for fm in current:
-            for v in bits(fm):
-                r = fm ^ (1 << v)
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-        bd_ridges = [r for r, c in ridge_count.items() if c == 1]
-        cands = []
-        for fm in current:
+    def cover(r: int, step: int) -> None:
+        for sub in submasks(r):
+            bd_cover[sub] = bd_cover.get(sub, 0) + step
+
+    for i, fm in enumerate(masks):
+        for sub in submasks(fm):
+            face_count[sub] = face_count.get(sub, 0) + 1
+        for r, _ in ridges[i]:
+            ridge_count[r] = ridge_count.get(r, 0) + 1
+    for r, c in ridge_count.items():
+        if c == 1:
+            cover(r, 1)
+
+    def toggle(i: int, step: int) -> None:
+        """Peel facet i (step -1) or restore it (step +1)."""
+        live[i] = step > 0
+        for sub in submasks(masks[i]):
+            face_count[sub] += step
+        for r, _ in ridges[i]:
+            before = ridge_count[r]
+            after = ridge_count[r] = before + step
+            if before == 1:
+                cover(r, -1)
+            if after == 1:
+                cover(r, 1)
+
+    def candidates():
+        for i, fm in enumerate(masks):
+            if not live[i]:
+                continue
             emask = 0
-            for v in bits(fm):
-                if ridge_count.get(fm ^ (1 << v), 0) == 1:
-                    emask |= 1 << v
+            for r, vbit in ridges[i]:
+                if ridge_count[r] == 1:
+                    emask |= vbit
             if emask == 0 or emask == fm:
                 continue
-            if any(r & emask == emask for r in bd_ridges):
+            if bd_cover.get(emask, 0):
                 continue  # not an ear
-            tmask = fm & ~emask
-            if any(f != fm and f & tmask == tmask for f in current):
+            if face_count[fm & ~emask] != 1:
                 continue  # free face still covered: unshelling invalid
-            cands.append(fm)
-        return cands
+            yield i
 
-    def recurse(current: list[int]) -> bool:
-        nonlocal nodes, budget_hit
-        if len(current) == 1:
-            return True
-        for fm in candidates(current):
-            nodes += 1
-            if nodes > budget:
-                budget_hit = True
-                return False
-            reversed_order.append(fm)
-            if recurse([f for f in current if f != fm]):
-                return True
-            reversed_order.pop()
-            if budget_hit:
-                return False
-        return False
+    nodes = 0
+    budget_hit = False
+    found = len(masks) == 1
+    peeled: list[int] = []
+    stack = [] if found else [candidates()]
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+            if peeled:
+                toggle(peeled.pop(), 1)
+            continue
+        nodes += 1
+        if nodes > budget:
+            budget_hit = True
+            break
+        toggle(i, -1)
+        peeled.append(i)
+        if len(peeled) == len(masks) - 1:
+            found = True
+            break
+        stack.append(candidates())
 
-    found = recurse(list(B.facet_masks))
     if found:
-        remaining = [f for f in B.facet_masks if f not in reversed_order]
-        order = [B.names_of_mask(f) for f in remaining + list(reversed(reversed_order))]
+        remaining = [fm for i, fm in enumerate(masks) if live[i]]
+        order = [B.names_of_mask(f)
+                 for f in remaining + [masks[i] for i in reversed(peeled)]]
         cert = verify_shelling(B, order)
         start = Complex.from_facets([order[0]])
         return SearchOutcome("found", cert, nodes, start)

@@ -18,11 +18,16 @@ def test_tight_exit_codes(capsys):
     assert run(["tight", "corpus:rp2_6", "--field", "q"]) == 1
 
 
-def test_bad_input_exit_code(capsys):
+def test_bad_input_exit_code(capsys, tmp_path):
     assert run(["fvec", "corpus:nothing"]) == 3
     assert run(["betti", "corpus:torus_7", "--field", "z6"]) == 3
     assert run(["betti", "corpus:torus_7", "--field", "zx"]) == 3
     assert run(["sigma", "corpus:torus_7", "--field", "z"]) == 3
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 2 3\n2 3 \xff\n")
+    assert run(["betti", str(bad)]) == 3
+    assert run(["shellcheck", "corpus:lutz_B2", "--order", str(bad)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_jobs_checked_before_any_work(capsys, monkeypatch):

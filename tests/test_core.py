@@ -1,13 +1,17 @@
 """Core complex representation and elementary constructions."""
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
-                          antistar, are_isomorphic, boundary, connected_sum,
+                          _dominated, antistar, are_isomorphic, boundary, connected_sum,
                           dual_graph, facet_hash, format_facets, induced,
                           is_pseudomanifold, is_weak_pseudomanifold, join,
-                          link, neighbourliness, parse_facets, skeleton, star)
+                          link, mask_of, neighbourliness, parse_facets,
+                          skeleton, star)
 from stellar.constructions import (corpus, cross_polytope, standard_ball,
                                    standard_sphere)
 from stellar.vectors import f_vector
@@ -34,6 +38,11 @@ def test_from_facets_drops_dominated():
         X = Complex.from_facets([[1, 2, 3], [1, 2]])
     assert len(X.facets) == 1 and X.dim == 2
     assert any("dominated" in str(x.message) for x in w)
+
+
+def test_empty_facet_beside_others_rejected():
+    with pytest.raises(InputError, match=r"facet \(\) is contained"):
+        Complex(["a"], [(), (0,)])
 
 
 def test_from_facets_duplicate_vertex_rejected():
@@ -245,3 +254,57 @@ def test_isomorphism():
     path = Complex.from_facets([[1, 2], [2, 3], [3, 4]])
     assert are_isomorphic(a, b)
     assert not are_isomorphic(a, path)
+
+
+def dominated_reference(masks):
+    """The quadratic inclusion scan that ``_dominated`` replaces."""
+    return [i for i, a in enumerate(masks)
+            if any(a != b and a & b == a for b in masks)]
+
+
+@st.composite
+def facet_lists(draw):
+    """Vertex lists of mixed or, sometimes, equal sizes, with duplicates
+    and contained entries inserted, in shuffled vertex order."""
+    size = draw(st.one_of(st.none(), st.integers(1, 4)))
+    lo, hi = (1, 5) if size is None else (size, size)
+    entry = st.lists(st.integers(0, 9), min_size=lo, max_size=hi, unique=True)
+    entries = draw(st.lists(entry, min_size=1, max_size=20))
+    for _ in range(draw(st.integers(0, 6))):
+        src = draw(st.sampled_from(entries))
+        low = 1 if size is None else len(src)
+        sub = draw(st.lists(st.sampled_from(src), min_size=low,
+                            max_size=len(src), unique=True))
+        entries.insert(draw(st.integers(0, len(entries))), sub)
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_lists())
+def test_antichain_check_matches_quadratic_reference(entries):
+    masks = [mask_of(f) for f in entries]
+    bad = dominated_reference(masks)
+    assert _dominated(masks) == bad
+    # from_facets: first occurrences of the undominated entries survive
+    kept = [entries[i] for i, a in enumerate(masks)
+            if i not in bad and a not in masks[:i]]
+    order = list(dict.fromkeys(str(v) for f in entries for v in f))
+    used = {str(v) for f in kept for v in f}
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        X = Complex.from_facets(entries)
+    dropped = len(entries) - len(kept)
+    assert [str(x.message) for x in w] == (
+        [f"dropped {dropped} inclusion-dominated input facet(s)"] if dropped else [])
+    assert X.names == tuple(n for n in order if n in used)
+    assert X.facet_name_set() == {frozenset(str(v) for v in f) for f in kept}
+    # Complex(): the first offending facet in sorted order is reported
+    ids = {v: i for i, v in enumerate(sorted({v for f in entries for v in f}))}
+    norm = sorted({tuple(sorted(ids[v] for v in f)) for f in entries})
+    first = dominated_reference([mask_of(f) for f in norm])
+    if first:
+        with pytest.raises(InputError, match=re.escape(
+                f"facet {norm[first[0]]} is contained in another facet")):
+            Complex([str(v) for v in ids], norm)
+    else:
+        assert Complex([str(v) for v in ids], norm).facets == tuple(norm)

@@ -7,9 +7,10 @@ import pytest
 from stellar.constructions import (corpus, random_stacked_sphere,
                                    standard_ball, standard_sphere)
 from stellar.core import Complex, InputError, induced, link
-from stellar.homology import (QQ, FieldSpec, betti, inclusion_injective,
-                              is_homology_sphere, orientable, reduced_betti,
-                              relative_betti, relative_betti_pair)
+from stellar.homology import (QQ, FieldSpec, _is_prime, betti,
+                              inclusion_injective, is_homology_sphere,
+                              orientable, reduced_betti, relative_betti,
+                              relative_betti_pair)
 from stellar.vectors import f_vector
 
 
@@ -21,6 +22,20 @@ def test_field_spec_parsing():
     for token in ("zx", "z", "z2.5", "f7", "z6"):
         with pytest.raises(InputError):
             FieldSpec.parse(token)
+
+
+def test_field_prime_check_is_exact_and_prompt():
+    assert FieldSpec.parse("z1000000000000000003").p == 10 ** 18 + 3
+    assert FieldSpec.parse(f"z{2 ** 64 - 59}").p == 2 ** 64 - 59
+    # Carmichael numbers; the second is a strong pseudoprime to every
+    # prime base up to 23
+    for n in (561, 41041, 3825123056546413051):
+        with pytest.raises(InputError):
+            FieldSpec.prime(n)
+    with pytest.raises(InputError, match="below 2"):
+        FieldSpec.parse(f"z{2 ** 64 + 13}")
+    trial = [n for n in range(2000) if n > 1 and all(n % f for f in range(2, n))]
+    assert [n for n in range(2000) if _is_prime(n)] == trial
 
 
 def test_is_homology_sphere(corp, fields):

@@ -1,7 +1,11 @@
 """Bistellar/shelling engine, certificates and searches."""
+import hashlib
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stellar.constructions import (LUTZ_B2_SHELLING, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
@@ -288,3 +292,112 @@ def test_btilde_nonshellable_two_stacked_ball(corp):
                        [Sp.id_of(v + "p") for v in glue],
                        {v + "p": v for v in glue})
     assert St == boundary(Bt)
+
+
+def grown_ball(B, extra):
+    """``B`` with ``extra`` new vertices coned over boundary ridges, taken
+    in sorted order: a shelling search must peel these first, in every
+    order, before it reaches ``B``."""
+    facets = B.facets_as_names()
+    for k in range(extra):
+        ridge = sorted(boundary(Complex.from_facets(facets)).facets_as_names())[k]
+        facets.append(tuple(ridge) + (f"x{k}",))
+    return Complex.from_facets(facets)
+
+
+# status, nodes and the SHA-256 of the certificate JSON, as the search
+# gave them when it still recounted every ridge at every node
+SHELLING_PINS = {
+    "lutz_B2": ("found", 14,
+                "e270360a2957c1d60bb472091a89214c47739220f9e0cdd4fee33a2b11428533"),
+    "ziegler_B2": ("none", 0, None),
+    "stacked(2,40,1)": ("found", 39,
+                        "abba5877aec478f86c57e78044cf5a9f69bd6ba3282b487b60bb959106362b23"),
+    "stacked(3,40,2)": ("found", 39,
+                        "fdacdb840ca65e0db3fd9f8ce86607f5250bb9f92744cb03baa2a1d6d67df3c7"),
+    "stacked(4,25,3)": ("found", 24,
+                        "3c7ad9d6ffba32d9fd35871cf1faacc0cc8d2906cf8d03847e218efc2b632680"),
+    "ziegler_B2+4": ("none", 18, None),
+    "ziegler_B2+4,budget=10": ("exhausted", 11, None),
+}
+
+
+STACKED_BALLS = {"stacked(2,40,1)": (2, 40, 1), "stacked(3,40,2)": (3, 40, 2),
+                 "stacked(4,25,3)": (4, 25, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(SHELLING_PINS))
+def test_find_shelling_pinned(corp, name):
+    budget = 10 if name.endswith("budget=10") else 10 ** 6
+    if name in STACKED_BALLS:
+        d, n, seed = STACKED_BALLS[name]
+        B = random_stacked_ball(d, n, seed=seed)
+    elif name.startswith("ziegler_B2+4"):
+        B = grown_ball(corp["ziegler_B2"].complex, 4)
+    else:
+        B = corp[name].complex
+    out = find_shelling(B, budget)
+    digest = out.certificate and hashlib.sha256(
+        out.certificate.to_json().encode()).hexdigest()
+    assert (out.status, out.nodes, digest) == SHELLING_PINS[name]
+
+
+def stacked_disc(n_facets, seed):
+    """A stacked 2-ball as a facet list: a triangle, then new vertices
+    coned over random boundary edges."""
+    rng = random.Random(seed)
+    facets = [(0, 1, 2)]
+    free = [(0, 1), (0, 2), (1, 2)]
+    while len(facets) < n_facets:
+        a, b = free.pop(rng.randrange(len(free)))
+        new = len(facets) + 2
+        facets.append((a, b, new))
+        free += [(a, new), (b, new)]
+    return Complex.from_facets(facets)
+
+
+def test_find_shelling_deep_ball_ignores_recursion_limit():
+    B = stacked_disc(1100, seed=1)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)  # far below the 1099 peeled facets
+    try:
+        out = find_shelling(B)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "found" and out.nodes == 1099
+    order = [out.start.facets_as_names()[0]] + [
+        tuple(s.alpha) + tuple(s.beta) for s in out.certificate.steps]
+    assert verify_shelling(B, order).to_json() == out.certificate.to_json()
+
+
+@st.composite
+def walked_spheres_and_moves(draw):
+    """A random stacked 2- or 3-sphere after up to three random moves of
+    positive index, and one more move: a 0-move or one of positive index."""
+    d = draw(st.sampled_from((2, 3)))
+    X = random_stacked_sphere(d, draw(st.integers(d + 2, 10)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    for _ in range(draw(st.integers(0, 3))):
+        pool = enumerate_bistellar(X)
+        if not pool:
+            break
+        X = apply_bistellar(X, draw(st.sampled_from(pool)))
+    pool = enumerate_bistellar(X)
+    if pool and draw(st.booleans()):
+        mv = draw(st.sampled_from(pool))
+    else:
+        mv = BistellarMove(draw(st.sampled_from(X.facets_as_names())), ("new",), 0)
+    return X, mv
+
+
+@settings(max_examples=60, deadline=None)
+@given(walked_spheres_and_moves())
+def test_apply_then_reverse_is_identity(case):
+    X, mv = case
+    Y = apply_bistellar(X, mv)
+    assert Y != X
+    Z = apply_reverse(Y, mv)
+    assert Z == X and sorted(Z.names) == sorted(X.names)
