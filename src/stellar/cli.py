@@ -2,7 +2,8 @@
 
 Inputs are facet files or ``corpus:NAME`` pseudo-paths.  Exit codes:
 0 success/verified, 1 property refuted, 2 budget exhausted, 3 input
-error.  Reports are deterministic given identical inputs, flags and
+error, 4 internal error (any other exception, so a crash never reads as
+a verdict).  Reports are deterministic given identical inputs, flags and
 seeds; ``--json PATH`` additionally writes a stable-ordered JSON report.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .tightness import (SIGMA_CAP, BudgetError, is_tight, morse_report,
 from .vectors import (check_dehn_sommerville, check_klee, f_vector, g_vector,
                       h_vector)
 
-OK, REFUTED, EXHAUSTED, BADINPUT = 0, 1, 2, 3
+OK, REFUTED, EXHAUSTED, BADINPUT, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _load(spec: str) -> Complex:
@@ -384,6 +385,9 @@ def run(argv=None) -> int:
     except (ComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BADINPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

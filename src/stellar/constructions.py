@@ -131,19 +131,45 @@ def random_stacked_sphere(d: int, m: int, seed: int = 0) -> Complex:
 
 
 def random_stacked_ball(d: int, n_facets: int, seed: int = 0) -> Complex:
-    """A stacked d-ball grown by random index-0 shelling moves (attach a
-    fresh vertex over a random boundary ridge)."""
-    import random
+    """A stacked d-ball, d >= 1, grown by random index-0 shelling moves
+    (attach a fresh vertex over a random boundary ridge).
 
+    The ridge is drawn from the boundary ridges in lexicographic order of
+    their vertex ids, and the ids are those ``Complex.from_facets`` gives
+    the facets so far: first-occurrence order over the facets sorted by
+    the previous ids.  Both orders are replayed on plain tuples, with the
+    boundary kept as an insertion-ordered set of ridges, and the complex
+    is built once at the end.  That renumbering moves most vertices at
+    almost every step, so a step still sorts the facets and the boundary
+    ridges once.
+    """
+    import random
+    from itertools import chain
+
+    if d < 1:
+        raise RangeError("stacked ball needs d >= 1")
     rng = random.Random(seed)
-    X = standard_ball(d)
-    nxt = d + 2
-    while len(X.facets) < n_facets:
-        bd = boundary(X)
-        ridge = bd.facets_as_names()[rng.randrange(len(bd.facets))]
-        X = Complex.from_facets(X.facets_as_names() + [ridge + (str(nxt),)])
-        nxt += 1
-    return X
+    rank = list(range(d + 1))       # vertex v, named str(v + 1) -> its id
+    facets = [tuple(range(d + 1))]  # sorted vertex tuples
+    bd = dict.fromkeys(combinations(range(d + 1), d))
+    while len(facets) < n_facets:
+        key = rank.__getitem__
+        ridges = sorted((tuple(sorted(map(key, r))), r) for r in bd)
+        ridge = ridges[rng.randrange(len(ridges))][1]
+        vertex_of = [0] * len(rank)
+        for v, i in enumerate(rank):
+            vertex_of[i] = v
+        ids = sorted(tuple(sorted(map(key, f))) for f in facets)
+        for new, old in enumerate(dict.fromkeys(chain.from_iterable(ids))):
+            rank[vertex_of[old]] = new
+        u = len(rank)
+        rank.append(u)
+        facets.append(ridge + (u,))
+        del bd[ridge]
+        bd.update(dict.fromkeys(r + (u,) for r in combinations(ridge, d - 1)))
+    vertex_of = sorted(range(len(rank)), key=rank.__getitem__)
+    return Complex([str(v + 1) for v in vertex_of],
+                   [tuple(rank[v] for v in f) for f in facets])
 
 
 # -- the corpus ---------------------------------------------------------------

@@ -6,6 +6,11 @@ bookkeeping is needed).  Reduction is the standard column echelon pass:
 kill the largest row key of each column against recorded pivot columns.
 Over Q the arithmetic is fraction-free on gcd-reduced integer columns;
 over Z_p it is modular; over GF(2) columns are plain sets of row keys.
+
+The three rank kernels take an optional empty dict ``pivots``; it
+receives each reduced nonzero column under its pivot row, the largest
+row key left in it.  The Betti routine in ``homology`` reads these pivot
+rows to clear the next boundary map down.
 """
 from __future__ import annotations
 
@@ -13,8 +18,9 @@ from math import gcd
 from typing import Iterable
 
 
-def rank_gf2(cols: Iterable[set]) -> int:
-    pivots: dict = {}
+def rank_gf2(cols: Iterable[set], pivots: dict | None = None) -> int:
+    if pivots is None:
+        pivots = {}
     rank = 0
     for col in cols:
         col = set(col)
@@ -29,8 +35,9 @@ def rank_gf2(cols: Iterable[set]) -> int:
     return rank
 
 
-def rank_modp(cols: Iterable[dict], p: int) -> int:
-    pivots: dict = {}
+def rank_modp(cols: Iterable[dict], p: int, pivots: dict | None = None) -> int:
+    if pivots is None:
+        pivots = {}
     rank = 0
     for col in cols:
         col = {r: v % p for r, v in col.items() if v % p}
@@ -65,9 +72,10 @@ def _gcd_reduce(col: dict) -> dict:
     return col
 
 
-def rank_int(cols: Iterable[dict]) -> int:
+def rank_int(cols: Iterable[dict], pivots: dict | None = None) -> int:
     """Rank over Q of integer columns, by exact integer elimination."""
-    pivots: dict = {}
+    if pivots is None:
+        pivots = {}
     rank = 0
     for col in cols:
         col = {r: v for r, v in col.items() if v}

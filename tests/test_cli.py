@@ -30,6 +30,16 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(X):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "f_vector", broken)
+    assert run(["fvec", "corpus:Sigma3_16"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_jobs_checked_before_any_work(capsys, monkeypatch):
     def no_load(spec):
         raise AssertionError("input loaded before --jobs was checked")

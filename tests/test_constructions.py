@@ -1,4 +1,6 @@
 """Generators and corpus self-checks."""
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from stellar.constructions import (KN_PAIRS, cone_over_antistar,
                                    corpus_complex, cross_polytope,
                                    cyclic_complex, klee_novik,
-                                   moebius_torus_7, real_projective_plane_6,
-                                   standard_ball, standard_sphere)
-from stellar.core import (Complex, are_isomorphic, boundary,
+                                   moebius_torus_7, random_stacked_ball,
+                                   real_projective_plane_6, standard_ball,
+                                   standard_sphere)
+from stellar.core import (Complex, RangeError, are_isomorphic, boundary,
                           is_closed_pseudomanifold, link, neighbourliness)
 from stellar.homology import QQ, betti
 from stellar.vectors import f_vector, g_vector
@@ -160,3 +163,41 @@ def test_d4_16_construction(corp):
     assert boundary(d4) == sig
     # every facet contains 6'
     assert all("6'" in f for f in d4.facets_as_names())
+
+
+# SHA-256 of [names, facets_as_names()] of random_stacked_ball(d, n, seed),
+# as the ball was built when each step rebuilt the complex and recomputed
+# its boundary
+STACKED_BALL_PINS = {
+    (2, 60, 0): "357e233c7c0f46e065d4b3d35bfd49a9a5d7924c06c728eaa6e23c780119f821",
+    (2, 60, 1): "eb9427c215cda1356ff4c4d44c7e47c976889c0142844c34de3c264dfad4e139",
+    (2, 60, 2): "b035c5258ececeb25a041e18dc579197740f67f2b469e0c63bc94672caa9a532",
+    (2, 60, 3): "9db61e0ce92955b20ac28a7c7f068069f958ac18ff0d2853ab7fbf39ffdee25f",
+    (2, 60, 4): "f57982adf6cd171ca2e131811e38f9a96cbe5f5fa610174e7d3ae177818f9247",
+    (2, 60, 5): "b1d3f821e106af407c02f6c1c07f4bc4622385ef20f97bc034434e8b7c1e9c43",
+    (3, 60, 0): "14a70c93c20848e3e900ed254bdc561a6c61f2133930b2b24d4fcc792030fa08",
+    (3, 60, 1): "f71c5cc66a173d33e822e4a20abd8a3b90a98df4e2d38bf6450bce1214efaa97",
+    (3, 60, 2): "51bbfc8329cdc1e3c541e818d6c4624fd2d1780379a7524b38d418304a009cac",
+    (3, 60, 3): "50ef461ab0b0d04428670e1c7929a2899813d31e485979b229b0806e484b5301",
+    (3, 60, 4): "9be132108eb47cdc5bcf5d870cd86f4d75d717b4f1a46d840441af877b587ac4",
+    (3, 60, 5): "336d9a84037b21c3b398372c3f17863afe557654e7e46dd281b71d0969d827ee",
+    (1, 9, 3): "1def5ad4afc3a1c1b0c3a51d96daa312c48230a7eaea7045b375dee8ea8d9ca7",
+    (4, 30, 2): "e3e012e6ba9ef9afe2842b0ec70939d5a51002c052c77fa76006b3b90897c97a",
+    (2, 1, 0): "4111b2d5198b35ab5c0cdaac813cf25a02dadb9d74d83c7779526bce27aecce8",
+    (3, 400, 7): "90e330399908f0f54948ee16b07b0ba96e099dc141b5c5f7341f732e9237ef72",
+}
+
+
+@pytest.mark.parametrize("d,n,seed", sorted(STACKED_BALL_PINS))
+def test_random_stacked_ball_pinned(d, n, seed):
+    B = random_stacked_ball(d, n, seed=seed)
+    digest = hashlib.sha256(
+        json.dumps([list(B.names), B.facets_as_names()]).encode()).hexdigest()
+    assert digest == STACKED_BALL_PINS[d, n, seed]
+    assert len(B.facets) == max(n, 1) and B.m == B.dim + len(B.facets)
+    assert f_vector(boundary(B))[-1] == (d + 1) + (len(B.facets) - 1) * (d - 1)
+
+
+def test_random_stacked_ball_needs_positive_dimension():
+    with pytest.raises(RangeError):
+        random_stacked_ball(0, 3)

@@ -10,10 +10,11 @@ from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
                           _dominated, antistar, are_isomorphic, boundary, connected_sum,
                           dual_graph, facet_hash, format_facets, induced,
                           is_pseudomanifold, is_weak_pseudomanifold, join,
-                          link, mask_of, neighbourliness, parse_facets,
-                          skeleton, star)
-from stellar.constructions import (corpus, cross_polytope, standard_ball,
-                                   standard_sphere)
+                          link, load_facets, mask_of, neighbourliness,
+                          parse_facets, save_facets, skeleton, star)
+from stellar.constructions import (corpus, cross_polytope,
+                                   random_stacked_ball, random_stacked_sphere,
+                                   standard_ball, standard_sphere)
 from stellar.vectors import f_vector
 
 
@@ -224,6 +225,30 @@ def test_facet_file_round_trip(tmp_path, corp):
     Y = parse_facets(p.read_text(encoding="utf-8"))
     assert Y == X
     # second save is byte-identical
+    assert format_facets(Y) == format_facets(X)
+
+
+NAME_TOKENS = st.text(st.characters(blacklist_categories=("Cs", "Z", "Cc"),
+                                    blacklist_characters="#"),
+                      min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_save_load_round_trip(tmp_path_factory, data):
+    d = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 10 ** 6))
+    if data.draw(st.booleans()):
+        X = random_stacked_sphere(d, data.draw(st.integers(d + 2, 12)), seed=seed)
+    else:
+        X = random_stacked_ball(d, data.draw(st.integers(1, 12)), seed=seed)
+    names = data.draw(st.lists(NAME_TOKENS, min_size=X.m, max_size=X.m,
+                               unique=True))
+    X = Complex.from_facets([[names[v] for v in f] for f in X.facets])
+    path = tmp_path_factory.mktemp("facets") / "x.txt"
+    save_facets(X, path, header=data.draw(st.sampled_from((None, "h\ni"))))
+    Y = load_facets(path)
+    assert Y == X and facet_hash(Y) == facet_hash(X)
     assert format_facets(Y) == format_facets(X)
 
 

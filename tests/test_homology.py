@@ -1,17 +1,30 @@
 """Exact homology over Q and prime fields."""
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stellar.constructions import (corpus, random_stacked_sphere,
-                                   standard_ball, standard_sphere)
-from stellar.core import Complex, InputError, induced, link
-from stellar.homology import (QQ, FieldSpec, _is_prime, betti,
-                              inclusion_injective, is_homology_sphere,
-                              orientable, reduced_betti, relative_betti,
+from stellar.constructions import (corpus, klee_novik, moebius_torus_7,
+                                   random_stacked_ball, random_stacked_sphere,
+                                   real_projective_plane_6, standard_ball,
+                                   standard_sphere)
+from stellar.core import Complex, InputError, bits, induced, link, mask_of
+from stellar.exactlinalg import rank_cols
+from stellar.homology import (QQ, FieldSpec, _boundary_col_signed,
+                              _boundary_ranks, _faces_by_dim, _is_prime,
+                              betti, inclusion_injective, is_homology_sphere,
+                              orientable, reduced_betti,
+                              reduced_betti_of_faces, relative_betti,
                               relative_betti_pair)
+from stellar.moves import apply_bistellar, enumerate_bistellar
+from stellar.tightness import mu_via_pairs
 from stellar.vectors import f_vector
+
+ORACLE_FIELDS = (QQ, FieldSpec.prime(2), FieldSpec.prime(3))
 
 
 def test_field_spec_parsing():
@@ -174,3 +187,124 @@ def test_field_dependence_of_ranks():
     rp = corpus()["rp2_6"].complex
     assert reduced_betti(rp, FieldSpec.prime(2)) == (0, 1, 1)
     assert reduced_betti(rp, FieldSpec.prime(3)) == (0, 0, 0)
+
+
+# -- clearing: the top-down reduction against the plain one -----------------
+
+
+def uncleared_ranks(faces_by_dim, field, relative=False):
+    """ranks[i] of every boundary map, each reduced over all its columns
+    with no clearing: the oracle for ``_boundary_ranks``."""
+    ranks = [0] * (len(faces_by_dim) + 1)
+    for i in range(1, len(faces_by_dim)):
+        rows = set(faces_by_dim[i - 1])
+        cols = [{r: v for r, v in _boundary_col_signed(f).items()
+                 if not relative or r in rows} for f in faces_by_dim[i]]
+        ranks[i] = rank_cols(cols, field)
+    return ranks
+
+
+def uncleared_reduced_betti(faces_by_dim, field, top):
+    if not faces_by_dim or not faces_by_dim[0]:
+        return [-1] + [0] * top
+    ranks = uncleared_ranks(faces_by_dim, field) + [0] * (top + 2)
+    n = [len(faces_by_dim[i]) if i < len(faces_by_dim) else 0
+         for i in range(top + 1)]
+    return [n[0] - ranks[1] - 1] + [n[i] - ranks[i] - ranks[i + 1]
+                                    for i in range(1, top + 1)]
+
+
+KN_2_5 = klee_novik(2, 5)
+FIXED = {"Mbar_2_5": KN_2_5[0], "M_2_5": KN_2_5[1],
+         "torus_7": moebius_torus_7(), "rp2_6": real_projective_plane_6()}
+
+
+@st.composite
+def sample_complexes(draw):
+    """A stacked 2- or 3-sphere after a short bistellar walk, a random
+    stacked 2- or 3-ball, or one of ``FIXED``."""
+    kind = draw(st.sampled_from(("walk", "ball", "fixed")))
+    if kind == "fixed":
+        return FIXED[draw(st.sampled_from(sorted(FIXED)))]
+    d = draw(st.sampled_from((2, 3)))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "ball":
+        return random_stacked_ball(d, draw(st.integers(1, 25)), seed=seed)
+    X = random_stacked_sphere(d, draw(st.integers(d + 2, 11)), seed=seed)
+    for _ in range(draw(st.integers(0, 4))):
+        moves = enumerate_bistellar(X)
+        if not moves:
+            break
+        X = apply_bistellar(X, draw(st.sampled_from(moves)))
+    return X
+
+
+def subset_mask(draw, X):
+    return mask_of(draw(st.sets(st.integers(0, X.m - 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_cleared_ranks_match_uncleared(data, field):
+    X = data.draw(sample_complexes())
+    families = [_faces_by_dim(X)]
+    amask = subset_mask(data.draw, X)  # a random induced subcomplex
+    families.append([[f for f in fs if not f & ~amask] for fs in families[0]])
+    for fbd in families:
+        cleared = _boundary_ranks(fbd, field)
+        assert cleared[2:] == uncleared_ranks(fbd, field)[2:]
+        assert reduced_betti_of_faces(fbd, field, X.dim) == \
+            uncleared_reduced_betti(fbd, field, X.dim)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_cleared_betti_on_fixed_inputs(name):
+    X = FIXED[name]
+    for field in ORACLE_FIELDS:
+        fbd = _faces_by_dim(X)
+        assert list(reduced_betti(X, field)) == \
+            uncleared_reduced_betti(fbd, field, X.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_cleared_relative_betti_matches_uncleared(data, field):
+    X = data.draw(sample_complexes())
+    bmask = subset_mask(data.draw, X)
+    amask = bmask & subset_mask(data.draw, X)
+    rel = [[f for f in X.faces_of_dim(t) if not f & ~bmask and f & ~amask]
+           for t in range(X.dim + 1)]
+    ranks = uncleared_ranks(rel, field, relative=True)
+    expect = [len(rel[i]) - ranks[i] - ranks[i + 1] for i in range(len(rel))]
+    assert relative_betti(X, bits(amask), bits(bmask), field) == expect
+    assert _boundary_ranks(rel, field, relative=True) == ranks
+
+
+@pytest.mark.parametrize("name", ["torus_7", "rp2_6"])
+def test_relative_pairs_give_mu_via_pairs(corp, name):
+    """The covering-pair average of relative Betti numbers, taken through
+    ``relative_betti``, equals ``mu_via_pairs``, which keeps its own
+    uncleared ranks."""
+    X = corp[name].complex
+    m, d = X.m, X.dim
+    for field in ORACLE_FIELDS:
+        sums = [[0] * (m + 1) for _ in range(d + 1)]
+        for bmask in range(1, 1 << m):
+            B = list(bits(bmask))
+            for x in B:
+                rel = relative_betti(X, [v for v in B if v != x], B, field)
+                for i, v in enumerate(rel):
+                    sums[i][len(B)] += v
+        mu = tuple(sum((Fraction(sums[i][j], m * comb(m - 1, j - 1))
+                        for j in range(1, m + 1)), Fraction(0))
+                   for i in range(d + 1))
+        assert mu == mu_via_pairs(X, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_euler_poincare_property(data, field):
+    X = data.draw(sample_complexes())
+    X = induced(X, bits(subset_mask(data.draw, X)))
+    chi = sum((-1) ** i * fi for i, fi in enumerate(f_vector(X)))
+    assert betti(X, field).euler() == chi

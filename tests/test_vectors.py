@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stellar.constructions import standard_sphere
+from stellar.constructions import random_stacked_sphere, standard_sphere
 from stellar.core import Complex
 from stellar.vectors import (VectorProfile, check_dehn_sommerville, check_klee,
                              euler_identity_check, f_from_g, f_vector,
@@ -80,6 +82,13 @@ def test_dehn_sommerville_on_spheres(corp):
     for name in ("S3_16", "Sigma3_16", "ziegler_S3_10", "lutz_S3_8",
                  "ziegler_S2_10", "lutz_S2_8", "S5_18"):
         assert check_dehn_sommerville(corp[name].complex).all_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 40), st.integers(0, 10 ** 6))
+def test_dehn_sommerville_on_random_stacked_spheres(d, extra, seed):
+    X = random_stacked_sphere(d, d + 2 + extra, seed=seed)
+    assert check_dehn_sommerville(X).all_zero
 
 
 def test_klee_formula(corp):
