@@ -15,8 +15,8 @@ import sys
 
 from . import verify as verify_mod
 from .constructions import corpus, corpus_complex, klee_novik
-from .core import (Complex, ComplexError, facet_hash, load_facets, read_text,
-                   save_facets)
+from .core import (Complex, ComplexError, _facet_lines, facet_hash,
+                   load_facets, read_text, save_facets)
 from .homology import FieldSpec, betti
 from .moves import (HypothesisViolation, canonical_ball, canonical_manifold,
                     ears, enumerate_bistellar, find_shelling,
@@ -153,11 +153,7 @@ def cmd_stellate(args):
 def cmd_shellcheck(args):
     X = _load(args.input)
     if args.order:
-        order = []
-        for line in read_text(args.order).splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                order.append(line.split())
+        order = _facet_lines(read_text(args.order))
     elif args.input == "corpus:lutz_B2":
         order = [list(f) for f in corpus()["lutz_B2"].tags["shelling_order"]]
     else:

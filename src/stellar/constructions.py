@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
-from .core import (Complex, ComplexError, InputError, RangeError, boundary,
-                   join, parse_facets)
+from .core import (Complex, ComplexError, InputError, RangeError,
+                   _facet_lines, boundary, join, parse_facets)
 from .vectors import f_vector
 
 
@@ -203,15 +203,6 @@ def _data_complex(fname: str) -> Complex:
     return parse_facets(_data_text(fname))
 
 
-def _data_facet_lines(fname: str) -> list[list[str]]:
-    out = []
-    for line in _data_text(fname).splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
-
-
 def _build_entries() -> dict[str, CorpusEntry]:
     entries: dict[str, CorpusEntry] = {}
 
@@ -237,7 +228,7 @@ def _build_entries() -> dict[str, CorpusEntry]:
         closed=True, edge_link=("w1", "w2"))
 
     zs3 = _data_complex("ziegler_s3_10.txt")
-    zlines = _data_facet_lines("ziegler_s3_10.txt")
+    zlines = _facet_lines(_data_text("ziegler_s3_10.txt"))
     add("ziegler_S3_10", zs3, (10, 38, 56, 28), closed=True)
     add("ziegler_S2_10", _data_complex("ziegler_s2_10.txt"), (10, 24, 16),
         closed=True)
@@ -249,7 +240,7 @@ def _build_entries() -> dict[str, CorpusEntry]:
         ears=(), boundary="ziegler_S2_10")
 
     ls3 = _data_complex("lutz_s3_8.txt")
-    llines = _data_facet_lines("lutz_s3_8.txt")
+    llines = _facet_lines(_data_text("lutz_s3_8.txt"))
     add("lutz_S3_8", ls3, (8, 28, 40, 20), closed=True, neighbourly=2)
     add("lutz_S2_8", _data_complex("lutz_s2_8.txt"), (8, 18, 12), closed=True)
     lb1 = Complex.from_facets(llines[:LUTZ_B1_COUNT])

@@ -64,6 +64,18 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def _ridge_facets(facet_masks: Sequence[int]) -> dict[int, list[int]]:
+    """Map each ridge (a facet mask minus one vertex) to the indices, in
+    increasing order, of the facets that contain it, in the id space of
+    the masks given.  The length of a ridge's list is its count: 1 on the
+    boundary, 2 inside a weak pseudomanifold."""
+    owners: dict[int, list[int]] = {}
+    for i, fm in enumerate(facet_masks):
+        for v in bits(fm):
+            owners.setdefault(fm ^ (1 << v), []).append(i)
+    return owners
+
+
 def _dominated(masks: Sequence[int]) -> list[int]:
     """Indices, in increasing order, of the masks strictly contained in
     another mask of ``masks``.
@@ -333,17 +345,13 @@ def boundary(X: Complex) -> Complex:
         raise StructureError("boundary needs a pure complex")
     if X.dim <= -1:
         return Complex.empty()
-    counts: dict[int, int] = {}
-    for fm in X.facet_masks:
-        for v in bits(fm):
-            sub = fm ^ (1 << v)
-            counts[sub] = counts.get(sub, 0) + 1
-    bad = next((s for s, c in counts.items() if c > 2), None)
+    owners = _ridge_facets(X.facet_masks)
+    bad = next((s for s, o in owners.items() if len(o) > 2), None)
     if bad is not None:
         raise StructureError(
             f"not a weak pseudomanifold: face {X.names_of_mask(bad)} lies in "
-            f"{counts[bad]} facets")
-    bfaces = [s for s, c in counts.items() if c == 1]
+            f"{len(owners[bad])} facets")
+    bfaces = [s for s, o in owners.items() if len(o) == 1]
     if not bfaces:
         return Complex.empty()
     return _rebuild(X, bfaces)
@@ -390,12 +398,8 @@ class DualGraph:
 def dual_graph(X: Complex) -> DualGraph:
     if not X.is_pure():
         raise StructureError("dual graph needs a pure complex")
-    ridge_owners: dict[int, list[int]] = {}
-    for i, fm in enumerate(X.facet_masks):
-        for v in bits(fm):
-            ridge_owners.setdefault(fm ^ (1 << v), []).append(i)
     edges = []
-    for owners in ridge_owners.values():
+    for owners in _ridge_facets(X.facet_masks).values():
         if len(owners) > 2:
             raise StructureError("not a weak pseudomanifold")
         if len(owners) == 2:
@@ -508,12 +512,19 @@ def load_facets(path) -> Complex:
     return parse_facets(read_text(path))
 
 
-def parse_facets(text: str) -> Complex:
-    facets = []
+def _facet_lines(text: str) -> list[list[str]]:
+    """The token lists of the facet text format: one facet per line,
+    '#' starts a comment, blank lines are skipped."""
+    out = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            facets.append(line.split())
+            out.append(line.split())
+    return out
+
+
+def parse_facets(text: str) -> Complex:
+    facets = _facet_lines(text)
     if not facets:
         raise InputError("no facets in input")
     return Complex.from_facets(facets)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, bits, boundary, dual_graph, facet_hash,
-                   is_connected, is_closed_pseudomanifold, link, mask_of,
-                   popcount, submasks)
+                   StructureError, _ridge_facets, bits, boundary, dual_graph,
+                   facet_hash, is_connected, is_closed_pseudomanifold, link,
+                   mask_of, popcount, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -282,19 +282,15 @@ def ears(B: Complex) -> list[tuple[str, ...]]:
     simplex-boundary facets.  A single-facet ball reports its facet."""
     if len(B.facet_masks) == 1:
         return [B.facets_as_names()[0]]
-    ridge_count: dict[int, int] = {}
-    for fm in B.facet_masks:
-        for v in bits(fm):
-            r = fm ^ (1 << v)
-            ridge_count[r] = ridge_count.get(r, 0) + 1
-    if any(c > 2 for c in ridge_count.values()):
+    owners = _ridge_facets(B.facet_masks)
+    if any(len(o) > 2 for o in owners.values()):
         raise StructureError("ears need a weak pseudomanifold")
-    bd_ridges = [r for r, c in ridge_count.items() if c == 1]
+    bd_ridges = [r for r, o in owners.items() if len(o) == 1]
     out = []
     for fm in B.facet_masks:
         emask = 0
         for v in bits(fm):
-            if ridge_count.get(fm ^ (1 << v), 0) == 1:
+            if len(owners[fm ^ (1 << v)]) == 1:
                 emask |= 1 << v
         if emask == 0 or emask == fm:
             continue

@@ -5,19 +5,26 @@ over all vertex subsets (guarded by a cap on the vertex count); the
 mu-vector averages link sigmas.  Everything is exact rational arithmetic.
 
 The integer table behind sigma (sum of reduced beta_i over the j-subsets)
-comes from the first of three paths whose hypothesis passes an exact
+comes from the first of four paths whose hypothesis passes an exact
 check:
 
 1. cone apex -- some vertex a lies in every facet, so X = a * L: induced
    subcomplexes containing a are contractible and the others are those
-   of L, whose table goes back through the same three paths;
+   of L, whose table goes back through the same four paths;
 2. Alexander duality -- X is an F-homology sphere of dimension <= 3
    (``homology.is_homology_sphere``): the top Betti numbers of X[A] come
    from the components of X[V - A] and beta_1 of a 3-sphere's X[A] from
    the Euler characteristic, so each subset costs one component count;
-3. the subset loop -- one homology run per subset, in fixed
+3. the ball path -- X is pure of dimension <= 3 with a boundary and
+   S = X u w * bd(X) passes the same test: X[A] = S[A] whenever A avoids
+   the new vertex w, so the table of X is S's duality table over those A;
+4. the subset loop -- one homology run per subset, in fixed
    ascending-mask blocks so multi-process runs reduce deterministically.
-   It is the oracle the tests compare the other two paths with.
+   It is the oracle the tests compare the other three paths with.
+
+The mu-vector computes one sigma per isomorphism class of links: a link
+that is a pure, strongly connected weak pseudomanifold is keyed by its
+canonical form, a complete invariant, and any other link by itself.
 """
 from __future__ import annotations
 
@@ -25,10 +32,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 from operator import and_
 
-from .core import Complex, ComplexError, bits, ids_of, \
+from .core import Complex, ComplexError, _ridge_facets, bits, ids_of, \
     is_closed_pseudomanifold, is_connected, link, neighbourliness, popcount
 from .homology import BettiTable, FieldSpec, _faces_by_dim, betti, \
     inclusion_injective, is_homology_sphere, orientable, \
@@ -122,36 +130,64 @@ def _count_components(tables: list[list[int]], amask: int) -> int:
     return n
 
 
-def _duality_sums(X: Complex) -> list[list[int]]:
-    """The table of an F-homology d-sphere, d <= 3.  For a proper nonempty
-    A, Alexander duality gives reduced beta_d(X[A]) = 0 and
-    beta_{d-1}(X[A]) = beta_0(X[V - A]); for d = 3, beta_1 follows from the
-    reduced Euler characteristic, whose sum over the j-subsets is
-    sum_t (-1)^t f_t C(m-t-1, j-t-1) - C(m, j)."""
-    m, d = X.m, X.dim
-    tables = _neighbour_tables(X)
-    b0 = [0] * (m + 1)  # sum of reduced beta_0 over the proper j-subsets
-    for amask in range(1, (1 << m) - 1):
-        b0[amask.bit_count()] += _count_components(tables, amask) - 1
-    f = [X.n_faces(t) for t in range(d + 1)]
+def _duality_sums(X: Complex, S: Complex) -> list[list[int]]:
+    """The table of X, where S is an F-homology d-sphere, d <= 3, and X is
+    either S itself or a ball with S = X u w * bd(X), w = S's last vertex.
+    X[A] = S[A] for every A that avoids w.  For A nonempty and proper in
+    V(S), Alexander duality gives reduced beta_d(X[A]) = 0 and
+    beta_{d-1}(X[A]) = beta_0(S[V(S) - A]); for d = 3, beta_1 follows from
+    the reduced Euler characteristic of X[A], whose sum over the j-subsets
+    is sum_t (-1)^t f_t(X) C(m-t-1, j-t-1) - C(m, j).  So the table needs
+    the component counts of S[B], tallied apart for the B that avoid w
+    (beta_0 of X[B]) and the B that contain it (complements)."""
+    m, n, d = X.m, S.m, X.dim
+    tables = _neighbour_tables(S)
+    half = 1 << (n - 1)
+    without = [0] * (n + 1)  # sum of reduced beta_0(S[B]) over the k-subsets B
+    with_w = [0] * (n + 1)   # that avoid, or contain, the last vertex
+    for amask in range(1, half):
+        without[amask.bit_count()] += _count_components(tables, amask) - 1
+    for amask in range(half, 2 * half - 1):
+        with_w[amask.bit_count()] += _count_components(tables, amask) - 1
+    ball = n > m
     sums = [[0] * (m + 1) for _ in range(d + 1)]
     sums[0][0] = -1
-    sums[d][m] = 1
-    for j in range(1, m):
-        sums[0][j] = b0[j]
+    if not ball:  # every proper subset of a sphere is a complement
+        without = with_w = [a + b for a, b in zip(without, with_w)]
+        sums[d][m] = 1
+    f = [X.n_faces(t) for t in range(d + 1)]
+    for j in range(1, m + 1 if ball else m):
+        sums[0][j] = without[j]
         if d >= 2:
-            sums[d - 1][j] = b0[m - j]
+            sums[d - 1][j] = with_w[n - j]
         if d == 3:
             chi = sum((-1) ** t * f[t] * comb(m - t - 1, j - t - 1)
                       for t in range(min(d, j - 1) + 1)) - comb(m, j)
-            sums[1][j] = b0[j] + b0[m - j] - chi
+            sums[1][j] = sums[0][j] + sums[2][j] - chi
     return sums
+
+
+def _ball_closure(X: Complex) -> Complex | None:
+    """S = X u w * bd(X) on ids 0..m, with w = m, the candidate sphere of
+    the ball path; None unless X is pure of dimension <= 3 with at least
+    one boundary ridge (a ridge on exactly one facet)."""
+    if X.dim > 3 or not X.is_pure():
+        return None
+    w = 1 << X.m
+    caps = [r | w for r, owners in _ridge_facets(X.facet_masks).items()
+            if len(owners) == 1]
+    if not caps:
+        return None
+    return Complex([str(v) for v in range(X.m + 1)],
+                   [ids_of(f) for f in X.facet_masks + tuple(caps)])
 
 
 def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]:
     """sums[i][j] = sum of reduced beta_i(X[A]) over the j-subsets A, from
-    the first path whose hypothesis holds: cone apex, Alexander duality
-    for an F-homology sphere of dimension <= 3, or the subset loop."""
+    the first of four paths whose hypothesis holds: cone apex, Alexander
+    duality for an F-homology sphere of dimension <= 3, the same duality
+    for a ball whose closure ``_ball_closure`` is such a sphere, or the
+    subset loop."""
     apex = reduce(and_, X.facet_masks)
     if apex:
         lk = link(X, (apex.bit_length() - 1,))
@@ -160,7 +196,10 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
         return [row + [0] for row in _subset_sums(lk, field, jobs)] \
             + [[0] * (X.m + 1)]
     if X.dim <= 3 and is_homology_sphere(X, field):
-        return _duality_sums(X)
+        return _duality_sums(X, X)
+    S = _ball_closure(X)
+    if S is not None and is_homology_sphere(S, field):
+        return _duality_sums(X, S)
     return _loop_sums(X, field, jobs)
 
 
@@ -171,9 +210,10 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
 
     The sums come from ``_subset_sums``: the cone-apex path when some
     vertex lies in every facet, the duality path when X passes
-    ``is_homology_sphere`` in dimension <= 3, else the subset loop (with
-    ``jobs`` processes once there are at least 2^12 subsets).  The cap
-    applies to m whichever path runs."""
+    ``is_homology_sphere`` in dimension <= 3, the ball path when X's
+    ``_ball_closure`` does, else the subset loop (with ``jobs`` processes
+    once there are at least 2^12 subsets).  The cap applies to m
+    whichever path runs."""
     if X.dim < 0:
         return ()
     m, dim = X.m, X.dim
@@ -187,16 +227,105 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
         for i in range(dim + 1))
 
 
+def _canonical_form(X: Complex) -> tuple[int, ...] | None:
+    """A complete isomorphism invariant of a pure, strongly connected weak
+    pseudomanifold (every ridge on at most two facets, the facets
+    connected across ridges); None for any other complex.
+
+    A flag, a facet with an order of its vertices, labels those vertices
+    0..d; a breadth-first walk across ridges then labels each new vertex
+    in turn, taking the facets first in, first out and the ridges of a
+    facet by the label of the vertex they omit.  The labelling depends
+    only on the flag and the structure, so an isomorphism carries the
+    walks from the flags of X onto the walks from their images.  The form
+    is the least sequence of relabelled facet masks, in walk order, over
+    the flags whose first vertex lies in the fewest facets; a walk stops
+    as soon as it exceeds the least so far.  Equal forms give an
+    isomorphism by composing the two relabellings."""
+    if X.dim < 0 or not X.is_pure():
+        return None
+    masks = X.facet_masks
+    across: list[dict[int, int]] = [{} for _ in masks]  # i -> {v: facet}
+    for r, owners in _ridge_facets(masks).items():
+        if len(owners) > 2:
+            return None
+        if len(owners) == 2:
+            i, j = owners
+            across[i][(masks[i] & ~r).bit_length() - 1] = j
+            across[j][(masks[j] & ~r).bit_length() - 1] = i
+    degree = [0] * X.m
+    for fm in masks:
+        for v in bits(fm):
+            degree[v] += 1
+    low = min(degree)
+
+    def walk(start: int, label: dict[int, int],
+             best: list[int] | None) -> list[int] | None:
+        form: list[int] = []
+        tied = best is not None
+        queue = [start]
+        seen = {start}
+        for i in queue:
+            code = 0
+            for v in bits(masks[i]):
+                code |= 1 << label[v]
+            if tied:
+                if code > best[len(form)]:
+                    return None
+                tied = code == best[len(form)]
+            form.append(code)
+            for v in sorted(across[i], key=label.__getitem__):
+                j = across[i][v]
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+                    new = masks[j] & ~masks[i]
+                    label.setdefault(new.bit_length() - 1, len(label))
+        return form
+
+    best = None
+    for start, fm in enumerate(masks):
+        for first in bits(fm):
+            if degree[first] != low:
+                continue
+            for order in permutations(v for v in bits(fm) if v != first):
+                label = {first: 0}
+                for v in order:
+                    label[v] = len(label)
+                form = walk(start, label, best)
+                if form is None:
+                    continue
+                if len(form) < len(masks):
+                    return None  # not strongly connected
+                best = form
+    return tuple(best)
+
+
 def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
               jobs: int = 1) -> tuple[Fraction, ...]:
-    """mu_0 = 1; mu_i = [i==1] + (1/m) sum_x sigma_{i-1}(link of x)."""
+    """mu_0 = 1; mu_i = [i==1] + (1/m) sum_x sigma_{i-1}(link of x).
+
+    Links with one ``_canonical_form`` are isomorphic and share one
+    sigma.  A link gets its own sigma when it has no form (it is not a
+    pure, strongly connected weak pseudomanifold), or when the form could
+    cost more than that sigma: up to F (d+1)! walks over F facets against
+    the 2^m subsets the sigma visits, as for the flag-transitive cross
+    polytopes."""
     d = X.dim
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:
         mu[1] = Fraction(1)
+    known: dict[object, tuple[Fraction, ...]] = {}
     for v in range(X.m):
         lk = link(X, (v,))
-        sig = sigma_vector(lk, field, cap, jobs)
+        key = None
+        if len(lk.facet_masks) ** 2 * factorial(lk.dim + 1) <= 1 << lk.m:
+            key = _canonical_form(lk)
+        if key is None:
+            key = v
+        if key not in known:
+            known[key] = sigma_vector(lk, field, cap, jobs)
+        sig = known[key]
         for i in range(1, d + 1):
             if i - 1 < len(sig):
                 mu[i] += Fraction(sig[i - 1], X.m)

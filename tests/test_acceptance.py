@@ -33,8 +33,7 @@ def test_criterion_4_ears_shellability():
 
 
 def test_criterion_5_klee_novik():
-    _run("5 Klee-Novik", verify.criterion_5_klee_novik,
-         budget=10 ** 6, seed=0, jobs=JOBS)
+    _run("5 Klee-Novik", verify.criterion_5_klee_novik, jobs=JOBS)
 
 
 def test_criterion_6_cross_polytope():

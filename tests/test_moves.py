@@ -401,3 +401,47 @@ def test_apply_then_reverse_is_identity(case):
     assert Y != X
     Z = apply_reverse(Y, mv)
     assert Z == X and sorted(Z.names) == sorted(X.names)
+
+
+@st.composite
+def walk_certificates(draw):
+    """A random bistellar walk on a stacked 2- or 3-sphere, mixing 0-moves
+    with moves of positive index, as a certificate with its start."""
+    d = draw(st.sampled_from((2, 3)))
+    start = random_stacked_sphere(d, draw(st.integers(d + 2, 9)),
+                                  seed=draw(st.integers(0, 10 ** 6)))
+    X, steps = start, []
+    for fresh in range(draw(st.integers(0, 6))):
+        pool = enumerate_bistellar(X)
+        if pool and draw(st.booleans()):
+            mv = draw(st.sampled_from(pool))
+        else:
+            mv = BistellarMove(draw(st.sampled_from(X.facets_as_names())),
+                               (f"new{fresh}",), 0)
+        X = apply_bistellar(X, mv)
+        steps.append(mv)
+    return start, MoveCertificate("bistellar", tuple(steps),
+                                  facet_hash(start), facet_hash(X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_certificates())
+def test_walk_certificate_json_round_trip_replays(case):
+    start, cert = case
+    again = MoveCertificate.from_json(cert.to_json())
+    assert again == cert and again.to_json() == cert.to_json()
+    assert facet_hash(replay_bistellar(start, again.steps)) == again.end_hash
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(5, 10), st.integers(0, 10 ** 6),
+       st.integers(0, 100))
+def test_stellation_certificate_json_round_trip_replays(d, m, seed, search):
+    S = random_stacked_sphere(d, m, seed=seed)
+    out = stellation_search(S, 1, seed=search)
+    assert out.found  # every stacked sphere is 1-stellated
+    again = MoveCertificate.from_json(out.certificate.to_json())
+    assert again == out.certificate
+    assert again.start_hash == facet_hash(out.start)
+    end = replay_bistellar(out.start, again.steps)
+    assert end == S and facet_hash(end) == again.end_hash

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stellar import tightness
 from stellar.constructions import (corpus, cross_polytope,
-                                   random_stacked_sphere, standard_ball,
-                                   standard_sphere)
-from stellar.core import Complex, join, link
+                                   random_stacked_ball, random_stacked_sphere,
+                                   standard_ball, standard_sphere)
+from stellar.core import Complex, antistar, are_isomorphic, join, link
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
                               is_homology_sphere)
 from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
-from stellar.tightness import (BudgetError, _sigma_chunk, _subset_sums,
-                               criterion_battery, is_tight, morse_report,
-                               mu_vector, mu_via_pairs, p23_bounds,
-                               sigma_g_report, sigma_vector)
+from stellar.tightness import (BudgetError, _ball_closure, _canonical_form,
+                               _sigma_chunk, _subset_sums, criterion_battery,
+                               is_tight, morse_report, mu_vector,
+                               mu_via_pairs, p23_bounds, sigma_g_report,
+                               sigma_vector)
 
 Z2 = FieldSpec.prime(2)
 ORACLE_FIELDS = (QQ, Z2, FieldSpec.prime(3))
@@ -40,6 +42,48 @@ def moved_stacked_spheres(draw):
             break
         X = apply_bistellar(X, draw(st.sampled_from(moves)))
     return X
+
+
+@st.composite
+def walked_stacked_balls(draw):
+    """A random stacked 2- or 3-ball of 2 to 8 facets, followed by up to
+    three random bistellar moves of positive index (all interior)."""
+    d = draw(st.sampled_from((2, 3)))
+    X = random_stacked_ball(d, draw(st.integers(2, 8)),
+                            seed=draw(st.integers(0, 10 ** 6)))
+    for _ in range(draw(st.integers(0, 3))):
+        moves = enumerate_bistellar(X)
+        if not moves:
+            break
+        X = apply_bistellar(X, draw(st.sampled_from(moves)))
+    return X
+
+
+def relabelled(X, rnd):
+    """X with permuted vertex names, shuffled facets and shuffled vertices
+    within each facet, so ``from_facets`` gives it new ids."""
+    perm = list(X.names)
+    rnd.shuffle(perm)
+    rename = dict(zip(X.names, perm))
+    facets = [[rename[n] for n in f] for f in X.facets_as_names()]
+    for f in facets:
+        rnd.shuffle(f)
+    rnd.shuffle(facets)
+    return Complex.from_facets(facets)
+
+
+def per_link_mu(X, field):
+    """The mu-vector from one sigma per vertex link, with no reuse."""
+    d, m = X.dim, X.m
+    mu = [Fraction(1)] + [Fraction(0)] * d
+    if d >= 1:
+        mu[1] = Fraction(1)
+    for v in range(m):
+        sig = sigma_vector(link(X, (v,)), field)
+        for i in range(1, d + 1):
+            if i - 1 < len(sig):
+                mu[i] += Fraction(sig[i - 1], m)
+    return tuple(mu)
 
 
 def test_sigma_point():
@@ -113,6 +157,107 @@ def test_gate_rejects_and_paths_agree(corp, name):
     for field in ORACLE_FIELDS:
         assert not is_homology_sphere(X, field)
         assert _subset_sums(X, field) == loop_table(X, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(walked_stacked_balls(), st.sampled_from(ORACLE_FIELDS))
+def test_ball_path_matches_loop(X, field):
+    assert is_homology_sphere(_ball_closure(X), field)
+    assert _subset_sums(X, field) == loop_table(X, field)
+
+
+@pytest.mark.parametrize("name", ["lutz_S2_8", "ziegler_S2_10", "lutz_S3_8",
+                                  "ziegler_S3_10"])
+def test_ball_path_on_antistars_and_cones(corp, name):
+    S = corp[name].complex
+    for v in (0, S.m - 1):
+        ball = antistar(S, v)
+        cone = join(ball, Complex.from_facets([["apex"]]))
+        for field in ORACLE_FIELDS:
+            assert not is_homology_sphere(ball, field)
+            assert is_homology_sphere(_ball_closure(ball), field)
+            assert _subset_sums(ball, field) == loop_table(ball, field)
+            assert _subset_sums(cone, field) == loop_table(cone, field)
+
+
+def test_ball_gate_rejects(corp):
+    mobius = antistar(corp["rp2_6"].complex, 0)
+    closure = _ball_closure(mobius)  # pure, with a boundary circle
+    assert closure is not None and closure.m == mobius.m + 1
+    nonpure = Complex.from_facets(["abc", "cde", "ea"])
+    assert _ball_closure(nonpure) is None
+    assert _ball_closure(corp["torus_7"].complex) is None  # no boundary
+    assert _ball_closure(standard_ball(4)) is None  # dimension 4
+    for field in ORACLE_FIELDS:
+        assert not is_homology_sphere(closure, field)  # it is RP^2
+        for X in (mobius, nonpure):
+            assert _subset_sums(X, field) == loop_table(X, field)
+
+
+def _form_pool():
+    pool = []
+    for seed in range(4):
+        X = random_stacked_sphere(2, 7, seed=seed)
+        pool += [X, apply_bistellar(X, enumerate_bistellar(X)[seed])]
+        pool.append(random_stacked_sphere(3, 7, seed=seed))
+        pool.append(random_stacked_ball(2, 4, seed=seed))
+    return pool + [cross_polytope(2), Complex.from_facets(
+        ["12", "23", "34", "45", "56", "61"])]
+
+
+FORM_POOL = _form_pool()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(FORM_POOL))),
+       st.sampled_from(range(len(FORM_POOL))),
+       st.randoms(use_true_random=False))
+def test_canonical_form_decides_isomorphism(i, j, rnd):
+    X, Y = relabelled(FORM_POOL[i], rnd), relabelled(FORM_POOL[j], rnd)
+    assert _canonical_form(X) == _canonical_form(FORM_POOL[i])
+    assert (_canonical_form(X) == _canonical_form(Y)) == are_isomorphic(X, Y)
+
+
+def test_canonical_form_needs_strongly_connected_pseudomanifold():
+    for facets in (["123", "345"],               # two facets on a vertex
+                   ["123", "124", "125"],        # a ridge on three facets
+                   ["123", "34"]):               # not pure
+        assert _canonical_form(Complex.from_facets(facets)) is None
+    assert _canonical_form(Complex.empty()) is None
+    assert _canonical_form(Complex.from_facets(["123"])) is not None
+
+
+def _mu_inputs():
+    c = corpus()
+    names = ("torus_7", "rp2_6", "lutz_S3_8", "lutz_B2")
+    return [c[n].complex for n in names] + [
+        cross_polytope(2), random_stacked_sphere(3, 8, seed=2),
+        Complex.from_facets(["abc", "cde", "ea"])]
+
+
+MU_INPUTS = _mu_inputs()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(range(len(MU_INPUTS))), st.sampled_from(ORACLE_FIELDS),
+       st.randoms(use_true_random=False))
+def test_mu_link_reuse_matches_per_link_sum(i, field, rnd):
+    X = relabelled(MU_INPUTS[i], rnd)
+    assert mu_vector(X, field) == per_link_mu(X, field)
+
+
+def test_mu_one_sigma_for_isomorphic_links(corp, monkeypatch):
+    calls = []
+    real = tightness.sigma_vector
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(tightness, "sigma_vector", counting)
+    mu = mu_vector(corp["S3_16"].complex, Z2)  # vertex-transitive under Z_16
+    assert len(calls) == 1
+    assert mu == (1, Fraction(577, 105), Fraction(577, 105), 1)
 
 
 def test_mu_standard_spheres():
