@@ -9,6 +9,7 @@ from stellar.constructions import (KN_PAIRS, cone_over_antistar,
                                    corpus_complex, cross_polytope,
                                    cyclic_complex, klee_novik,
                                    moebius_torus_7, random_stacked_ball,
+                                   random_stacked_sphere,
                                    real_projective_plane_6, standard_ball,
                                    standard_sphere)
 from stellar.core import (Complex, RangeError, are_isomorphic, boundary,
@@ -201,3 +202,32 @@ def test_random_stacked_ball_pinned(d, n, seed):
 def test_random_stacked_ball_needs_positive_dimension():
     with pytest.raises(RangeError):
         random_stacked_ball(0, 3)
+
+
+# SHA-256 of [names, facets_as_names()] of random_stacked_sphere(d, m,
+# seed), as the sphere was built when each 0-move went through
+# apply_bistellar and Complex.from_facets
+STACKED_SPHERE_PINS = {
+    (2, 5, 0): "ad3d1d3186a726f9788a8126b1c6a008a6322222521ec97bc2407cce3c9f2fb7",
+    (2, 12, 1): "ebc11efe40b469bac44a9de529f93d9156bd0cc12b6253aa4c785660ac4861a6",
+    (2, 40, 2): "fc79fa3bbcf6742deb1ee05d6cd62b34a977b68f75cbc4d1db9e9656e3d49eda",
+    (2, 100, 3): "e02781f154ab2d040860f22eaa2cc59ad58ee153f4a68004fd0178a684a2bb48",
+    (3, 6, 0): "8ec27a4dc5d7e5b269aa5586d4b30f5d7b2e314ad91c3e73ecf029bdbc452881",
+    (3, 30, 1): "4b7fa835bc2e8037d556125bce5ded2a3a677811dbaaba32a7fa901a32f7456e",
+    (3, 60, 2): "7247fc8e168890bc94c80fffc75d2a487c95f4e2908431e9c2dd2abd06932f4c",
+    (3, 120, 4): "494078f25d8711303a8117801ffe5c374e809424581c8d1f0b3b4815c3d42549",
+    (4, 7, 0): "0c9570d9a8dc5a5bb6068ab8bf2ae90a215b981c1206845c8e4a9b7b6191b7c1",
+    (4, 20, 5): "057688e6be2f8ca9cbea50b8045c1bb353e3a9273947bf0de973675218d859b9",
+    (4, 50, 6): "a42e2c7e4c4a88e46351d7d8e2d7e67332e1d98ef0c896e4e1aa7ec9068bd328",
+    (1, 9, 2): "1c2a8daf750332d4746423a4a0aff027abdcb70b191a6e6a5bb4e86264da9dba",
+    (3, 4, 0): "14f827928b16d5f3fb3939ed3b74be795f1c8465334b6e5c786f28972fa0dfb9",
+}
+
+
+@pytest.mark.parametrize("d,m,seed", sorted(STACKED_SPHERE_PINS))
+def test_random_stacked_sphere_pinned(d, m, seed):
+    S = random_stacked_sphere(d, m, seed=seed)
+    digest = hashlib.sha256(
+        json.dumps([list(S.names), S.facets_as_names()]).encode()).hexdigest()
+    assert digest == STACKED_SPHERE_PINS[d, m, seed]
+    assert S.m == max(m, d + 2) and len(S.facets) == (d + 2) + (S.m - d - 2) * d

@@ -1,5 +1,6 @@
 """Bistellar/shelling engine, certificates and searches."""
 import hashlib
+import json
 import random
 import sys
 
@@ -445,3 +446,130 @@ def test_stellation_certificate_json_round_trip_replays(d, m, seed, search):
     assert again.start_hash == facet_hash(out.start)
     end = replay_bistellar(out.start, again.steps)
     assert end == S and facet_hash(end) == again.end_hash
+
+
+def certificate_digest(out):
+    return out.certificate and hashlib.sha256(
+        out.certificate.to_json().encode()).hexdigest()
+
+
+def flipped_sphere(seed):
+    """random_stacked_sphere(3, 25, seed) after ten seeded index-1 moves:
+    a 3-sphere that is 2-stellated but not 1-stellated."""
+    rng = random.Random(seed)
+    X = random_stacked_sphere(3, 25, seed=seed)
+    for _ in range(10):
+        pool = [mv for mv in enumerate_bistellar(X) if mv.index == 1]
+        X = apply_bistellar(X, pool[rng.randrange(len(pool))])
+    return X
+
+
+def stellation_case(corp, name):
+    """(X, k, budget, seed) of a pinned stellation search."""
+    if name == "flipped(1),k=1,budget=500":
+        return flipped_sphere(1), 1, 500, 1
+    if name == "flipped(1),k=3":
+        return flipped_sphere(1), 3, 10 ** 6, 1
+    if name == "stacked(3,30,1),k=1":
+        return random_stacked_sphere(3, 30, seed=1), 1, 10 ** 6, 0
+    if name == "lk(M_2_5,0),k=2":
+        return link(corp["M_2_5"].complex, (0,)), 2, 10 ** 6, 0
+    if name == "pentagon,k=1":
+        return Complex.from_facets(["12", "23", "34", "45", "51"]), 1, 10 ** 6, 0
+    return corp["S3_16"].complex, 3, 10 ** 4, 0
+
+
+# status, nodes and the SHA-256 of the certificate JSON of
+# stellation_search(X, k, budget, seed), as the search gave them when
+# every step enumerated the moves from scratch and rebuilt the complex
+# through Complex.from_facets
+STELLATION_PINS = {
+    "stacked(3,30,1),k=1": (
+        "found", 25,
+        "73362c4da9fa912600f10c60240994e038dbaf90c3c656217db38746e1c9eec6"),
+    "lk(M_2_5,0),k=2": (
+        "found", 21,
+        "59a87bfcbc3a80e6ec5d08e9ba4bcb50e77f59023c7db95f0925aa9b4d0a8701"),
+    "pentagon,k=1": (
+        "found", 2,
+        "a15813491171e16c582bf7cfd8f8f35ab1a56eb0eea670a570a125435859767a"),
+    "S3_16,k=3,budget=10^4": ("exhausted", 0, None),
+    "flipped(1),k=3": (
+        "found", 31,
+        "0a9e826732ff3f06926a7ab18bf979e006b508c8db44ca6d1bf04d4dcedd8238"),
+    "flipped(1),k=1,budget=500": ("exhausted", 501, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STELLATION_PINS))
+def test_stellation_search_pinned(corp, name):
+    X, k, budget, seed = stellation_case(corp, name)
+    out = stellation_search(X, k, budget, seed)
+    assert (out.status, out.nodes, certificate_digest(out)) == \
+        STELLATION_PINS[name]
+
+
+# (nodes, certificate digest) of each vertex link's search in
+# w_k_membership(M_2_5, 2), under the same rebuild-every-step engine
+WK_M25_PINS = {
+    "x1": (21, "59a87bfcbc3a80e6ec5d08e9ba4bcb50e77f59023c7db95f0925aa9b4d0a8701"),
+    "x2": (21, "4f033b80736419c0537b575899b602497694f52037967c7eafbaa14b3248858d"),
+    "x3": (21, "819e1b8883352f466bf0eabf7dce2c8047cfabb41ce21025cd19a76492734ba4"),
+    "x4": (21, "1329183dda24acd85bf565a4af0aefc1f6eeb469562a423efe2885a7348fb99e"),
+    "x5": (21, "dfcb03e186b6c40ca9a603bd6ed778a3c8071aa159ccb12f6584407efc1b0c05"),
+    "x6": (21, "66163eb434e6edce18a9f9599424b6fc596162b26cabf3dcdcb19a0cf269a1bf"),
+    "x7": (21, "61c753266e5c22c427cd447edd9fff812f348cb15c787ec7f499368e1cf8428b"),
+    "y1": (21, "fd7f393e6c8ef69b98f969018dabffd329bd0083cf2ff8affe4aa193be8b8711"),
+    "y2": (21, "b7ff50a1718147af9412694209084ec2e0d790b8e780fb6fbd3db6279f5a3bec"),
+    "y3": (21, "9c463c880e1bbcbd044d4453fd5dc8e651af2cefeaf9184c46a558b93bfdc94a"),
+    "y4": (21, "45edd4f978c9d6df32a9187ae295c997551e74ef0d3364fdd654d982ffb3ec55"),
+    "y5": (21, "834ebcd2295ee4d0efa7d5508f72dca8b36094ea17589afa0df0b6532a912e52"),
+    "y6": (21, "6cd3f3d90383a5a04e45ae7e8a3a195bee75a3e555743e8f5a575efa776dc8c5"),
+    "y7": (21, "ecc89b4e2f28cc1d756e49f2c4c7daa8882fe661090e5169d7066fa2992e3321"),
+}
+
+
+def test_w_k_membership_pinned(corp):
+    rep = w_k_membership(corp["M_2_5"].complex, 2)
+    assert rep.verdict == "member"
+    got = {v: (o.nodes, certificate_digest(o))
+           for v, o in rep.per_vertex.items()}
+    assert got == WK_M25_PINS
+
+
+def walk_digest(X, steps, seed):
+    """SHA-256 over (names, facets_as_names(), enumerate_bistellar list)
+    of the start and of every step of a seeded walk by moves of index 1
+    and 2: an index drawn uniformly, then a move of that index."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+
+    def record(X, pool):
+        h.update(json.dumps([list(X.names), X.facets_as_names(),
+                             [[mv.alpha, mv.beta, mv.index] for mv in pool]]
+                            ).encode())
+
+    for _ in range(steps):
+        pool = enumerate_bistellar(X)
+        record(X, pool)
+        by_index: dict[int, list] = {}
+        for mv in pool:
+            by_index.setdefault(mv.index, []).append(mv)
+        moves = by_index[rng.choice([i for i in (1, 2) if i in by_index])]
+        X = apply_bistellar(X, moves[rng.randrange(len(moves))])
+    record(X, enumerate_bistellar(X))
+    return h.hexdigest()
+
+
+# walk_digest of 150 steps from random_stacked_sphere(3, 60, seed), as the
+# walk went when every step enumerated from scratch and re-parsed the facets
+WALK_PINS = {
+    1: "37097779218ae59fd6f8528fdd39d2a5bfdcbe22faae24ad31f0d9447b35053d",
+    2: "b0c66120c68ef9ec8dce94eeaaf08ac92a732df77d1e0316f49de17210867e44",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WALK_PINS))
+def test_bistellar_walk_pinned(seed):
+    X = random_stacked_sphere(3, 60, seed=seed)
+    assert walk_digest(X, 150, seed) == WALK_PINS[seed]
