@@ -14,7 +14,7 @@ from importlib import resources
 from itertools import combinations
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   _facet_lines, boundary, join, parse_facets)
+                   _facet_lines, _renumbered, boundary, join, parse_facets)
 from .vectors import f_vector
 
 
@@ -115,19 +115,29 @@ def moebius_torus_7() -> Complex:
 
 
 def random_stacked_sphere(d: int, m: int, seed: int = 0) -> Complex:
-    """A stacked d-sphere on m vertices grown by random 0-moves."""
+    """A stacked d-sphere on m vertices grown by random 0-moves.
+
+    Each 0-move subdivides a facet drawn from the facets in the order of
+    their vertex ids, and the ids are those ``Complex.from_facets`` gives
+    the result of the move, as ``moves.apply_bistellar`` builds it.  The
+    moves are replayed on plain tuples with that numbering, and the
+    complex is built once at the end.
+    """
     import random
 
-    from .moves import BistellarMove, apply_bistellar
-
+    if d < 0 and m > d + 2:
+        raise RangeError("a stacked sphere with a vertex needs d >= 0")
     rng = random.Random(seed)
     X = standard_sphere(d)
-    nxt = d + 3
-    while X.m < m:
-        facet = X.facets_as_names()[rng.randrange(len(X.facets))]
-        X = apply_bistellar(X, BistellarMove(facet, (str(nxt),), 0))
-        nxt += 1
-    return X
+    names, facets = list(X.names), list(X.facets)
+    while len(names) < m:
+        i = rng.randrange(len(facets))
+        facet = [names[v] for v in facets[i]]
+        new = {str(len(names) + 1)}
+        added = [sorted(set(facet) - {a} | new) for a in facet]
+        names, facets = _renumbered(names, facets[:i] + facets[i + 1:], added)
+        facets = sorted(tuple(sorted(f)) for f in facets)
+    return Complex(names, facets)
 
 
 def random_stacked_ball(d: int, n_facets: int, seed: int = 0) -> Complex:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -102,6 +103,28 @@ def _dominated(masks: Sequence[int]) -> list[int]:
     return out
 
 
+def _renumbered(names: Sequence[str], kept: Sequence[Sequence[int]],
+                added: Iterable[Sequence[object]]) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The names, and the facets as id tuples in no particular order, of
+    ``Complex.from_facets`` on a facet list made of ``kept``, each a tuple
+    of increasing ids into ``names`` (so listed by its names in id order),
+    followed by ``added``, each a sequence of names.
+
+    Ids are given in first-occurrence order, as ``from_facets`` does, but
+    from plain tuples: nothing is parsed, and nothing is checked, so the
+    caller must know that no entry repeats or contains another.
+    """
+    order = dict.fromkeys(chain.from_iterable(kept))
+    new_id = [0] * len(names)
+    for i, v in enumerate(order):
+        new_id[v] = i
+    ids = {names[v]: i for i, v in enumerate(order)}
+    facets = [tuple(map(new_id.__getitem__, f)) for f in kept]
+    for f in added:
+        facets.append(tuple([ids.setdefault(str(t), len(ids)) for t in f]))
+    return list(ids), facets
+
+
 class Complex:
     """An immutable finite abstract simplicial complex, stored by facets.
 
@@ -111,10 +134,16 @@ class Complex:
     pure facet list and compares a facet only with the facets through
     its lowest vertex otherwise.  The complex whose only face is the
     empty set is represented with a single empty facet and ``dim == -1``.
+
+    Two caches are built lazily and never change what a query returns:
+    the face index ``_faces_by_dim``, and ``_moves``, the bistellar move
+    state of ``moves.enumerate_bistellar``.  ``moves.apply_bistellar``
+    hands the move state on to the complex it returns and clears it here,
+    so a chain of moves keeps one state alive.
     """
 
     __slots__ = ("names", "facets", "facet_masks", "dim", "m",
-                 "_id_of", "_faces_by_dim")
+                 "_id_of", "_faces_by_dim", "_moves")
 
     def __init__(self, names: Sequence[str], facets: Sequence[Sequence[int]]):
         if not facets:
@@ -137,6 +166,7 @@ class Complex:
         self.dim = max(len(f) for f in norm) - 1
         self._id_of = {n: i for i, n in enumerate(names)}
         self._faces_by_dim = None
+        self._moves = None
 
     # -- construction -----------------------------------------------------
 
@@ -257,6 +287,12 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex(m={self.m}, dim={self.dim}, facets={len(self.facets)})"
+
+    def __getstate__(self):
+        """Copies and pickles leave the move state behind: a move mutates
+        it, so two complexes must never share one."""
+        return None, {**{s: getattr(self, s) for s in self.__slots__},
+                      "_moves": None}
 
 
 # -- elementary constructions ---------------------------------------------

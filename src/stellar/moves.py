@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, _ridge_facets, bits, boundary, dual_graph,
-                   facet_hash, is_connected, is_closed_pseudomanifold, link,
-                   mask_of, popcount, submasks)
+                   StructureError, _renumbered, _ridge_facets, bits, boundary,
+                   dual_graph, facet_hash, is_connected,
+                   is_closed_pseudomanifold, link, mask_of, popcount,
+                   submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -96,53 +98,240 @@ class MoveCertificate:
 # -- bistellar moves ---------------------------------------------------------
 
 
-def _facet_star(X: Complex) -> dict[int, list[int]]:
-    """Map each face mask to the facet masks containing it."""
-    star: dict[int, list[int]] = {}
-    for fm in X.facet_masks:
-        for sub in submasks(fm):
-            star.setdefault(sub, []).append(fm)
-    return star
+def _displaced(seq: list[int]) -> list[int]:
+    """Positions of ``seq`` outside one longest increasing subsequence:
+    any two values at the other positions are in increasing order."""
+    if seq == sorted(seq):
+        return []
+    tails: list[int] = []
+    at: list[int] = []
+    prev = [-1] * len(seq)
+    for i, x in enumerate(seq):
+        j = bisect_left(tails, x)
+        if j == len(tails):
+            tails.append(x)
+            at.append(i)
+        else:
+            tails[j] = x
+            at[j] = i
+        prev[i] = at[j - 1] if j else -1
+    keep = set()
+    i = at[-1]
+    while i >= 0:
+        keep.add(i)
+        i = prev[i]
+    return [i for i in range(len(seq)) if i not in keep]
+
+
+class _MoveState:
+    """The admissible bistellar moves of one complex, kept up to date as
+    ``apply_bistellar`` hands the state from a complex to its successor.
+
+    Faces are masks over the state's own vertex numbers: the ids of the
+    complex the state was built from, then one new number per vertex a
+    0-move adds.  They are never renumbered, so a move touches only the
+    faces of the facets it removes and adds, although ``from_facets``'
+    first-occurrence ids move at almost every step.  ``star`` maps each
+    nonempty face to the facets containing it.  ``cand`` maps each face
+    alpha with i+1 owners, 1 <= i <= d, whose union less alpha is a set
+    beta of i+1 vertices to beta; ``by_beta`` is its reverse index.  The
+    move (alpha, beta) is admissible iff beta is not a face, and ``moves``
+    holds those.  A move that changes the star of alpha rechecks alpha,
+    and one that makes beta appear or vanish rechecks the alphas that
+    ``by_beta`` lists under it.
+
+    ``order`` lists the vertices by their id in the complex that holds
+    the state, and ``rank`` is its inverse (-1 for a deleted vertex).
+    The sorted move list ``listed`` (with its sort keys in ``keys``, and
+    ``shown`` mapping each listed alpha to its beta, its key and the
+    vertices of alpha and beta in id order) is mended when it is next
+    asked for.  It rebuilds the moves rechecked since (``dirty``), and
+    the moves whose vertices are no longer in id order.  Only a move on a
+    vertex off one longest increasing subsequence of the ids, taken in
+    the order ``shown_order`` of the last listing, can be out of order,
+    so only those are tested.
+    """
+
+    __slots__ = ("d", "vname", "sid", "order", "rank", "star", "cand",
+                 "by_beta", "moves", "listed", "keys", "shown", "shown_order",
+                 "dirty")
+
+    def __init__(self, X: Complex):
+        self.d = X.dim
+        self.vname = list(X.names)
+        self.sid = dict(zip(X.names, range(X.m)))
+        self.order = self.shown_order = list(range(X.m))
+        self.rank = list(range(X.m))
+        star: dict[int, list[int]] = {}
+        for fm in X.facet_masks:
+            for sub in submasks(fm):
+                star.setdefault(sub, []).append(fm)
+        star.pop(0, None)
+        self.star = star
+        self.cand: dict[int, int] = {}
+        self.by_beta: dict[int, list[int]] = {}
+        self.moves: dict[int, int] = {}
+        self.listed: list[BistellarMove] = []
+        self.keys: list[tuple] = []
+        self.shown: dict[int, tuple] = {}
+        self.dirty: set[int] = set()
+        for alpha, owners in star.items():
+            n = alpha.bit_count()  # a move needs i + 1 owners, i = d + 1 - n
+            if n <= self.d and len(owners) + n == self.d + 2:
+                self._recheck(alpha)
+
+    def mask(self, names) -> int:
+        return mask_of(self.sid[str(n)] for n in names)
+
+    def _recheck(self, alpha: int) -> None:
+        """Recompute whether the face alpha is a candidate and a move."""
+        beta = self.cand.pop(alpha, None)
+        if beta is not None:
+            alphas = self.by_beta[beta]
+            alphas.remove(alpha)
+            if not alphas:
+                del self.by_beta[beta]
+            if self.moves.pop(alpha, None) is not None:
+                self.dirty.add(alpha)
+        owners = self.star.get(alpha)
+        i = self.d + 1 - alpha.bit_count()
+        if owners is None or i < 1 or len(owners) != i + 1:
+            return
+        beta = 0
+        for fm in owners:
+            beta |= fm
+        beta &= ~alpha
+        if beta.bit_count() != i + 1:
+            return
+        self.cand[alpha] = beta
+        self.by_beta.setdefault(beta, []).append(alpha)
+        if beta not in self.star:
+            self.moves[alpha] = beta
+            self.dirty.add(alpha)
+
+    def advance(self, mv: BistellarMove, Y: Complex) -> None:
+        """Apply the checked move ``mv``, whose result is ``Y``, and take
+        ``Y``'s ids as the order of names."""
+        star, sid = self.star, self.sid
+        if mv.index == 0:
+            sid[str(mv.beta[0])] = len(self.vname)
+            self.vname.append(str(mv.beta[0]))
+        alpha, beta = self.mask(mv.alpha), self.mask(mv.beta)
+        removed = star[alpha][:]
+        added = [alpha ^ (1 << a) | beta for a in bits(alpha)]
+        touched = {sub for fm in removed + added for sub in submasks(fm)}
+        touched.discard(0)
+        was = {f for f in touched if f in star}
+        for fm in removed:
+            for sub in submasks(fm):
+                if sub:
+                    owners = star[sub]
+                    owners.remove(fm)
+                    if not owners:
+                        del star[sub]
+        for fm in added:
+            for sub in submasks(fm):
+                if sub:
+                    star.setdefault(sub, []).append(fm)
+        for face in touched:
+            self._recheck(face)
+        for face in was.symmetric_difference(f for f in touched if f in star):
+            for a in self.by_beta.get(face, ()):
+                self.dirty.add(a)
+                if face in star:
+                    self.moves.pop(a, None)
+                else:
+                    self.moves[a] = face
+        for v in bits(alpha):
+            if 1 << v not in star:  # an index-d move deletes its vertex
+                del sid[self.vname[v]]
+        self.order = [sid[n] for n in Y.names]
+        rank = self.rank = [-1] * len(self.vname)
+        for i, v in enumerate(self.order):
+            rank[v] = i
+
+    def listing(self) -> list[BistellarMove]:
+        """The moves with names in id order, sorted as
+        ``enumerate_bistellar`` returns them; a fresh list each call."""
+        rank, shown = self.rank, self.shown
+
+        def in_id_order(vs: tuple[int, ...]) -> bool:
+            r = [rank[v] for v in vs]
+            return r == sorted(r)
+
+        stale = self.dirty
+        if self.order is not self.shown_order:
+            kept = [v for v in self.shown_order if rank[v] >= 0]
+            moved = 0
+            for i in _displaced([rank[v] for v in kept]):
+                moved |= 1 << kept[i]
+            if moved:
+                stale.update(a for a, (b, _, va, vb) in shown.items()
+                             if (a | b) & moved
+                             and not (in_id_order(va) and in_id_order(vb)))
+            self.shown_order = self.order
+        keys, listed, vname = self.keys, self.listed, self.vname
+        for a in stale:
+            old = shown.pop(a, None)
+            if old is not None:
+                i = bisect_left(keys, old[1])
+                del keys[i], listed[i]
+        new = []
+        for a in stale:
+            b = self.moves.get(a)
+            if b is not None:
+                va = tuple(sorted(bits(a), key=rank.__getitem__))
+                vb = tuple(sorted(bits(b), key=rank.__getitem__))
+                mv = BistellarMove(tuple(map(vname.__getitem__, va)),
+                                   tuple(map(vname.__getitem__, vb)), len(vb) - 1)
+                key = (mv.index, mv.alpha, mv.beta)
+                shown[a] = (b, key, va, vb)
+                new.append((key, mv))
+        if keys:
+            for key, mv in new:
+                i = bisect_left(keys, key)
+                keys.insert(i, key)
+                listed.insert(i, mv)
+        elif new:  # the cold listing: one sort
+            new.sort(key=lambda entry: entry[0])
+            keys[:] = [key for key, _ in new]
+            listed[:] = [mv for _, mv in new]
+        self.dirty = set()
+        return list(listed)
 
 
 def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
-    """All admissible bistellar moves of index >= 1.
+    """All admissible bistellar moves of index >= 1, sorted by (index,
+    alpha, beta), each listing its vertex names in id order.
 
     Index-0 moves are available at every facet (with a fresh vertex) and
     are not listed.  A pair (alpha, beta) is admissible iff the link of
     alpha is exactly the boundary of the missing simplex beta.
+
+    The first call on a complex builds its ``_MoveState`` from the star
+    of every face (the cold path) and caches it in ``X._moves``; later
+    calls, and calls on the complexes that ``apply_bistellar`` hands the
+    state on to, read the moves from it.  Either way the list is the same.
     """
-    if not X.is_pure():
-        raise StructureError("bistellar moves need a pure complex")
-    d = X.dim
-    star = _facet_star(X)
-    out = []
-    for alpha, owners in star.items():
-        na = popcount(alpha)
-        i = d + 1 - na  # candidate index
-        if i < 1 or i > d:
-            continue
-        if len(owners) != i + 1:
-            continue
-        w = 0
-        for fm in owners:
-            w |= fm
-        w &= ~alpha
-        if popcount(w) != i + 1 or w in star:
-            continue
-        out.append(BistellarMove(X.names_of_mask(alpha), X.names_of_mask(w), i))
-    out.sort(key=lambda mv: (mv.index, mv.alpha, mv.beta))
-    return out
+    state = X._moves
+    if state is None:
+        if not X.is_pure():
+            raise StructureError("bistellar moves need a pure complex")
+        state = X._moves = _MoveState(X)
+    return state.listing()
 
 
 def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
     """Admissibility; returns (alpha_mask, beta_mask), beta_mask == 0 for
-    0-moves (the new vertex does not exist yet)."""
+    0-moves (the new vertex does not exist yet).  The star tests read
+    the move state when ``X`` holds one, and scan the facets otherwise."""
     d = X.dim
     if len(mv.alpha) + len(mv.beta) != d + 2:
         raise MoveError(f"move {mv} has wrong size for dimension {d}")
     if mv.index != len(mv.beta) - 1:
         raise MoveError(f"move {mv} has inconsistent index")
+    if len(set(mv.alpha)) != len(mv.alpha) or len(set(mv.beta)) != len(mv.beta):
+        raise MoveError(f"move {mv} repeats a vertex")
     am = X.mask_from_names(mv.alpha)
     if mv.index == 0:
         new = mv.beta[0]
@@ -157,11 +346,18 @@ def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
         raise MoveError(f"move {mv}: beta vertices must exist for index >= 1") from None
     if am & bm:
         raise MoveError(f"move {mv}: alpha and beta overlap")
-    if any(fm & bm == bm for fm in X.facet_masks):
+    state = X._moves
+    if state is None:
+        a, b = am, bm
+        is_face = any(fm & b == b for fm in X.facet_masks)
+        owners = [fm for fm in X.facet_masks if fm & a == a]
+    else:
+        a, b = state.mask(mv.alpha), state.mask(mv.beta)
+        is_face = b in state.star
+        owners = state.star.get(a, ())
+    if is_face:
         raise MoveError(f"move {mv}: beta is already a face")
-    owners = [fm for fm in X.facet_masks if fm & am == am]
-    expect = {am | (bm ^ (1 << b)) for b in bits(bm)}
-    if set(owners) != expect:
+    if set(owners) != {a | (b ^ (1 << v)) for v in bits(b)}:
         raise MoveError(
             f"move {mv} inadmissible: the induced subcomplex on alpha+beta "
             "is not closure(alpha) * boundary(beta)")
@@ -169,14 +365,25 @@ def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
 
 
 def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
-    """Apply a checked bistellar move, returning the new complex."""
+    """Apply a checked bistellar move, returning the new complex.
+
+    The result is what ``Complex.from_facets`` gives the facets of X
+    without the star of alpha (in X's order, names in id order) followed
+    by alpha - a + beta for each a in ``mv.alpha`` (names sorted): its
+    first-occurrence numbering is replayed on plain tuples.  When X holds
+    a move state, the state is updated by the move and handed on to the
+    result, and X no longer holds it.
+    """
     am, _ = _check_bistellar(X, mv)
     alpha = set(mv.alpha)
-    removed = {fm for fm in X.facet_masks if fm & am == am}
-    new_facets = [X.names_of_mask(fm) for fm in X.facet_masks if fm not in removed]
-    for a in mv.alpha:
-        new_facets.append(tuple(sorted((alpha - {a}) | set(mv.beta))))
-    return Complex.from_facets(new_facets)
+    kept = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
+    added = [sorted((alpha - {a}) | set(mv.beta)) for a in mv.alpha]
+    Y = Complex(*_renumbered(X.names, kept, added))
+    state, X._moves = X._moves, None
+    if state is not None:
+        state.advance(mv, Y)
+        Y._moves = state
+    return Y
 
 
 def apply_reverse(Y: Complex, mv: BistellarMove) -> Complex:

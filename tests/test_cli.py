@@ -1,9 +1,15 @@
 """CLI surface: verbs, exit codes, deterministic JSON."""
+import contextlib
+import io
 import json
 import os
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from stellar import cli
 from stellar.cli import run
+from stellar.core import Complex, InputError, parse_facets
 
 
 def test_fvec(capsys):
@@ -131,3 +137,39 @@ def test_json_reports_byte_identical(tmp_path, capsys):
 def test_moves_verb(capsys):
     assert run(["moves", "corpus:S3_16"]) == 0
     assert "0 admissible" in capsys.readouterr().out
+
+
+# facet text with the separators the parser treats specially: line and
+# comment breaks, ASCII and Unicode white space, and repeated tokens
+FACET_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(
+        ["1", "2", "3", "4", "a", "b", " ", "\t", "\n", "\r", "#",
+         "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00a0", "\u3000"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FACET_TEXT)
+def test_parse_facets_accepts_or_rejects_as_input_error(text):
+    """Any text either parses or is an input error (exit 3), never a
+    refutation or an internal error."""
+    try:
+        X = parse_facets(text)
+    except InputError:
+        return
+    assert isinstance(X, Complex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=24),
+                 FACET_TEXT.map(lambda t: t[:24].encode("utf-8"))))
+def test_fvec_file_exits_0_or_3(tmp_path_factory, data):
+    """``stellar fvec FILE`` on arbitrary bytes exits 0 or 3.  At most 24
+    bytes keep a line below 13 vertices, so a simplex's 2^13 faces bound
+    the time of one example."""
+    path = tmp_path_factory.mktemp("fuzz") / "facets.txt"
+    path.write_bytes(data)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = run(["fvec", str(path)])
+    assert code in (0, 3), sink.getvalue()
