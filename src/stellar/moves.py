@@ -276,7 +276,6 @@ class _MoveState:
             if old is not None:
                 i = bisect_left(keys, old[1])
                 del keys[i], listed[i]
-        new = []
         for a in stale:
             b = self.moves.get(a)
             if b is not None:
@@ -286,16 +285,9 @@ class _MoveState:
                                    tuple(map(vname.__getitem__, vb)), len(vb) - 1)
                 key = (mv.index, mv.alpha, mv.beta)
                 shown[a] = (b, key, va, vb)
-                new.append((key, mv))
-        if keys:
-            for key, mv in new:
                 i = bisect_left(keys, key)
                 keys.insert(i, key)
                 listed.insert(i, mv)
-        elif new:  # the cold listing: one sort
-            new.sort(key=lambda entry: entry[0])
-            keys[:] = [key for key, _ in new]
-            listed[:] = [mv for _, mv in new]
         self.dirty = set()
         return list(listed)
 
