@@ -125,7 +125,7 @@ def random_stacked_sphere(d: int, m: int, seed: int = 0) -> Complex:
     """
     import random
 
-    if d < 0 and m > d + 2:
+    if d < 0 < m:
         raise RangeError("a stacked sphere with a vertex needs d >= 0")
     rng = random.Random(seed)
     X = standard_sphere(d)

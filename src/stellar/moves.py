@@ -5,6 +5,19 @@ relabellings that happen when moves add or delete vertices.  Certificates
 carry order-insensitive SHA-256 digests of their start and end facet sets
 (see ``core.facet_hash`` for the byte layout) and are replayed before
 being returned by any search.
+
+A bistellar move of index i changes only i+1 facets, so the engine keeps
+its work local.  The first ``enumerate_bistellar`` on a complex builds a
+``_MoveState`` from the star of every face (the cold path) and caches it
+in the complex's ``_moves`` slot.  ``apply_bistellar`` builds the result
+by replaying ``Complex.from_facets``' first-occurrence numbering on plain
+tuples, updates the state by the faces of the removed and added facets,
+and hands it on to the result, clearing it from the complex it came from,
+so a chain of moves keeps one state alive.  A complex without a state,
+such as the second of two moves applied to one complex, takes the cold
+path.  Move lists, certificates and search node counts are the same on
+either path; tests compare the state with the cold path and with
+``verify.brute_force_bistellar`` along random walks.
 """
 from __future__ import annotations
 
@@ -129,16 +142,17 @@ class _MoveState:
 
     Faces are masks over the state's own vertex numbers: the ids of the
     complex the state was built from, then one new number per vertex a
-    0-move adds.  They are never renumbered, so a move touches only the
-    faces of the facets it removes and adds, although ``from_facets``'
-    first-occurrence ids move at almost every step.  ``star`` maps each
-    nonempty face to the facets containing it.  ``cand`` maps each face
-    alpha with i+1 owners, 1 <= i <= d, whose union less alpha is a set
-    beta of i+1 vertices to beta; ``by_beta`` is its reverse index.  The
-    move (alpha, beta) is admissible iff beta is not a face, and ``moves``
-    holds those.  A move that changes the star of alpha rechecks alpha,
-    and one that makes beta appear or vanish rechecks the alphas that
-    ``by_beta`` lists under it.
+    0-move adds (``vname`` gives each number's name, and ``sid`` each
+    name's latest number).  They are never renumbered, so a move touches
+    only the faces of the facets it removes and adds, although
+    ``from_facets``' first-occurrence ids move at almost every step.
+    ``star`` maps each nonempty face to the facets containing it.
+    ``cand`` maps each face alpha with i+1 owners, 1 <= i <= d, whose
+    union less alpha is a set beta of i+1 vertices to beta; ``by_beta``
+    is its reverse index.  The move (alpha, beta) is admissible iff beta
+    is not a face, and ``moves`` holds those.  A move that changes the
+    star of alpha rechecks alpha, and one that makes beta appear or
+    vanish rechecks the alphas that ``by_beta`` lists under it.
 
     ``order`` lists the vertices by their id in the complex that holds
     the state, and ``rank`` is its inverse (-1 for a deleted vertex).
@@ -242,9 +256,6 @@ class _MoveState:
                     self.moves.pop(a, None)
                 else:
                     self.moves[a] = face
-        for v in bits(alpha):
-            if 1 << v not in star:  # an index-d move deletes its vertex
-                del sid[self.vname[v]]
         self.order = [sid[n] for n in Y.names]
         rank = self.rank = [-1] * len(self.vname)
         for i, v in enumerate(self.order):

@@ -231,3 +231,9 @@ def test_random_stacked_sphere_pinned(d, m, seed):
         json.dumps([list(S.names), S.facets_as_names()]).encode()).hexdigest()
     assert digest == STACKED_SPHERE_PINS[d, m, seed]
     assert S.m == max(m, d + 2) and len(S.facets) == (d + 2) + (S.m - d - 2) * d
+
+
+def test_random_stacked_sphere_of_dimension_minus_one():
+    assert random_stacked_sphere(-1, 0) == Complex.empty()
+    with pytest.raises(RangeError):
+        random_stacked_sphere(-1, 1)

@@ -42,8 +42,7 @@ def draw_move(draw, X, pool, used):
     return BistellarMove(draw(st.sampled_from(X.facets_as_names())), (name,), 0)
 
 
-@st.composite
-def state_walks(draw, max_steps=10, brute_m=0):
+def state_walk(draw, max_steps=16, brute_m=0):
     """Walk a random stacked 2-, 3- or 4-sphere by 0-moves and moves of
     every index 1..d (index d deletes a vertex), checking each complex
     on the way.  Each step either lists the moves first, so the state is
@@ -69,15 +68,20 @@ def state_walks(draw, max_steps=10, brute_m=0):
     return X
 
 
+# The walks draw inside the test body, through st.data(), so that the
+# checks made at every step count as test time, not as data generation.
+
 @settings(max_examples=80, deadline=None)
-@given(state_walks())
-def test_move_state_matches_cold_path(X):
+@given(st.data())
+def test_move_state_matches_cold_path(data):
+    X = state_walk(data.draw)
     assert enumerate_bistellar(X) == cold(X)
 
 
 @settings(max_examples=12, deadline=None)
-@given(state_walks(max_steps=5, brute_m=10))
-def test_move_state_matches_brute_force(X):
+@given(st.data())
+def test_move_state_matches_brute_force(data):
+    X = state_walk(data.draw, max_steps=5, brute_m=10)
     if X.m <= 10:
         assert enumerate_bistellar(X) == brute_force_bistellar(X)
 
@@ -87,7 +91,7 @@ def test_move_state_matches_brute_force(X):
 def test_branching_from_one_complex(data):
     """Two moves applied to one complex: the first takes its state, the
     second runs cold, and every complex still lists the cold answer."""
-    X = data.draw(state_walks(max_steps=4))
+    X = state_walk(data.draw, max_steps=4)
     pool = enumerate_bistellar(X)
     used: set[str] = set()
     first = draw_move(data.draw, X, pool, used)
