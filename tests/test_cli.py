@@ -4,6 +4,7 @@ import io
 import json
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,6 +149,7 @@ FACET_TEXT = st.one_of(
          "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u00a0", "\u3000"])))
 
 
+@pytest.mark.filterwarnings("ignore:dropped")  # dominated lines are dropped
 @settings(max_examples=300, deadline=None)
 @given(FACET_TEXT)
 def test_parse_facets_accepts_or_rejects_as_input_error(text):
@@ -160,6 +162,7 @@ def test_parse_facets_accepts_or_rejects_as_input_error(text):
     assert isinstance(X, Complex)
 
 
+@pytest.mark.filterwarnings("ignore:dropped")
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.binary(max_size=24),
                  FACET_TEXT.map(lambda t: t[:24].encode("utf-8"))))
