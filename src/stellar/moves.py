@@ -13,7 +13,10 @@ in the complex's ``_moves`` slot.  ``apply_bistellar`` builds the result
 by replaying ``Complex.from_facets``' first-occurrence numbering on plain
 tuples, updates the state by the faces of the removed and added facets,
 and hands it on to the result, clearing it from the complex it came from,
-so a chain of moves keeps one state alive.  A complex without a state,
+so a chain of moves keeps one state alive.  Each listing emits the held
+moves under the current complex's ids and sorts them once.  The
+admissibility check of a move scans the facets and never reads the
+state, so a certificate replay does not trust it.  A complex without a state,
 such as the second of two moves applied to one complex, takes the cold
 path.  Move lists, certificates and search node counts are the same on
 either path; tests compare the state with the cold path and with
@@ -24,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -111,31 +113,6 @@ class MoveCertificate:
 # -- bistellar moves ---------------------------------------------------------
 
 
-def _displaced(seq: list[int]) -> list[int]:
-    """Positions of ``seq`` outside one longest increasing subsequence:
-    any two values at the other positions are in increasing order."""
-    if seq == sorted(seq):
-        return []
-    tails: list[int] = []
-    at: list[int] = []
-    prev = [-1] * len(seq)
-    for i, x in enumerate(seq):
-        j = bisect_left(tails, x)
-        if j == len(tails):
-            tails.append(x)
-            at.append(i)
-        else:
-            tails[j] = x
-            at[j] = i
-        prev[i] = at[j - 1] if j else -1
-    keep = set()
-    i = at[-1]
-    while i >= 0:
-        keep.add(i)
-        i = prev[i]
-    return [i for i in range(len(seq)) if i not in keep]
-
-
 class _MoveState:
     """The admissible bistellar moves of one complex, kept up to date as
     ``apply_bistellar`` hands the state from a complex to its successor.
@@ -150,32 +127,18 @@ class _MoveState:
     ``cand`` maps each face alpha with i+1 owners, 1 <= i <= d, whose
     union less alpha is a set beta of i+1 vertices to beta; ``by_beta``
     is its reverse index.  The move (alpha, beta) is admissible iff beta
-    is not a face, and ``moves`` holds those.  A move that changes the
+    is not a face, and ``moves`` maps the alpha of each to the names of
+    alpha and beta, in no particular order.  A move that changes the
     star of alpha rechecks alpha, and one that makes beta appear or
     vanish rechecks the alphas that ``by_beta`` lists under it.
-
-    ``order`` lists the vertices by their id in the complex that holds
-    the state, and ``rank`` is its inverse (-1 for a deleted vertex).
-    The sorted move list ``listed`` (with its sort keys in ``keys``, and
-    ``shown`` mapping each listed alpha to its beta, its key and the
-    vertices of alpha and beta in id order) is mended when it is next
-    asked for.  It rebuilds the moves rechecked since (``dirty``), and
-    the moves whose vertices are no longer in id order.  Only a move on a
-    vertex off one longest increasing subsequence of the ids, taken in
-    the order ``shown_order`` of the last listing, can be out of order,
-    so only those are tested.
     """
 
-    __slots__ = ("d", "vname", "sid", "order", "rank", "star", "cand",
-                 "by_beta", "moves", "listed", "keys", "shown", "shown_order",
-                 "dirty")
+    __slots__ = ("d", "vname", "sid", "star", "cand", "by_beta", "moves")
 
     def __init__(self, X: Complex):
         self.d = X.dim
         self.vname = list(X.names)
         self.sid = dict(zip(X.names, range(X.m)))
-        self.order = self.shown_order = list(range(X.m))
-        self.rank = list(range(X.m))
         star: dict[int, list[int]] = {}
         for fm in X.facet_masks:
             for sub in submasks(fm):
@@ -184,11 +147,7 @@ class _MoveState:
         self.star = star
         self.cand: dict[int, int] = {}
         self.by_beta: dict[int, list[int]] = {}
-        self.moves: dict[int, int] = {}
-        self.listed: list[BistellarMove] = []
-        self.keys: list[tuple] = []
-        self.shown: dict[int, tuple] = {}
-        self.dirty: set[int] = set()
+        self.moves: dict[int, tuple] = {}
         for alpha, owners in star.items():
             n = alpha.bit_count()  # a move needs i + 1 owners, i = d + 1 - n
             if n <= self.d and len(owners) + n == self.d + 2:
@@ -196,6 +155,10 @@ class _MoveState:
 
     def mask(self, names) -> int:
         return mask_of(self.sid[str(n)] for n in names)
+
+    def _names(self, alpha: int, beta: int) -> tuple:
+        vname = self.vname
+        return ([vname[v] for v in bits(alpha)], [vname[v] for v in bits(beta)])
 
     def _recheck(self, alpha: int) -> None:
         """Recompute whether the face alpha is a candidate and a move."""
@@ -205,8 +168,7 @@ class _MoveState:
             alphas.remove(alpha)
             if not alphas:
                 del self.by_beta[beta]
-            if self.moves.pop(alpha, None) is not None:
-                self.dirty.add(alpha)
+            self.moves.pop(alpha, None)
         owners = self.star.get(alpha)
         i = self.d + 1 - alpha.bit_count()
         if owners is None or i < 1 or len(owners) != i + 1:
@@ -220,12 +182,10 @@ class _MoveState:
         self.cand[alpha] = beta
         self.by_beta.setdefault(beta, []).append(alpha)
         if beta not in self.star:
-            self.moves[alpha] = beta
-            self.dirty.add(alpha)
+            self.moves[alpha] = self._names(alpha, beta)
 
-    def advance(self, mv: BistellarMove, Y: Complex) -> None:
-        """Apply the checked move ``mv``, whose result is ``Y``, and take
-        ``Y``'s ids as the order of names."""
+    def advance(self, mv: BistellarMove) -> None:
+        """Apply the checked move ``mv``."""
         star, sid = self.star, self.sid
         if mv.index == 0:
             sid[str(mv.beta[0])] = len(self.vname)
@@ -251,56 +211,19 @@ class _MoveState:
             self._recheck(face)
         for face in was.symmetric_difference(f for f in touched if f in star):
             for a in self.by_beta.get(face, ()):
-                self.dirty.add(a)
                 if face in star:
                     self.moves.pop(a, None)
                 else:
-                    self.moves[a] = face
-        self.order = [sid[n] for n in Y.names]
-        rank = self.rank = [-1] * len(self.vname)
-        for i, v in enumerate(self.order):
-            rank[v] = i
+                    self.moves[a] = self._names(a, face)
 
-    def listing(self) -> list[BistellarMove]:
-        """The moves with names in id order, sorted as
-        ``enumerate_bistellar`` returns them; a fresh list each call."""
-        rank, shown = self.rank, self.shown
-
-        def in_id_order(vs: tuple[int, ...]) -> bool:
-            r = [rank[v] for v in vs]
-            return r == sorted(r)
-
-        stale = self.dirty
-        if self.order is not self.shown_order:
-            kept = [v for v in self.shown_order if rank[v] >= 0]
-            moved = 0
-            for i in _displaced([rank[v] for v in kept]):
-                moved |= 1 << kept[i]
-            if moved:
-                stale.update(a for a, (b, _, va, vb) in shown.items()
-                             if (a | b) & moved
-                             and not (in_id_order(va) and in_id_order(vb)))
-            self.shown_order = self.order
-        keys, listed, vname = self.keys, self.listed, self.vname
-        for a in stale:
-            old = shown.pop(a, None)
-            if old is not None:
-                i = bisect_left(keys, old[1])
-                del keys[i], listed[i]
-        for a in stale:
-            b = self.moves.get(a)
-            if b is not None:
-                va = tuple(sorted(bits(a), key=rank.__getitem__))
-                vb = tuple(sorted(bits(b), key=rank.__getitem__))
-                mv = BistellarMove(tuple(map(vname.__getitem__, va)),
-                                   tuple(map(vname.__getitem__, vb)), len(vb) - 1)
-                key = (mv.index, mv.alpha, mv.beta)
-                shown[a] = (b, key, va, vb)
-                i = bisect_left(keys, key)
-                keys.insert(i, key)
-                listed.insert(i, mv)
-        self.dirty = set()
-        return list(listed)
+    def listing(self, X: Complex) -> list[BistellarMove]:
+        """The moves of ``X``, the complex holding the state, with names
+        in X's id order, sorted as ``enumerate_bistellar`` returns them."""
+        id_of = X._id_of.__getitem__
+        rows = sorted((len(b) - 1, tuple(sorted(a, key=id_of)),
+                       tuple(sorted(b, key=id_of)))
+                      for a, b in self.moves.values())
+        return [BistellarMove(a, b, i) for i, a, b in rows]
 
 
 def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
@@ -321,24 +244,25 @@ def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
         if not X.is_pure():
             raise StructureError("bistellar moves need a pure complex")
         state = X._moves = _MoveState(X)
-    return state.listing()
+    return state.listing(X)
 
 
 def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
     """Admissibility; returns (alpha_mask, beta_mask), beta_mask == 0 for
-    0-moves (the new vertex does not exist yet).  The star tests read
-    the move state when ``X`` holds one, and scan the facets otherwise."""
+    0-moves (the new vertex does not exist yet).  The star tests scan the
+    facets of X and never read its move state, so a certificate replay
+    checks every step independently of the search that found it."""
     d = X.dim
     if len(mv.alpha) + len(mv.beta) != d + 2:
         raise MoveError(f"move {mv} has wrong size for dimension {d}")
     if mv.index != len(mv.beta) - 1:
         raise MoveError(f"move {mv} has inconsistent index")
-    if len(set(mv.alpha)) != len(mv.alpha) or len(set(mv.beta)) != len(mv.beta):
+    if any(len(set(map(str, t))) != len(t) for t in (mv.alpha, mv.beta)):
         raise MoveError(f"move {mv} repeats a vertex")
     am = X.mask_from_names(mv.alpha)
     if mv.index == 0:
         new = mv.beta[0]
-        if new in X.names:
+        if str(new) in X._id_of:
             raise MoveError(f"0-move vertex {new!r} already present")
         if am not in X.facet_masks:
             raise MoveError(f"0-move core {mv.alpha} is not a facet")
@@ -349,18 +273,11 @@ def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
         raise MoveError(f"move {mv}: beta vertices must exist for index >= 1") from None
     if am & bm:
         raise MoveError(f"move {mv}: alpha and beta overlap")
-    state = X._moves
-    if state is None:
-        a, b = am, bm
-        is_face = any(fm & b == b for fm in X.facet_masks)
-        owners = [fm for fm in X.facet_masks if fm & a == a]
-    else:
-        a, b = state.mask(mv.alpha), state.mask(mv.beta)
-        is_face = b in state.star
-        owners = state.star.get(a, ())
-    if is_face:
+    if any(fm & bm == bm for fm in X.facet_masks):
         raise MoveError(f"move {mv}: beta is already a face")
-    if set(owners) != {a | (b ^ (1 << v)) for v in bits(b)}:
+    owners = [fm for fm in X.facet_masks if fm & am == am]
+    expect = {am | (bm ^ (1 << b)) for b in bits(bm)}
+    if set(owners) != expect:
         raise MoveError(
             f"move {mv} inadmissible: the induced subcomplex on alpha+beta "
             "is not closure(alpha) * boundary(beta)")
@@ -378,13 +295,13 @@ def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
     result, and X no longer holds it.
     """
     am, _ = _check_bistellar(X, mv)
-    alpha = set(mv.alpha)
+    alpha, beta = set(map(str, mv.alpha)), set(map(str, mv.beta))
     kept = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
-    added = [sorted((alpha - {a}) | set(mv.beta)) for a in mv.alpha]
+    added = [sorted((alpha - {str(a)}) | beta) for a in mv.alpha]
     Y = Complex(*_renumbered(X.names, kept, added))
     state, X._moves = X._moves, None
     if state is not None:
-        state.advance(mv, Y)
+        state.advance(mv)
         Y._moves = state
     return Y
 
@@ -801,7 +718,8 @@ def _finish_stellation(S: Complex, reduced: Complex,
                        nodes: int) -> SearchOutcome:
     d = S.dim
     steps = tuple(mv.reversed(d) for mv in reversed(trail))
-    end = replay_bistellar(reduced, steps)
+    # replay on a copy without the search's move state
+    end = replay_bistellar(Complex(reduced.names, reduced.facets), steps)
     if end != S:
         raise MoveError("internal error: certificate replay mismatch")
     cert = MoveCertificate("bistellar", steps, facet_hash(reduced), facet_hash(S))

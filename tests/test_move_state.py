@@ -4,13 +4,15 @@ import copy
 import pickle
 from itertools import count
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stellar.constructions import random_stacked_sphere
 from stellar.core import Complex
-from stellar.moves import (BistellarMove, apply_bistellar, enumerate_bistellar,
-                           replay_bistellar)
+from stellar.moves import (BistellarMove, MoveError, apply_bistellar,
+                           enumerate_bistellar, replay_bistellar,
+                           stellation_search)
 from stellar.verify import brute_force_bistellar
 
 
@@ -144,3 +146,41 @@ def test_replay_through_deleted_and_restored_vertices():
         return {(frozenset(mv.alpha), frozenset(mv.beta)) for mv in pool}
 
     assert as_sets(enumerate_bistellar(back)) == as_sets(cold(start))
+
+
+def test_a_corrupt_state_is_caught():
+    """A move that the state lists wrongly, with a star that agrees with
+    it, fails the facet scan of apply_bistellar, so neither a step nor a
+    search trusts the state."""
+    X = random_stacked_sphere(3, 12, seed=6)
+    enumerate_bistellar(X)
+    state = X._moves
+    alpha, beta = next((a, b) for a, b in state.cand.items() if b in state.star)
+    del state.star[beta]
+    state.moves = {alpha: state._names(alpha, beta)}
+    (bogus,) = enumerate_bistellar(X)
+    with pytest.raises(MoveError, match="already a face"):
+        apply_bistellar(X, bogus)
+    with pytest.raises(MoveError, match="already a face"):
+        stellation_search(X, 3, budget=1000)
+
+
+def test_names_are_compared_as_strings():
+    """Vertex names are strings; a move naming a vertex by another type
+    means the vertex with that string name."""
+    X = random_stacked_sphere(2, 6, seed=1)  # names "1".."6"
+    enumerate_bistellar(X)
+    facet = X.facets_as_names()[0]
+    with pytest.raises(MoveError, match="already present"):
+        apply_bistellar(X, BistellarMove(facet, (4,), 0))
+    with pytest.raises(MoveError, match="repeats a vertex"):
+        apply_bistellar(X, BistellarMove(("1", 1, "2"), ("7",), 0))
+    Y = apply_bistellar(X, BistellarMove(facet, (7,), 0))
+    want = apply_bistellar(Complex(X.names, X.facets),
+                           BistellarMove(facet, ("7",), 0))
+    assert (Y.names, Y.facets) == (want.names, want.facets)
+    assert enumerate_bistellar(Y) == cold(Y)
+    (mv,) = [mv for mv in enumerate_bistellar(Y) if "7" in mv.alpha]
+    Z = apply_bistellar(Y, BistellarMove(tuple(map(int, mv.alpha)),
+                                         tuple(map(int, mv.beta)), mv.index))
+    assert enumerate_bistellar(Z) == cold(Z)
