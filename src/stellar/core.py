@@ -458,10 +458,17 @@ def is_pseudomanifold(X: Complex) -> bool:
 
 
 def is_closed_pseudomanifold(X: Complex) -> bool:
-    """Pseudomanifold with every (d-1)-face in exactly two facets."""
-    if not is_pseudomanifold(X):
+    """Pseudomanifold with every (d-1)-face in exactly two facets, from
+    one ridge map.  A single point counts, as its boundary is {∅}."""
+    if not X.is_pure():
         return False
-    return boundary(X) == Complex.empty()
+    edges = []
+    for r, owners in _ridge_facets(X.facet_masks).items():
+        if len(owners) == 2:
+            edges.append(owners)
+        elif r or len(owners) > 2:
+            return False
+    return DualGraph(len(X.facet_masks), edges).is_connected()
 
 
 def is_connected(X: Complex) -> bool:

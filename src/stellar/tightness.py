@@ -5,12 +5,12 @@ over all vertex subsets (guarded by a cap on the vertex count); the
 mu-vector averages link sigmas.  Everything is exact rational arithmetic.
 
 The integer table behind sigma (sum of reduced beta_i over the j-subsets)
-comes from the first of four paths whose hypothesis passes an exact
+comes from the first of five paths whose hypothesis passes an exact
 check:
 
 1. cone apex -- some vertex a lies in every facet, so X = a * L: induced
    subcomplexes containing a are contractible and the others are those
-   of L, whose table goes back through the same four paths;
+   of L, whose table goes back through the same five paths;
 2. Alexander duality -- X is an F-homology sphere of dimension <= 3
    (``homology.is_homology_sphere``): the top Betti numbers of X[A] come
    from the components of X[V - A] and beta_1 of a 3-sphere's X[A] from
@@ -18,9 +18,15 @@ check:
 3. the ball path -- X is pure of dimension <= 3 with a boundary and
    S = X u w * bd(X) passes the same test: X[A] = S[A] whenever A avoids
    the new vertex w, so the table of X is S's duality table over those A;
-4. the subset loop -- one homology run per subset, in fixed
+4. the orbit path -- the loop below would visit at least 2^12 subsets,
+   X is a pure, strongly connected weak pseudomanifold, and a search of
+   at most 8 * 2^m steps finds a nontrivial automorphism group G
+   (``_automorphisms``): X[A] and X[g(A)] are isomorphic, so one homology
+   run per G-orbit of subsets, weighted by the orbit's size, gives the
+   table;
+5. the subset loop -- one homology run per subset, in fixed
    ascending-mask blocks so multi-process runs reduce deterministically.
-   It is the oracle the tests compare the other three paths with.
+   It is the oracle the tests compare the other four paths with.
 
 The mu-vector computes one sigma per isomorphism class of links: a link
 that is a pure, strongly connected weak pseudomanifold is keyed by its
@@ -37,7 +43,8 @@ from math import comb, factorial
 from operator import and_
 
 from .core import Complex, ComplexError, _ridge_facets, bits, ids_of, \
-    is_closed_pseudomanifold, is_connected, link, neighbourliness, popcount
+    is_closed_pseudomanifold, is_connected, link, mask_of, neighbourliness, \
+    popcount, submasks
 from .homology import BettiTable, FieldSpec, _faces_by_dim, betti, \
     inclusion_injective, is_homology_sphere, orientable, \
     reduced_betti_of_faces
@@ -45,6 +52,7 @@ from .vectors import f_vector, g_vector
 
 SIGMA_CAP = 16
 DIRECT_CAP = 12
+LARGE_LOOP = 1 << 12  # subsets from which a loop is split or run up to symmetry
 
 
 class BudgetError(ComplexError):
@@ -58,13 +66,18 @@ def _sigma_chunk(args) -> list[list[int]]:
     sums = [[0] * (m + 1) for _ in range(dim + 1)]
     for amask in range(lo, hi):
         j = amask.bit_count()
-        nota = ~amask
-        filtered = [[f for f in lst if not f & nota] for lst in faces_by_dim]
-        rb = reduced_betti_of_faces(filtered, field, dim)
-        for i, v in enumerate(rb):
+        for i, v in enumerate(_induced_betti(faces_by_dim, amask, field, dim)):
             if v:
                 sums[i][j] += v
     return sums
+
+
+def _induced_betti(faces_by_dim: list[list[int]], amask: int,
+                   field: FieldSpec, dim: int) -> list[int]:
+    """Reduced Betti numbers of the subcomplex induced on ``amask``."""
+    nota = ~amask
+    return reduced_betti_of_faces(
+        [[f for f in lst if not f & nota] for lst in faces_by_dim], field, dim)
 
 
 def _loop_sums(X: Complex, field: FieldSpec, jobs: int) -> list[list[int]]:
@@ -72,7 +85,7 @@ def _loop_sums(X: Complex, field: FieldSpec, jobs: int) -> list[list[int]]:
     m, dim = X.m, X.dim
     faces_by_dim = _faces_by_dim(X)
     total = 1 << m
-    if jobs <= 1 or total < 1 << 12:
+    if jobs <= 1 or total < LARGE_LOOP:
         return _sigma_chunk((faces_by_dim, m, dim, field, 0, total))
     from multiprocessing import Pool
     nchunks = jobs * 4
@@ -91,24 +104,31 @@ def _loop_sums(X: Complex, field: FieldSpec, jobs: int) -> list[list[int]]:
     return sums
 
 
-def _neighbour_tables(X: Complex) -> list[list[int]]:
-    """Byte-sliced neighbourhood tables of the 1-skeleton: the union of
-    the neighbours of a vertex set S is the OR over k of
+def _byte_tables(images: list[int]) -> list[list[int]]:
+    """Byte-sliced tables of a map from vertices to masks: the union of
+    images[v] over the vertices v of a set S is the OR over k of
     tables[k][(S >> 8k) & 255]."""
+    m = len(images)
+    tables = []
+    for base in range(0, m, 8):
+        table = [0] * 256
+        for s in range(1, 256):
+            low = s & -s
+            v = base + low.bit_length() - 1
+            table[s] = table[s ^ low] | (images[v] if v < m else 0)
+        tables.append(table)
+    return tables
+
+
+def _neighbour_tables(X: Complex) -> list[list[int]]:
+    """Byte-sliced neighbourhood tables of the 1-skeleton (``_byte_tables``
+    of each vertex's neighbours)."""
     adj = [0] * X.m
     for e in X.faces_of_dim(1):
         lo = e & -e
         adj[lo.bit_length() - 1] |= e ^ lo
         adj[(e ^ lo).bit_length() - 1] |= lo
-    tables = []
-    for base in range(0, X.m, 8):
-        table = [0] * 256
-        for s in range(1, 256):
-            low = s & -s
-            v = base + low.bit_length() - 1
-            table[s] = table[s ^ low] | (adj[v] if v < X.m else 0)
-        tables.append(table)
-    return tables
+    return _byte_tables(adj)
 
 
 def _count_components(tables: list[list[int]], amask: int) -> int:
@@ -182,12 +202,158 @@ def _ball_closure(X: Complex) -> Complex | None:
                    [ids_of(f) for f in X.facet_masks + tuple(caps)])
 
 
+def _across(masks: tuple[int, ...]) -> list[dict[int, int]] | None:
+    """across[i][v] = j when facets i and j share the ridge masks[i] - v;
+    None when some ridge lies in three or more facets."""
+    across: list[dict[int, int]] = [{} for _ in masks]
+    for r, owners in _ridge_facets(masks).items():
+        if len(owners) > 2:
+            return None
+        if len(owners) == 2:
+            i, j = owners
+            across[i][(masks[i] & ~r).bit_length() - 1] = j
+            across[j][(masks[j] & ~r).bit_length() - 1] = i
+    return across
+
+
+def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
+    """Aut(X) as vertex permutations (perm[v] is the image of v) when X
+    is a pure, strongly connected weak pseudomanifold; None for any other
+    complex, or once the search has cost more than ``budget`` steps.
+
+    A breadth-first walk across ridges from facet 0 reaches every facet
+    j from a facet i through the ridge i - v, and j adds one vertex w.
+    An automorphism g carries that ridge to the ridge of g(i) opposite
+    g(v), so g(j) and g(w) follow from g(i) and g on facet 0 (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014).  The search fixes
+    the base flag, facet 0 with its vertices in id order, and tries
+    every flag (a facet t with an order of its vertices) as its image,
+    building the order a vertex at a time and dropping it as soon as a
+    face of facet 0 and its image lie in different numbers of facets.
+    Each full flag is propagated along the walk until the first
+    conflict, and a map is kept only when an exact check shows it
+    carries the facet set onto itself.  So every automorphism is found
+    once, and the list is Aut(X).
+
+    Steps: F * 2^(d+1) for the face counts, one per candidate vertex of a
+    flag and one per face it is compared on when it fits, one per ridge
+    crossed and F per exact check."""
+    if X.dim < 0 or not X.is_pure():
+        return None
+    masks = X.facet_masks
+    across = _across(masks)
+    if across is None:
+        return None
+    walk = []  # (i, v, j, w) as above, in breadth-first order
+    queue, reached = [0], {0}
+    for i in queue:
+        for v, j in sorted(across[i].items()):
+            if j not in reached:
+                reached.add(j)
+                queue.append(j)
+                walk.append((i, v, j, (masks[j] & ~masks[i]).bit_length() - 1))
+    if len(queue) < len(masks):
+        return None  # not strongly connected
+    n = X.dim + 1
+    steps = len(masks) << n
+    if steps > budget:
+        return None
+    count: dict[int, int] = {}  # face -> number of facets containing it
+    for fm in masks:
+        for s in submasks(fm):
+            count[s] = count.get(s, 0) + 1
+    kinds = [sorted(count[s] for s in submasks(fm)) for fm in masks]
+    base = ids_of(masks[0])
+    facets = set(masks)
+    group = []
+    for t, fm in enumerate(masks):
+        if kinds[t] != kinds[0]:
+            continue
+        # partial orders: images of base[:k], the faces of facet 0 on
+        # base[:k], and their images, in matching positions
+        stack = [((), [0], [0])]
+        while stack:
+            if steps > budget:
+                return None
+            order, faces, images = stack.pop()
+            if len(order) < n:
+                b = 1 << base[len(order)]
+                for w in bits(fm & ~mask_of(order)):
+                    wb = 1 << w
+                    steps += 1
+                    if all(count[f | b] == count[g | wb]
+                           for f, g in zip(faces, images)):
+                        steps += len(faces)
+                        stack.append((order + (w,), faces + [f | b for f in faces],
+                                      images + [g | wb for g in images]))
+                continue
+            perm = [-1] * X.m
+            for v, w in zip(base, order):
+                perm[v] = w
+            image = [-1] * len(masks)  # facet index -> index of its image
+            image[0] = t
+            used = fm
+            for i, v, j, w in walk:
+                steps += 1
+                gi = image[i]
+                gj = across[gi].get(perm[v])
+                if gj is None:
+                    break
+                new = masks[gj] & ~masks[gi]
+                if perm[w] < 0:
+                    if used & new:
+                        break
+                    used |= new
+                    perm[w] = new.bit_length() - 1
+                elif 1 << perm[w] != new:
+                    break
+                image[j] = gj
+            else:
+                steps += len(masks)
+                if {mask_of(perm[v] for v in bits(f)) for f in masks} == facets:
+                    group.append(tuple(perm))
+    return group
+
+
+def _orbit_sums(X: Complex, field: FieldSpec,
+                group: list[tuple[int, ...]]) -> list[list[int]]:
+    """The subset loop up to symmetry, for a group of automorphisms of X
+    given as vertex permutations: X[A] and X[g(A)] are isomorphic and A
+    and g(A) have one size.  The masks are taken in ascending order, and
+    each one not yet seen is the least of its orbit {g(A)}: one homology
+    run, weighted by the size of the orbit (orbit-counting lemma)."""
+    m, dim = X.m, X.dim
+    faces_by_dim = _faces_by_dim(X)
+    tables = [_byte_tables([1 << w for w in perm]) for perm in group]
+    seen = bytearray(1 << m)
+    sums = [[0] * (m + 1) for _ in range(dim + 1)]
+    for amask in range(1 << m):
+        if seen[amask]:
+            continue
+        orbit = set()
+        for perm_tables in tables:
+            image, s = 0, amask
+            for table in perm_tables:
+                image |= table[s & 255]
+                s >>= 8
+            orbit.add(image)
+        for image in orbit:
+            seen[image] = 1
+        j = amask.bit_count()
+        for i, v in enumerate(_induced_betti(faces_by_dim, amask, field, dim)):
+            if v:
+                sums[i][j] += v * len(orbit)
+    return sums
+
+
 def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]:
     """sums[i][j] = sum of reduced beta_i(X[A]) over the j-subsets A, from
-    the first of four paths whose hypothesis holds: cone apex, Alexander
+    the first of five paths whose hypothesis holds: cone apex, Alexander
     duality for an F-homology sphere of dimension <= 3, the same duality
-    for a ball whose closure ``_ball_closure`` is such a sphere, or the
-    subset loop."""
+    for a ball whose closure ``_ball_closure`` is such a sphere, one run
+    per orbit of a nontrivial automorphism group that ``_automorphisms``
+    finds within 8 * 2^m steps when there are at least LARGE_LOOP
+    subsets, or the subset loop."""
     apex = reduce(and_, X.facet_masks)
     if apex:
         lk = link(X, (apex.bit_length() - 1,))
@@ -200,6 +366,11 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     S = _ball_closure(X)
     if S is not None and is_homology_sphere(S, field):
         return _duality_sums(X, S)
+    if 1 << X.m >= LARGE_LOOP:
+        # a step of the search costs about a hundredth of a homology run
+        group = _automorphisms(X, 8 << X.m)
+        if group is not None and len(group) > 1:
+            return _orbit_sums(X, field, group)
     return _loop_sums(X, field, jobs)
 
 
@@ -211,9 +382,11 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     The sums come from ``_subset_sums``: the cone-apex path when some
     vertex lies in every facet, the duality path when X passes
     ``is_homology_sphere`` in dimension <= 3, the ball path when X's
-    ``_ball_closure`` does, else the subset loop (with ``jobs`` processes
-    once there are at least 2^12 subsets).  The cap applies to m
-    whichever path runs."""
+    ``_ball_closure`` does, the orbit path when there are at least 2^12
+    subsets and ``_automorphisms`` finds a nontrivial group of X within
+    a budget of 8 * 2^m steps (run serially), else the subset loop (with
+    ``jobs`` processes once there are at least 2^12 subsets).  The cap
+    applies to m whichever path runs."""
     if X.dim < 0:
         return ()
     m, dim = X.m, X.dim
@@ -245,14 +418,9 @@ def _canonical_form(X: Complex) -> tuple[int, ...] | None:
     if X.dim < 0 or not X.is_pure():
         return None
     masks = X.facet_masks
-    across: list[dict[int, int]] = [{} for _ in masks]  # i -> {v: facet}
-    for r, owners in _ridge_facets(masks).items():
-        if len(owners) > 2:
-            return None
-        if len(owners) == 2:
-            i, j = owners
-            across[i][(masks[i] & ~r).bit_length() - 1] = j
-            across[j][(masks[j] & ~r).bit_length() - 1] = i
+    across = _across(masks)
+    if across is None:
+        return None
     degree = [0] * X.m
     for fm in masks:
         for v in bits(fm):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
                           _dominated, antistar, are_isomorphic, boundary, connected_sum,
                           dual_graph, facet_hash, format_facets, induced,
-                          is_pseudomanifold, is_weak_pseudomanifold, join,
+                          is_closed_pseudomanifold, is_pseudomanifold,
+                          is_weak_pseudomanifold, join,
                           link, load_facets, mask_of, neighbourliness,
                           parse_facets, save_facets, skeleton, star)
 from stellar.constructions import (corpus, cross_polytope,
@@ -333,3 +334,56 @@ def test_antichain_check_matches_quadratic_reference(entries):
             Complex([str(v) for v in ids], norm)
     else:
         assert Complex([str(v) for v in ids], norm).facets == tuple(norm)
+
+
+def _two_spheres(X, Y, shared):
+    """X and Y side by side, on disjoint names except ``shared`` of Y's
+    ids, which are glued to X's ids of the same number."""
+    def name(v):
+        return f"x{v}" if v < shared else f"y{v}"
+    return Complex.from_facets([[f"x{v}" for v in f] for f in X.facets]
+                               + [[name(v) for v in f] for f in Y.facets])
+
+
+@st.composite
+def closed_or_not(draw):
+    """Random non-pure and pure facet lists, stacked spheres and balls,
+    spheres less a facet, two spheres apart or sharing vertices, and the
+    complexes of dimension -1 and 0."""
+    kind = draw(st.sampled_from(("facets", "sphere", "ball", "holed", "pair",
+                                 "small")))
+    if kind == "facets":
+        return Complex.from_facets(draw(facet_lists()))
+    if kind == "small":
+        return draw(st.sampled_from((Complex.empty(), parse_facets("a"),
+                                     parse_facets("a\nb"),
+                                     parse_facets("a\nb\nc"))))
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "ball":
+        return random_stacked_ball(d, draw(st.integers(1, 8)), seed=seed)
+    X = random_stacked_sphere(d, draw(st.integers(d + 2, 9)), seed=seed)
+    if kind == "holed":
+        return Complex.from_facets(X.facets[1:])
+    if kind == "pair":
+        Y = random_stacked_sphere(d, draw(st.integers(d + 2, 9)), seed=seed + 1)
+        return _two_spheres(X, Y, draw(st.integers(0, d + 1)))
+    return X
+
+
+@pytest.mark.filterwarnings("ignore:dropped")
+@settings(max_examples=300, deadline=None)
+@given(closed_or_not())
+def test_closed_pseudomanifold_matches_three_pass_reference(X):
+    assert is_closed_pseudomanifold(X) == (
+        is_pseudomanifold(X) and boundary(X) == Complex.empty())
+
+
+def test_closed_pseudomanifold_cases(corp):
+    assert is_closed_pseudomanifold(corp["S3_16"].complex)
+    assert not is_closed_pseudomanifold(corp["lutz_B2"].complex)
+    assert is_closed_pseudomanifold(parse_facets("a"))  # boundary {∅}
+    assert is_closed_pseudomanifold(parse_facets("a\nb"))
+    assert not is_closed_pseudomanifold(parse_facets("a\nb\nc"))
+    two = _two_spheres(standard_sphere(2), standard_sphere(2), 0)
+    assert not is_closed_pseudomanifold(two)  # closed, not connected

@@ -1,5 +1,7 @@
 """Sigma/mu-vectors, Morse reports, tightness and the criterion battery."""
+import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -10,11 +12,13 @@ from stellar import tightness
 from stellar.constructions import (corpus, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import Complex, antistar, are_isomorphic, join, link
+from stellar.core import (Complex, antistar, are_isomorphic, bits, join, link,
+                          mask_of)
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
                               is_homology_sphere)
 from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
-from stellar.tightness import (BudgetError, _ball_closure, _canonical_form,
+from stellar.tightness import (BudgetError, _automorphisms, _ball_closure,
+                               _canonical_form, _loop_sums, _orbit_sums,
                                _sigma_chunk, _subset_sums, criterion_battery,
                                is_tight, morse_report, mu_vector,
                                mu_via_pairs, p23_bounds, sigma_g_report,
@@ -121,10 +125,14 @@ def test_sigma_cap():
 
 
 def test_sigma_parallel_agrees(corp):
-    # 2^12 subsets or more and no shortcut: jobs=2 runs the worker pool
+    # 2^12 subsets or more: jobs=2 runs the loop's worker pool, and
+    # _subset_sums takes the orbit path (M_2_4 has 48 automorphisms)
     x = corp["M_2_4"].complex
     assert x.m >= 12 and x.dim > 3
-    assert sigma_vector(x, QQ, jobs=2) == sigma_vector(x, QQ, jobs=1)
+    serial = _loop_sums(x, QQ, 1)
+    assert _loop_sums(x, QQ, 2) == serial
+    assert _subset_sums(x, QQ) == serial
+    assert _subset_sums(x, QQ, jobs=2) == serial
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,6 +200,106 @@ def test_ball_gate_rejects(corp):
         assert not is_homology_sphere(closure, field)  # it is RP^2
         for X in (mobius, nonpure):
             assert _subset_sums(X, field) == loop_table(X, field)
+
+
+NO_BUDGET = 1 << 60
+
+
+def renamed(X, prefix):
+    return Complex.from_facets([[prefix + n for n in f]
+                                for f in X.facets_as_names()])
+
+
+def _orbit_pool():
+    c = corpus()
+    torus, rp2 = c["torus_7"].complex, c["rp2_6"].complex
+    apex = Complex.from_facets([["apex"]])
+    return [torus, rp2, cross_polytope(2), cross_polytope(3),
+            join(renamed(cross_polytope(1), "a"), renamed(rp2, "b")),
+            join(renamed(standard_sphere(1), "a"), renamed(standard_sphere(2), "b")),
+            join(rp2, apex),  # a cone: a pseudomanifold with boundary
+            c["lutz_S3_8"].complex, c["lutz_B2"].complex]
+
+
+ORBIT_POOL = _orbit_pool()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(ORBIT_POOL))), st.sampled_from(ORACLE_FIELDS),
+       st.randoms(use_true_random=False))
+def test_orbit_path_matches_loop(i, field, rnd):
+    X = relabelled(ORBIT_POOL[i], rnd)
+    group = _automorphisms(X, NO_BUDGET)
+    assert group
+    assert _orbit_sums(X, field, group) == loop_table(X, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(moved_stacked_spheres(), st.sampled_from(ORACLE_FIELDS))
+def test_orbit_path_matches_loop_on_stacked_spheres(X, field):
+    group = _automorphisms(X, NO_BUDGET)  # mostly the identity alone
+    assert _orbit_sums(X, field, group) == loop_table(X, field)
+
+
+@pytest.mark.parametrize("name, order", [("M_1_4", 24), ("M_2_4", 48),
+                                         ("Mbar_2_4", 24)])
+def test_orbit_path_matches_loop_on_sign_change_manifolds(corp, name, order):
+    for seed, field in enumerate(ORACLE_FIELDS):
+        X = relabelled(corp[name].complex, random.Random(seed))
+        group = _automorphisms(X, NO_BUDGET)
+        assert len(group) == order
+        assert _orbit_sums(X, field, group) == _loop_sums(X, field, 1)
+
+
+def brute_force_automorphisms(X):
+    facets = set(X.facet_masks)
+    return {perm for perm in permutations(range(X.m))
+            if all(mask_of(perm[v] for v in bits(f)) in facets
+                   for f in X.facet_masks)}
+
+
+@pytest.mark.parametrize("name, order", [("torus_7", 42), ("rp2_6", 60),
+                                         ("cross_polytope_3", 384),
+                                         ("lutz_S3_8", None)])
+def test_automorphisms_match_brute_force(corp, name, order):
+    X = cross_polytope(3) if name == "cross_polytope_3" else corp[name].complex
+    X = relabelled(X, random.Random(0))
+    group = _automorphisms(X, NO_BUDGET)
+    assert len(set(group)) == len(group)
+    assert set(group) == brute_force_automorphisms(X)
+    if order is not None:
+        assert len(group) == order
+    facets = set(X.facet_masks)
+    for g in group:
+        assert {mask_of(g[v] for v in bits(f)) for f in X.facet_masks} == facets
+    closure = {tuple(g[h[v]] for v in range(X.m)) for g in group for h in group}
+    assert closure == set(group)
+
+
+def test_automorphisms_need_strongly_connected_pseudomanifold_and_budget(corp):
+    for facets in (["123", "345"], ["123", "124", "125"], ["123", "34"]):
+        assert _automorphisms(Complex.from_facets(facets), NO_BUDGET) is None
+    assert _automorphisms(Complex.empty(), NO_BUDGET) is None
+    X = corp["M_2_4"].complex
+    assert _automorphisms(X, 8 << X.m) is not None
+    assert _automorphisms(cross_polytope(5), 8 << 12) is None  # |Aut| = 46,080
+
+
+def test_subset_sums_path_by_homology_runs(corp, monkeypatch):
+    runs = []
+    real = tightness.reduced_betti_of_faces
+
+    def counting(*args):
+        runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tightness, "reduced_betti_of_faces", counting)
+    for X, expected in ((corp["M_2_4"].complex, 158),   # orbit path
+                        (cross_polytope(5), 4096),      # budget spent: loop
+                        (corp["torus_7"].complex, 128)):  # m < 12: loop
+        runs.clear()
+        sigma_vector(X, QQ)
+        assert len(runs) == expected
 
 
 def _form_pool():
