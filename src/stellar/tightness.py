@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import comb, factorial
-from operator import and_
+from operator import and_, or_
 
 from .core import Complex, ComplexError, _ridge_facets, bits, ids_of, \
     is_closed_pseudomanifold, is_connected, link, mask_of, neighbourliness, \
@@ -227,9 +227,10 @@ def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
     g(v), so g(j) and g(w) follow from g(i) and g on facet 0 (McKay &
     Piperno, "Practical graph isomorphism, II", 2014).  The search fixes
     the base flag, facet 0 with its vertices in id order, and tries
-    every flag (a facet t with an order of its vertices) as its image,
-    building the order a vertex at a time and dropping it as soon as a
-    face of facet 0 and its image lie in different numbers of facets.
+    every flag (a facet t with an order of its vertices) as its image:
+    t only when its faces lie in as many facets as those of facet 0,
+    and the order built a vertex at a time, dropped as soon as a face of
+    facet 0 and its image lie in different numbers of facets.
     Each full flag is propagated along the walk until the first
     conflict, and a map is kept only when an exact check shows it
     carries the facet set onto itself.  So every automorphism is found
@@ -310,7 +311,8 @@ def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
                 image[j] = gj
             else:
                 steps += len(masks)
-                if {mask_of(perm[v] for v in bits(f)) for f in masks} == facets:
+                bit = [1 << w for w in perm]
+                if {reduce(or_, map(bit.__getitem__, f)) for f in X.facets} == facets:
                     group.append(tuple(perm))
     return group
 
@@ -367,7 +369,8 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     if S is not None and is_homology_sphere(S, field):
         return _duality_sums(X, S)
     if 1 << X.m >= LARGE_LOOP:
-        # a step of the search costs about a hundredth of a homology run
+        # a step of the search costs well under a hundredth of a
+        # homology run, so a spent budget adds a few per cent to the loop
         group = _automorphisms(X, 8 << X.m)
         if group is not None and len(group) > 1:
             return _orbit_sums(X, field, group)
