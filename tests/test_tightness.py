@@ -248,7 +248,7 @@ def test_orbit_path_matches_loop_on_sign_change_manifolds(corp, name, order):
         X = relabelled(corp[name].complex, random.Random(seed))
         group = _automorphisms(X, NO_BUDGET)
         assert len(group) == order
-        assert _orbit_sums(X, field, group) == _loop_sums(X, field, 1)
+        assert _orbit_sums(X, field, group) == loop_table(X, field)
 
 
 def brute_force_automorphisms(X):
