@@ -13,6 +13,12 @@ the pivot row of a reduced column one dimension up has a column that
 reduces to zero, so it is never built.  Clearing is an exact reduction
 with no hypothesis to check (it needs only d o d = 0); the ranks equal
 those of the plain reduction, which the tests keep as its oracle.
+
+The inclusion test needs only ranks too: with d = d_{j+1} of X,
+H_j(X[A]) -> H_j(X) is injective iff
+rank d - rank(d less the rows inside A) == rank(d restricted to X[A]),
+because the kernel of the map is B_j(X) ∩ C_j(X[A]) modulo B_j(X[A]).
+All ranks come from ``exactlinalg.rank``.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 from .core import (Complex, InputError, StructureError, bits,
                    is_closed_pseudomanifold, link, mask_of)
-from .exactlinalg import kernel_basis, rank_cols, rank_gf2, rank_int, rank_modp
+from .exactlinalg import rank
 
 
 # Miller-Rabin with these bases decides primality of every n < 3.18e23,
@@ -116,10 +122,6 @@ def _boundary_col_signed(face: int) -> dict[int, int]:
     return col
 
 
-def _boundary_col_gf2(face: int) -> set[int]:
-    return {face ^ (1 << v) for v in bits(face)}
-
-
 def _components(vert_masks, edge_masks) -> int:
     """Number of connected components of a graph given as bitmasks."""
     parent = {v: v for v in vert_masks}
@@ -155,28 +157,18 @@ def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
     only d o d = 0, over any field and for relative chains too, and the
     ranks are exact (Chen & Kerber, "Persistent homology computation with
     a twist", EuroCG 2011)."""
-    gf2 = field.kind == "prime" and field.p == 2
     ranks = [0] * (len(faces_by_dim) + 1)
     cleared: dict = {}
     for i in range(len(faces_by_dim) - 1, 0 if relative else 1, -1):
         faces = faces_by_dim[i]
         if cleared:
             faces = [f for f in faces if f not in cleared]
-        rows = set(faces_by_dim[i - 1]) if relative else None
-        cleared = {}
-        if gf2:
-            cols = [_boundary_col_gf2(f) for f in faces]
-            if rows is not None:
-                cols = [c & rows for c in cols]
-            ranks[i] = rank_gf2(cols, cleared)
-            continue
         cols = [_boundary_col_signed(f) for f in faces]
-        if rows is not None:
+        if relative:
+            rows = set(faces_by_dim[i - 1])
             cols = [{r: v for r, v in c.items() if r in rows} for c in cols]
-        if field.kind == "prime":
-            ranks[i] = rank_modp(cols, field.p, cleared)
-        else:
-            ranks[i] = rank_int(cols, cleared)
+        cleared = {}
+        ranks[i] = rank(cols, field, cleared)
     return ranks
 
 
@@ -243,11 +235,12 @@ def relative_betti_pair(X: Complex, Y: Complex, field: FieldSpec) -> list[int]:
               for f in _name_subsets(ft)}
     for ft in Y.facets_as_names():
         try:
-            if not X.has_face(X.mask_from_names(ft)):
-                raise InputError(f"{ft} is not a face of the ambient complex")
-        except InputError:
+            present = X.has_face(X.mask_from_names(ft))
+        except InputError:  # a vertex name that X does not have
+            present = False
+        if not present:
             raise InputError(f"pair subcomplex facet {ft} is not in the "
-                             "ambient complex") from None
+                             "ambient complex")
     rel = [[f for f in X.faces_of_dim(t)
             if frozenset(X.names_of_mask(f)) not in yfaces]
            for t in range(X.dim + 1)]
@@ -262,35 +255,23 @@ def _name_subsets(names):
 
 
 def inclusion_injective(X: Complex, A, j: int, field: FieldSpec) -> bool:
-    """Is H_j(X[A]) -> H_j(X) injective?  Decided by comparing
-    dim(Z_j(X[A]) ∩ B_j(X)) with dim B_j(X[A])."""
-    amask = mask_of(A)
-    d = X.dim
-    if j < 0 or j > d:
+    """Is H_j(X[A]) -> H_j(X) injective?  Decided by three ranks of
+    d = d_{j+1} of X.  The kernel of the map is the meet
+    Z_j(X[A]) ∩ B_j(X) modulo B_j(X[A]), and since every boundary is a
+    cycle the meet is B_j(X) ∩ C_j(X[A]): the kernel of B_j(X) ->
+    C_j(X) / C_j(X[A]), the map d with the rows inside A dropped.  So the
+    map is injective iff
+    rank d - rank(d less the rows inside A) == rank(d restricted to X[A])."""
+    if j < 0 or j > X.dim:
         raise InputError(f"index {j} out of range")
-    nota = ~amask
-    faces_j_A = [f for f in X.faces_of_dim(j) if not f & nota]
-    if not faces_j_A:
+    nota = ~mask_of(A)
+    if all(f & nota for f in X.faces_of_dim(j)):
         return True
-    faces_j1_A = [f for f in X.faces_of_dim(j + 1) if not f & nota]
-    faces_j1_X = sorted(X.faces_of_dim(j + 1))
-
-    if j == 0:
-        # every 0-chain is a cycle
-        z_basis = [{f: 1} for f in faces_j_A]
-    else:
-        keyed = [(f, _boundary_col_signed(f)) for f in faces_j_A]
-        z_basis = kernel_basis(keyed, field)
-    dim_z = len(z_basis)
-    if dim_z == 0:
-        return True
-    bx_cols = [_boundary_col_signed(f) for f in faces_j1_X]
-    dim_bx = rank_cols(bx_cols, field)
-    dim_ba = rank_cols([_boundary_col_signed(f) for f in faces_j1_A], field)
-    # dim(Z + B) via one elimination over the concatenation
-    dim_sum = rank_cols(z_basis + bx_cols, field)
-    dim_meet = dim_z + dim_bx - dim_sum
-    return dim_meet == dim_ba
+    faces = list(X.faces_of_dim(j + 1))
+    cols = [_boundary_col_signed(f) for f in faces]
+    outside = [{r: v for r, v in c.items() if r & nota} for c in cols]
+    inside = [c for f, c in zip(faces, cols) if not f & nota]
+    return rank(cols, field) - rank(outside, field) == rank(inside, field)
 
 
 def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:

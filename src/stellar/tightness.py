@@ -45,9 +45,10 @@ from operator import and_, or_
 from .core import Complex, ComplexError, _ridge_facets, bits, ids_of, \
     is_closed_pseudomanifold, is_connected, link, mask_of, neighbourliness, \
     popcount, submasks
-from .homology import BettiTable, FieldSpec, _faces_by_dim, betti, \
-    inclusion_injective, is_homology_sphere, orientable, \
-    reduced_betti_of_faces
+from .exactlinalg import rank
+from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
+    _faces_by_dim, betti, inclusion_injective, is_homology_sphere, \
+    orientable, reduced_betti_of_faces
 from .vectors import f_vector, g_vector
 
 SIGMA_CAP = 16
@@ -514,9 +515,6 @@ def mu_via_pairs(X: Complex, field: FieldSpec,
     if cap is not None and m > cap:
         raise BudgetError(f"pair enumeration on {m} vertices exceeds cap {cap}")
     faces_by_dim = _faces_by_dim(X)
-    from .exactlinalg import rank_gf2, rank_int, rank_modp
-    is_q = field.kind == "rationals"
-    p = field.p
     sums = [[0] * (m + 1) for _ in range(d + 1)]  # over |B| = j
     for bmask in range(1, 1 << m):
         j = popcount(bmask)
@@ -535,21 +533,10 @@ def mu_via_pairs(X: Complex, field: FieldSpec,
             for i in range(1, d + 1):
                 if not per_dim[i]:
                     continue
-                if is_q or p != 2:
-                    cols = []
-                    for f in per_dim[i]:
-                        col = {}
-                        sign = 1
-                        for b in bits(f):
-                            if b != x:
-                                col[f ^ (1 << b)] = sign
-                            sign = -sign
-                        cols.append(col)
-                    ranks[i] = rank_int(cols) if is_q else rank_modp(cols, p)
-                else:
-                    cols = [{f ^ (1 << b) for b in bits(f) if b != x}
-                            for f in per_dim[i]]
-                    ranks[i] = rank_gf2(cols)
+                # rows without x lie in X[B - x] and are dropped
+                cols = [{r: v for r, v in _boundary_col_signed(f).items()
+                         if r & xbit} for f in per_dim[i]]
+                ranks[i] = rank(cols, field)
             for i in range(d + 1):
                 v = ns[i] - ranks[i] - ranks[i + 1]
                 if v:

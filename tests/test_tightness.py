@@ -459,6 +459,34 @@ def test_tight_modes_agree(corp):
                 is_tight(X, fld, "p18").tight, (name, str(fld))
 
 
+# is_tight(mode="direct") on every corpus entry with at most 10 vertices:
+# the witness (vertex names, degree) over Q, Z2 and Z3, or None where the
+# complex is tight; recorded with the earlier form of the inclusion test,
+# which intersected a cycle basis with the boundaries
+DIRECT_WITNESSES = {
+    "M_1_2": (("x1", "y1"), 0), "M_1_3": (("x1", "y1"), 0),
+    "Mbar_1_2": (("x1", "y1"), 0), "Mbar_1_3": (("x1", "y1"), 0),
+    "lutz_B1": (("1", "5"), 0), "lutz_B2": (("2", "3", "4"), 1),
+    "lutz_S2_8": (("2", "3", "4"), 1), "lutz_S3_8": (("1", "2", "5"), 1),
+    "rp2_6": (("1", "2", "4"), 1), "torus_7": None,
+    "ziegler_B1": (("0", "4"), 0), "ziegler_B2": (("1", "2", "3"), 1),
+    "ziegler_S2_10": (("1", "2", "3"), 1), "ziegler_S3_10": (("0", "4"), 0),
+}
+
+
+def test_tight_direct_pinned_on_corpus(corp):
+    small = sorted(name for name, e in corp.items() if e.complex.m <= 10)
+    assert small == sorted(DIRECT_WITNESSES)
+    for name in small:
+        for fld in ORACLE_FIELDS:
+            expect = DIRECT_WITNESSES[name]
+            if name == "rp2_6" and fld == Z2:
+                expect = None  # RP^2 is Z2-tight
+            res = is_tight(corp[name].complex, fld, "direct")
+            assert (res.tight, res.witness) == (expect is None, expect), \
+                (name, str(fld))
+
+
 def test_tight_direct_cap():
     with pytest.raises(BudgetError):
         is_tight(corpus()["S3_16"].complex, QQ, "direct")
