@@ -163,11 +163,11 @@ def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
         faces = faces_by_dim[i]
         if cleared:
             faces = [f for f in faces if f not in cleared]
+        cleared = {}  # let the map above's pivots go before these are built
         cols = [_boundary_col_signed(f) for f in faces]
         if relative:
             rows = set(faces_by_dim[i - 1])
             cols = [{r: v for r, v in c.items() if r in rows} for c in cols]
-        cleared = {}
         ranks[i] = rank(cols, field, cleared)
     return ranks
 
@@ -265,7 +265,7 @@ def inclusion_injective(X: Complex, A, j: int, field: FieldSpec) -> bool:
     if j < 0 or j > X.dim:
         raise InputError(f"index {j} out of range")
     nota = ~mask_of(A)
-    if all(f & nota for f in X.faces_of_dim(j)):
+    if all(f & nota for f in X.faces_of_dim(j)):  # X[A] has no j-faces
         return True
     faces = list(X.faces_of_dim(j + 1))
     cols = [_boundary_col_signed(f) for f in faces]
