@@ -4,7 +4,8 @@ Inputs are facet files or ``corpus:NAME`` pseudo-paths.  Exit codes:
 0 success/verified, 1 property refuted, 2 budget exhausted, 3 input
 error, 4 internal error (any other exception, so a crash never reads as
 a verdict).  Reports are deterministic given identical inputs, flags and
-seeds; ``--json PATH`` additionally writes a stable-ordered JSON report.
+seeds; every verb but ``corpus`` and ``verify-paper`` also takes
+``--json PATH`` and writes a stable-ordered JSON report there.
 """
 from __future__ import annotations
 
@@ -37,18 +38,12 @@ def _load(spec: str) -> Complex:
 
 
 def _emit_json(args, payload: dict) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         payload = {"verb": args.verb, "input": getattr(args, "input", None),
                    "seed": getattr(args, "seed", 0), **payload}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-
-
-def _header(args) -> None:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        print(f"# seed={seed}")
 
 
 def _vec(v) -> str:
@@ -138,7 +133,7 @@ def cmd_moves(args):
 
 def cmd_stellate(args):
     X = _load(args.input)
-    _header(args)
+    print(f"# seed={args.seed}")
     out = stellation_search(X, args.k, budget=args.budget, seed=args.seed)
     print(f"status: {out.status}; nodes: {out.nodes}")
     payload = {"status": out.status, "nodes": out.nodes}
@@ -232,7 +227,7 @@ def _canonical(args, fn):
 
 def cmd_wk(args):
     X = _load(args.input)
-    _header(args)
+    print(f"# seed={args.seed}")
     rep = w_k_membership(X, args.k, budget=args.budget, seed=args.seed,
                          jobs=args.jobs)
     print(f"W_{args.k} membership: {rep.verdict}")
@@ -295,7 +290,6 @@ def cmd_identities(args):
 
 
 def cmd_verify_paper(args):
-    _header(args)
     ok = verify_mod.run_all(jobs=args.jobs)
     return OK if ok else REFUTED
 
@@ -307,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "homology, tightness.")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, inputs=True, **flags):
+    def add(name, fn, inputs=True, report=True, **flags):
         p = sub.add_parser(name)
         if inputs:
             p.add_argument("input", help="facet file path or corpus:NAME")
@@ -326,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=int, default=SIGMA_CAP)
         if flags.get("save"):
             p.add_argument("--save", default=None)
-        p.add_argument("--json", default=None, help="write a JSON report here")
+        if report:
+            p.add_argument("--json", default=None, help="write a JSON report here")
         p.set_defaults(fn=fn)
         return p
 
@@ -352,12 +347,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("kn", cmd_kn, inputs=False, k="required", save=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--save-mbar", default=None)
-    p = add("corpus", cmd_corpus, inputs=False)
+    p = add("corpus", cmd_corpus, inputs=False, report=False)
     p.add_argument("action", choices=("list", "verify", "export"))
     p.add_argument("name", nargs="?")
     p.add_argument("path", nargs="?")
     add("identities", cmd_identities)
-    add("verify-paper", cmd_verify_paper, inputs=False, seed=True, jobs=True)
+    add("verify-paper", cmd_verify_paper, inputs=False, report=False, jobs=True)
     return top
 
 

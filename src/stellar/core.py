@@ -316,12 +316,11 @@ def _rebuild(X: Complex, facet_masks: Iterable[int]) -> Complex:
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
-    ms = sorted(set(masks), key=popcount, reverse=True)
-    keep: list[int] = []
-    for a in ms:
-        if not any(a & b == a for b in keep):
-            keep.append(a)
-    return keep
+    """The distinct masks contained in no other mask, in first-occurrence
+    order (``_dominated`` on the de-duplicated masks)."""
+    ms = list(dict.fromkeys(masks))
+    dominated = set(_dominated(ms))
+    return [a for i, a in enumerate(ms) if i not in dominated]
 
 
 def skeleton(X: Complex, t: int) -> Complex:
@@ -471,21 +470,28 @@ def is_closed_pseudomanifold(X: Complex) -> bool:
     return DualGraph(len(X.facet_masks), edges).is_connected()
 
 
-def is_connected(X: Complex) -> bool:
-    if X.m <= 1:
-        return True
-    parent = list(range(X.m))
+def _components(vert_masks, edge_masks) -> int:
+    """Number of connected components of a graph given as bitmasks."""
+    parent = {v: v for v in vert_masks}
 
-    def find(a: int) -> int:
+    def find(a):
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    for e in X.faces_of_dim(1):
-        a, b = ids_of(e)
-        parent[find(a)] = find(b)
-    return len({find(v) for v in range(X.m)}) == 1
+    n = len(parent)
+    for e in edge_masks:
+        lo = e & -e
+        ra, rb = find(lo), find(e ^ lo)
+        if ra != rb:
+            parent[ra] = rb
+            n -= 1
+    return n
+
+
+def is_connected(X: Complex) -> bool:
+    return X.m <= 1 or _components(X.faces_of_dim(0), X.faces_of_dim(1)) == 1
 
 
 def neighbourliness(X: Complex) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Complex, InputError, StructureError, bits,
+from .core import (Complex, InputError, StructureError, _components, bits,
                    is_closed_pseudomanifold, link, mask_of)
 from .exactlinalg import rank
 
@@ -120,26 +120,6 @@ def _boundary_col_signed(face: int) -> dict[int, int]:
         col[face ^ (1 << v)] = sign
         sign = -sign
     return col
-
-
-def _components(vert_masks, edge_masks) -> int:
-    """Number of connected components of a graph given as bitmasks."""
-    parent = {v: v for v in vert_masks}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    n = len(parent)
-    for e in edge_masks:
-        lo = e & -e
-        ra, rb = find(lo), find(e ^ lo)
-        if ra != rb:
-            parent[ra] = rb
-            n -= 1
-    return n
 
 
 def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
@@ -264,14 +244,27 @@ def inclusion_injective(X: Complex, A, j: int, field: FieldSpec) -> bool:
     rank d - rank(d less the rows inside A) == rank(d restricted to X[A])."""
     if j < 0 or j > X.dim:
         raise InputError(f"index {j} out of range")
-    nota = ~mask_of(A)
-    if all(f & nota for f in X.faces_of_dim(j)):  # X[A] has no j-faces
-        return True
+    return _inclusion_test(X, j, field)(mask_of(A))
+
+
+def _inclusion_test(X: Complex, j: int, field: FieldSpec):
+    """``inclusion_injective`` in degree j as a function of the vertex
+    mask of A: d_{j+1} and its rank do not depend on A, so they are built
+    once for every A tested."""
+    jfaces = X.faces_of_dim(j)
     faces = list(X.faces_of_dim(j + 1))
     cols = [_boundary_col_signed(f) for f in faces]
-    outside = [{r: v for r, v in c.items() if r & nota} for c in cols]
-    inside = [c for f, c in zip(faces, cols) if not f & nota]
-    return rank(cols, field) - rank(outside, field) == rank(inside, field)
+    full = rank(cols, field)
+
+    def injective(amask: int) -> bool:
+        nota = ~amask
+        if all(f & nota for f in jfaces):  # X[A] has no j-faces
+            return True
+        outside = [{r: v for r, v in c.items() if r & nota} for c in cols]
+        inside = [c for f, c in zip(faces, cols) if not f & nota]
+        return full - rank(outside, field) == rank(inside, field)
+
+    return injective
 
 
 def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, _renumbered, _ridge_facets, bits, boundary,
-                   dual_graph, facet_hash, is_connected,
+                   StructureError, _maximal, _renumbered, _ridge_facets, bits,
+                   boundary, dual_graph, facet_hash, is_connected,
                    is_closed_pseudomanifold, link, mask_of, popcount,
                    submasks)
 from .vectors import g_vector, h_vector
@@ -599,10 +599,7 @@ def _closure_complex(S: Complex, depth: int) -> Complex:
                 alpha.pop()
 
     extend([], 0, 0)
-    maximal = [c for c in cliques
-               if not any(c != o and c & o == c for o in cliques)]
-    facets = [S.names_of_mask(c) for c in maximal]
-    return Complex.from_facets(facets)
+    return Complex.from_facets([S.names_of_mask(c) for c in _maximal(cliques)])
 
 
 def canonical_ball(S: Complex, k: int) -> Complex:

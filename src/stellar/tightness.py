@@ -21,16 +21,17 @@ check:
 4. the orbit path -- the loop below would visit at least 2^12 subsets,
    X is a pure, strongly connected weak pseudomanifold, and a search of
    at most 8 * 2^m steps finds a nontrivial automorphism group G
-   (``_automorphisms``): X[A] and X[g(A)] are isomorphic, so one homology
-   run per G-orbit of subsets, weighted by the orbit's size, gives the
-   table;
+   (``_isomorphisms`` from X to itself): X[A] and X[g(A)] are isomorphic,
+   so one homology run per G-orbit of subsets, weighted by the orbit's
+   size, gives the table;
 5. the subset loop -- one homology run per subset, in fixed
    ascending-mask blocks so multi-process runs reduce deterministically.
    It is the oracle the tests compare the other four paths with.
 
-The mu-vector computes one sigma per isomorphism class of links: a link
-that is a pure, strongly connected weak pseudomanifold is keyed by its
-canonical form, a complete invariant, and any other link by itself.
+The mu-vector computes one sigma per isomorphism class of links that the
+same search tells apart: a link shares the sigma of an earlier link when
+``_isomorphisms`` finds a map between them within 8 * 2^m steps, and any
+other link gets its own.
 """
 from __future__ import annotations
 
@@ -38,8 +39,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
-from math import comb, factorial
+from math import comb
 from operator import and_, or_
 
 from .core import Complex, ComplexError, _ridge_facets, bits, ids_of, \
@@ -47,8 +47,8 @@ from .core import Complex, ComplexError, _ridge_facets, bits, ids_of, \
     popcount, submasks
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
-    _faces_by_dim, betti, inclusion_injective, is_homology_sphere, \
-    orientable, reduced_betti_of_faces
+    _faces_by_dim, _inclusion_test, betti, is_homology_sphere, orientable, \
+    reduced_betti_of_faces
 from .vectors import f_vector, g_vector
 
 SIGMA_CAP = 16
@@ -217,29 +217,40 @@ def _across(masks: tuple[int, ...]) -> list[dict[int, int]] | None:
     return across
 
 
-def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
-    """Aut(X) as vertex permutations (perm[v] is the image of v) when X
-    is a pure, strongly connected weak pseudomanifold; None for any other
-    complex, or once the search has cost more than ``budget`` steps.
+def _face_counts(masks: tuple[int, ...]) -> dict[int, int]:
+    """face -> number of the facets ``masks`` that contain it."""
+    count: dict[int, int] = {}
+    for fm in masks:
+        for s in submasks(fm):
+            count[s] = count.get(s, 0) + 1
+    return count
 
-    A breadth-first walk across ridges from facet 0 reaches every facet
-    j from a facet i through the ridge i - v, and j adds one vertex w.
-    An automorphism g carries that ridge to the ridge of g(i) opposite
+
+def _isomorphisms(X: Complex, Y: Complex, budget: int,
+                  first: bool = False) -> list[tuple[int, ...]] | None:
+    """The isomorphisms from X onto Y as vertex maps (perm[v] is the id in
+    Y of the image of X's vertex v) when X is a pure, strongly connected
+    weak pseudomanifold; None for any other X, or once the search has cost
+    more than ``budget`` steps.  With Y = X the list is Aut(X); with
+    ``first`` the search stops at the first map it finds.
+
+    A breadth-first walk across ridges from facet 0 of X reaches every
+    facet j from a facet i through the ridge i - v, and j adds one vertex
+    w.  An isomorphism g carries that ridge to the ridge of g(i) opposite
     g(v), so g(j) and g(w) follow from g(i) and g on facet 0 (McKay &
     Piperno, "Practical graph isomorphism, II", 2014).  The search fixes
-    the base flag, facet 0 with its vertices in id order, and tries
-    every flag (a facet t with an order of its vertices) as its image:
-    t only when its faces lie in as many facets as those of facet 0,
-    and the order built a vertex at a time, dropped as soon as a face of
-    facet 0 and its image lie in different numbers of facets.
-    Each full flag is propagated along the walk until the first
-    conflict, and a map is kept only when an exact check shows it
-    carries the facet set onto itself.  So every automorphism is found
-    once, and the list is Aut(X).
+    the base flag, facet 0 with its vertices in id order, and tries every
+    flag of Y (a facet t with an order of its vertices) as its image: t
+    only when its faces lie in as many facets as those of facet 0, and
+    the order built a vertex at a time, dropped as soon as a face of
+    facet 0 and its image lie in different numbers of facets.  Each full
+    flag is propagated along the walk until the first conflict, and a map
+    is kept only when an exact check shows it carries the facet set of X
+    onto that of Y.  So every isomorphism is found once.
 
-    Steps: F * 2^(d+1) for the face counts, one per candidate vertex of a
-    flag and one per face it is compared on when it fits, one per ridge
-    crossed and F per exact check."""
+    Steps: F * 2^(d+1) for the face counts of each complex, one per
+    candidate vertex of a flag and one per face it is compared on when it
+    fits, one per ridge crossed and F per exact check."""
     if X.dim < 0 or not X.is_pure():
         return None
     masks = X.facet_masks
@@ -257,19 +268,23 @@ def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
     if len(queue) < len(masks):
         return None  # not strongly connected
     n = X.dim + 1
-    steps = len(masks) << n
+    steps = (len(masks) << n) * (1 if Y is X else 2)
     if steps > budget:
         return None
-    count: dict[int, int] = {}  # face -> number of facets containing it
-    for fm in masks:
-        for s in submasks(fm):
-            count[s] = count.get(s, 0) + 1
-    kinds = [sorted(count[s] for s in submasks(fm)) for fm in masks]
+    ymasks = Y.facet_masks
+    if (Y.m, Y.dim, len(ymasks)) != (X.m, X.dim, len(masks)):
+        return []
+    yacross = across if Y is X else _across(ymasks)
+    if yacross is None:
+        return []
+    count = _face_counts(masks)
+    ycount = count if Y is X else _face_counts(ymasks)
+    kind = sorted(count[s] for s in submasks(masks[0]))
     base = ids_of(masks[0])
-    facets = set(masks)
-    group = []
-    for t, fm in enumerate(masks):
-        if kinds[t] != kinds[0]:
+    facets = set(ymasks)
+    found = []
+    for t, fm in enumerate(ymasks):
+        if sorted(ycount[s] for s in submasks(fm)) != kind:
             continue
         # partial orders: images of base[:k], the faces of facet 0 on
         # base[:k], and their images, in matching positions
@@ -283,7 +298,7 @@ def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
                 for w in bits(fm & ~mask_of(order)):
                     wb = 1 << w
                     steps += 1
-                    if all(count[f | b] == count[g | wb]
+                    if all(count[f | b] == ycount[g | wb]
                            for f, g in zip(faces, images)):
                         steps += len(faces)
                         stack.append((order + (w,), faces + [f | b for f in faces],
@@ -292,16 +307,16 @@ def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
             perm = [-1] * X.m
             for v, w in zip(base, order):
                 perm[v] = w
-            image = [-1] * len(masks)  # facet index -> index of its image
+            image = [-1] * len(masks)  # facet index in X -> its image in Y
             image[0] = t
             used = fm
             for i, v, j, w in walk:
                 steps += 1
                 gi = image[i]
-                gj = across[gi].get(perm[v])
+                gj = yacross[gi].get(perm[v])
                 if gj is None:
                     break
-                new = masks[gj] & ~masks[gi]
+                new = ymasks[gj] & ~ymasks[gi]
                 if perm[w] < 0:
                     if used & new:
                         break
@@ -314,8 +329,10 @@ def _automorphisms(X: Complex, budget: int) -> list[tuple[int, ...]] | None:
                 steps += len(masks)
                 bit = [1 << w for w in perm]
                 if {reduce(or_, map(bit.__getitem__, f)) for f in X.facets} == facets:
-                    group.append(tuple(perm))
-    return group
+                    found.append(tuple(perm))
+                    if first:
+                        return found
+    return found
 
 
 def _orbit_sums(X: Complex, field: FieldSpec,
@@ -354,7 +371,7 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     the first of five paths whose hypothesis holds: cone apex, Alexander
     duality for an F-homology sphere of dimension <= 3, the same duality
     for a ball whose closure ``_ball_closure`` is such a sphere, one run
-    per orbit of a nontrivial automorphism group that ``_automorphisms``
+    per orbit of a nontrivial automorphism group that ``_isomorphisms``
     finds within 8 * 2^m steps when there are at least LARGE_LOOP
     subsets, or the subset loop."""
     apex = reduce(and_, X.facet_masks)
@@ -372,7 +389,7 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     if 1 << X.m >= LARGE_LOOP:
         # a step of the search costs well under a hundredth of a
         # homology run, so a spent budget adds a few per cent to the loop
-        group = _automorphisms(X, 8 << X.m)
+        group = _isomorphisms(X, X, 8 << X.m)
         if group is not None and len(group) > 1:
             return _orbit_sums(X, field, group)
     return _loop_sums(X, field, jobs)
@@ -387,7 +404,7 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     vertex lies in every facet, the duality path when X passes
     ``is_homology_sphere`` in dimension <= 3, the ball path when X's
     ``_ball_closure`` does, the orbit path when there are at least 2^12
-    subsets and ``_automorphisms`` finds a nontrivial group of X within
+    subsets and ``_isomorphisms`` finds a nontrivial group of X within
     a budget of 8 * 2^m steps (run serially), else the subset loop (with
     ``jobs`` processes once there are at least 2^12 subsets).  The cap
     applies to m whichever path runs."""
@@ -404,100 +421,28 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
         for i in range(dim + 1))
 
 
-def _canonical_form(X: Complex) -> tuple[int, ...] | None:
-    """A complete isomorphism invariant of a pure, strongly connected weak
-    pseudomanifold (every ridge on at most two facets, the facets
-    connected across ridges); None for any other complex.
-
-    A flag, a facet with an order of its vertices, labels those vertices
-    0..d; a breadth-first walk across ridges then labels each new vertex
-    in turn, taking the facets first in, first out and the ridges of a
-    facet by the label of the vertex they omit.  The labelling depends
-    only on the flag and the structure, so an isomorphism carries the
-    walks from the flags of X onto the walks from their images.  The form
-    is the least sequence of relabelled facet masks, in walk order, over
-    the flags whose first vertex lies in the fewest facets; a walk stops
-    as soon as it exceeds the least so far.  Equal forms give an
-    isomorphism by composing the two relabellings."""
-    if X.dim < 0 or not X.is_pure():
-        return None
-    masks = X.facet_masks
-    across = _across(masks)
-    if across is None:
-        return None
-    degree = [0] * X.m
-    for fm in masks:
-        for v in bits(fm):
-            degree[v] += 1
-    low = min(degree)
-
-    def walk(start: int, label: dict[int, int],
-             best: list[int] | None) -> list[int] | None:
-        form: list[int] = []
-        tied = best is not None
-        queue = [start]
-        seen = {start}
-        for i in queue:
-            code = 0
-            for v in bits(masks[i]):
-                code |= 1 << label[v]
-            if tied:
-                if code > best[len(form)]:
-                    return None
-                tied = code == best[len(form)]
-            form.append(code)
-            for v in sorted(across[i], key=label.__getitem__):
-                j = across[i][v]
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-                    new = masks[j] & ~masks[i]
-                    label.setdefault(new.bit_length() - 1, len(label))
-        return form
-
-    best = None
-    for start, fm in enumerate(masks):
-        for first in bits(fm):
-            if degree[first] != low:
-                continue
-            for order in permutations(v for v in bits(fm) if v != first):
-                label = {first: 0}
-                for v in order:
-                    label[v] = len(label)
-                form = walk(start, label, best)
-                if form is None:
-                    continue
-                if len(form) < len(masks):
-                    return None  # not strongly connected
-                best = form
-    return tuple(best)
-
-
 def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
               jobs: int = 1) -> tuple[Fraction, ...]:
     """mu_0 = 1; mu_i = [i==1] + (1/m) sum_x sigma_{i-1}(link of x).
 
-    Links with one ``_canonical_form`` are isomorphic and share one
-    sigma.  A link gets its own sigma when it has no form (it is not a
-    pure, strongly connected weak pseudomanifold), or when the form could
-    cost more than that sigma: up to F (d+1)! walks over F facets against
-    the 2^m subsets the sigma visits, as for the flag-transitive cross
-    polytopes."""
+    Isomorphic links have one sigma.  Each link is compared with the links
+    that got a sigma of their own before it, and takes the sigma of the
+    first one that ``_isomorphisms`` maps it onto within the orbit path's
+    budget of 8 * 2^m steps (m = the link's vertex count).  A link that
+    matches none, or is not a pure, strongly connected weak
+    pseudomanifold, gets its own sigma."""
     d = X.dim
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:
         mu[1] = Fraction(1)
-    known: dict[object, tuple[Fraction, ...]] = {}
+    known: list[tuple[Complex, tuple[Fraction, ...]]] = []
     for v in range(X.m):
         lk = link(X, (v,))
-        key = None
-        if len(lk.facet_masks) ** 2 * factorial(lk.dim + 1) <= 1 << lk.m:
-            key = _canonical_form(lk)
-        if key is None:
-            key = v
-        if key not in known:
-            known[key] = sigma_vector(lk, field, cap, jobs)
-        sig = known[key]
+        sig = next((s for rep, s in known
+                    if _isomorphisms(lk, rep, 8 << lk.m, first=True)), None)
+        if sig is None:
+            sig = sigma_vector(lk, field, cap, jobs)
+            known.append((lk, sig))
         for i in range(1, d + 1):
             if i - 1 < len(sig):
                 mu[i] += Fraction(sig[i - 1], X.m)
@@ -627,9 +572,10 @@ def is_tight(X: Complex, field: FieldSpec, mode: str = "p18",
             raise BudgetError(f"direct tightness on {X.m} vertices exceeds cap {cap}")
         if not is_connected(X):
             return TightnessResult(False, mode, ((), 0))
+        tests = [_inclusion_test(X, j, field) for j in range(X.dim + 1)]
         for amask in range(1 << X.m):
-            for j in range(X.dim + 1):
-                if not inclusion_injective(X, ids_of(amask), j, field):
+            for j, injective in enumerate(tests):
+                if not injective(amask):
                     return TightnessResult(False, mode,
                                            (tuple(X.name_of(v) for v in bits(amask)), j))
         return TightnessResult(True, mode)

@@ -30,6 +30,10 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert run(["betti", "corpus:torus_7", "--field", "z6"]) == 3
     assert run(["betti", "corpus:torus_7", "--field", "zx"]) == 3
     assert run(["sigma", "corpus:torus_7", "--field", "z"]) == 3
+    # verbs that write no report take no --json; verify-paper's seeds are fixed
+    assert run(["verify-paper", "--json", str(tmp_path / "v.json")]) == 3
+    assert run(["corpus", "list", "--json", str(tmp_path / "c.json")]) == 3
+    assert run(["verify-paper", "--seed", "1"]) == 3
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"1 2 3\n2 3 \xff\n")
     assert run(["betti", str(bad)]) == 3

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
-                          _dominated, antistar, are_isomorphic, boundary, connected_sum,
-                          dual_graph, facet_hash, format_facets, induced,
-                          is_closed_pseudomanifold, is_pseudomanifold,
+                          _dominated, antistar, are_isomorphic, bits, boundary,
+                          connected_sum, dual_graph, facet_hash, format_facets,
+                          induced, is_closed_pseudomanifold, is_pseudomanifold,
                           is_weak_pseudomanifold, join,
                           link, load_facets, mask_of, neighbourliness,
-                          parse_facets, save_facets, skeleton, star)
+                          parse_facets, save_facets, skeleton, star, submasks)
 from stellar.constructions import (corpus, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
+from stellar.moves import _closure_complex
 from stellar.vectors import f_vector
 
 
@@ -335,6 +336,40 @@ def test_antichain_check_matches_quadratic_reference(entries):
     else:
         assert Complex([str(v) for v in ids], norm).facets == tuple(norm)
 
+
+def maximal_reference(masks):
+    """The quadratic filter that ``core._maximal`` replaces: the distinct
+    masks contained in no other mask."""
+    ms = set(masks)
+    return {a for a in ms if not any(a != b and a & b == a for b in ms)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(facet_lists(), st.data())
+def test_maximal_face_constructions_match_quadratic_filter(entries, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        X = Complex.from_facets(entries)  # pure or not
+
+    def names(masks):
+        return {frozenset(X.names_of_mask(a)) for a in maximal_reference(masks)}
+
+    x = data.draw(st.integers(0, X.m - 1))
+    assert antistar(X, x).facet_name_set() == names(
+        f & ~(1 << x) for f in X.facet_masks)
+    face = data.draw(st.sampled_from(sorted(X.faces_of_dim(0) | X.faces_of_dim(1))))
+    assert link(X, bits(face)).facet_name_set() == names(
+        f & ~face for f in X.facet_masks if f & face == face)
+    amask = data.draw(st.integers(0, (1 << X.m) - 1))
+    assert induced(X, bits(amask)).facet_name_set() == names(
+        f & amask for f in X.facet_masks)
+    t = data.draw(st.integers(0, X.dim))
+    assert skeleton(X, t).facet_name_set() == names(
+        s for u in range(t + 1) for s in X.faces_of_dim(u))
+    depth = data.draw(st.integers(1, 3))
+    cliques = [a for a in range(1 << X.m)
+               if all(X.has_face(s) for s in submasks(a) if s.bit_count() <= depth)]
+    assert _closure_complex(X, depth).facet_name_set() == names(cliques)
 
 def _two_spheres(X, Y, shared):
     """X and Y side by side, on disjoint names except ``shared`` of Y's

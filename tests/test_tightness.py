@@ -17,9 +17,9 @@ from stellar.core import (Complex, antistar, are_isomorphic, bits, join, link,
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
                               is_homology_sphere)
 from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
-from stellar.tightness import (BudgetError, _automorphisms, _ball_closure,
-                               _canonical_form, _loop_sums, _orbit_sums,
-                               _sigma_chunk, _subset_sums, criterion_battery,
+from stellar.tightness import (BudgetError, _ball_closure, _isomorphisms,
+                               _loop_sums, _orbit_sums, _sigma_chunk,
+                               _subset_sums, criterion_battery,
                                is_tight, morse_report, mu_vector,
                                mu_via_pairs, p23_bounds, sigma_g_report,
                                sigma_vector)
@@ -229,7 +229,7 @@ ORBIT_POOL = _orbit_pool()
        st.randoms(use_true_random=False))
 def test_orbit_path_matches_loop(i, field, rnd):
     X = relabelled(ORBIT_POOL[i], rnd)
-    group = _automorphisms(X, NO_BUDGET)
+    group = _isomorphisms(X, X, NO_BUDGET)
     assert group
     assert _orbit_sums(X, field, group) == loop_table(X, field)
 
@@ -237,7 +237,7 @@ def test_orbit_path_matches_loop(i, field, rnd):
 @settings(max_examples=30, deadline=None)
 @given(moved_stacked_spheres(), st.sampled_from(ORACLE_FIELDS))
 def test_orbit_path_matches_loop_on_stacked_spheres(X, field):
-    group = _automorphisms(X, NO_BUDGET)  # mostly the identity alone
+    group = _isomorphisms(X, X, NO_BUDGET)  # mostly the identity alone
     assert _orbit_sums(X, field, group) == loop_table(X, field)
 
 
@@ -246,7 +246,7 @@ def test_orbit_path_matches_loop_on_stacked_spheres(X, field):
 def test_orbit_path_matches_loop_on_sign_change_manifolds(corp, name, order):
     for seed, field in enumerate(ORACLE_FIELDS):
         X = relabelled(corp[name].complex, random.Random(seed))
-        group = _automorphisms(X, NO_BUDGET)
+        group = _isomorphisms(X, X, NO_BUDGET)
         assert len(group) == order
         assert _orbit_sums(X, field, group) == loop_table(X, field)
 
@@ -264,7 +264,7 @@ def brute_force_automorphisms(X):
 def test_automorphisms_match_brute_force(corp, name, order):
     X = cross_polytope(3) if name == "cross_polytope_3" else corp[name].complex
     X = relabelled(X, random.Random(0))
-    group = _automorphisms(X, NO_BUDGET)
+    group = _isomorphisms(X, X, NO_BUDGET)
     assert len(set(group)) == len(group)
     assert set(group) == brute_force_automorphisms(X)
     if order is not None:
@@ -277,12 +277,21 @@ def test_automorphisms_match_brute_force(corp, name, order):
 
 
 def test_automorphisms_need_strongly_connected_pseudomanifold_and_budget(corp):
-    for facets in (["123", "345"], ["123", "124", "125"], ["123", "34"]):
-        assert _automorphisms(Complex.from_facets(facets), NO_BUDGET) is None
-    assert _automorphisms(Complex.empty(), NO_BUDGET) is None
+    for facets in (["123", "345"],               # two facets on a vertex
+                   ["123", "124", "125"],        # a ridge on three facets
+                   ["123", "34"]):               # not pure
+        X = Complex.from_facets(facets)
+        assert _isomorphisms(X, X, NO_BUDGET) is None
+        assert _isomorphisms(X, standard_sphere(1), NO_BUDGET) is None
+    empty = Complex.empty()
+    assert _isomorphisms(empty, empty, NO_BUDGET) is None
+    simplex = Complex.from_facets(["123"])
+    assert len(_isomorphisms(simplex, simplex, NO_BUDGET)) == 6
     X = corp["M_2_4"].complex
-    assert _automorphisms(X, 8 << X.m) is not None
-    assert _automorphisms(cross_polytope(5), 8 << 12) is None  # |Aut| = 46,080
+    assert _isomorphisms(X, X, 8 << X.m) is not None
+    cp5 = cross_polytope(5)
+    assert _isomorphisms(cp5, cp5, 8 << 12) is None  # |Aut| = 46,080
+    assert len(_isomorphisms(cp5, cp5, 8 << 12, first=True)) == 1
 
 
 def test_subset_sums_path_by_homology_runs(corp, monkeypatch):
@@ -320,19 +329,13 @@ FORM_POOL = _form_pool()
 @given(st.sampled_from(range(len(FORM_POOL))),
        st.sampled_from(range(len(FORM_POOL))),
        st.randoms(use_true_random=False))
-def test_canonical_form_decides_isomorphism(i, j, rnd):
+def test_isomorphisms_decide_isomorphism(i, j, rnd):
     X, Y = relabelled(FORM_POOL[i], rnd), relabelled(FORM_POOL[j], rnd)
-    assert _canonical_form(X) == _canonical_form(FORM_POOL[i])
-    assert (_canonical_form(X) == _canonical_form(Y)) == are_isomorphic(X, Y)
-
-
-def test_canonical_form_needs_strongly_connected_pseudomanifold():
-    for facets in (["123", "345"],               # two facets on a vertex
-                   ["123", "124", "125"],        # a ridge on three facets
-                   ["123", "34"]):               # not pure
-        assert _canonical_form(Complex.from_facets(facets)) is None
-    assert _canonical_form(Complex.empty()) is None
-    assert _canonical_form(Complex.from_facets(["123"])) is not None
+    found = _isomorphisms(X, Y, NO_BUDGET, first=True)
+    assert bool(found) == are_isomorphic(X, Y)
+    if found:
+        image = {mask_of(found[0][v] for v in bits(f)) for f in X.facet_masks}
+        assert image == set(Y.facet_masks)
 
 
 def _mu_inputs():
@@ -366,6 +369,17 @@ def test_mu_one_sigma_for_isomorphic_links(corp, monkeypatch):
     mu = mu_vector(corp["S3_16"].complex, Z2)  # vertex-transitive under Z_16
     assert len(calls) == 1
     assert mu == (1, Fraction(577, 105), Fraction(577, 105), 1)
+    # vertex-transitive too: 12, 14 and 7 isomorphic links
+    for X in (cross_polytope(5), corp["M_2_5"].complex, corp["torus_7"].complex):
+        calls.clear()
+        mu_vector(X, Z2)
+        assert len(calls) == 1
+    calls.clear()
+    mu_vector(corp["Sigma3_16"].complex, Z2)
+    assert len(calls) <= 9
+    calls.clear()
+    mu_vector(corp["B4_16"].complex, Z2)  # 16 pairwise non-isomorphic links
+    assert len(calls) == 16
 
 
 def test_mu_standard_spheres():
