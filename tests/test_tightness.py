@@ -282,7 +282,6 @@ def test_automorphisms_need_strongly_connected_pseudomanifold_and_budget(corp):
                    ["123", "34"]):               # not pure
         X = Complex.from_facets(facets)
         assert _isomorphisms(X, X, NO_BUDGET) is None
-        assert _isomorphisms(X, standard_sphere(1), NO_BUDGET) is None
     empty = Complex.empty()
     assert _isomorphisms(empty, empty, NO_BUDGET) is None
     simplex = Complex.from_facets(["123"])
@@ -336,6 +335,21 @@ def test_isomorphisms_decide_isomorphism(i, j, rnd):
     if found:
         image = {mask_of(found[0][v] for v in bits(f)) for f in X.facet_masks}
         assert image == set(Y.facet_masks)
+
+
+def test_canonical_form_needs_strongly_connected_pseudomanifold():
+    # the isomorphism search that replaced the canonical form keeps its
+    # domain: a pure, strongly connected weak pseudomanifold
+    for facets in (["123", "345"],               # two facets on a vertex
+                   ["123", "124", "125"],        # a ridge on three facets
+                   ["123", "34"]):               # not pure
+        X = Complex.from_facets(facets)
+        assert _isomorphisms(X, X, NO_BUDGET, first=True) is None
+        assert _isomorphisms(X, standard_sphere(1), NO_BUDGET) is None
+    empty = Complex.empty()
+    assert _isomorphisms(empty, empty, NO_BUDGET, first=True) is None
+    simplex = Complex.from_facets(["123"])
+    assert len(_isomorphisms(simplex, simplex, NO_BUDGET, first=True)) == 1
 
 
 def _mu_inputs():
