@@ -459,15 +459,18 @@ def is_pseudomanifold(X: Complex) -> bool:
 def is_closed_pseudomanifold(X: Complex) -> bool:
     """Pseudomanifold with every (d-1)-face in exactly two facets, from
     one ridge map.  A single point counts, as its boundary is {∅}."""
-    if not X.is_pure():
-        return False
+    return X.is_pure() and _closed_pseudomanifold(X.facet_masks)
+
+
+def _closed_pseudomanifold(facet_masks: Sequence[int]) -> bool:
+    """``is_closed_pseudomanifold`` of the pure complex with these facets."""
     edges = []
-    for r, owners in _ridge_facets(X.facet_masks).items():
+    for r, owners in _ridge_facets(facet_masks).items():
         if len(owners) == 2:
             edges.append(owners)
         elif r or len(owners) > 2:
             return False
-    return DualGraph(len(X.facet_masks), edges).is_connected()
+    return DualGraph(len(facet_masks), edges).is_connected()
 
 
 def _components(vert_masks, edge_masks) -> int:

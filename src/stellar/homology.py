@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Complex, InputError, StructureError, _components, bits,
+from .core import (Complex, InputError, StructureError,
+                   _closed_pseudomanifold, _components, bits,
                    is_closed_pseudomanifold, link, mask_of)
 from .exactlinalg import rank
 
@@ -267,20 +268,49 @@ def _inclusion_test(X: Complex, j: int, field: FieldSpec):
     return injective
 
 
+def _vertex_links(masks) -> dict[int, list[int]]:
+    """v -> the facets of the link of v, as masks in the ids of ``masks``,
+    for a pure facet family (no facet of such a link contains another)."""
+    links: dict[int, list[int]] = {}
+    for fm in masks:
+        for v in bits(fm):
+            links.setdefault(v, []).append(fm ^ (1 << v))
+    return links
+
+
 def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:
     """Is X an F-homology sphere whose vertex links are F-homology
     spheres too (an F-homology manifold), the hypothesis of Alexander
     duality for its induced subcomplexes?  Recursive and exact: in
     dimension 0, exactly two points; in dimension d >= 1, a closed
     pseudomanifold with the Betti numbers of S^d over ``field`` whose
-    every vertex link passes the same test in dimension d - 1."""
+    every vertex link passes the same test in dimension d - 1.
+
+    Up to dimension 3 no link complex is built, and below dimension 3
+    the answer does not depend on the field.  A closed 1-pseudomanifold
+    is a cycle.  In a closed pseudomanifold of dimension 2 or 3 each
+    ridge lies in two facets, so each vertex link L is a closed weak
+    2-pseudomanifold.  If L is strongly connected, splitting each of its
+    vertices into one per component of the vertex's link in L gives a
+    connected closed surface, so chi(L) <= 2, with equality only for
+    S^2.  In dimension 2 that is X itself: it passes iff
+    f_0 - f_1 + f_2 = 2, and then it is S^2, whose homology is that of
+    S^2 over every field.  In dimension 3, with f_2 = 2 f_3, the links
+    satisfy sum_v (chi(lk v) - 2) = -2 chi(X), which is 0 when X has the
+    Betti numbers of S^3; so once every link is strongly connected (a
+    closed pseudomanifold, tested on X's own facet masks), every link has
+    chi = 2 and is S^2."""
     d = X.dim
     if d <= 0:
         return d == 0 and X.m == 2
     if not is_closed_pseudomanifold(X):
         return False
+    if d <= 2:
+        return d == 1 or 2 * X.m - len(X.facets) == 4  # f_1 = 3 f_2 / 2
     if betti(X, field).beta != (1,) + (0,) * (d - 1) + (1,):
         return False
+    if d == 3:
+        return all(map(_closed_pseudomanifold, _vertex_links(X.facet_masks).values()))
     return all(is_homology_sphere(link(X, (v,)), field) for v in range(X.m))
 
 

@@ -14,7 +14,10 @@ check:
 2. Alexander duality -- X is an F-homology sphere of dimension <= 3
    (``homology.is_homology_sphere``): the top Betti numbers of X[A] come
    from the components of X[V - A] and beta_1 of a 3-sphere's X[A] from
-   the Euler characteristic, so each subset costs one component count;
+   the Euler characteristic, so the table needs only the component
+   counts of the induced 1-skeletons summed by size, which
+   ``_component_tallies`` works out for 2^14 subsets at a time as the
+   bits of Python ints;
 3. the ball path -- X is pure of dimension <= 3 with a boundary and
    S = X u w * bd(X) passes the same test: X[A] = S[A] whenever A avoids
    the new vertex w, so the table of X is S's duality table over those A;
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import and_, or_
 
@@ -54,6 +57,7 @@ from .vectors import f_vector, g_vector
 SIGMA_CAP = 16
 DIRECT_CAP = 12
 LARGE_LOOP = 1 << 12  # subsets from which a loop is split or run up to symmetry
+BLOCK = 14  # vertices whose subsets share one int in _component_tallies
 
 
 class BudgetError(ComplexError):
@@ -121,34 +125,78 @@ def _byte_tables(images: list[int]) -> list[list[int]]:
     return tables
 
 
-def _neighbour_tables(X: Complex) -> list[list[int]]:
-    """Byte-sliced neighbourhood tables of the 1-skeleton (``_byte_tables``
-    of each vertex's neighbours)."""
-    adj = [0] * X.m
-    for e in X.faces_of_dim(1):
-        lo = e & -e
-        adj[lo.bit_length() - 1] |= e ^ lo
-        adj[(e ^ lo).bit_length() - 1] |= lo
-    return _byte_tables(adj)
+@lru_cache(maxsize=None)
+def _block_sets(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sets of the masks A < 2^width as ints with bit A set: members[u]
+    holds the A that contain vertex u, and sizes[k] the A of k elements."""
+    full = (1 << (1 << width)) - 1
+    members = []
+    for u in range(width):
+        run = 1 << u  # 2^u masks without u, then 2^u with it, repeated
+        members.append(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    sizes = [1]
+    for u in range(width):
+        sizes = [(sizes[k] if k <= u else 0) | (sizes[k - 1] << (1 << u) if k else 0)
+                 for k in range(u + 2)]
+    return tuple(members), tuple(sizes)
 
 
-def _count_components(tables: list[list[int]], amask: int) -> int:
-    """Number of connected components of the 1-skeleton induced on amask."""
-    n = 0
-    while amask:
-        comp = amask & -amask
-        while True:
-            grown, s = comp, comp
-            for table in tables:
-                grown |= table[s & 255]
-                s >>= 8
-            grown &= amask
-            if grown == comp:
-                break
-            comp = grown
-        amask ^= comp
-        n += 1
-    return n
+def _component_tallies(adj: list[int]) -> tuple[list[int], list[int]]:
+    """(avoid, contain): avoid[k] sums the number of components of the
+    graph induced on A over the k-subsets A of its vertices 0..n-1 that
+    avoid the last vertex, and contain[k] over those that contain it;
+    adj[u] is the mask of u's neighbours.
+
+    Bit-parallel over blocks of 2^BLOCK masks: each mask A of a block is
+    one bit of an int, P[u] has bit A set iff u is in A, and the vertices
+    from BLOCK up are fixed inside a block, so the ints take 2^BLOCK bits
+    whatever n is.  Components are counted by their least vertex.  For
+    each root v, R[u] is the set of A in which a path inside A joins v to
+    u through vertices >= v: R[v] = P[v], then R[u] |= P[u] & R[w] for a
+    neighbour w until nothing changes.  The first vertex below v on a path
+    from v is a neighbour of such a u, so v is least in its component of
+    A iff no reached u has a neighbour w < v in A:
+    lead = P[v] & ~OR_u (R[u] & OR_{w < v in N(u)} P[w]).  The counts by
+    size and side come from ``bit_count`` of lead against the size sets."""
+    n = len(adj)
+    width = min(n, BLOCK)
+    low, sizes = _block_sets(width)
+    full = (1 << (1 << width)) - 1
+    nbrs = [ids_of(a) for a in adj]
+    avoid, contain = [0] * (n + 1), [0] * (n + 1)
+    for high in range(0, 1 << n, 1 << width):
+        P = list(low) + [full if high >> u & 1 else 0 for u in range(width, n)]
+        last = P[n - 1]
+        base = high.bit_count()
+        classes = [(tally, base + k, c & side)
+                   for tally, side in ((avoid, ~last), (contain, last))
+                   for k, c in enumerate(sizes)]
+        classes = [cls for cls in classes if cls[2]]
+        below = [0] * n  # below[u]: OR of P[w] over the neighbours w < v of u
+        for v in range(n):
+            pv = P[v]
+            if not pv:
+                continue
+            R = {v: pv}
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                ru = R[u]
+                for x in nbrs[u]:
+                    if x > v:
+                        old = R.get(x, 0)
+                        new = old | (P[x] & ru)
+                        if new != old:
+                            R[x] = new
+                            stack.append(x)
+            lead = pv
+            for u, ru in R.items():
+                lead &= ~(ru & below[u])
+            for tally, k, c in classes:
+                tally[k] += (lead & c).bit_count()
+            for x in nbrs[v]:
+                below[x] |= pv
+    return avoid, contain
 
 
 def _duality_sums(X: Complex, S: Complex) -> list[list[int]]:
@@ -159,17 +207,20 @@ def _duality_sums(X: Complex, S: Complex) -> list[list[int]]:
     beta_{d-1}(X[A]) = beta_0(S[V(S) - A]); for d = 3, beta_1 follows from
     the reduced Euler characteristic of X[A], whose sum over the j-subsets
     is sum_t (-1)^t f_t(X) C(m-t-1, j-t-1) - C(m, j).  So the table needs
-    the component counts of S[B], tallied apart for the B that avoid w
-    (beta_0 of X[B]) and the B that contain it (complements)."""
+    the sums of reduced beta_0(S[B]) over the k-subsets B, tallied apart
+    for the B that avoid w (beta_0 of X[B]) and the B that contain it
+    (complements): ``_component_tallies`` of S's 1-skeleton, less one per
+    subset."""
     m, n, d = X.m, S.m, X.dim
-    tables = _neighbour_tables(S)
-    half = 1 << (n - 1)
-    without = [0] * (n + 1)  # sum of reduced beta_0(S[B]) over the k-subsets B
-    with_w = [0] * (n + 1)   # that avoid, or contain, the last vertex
-    for amask in range(1, half):
-        without[amask.bit_count()] += _count_components(tables, amask) - 1
-    for amask in range(half, 2 * half - 1):
-        with_w[amask.bit_count()] += _count_components(tables, amask) - 1
+    adj = [0] * n
+    for e in S.faces_of_dim(1):
+        lo = e & -e
+        adj[lo.bit_length() - 1] |= e ^ lo
+        adj[(e ^ lo).bit_length() - 1] |= lo
+    avoid, contain = _component_tallies(adj)
+    # one component less per nonempty subset; with_w[n], for V(S), is unused
+    without = [0] + [avoid[k] - comb(n - 1, k) for k in range(1, n + 1)]
+    with_w = [0] + [contain[k] - comb(n - 1, k - 1) for k in range(1, n + 1)]
     ball = n > m
     sums = [[0] * (m + 1) for _ in range(d + 1)]
     sums[0][0] = -1
@@ -226,13 +277,51 @@ def _face_counts(masks: tuple[int, ...]) -> dict[int, int]:
     return count
 
 
-def _isomorphisms(X: Complex, Y: Complex, budget: int,
+class _Walk:
+    """What ``_isomorphisms`` works out about a complex X before it
+    searches, kept so that a complex compared with many others is worked
+    out once: ``across`` (``_across`` of the facets; None when X is empty
+    or not pure), ``walk`` (the breadth-first walk below; None unless it
+    reaches every facet) and ``count`` (``_face_counts``, built at its
+    first use)."""
+
+    __slots__ = ("X", "across", "walk", "_count")
+
+    def __init__(self, X: Complex):
+        self.X = X
+        self.across = self.walk = self._count = None
+        if X.dim < 0 or not X.is_pure():
+            return
+        masks = X.facet_masks
+        across = self.across = _across(masks)
+        if across is None:
+            return
+        walk = []  # (i, v, j, w) as in _isomorphisms, in breadth-first order
+        queue, reached = [0], {0}
+        for i in queue:
+            for v, j in sorted(across[i].items()):
+                if j not in reached:
+                    reached.add(j)
+                    queue.append(j)
+                    walk.append((i, v, j, (masks[j] & ~masks[i]).bit_length() - 1))
+        if len(queue) == len(masks):
+            self.walk = walk
+
+    @property
+    def count(self) -> dict[int, int]:
+        if self._count is None:
+            self._count = _face_counts(self.X.facet_masks)
+        return self._count
+
+
+def _isomorphisms(X: Complex | _Walk, Y: Complex | _Walk, budget: int,
                   first: bool = False) -> list[tuple[int, ...]] | None:
     """The isomorphisms from X onto Y as vertex maps (perm[v] is the id in
     Y of the image of X's vertex v) when X is a pure, strongly connected
     weak pseudomanifold; None for any other X, or once the search has cost
     more than ``budget`` steps.  With Y = X the list is Aut(X); with
-    ``first`` the search stops at the first map it finds.
+    ``first`` the search stops at the first map it finds.  X and Y may be
+    given as their ``_Walk``.
 
     A breadth-first walk across ridges from facet 0 of X reaches every
     facet j from a facet i through the ridge i - v, and j adds one vertex
@@ -250,35 +339,27 @@ def _isomorphisms(X: Complex, Y: Complex, budget: int,
 
     Steps: F * 2^(d+1) for the face counts of each complex, one per
     candidate vertex of a flag and one per face it is compared on when it
-    fits, one per ridge crossed and F per exact check."""
-    if X.dim < 0 or not X.is_pure():
+    fits, one per ridge crossed and F per exact check.  The face counts
+    are charged whether or not a ``_Walk`` already holds them, so a
+    verdict does not depend on what was worked out before."""
+    same = Y is X
+    x = X if isinstance(X, _Walk) else _Walk(X)
+    walk = x.walk
+    if walk is None:
         return None
-    masks = X.facet_masks
-    across = _across(masks)
-    if across is None:
-        return None
-    walk = []  # (i, v, j, w) as above, in breadth-first order
-    queue, reached = [0], {0}
-    for i in queue:
-        for v, j in sorted(across[i].items()):
-            if j not in reached:
-                reached.add(j)
-                queue.append(j)
-                walk.append((i, v, j, (masks[j] & ~masks[i]).bit_length() - 1))
-    if len(queue) < len(masks):
-        return None  # not strongly connected
+    X, masks = x.X, x.X.facet_masks
     n = X.dim + 1
-    steps = (len(masks) << n) * (1 if Y is X else 2)
+    steps = (len(masks) << n) * (1 if same else 2)
     if steps > budget:
         return None
-    ymasks = Y.facet_masks
-    if (Y.m, Y.dim, len(ymasks)) != (X.m, X.dim, len(masks)):
+    y = x if same else Y if isinstance(Y, _Walk) else _Walk(Y)
+    ymasks = y.X.facet_masks
+    if (y.X.m, y.X.dim, len(ymasks)) != (X.m, X.dim, len(masks)):
         return []
-    yacross = across if Y is X else _across(ymasks)
+    yacross = y.across
     if yacross is None:
         return []
-    count = _face_counts(masks)
-    ycount = count if Y is X else _face_counts(ymasks)
+    count, ycount = x.count, y.count
     kind = sorted(count[s] for s in submasks(masks[0]))
     base = ids_of(masks[0])
     facets = set(ymasks)
@@ -428,21 +509,23 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     Isomorphic links have one sigma.  Each link is compared with the links
     that got a sigma of their own before it, and takes the sigma of the
     first one that ``_isomorphisms`` maps it onto within the orbit path's
-    budget of 8 * 2^m steps (m = the link's vertex count).  A link that
+    budget of 8 * 2^m steps (m = the link's vertex count); what the search
+    needs of each link is worked out once, as its ``_Walk``.  A link that
     matches none, or is not a pure, strongly connected weak
     pseudomanifold, gets its own sigma."""
     d = X.dim
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:
         mu[1] = Fraction(1)
-    known: list[tuple[Complex, tuple[Fraction, ...]]] = []
+    known: list[tuple[_Walk, tuple[Fraction, ...]]] = []
     for v in range(X.m):
         lk = link(X, (v,))
+        walked = _Walk(lk)
         sig = next((s for rep, s in known
-                    if _isomorphisms(lk, rep, 8 << lk.m, first=True)), None)
+                    if _isomorphisms(walked, rep, 8 << lk.m, first=True)), None)
         if sig is None:
             sig = sigma_vector(lk, field, cap, jobs)
-            known.append((lk, sig))
+            known.append((walked, sig))
         for i in range(1, d + 1):
             if i - 1 < len(sig):
                 mu[i] += Fraction(sig[i - 1], X.m)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stellar.constructions import (corpus, klee_novik, moebius_torus_7,
+from stellar.constructions import (corpus, cross_polytope, klee_novik,
+                                   moebius_torus_7,
                                    random_stacked_ball, random_stacked_sphere,
                                    real_projective_plane_6, standard_ball,
                                    standard_sphere)
-from stellar.core import Complex, InputError, bits, induced, link, mask_of
+from stellar.core import (Complex, InputError, antistar, bits, induced,
+                          is_closed_pseudomanifold, join, link, mask_of)
 from stellar.exactlinalg import rank
 from stellar.homology import (QQ, FieldSpec, _boundary_col_signed,
                               _boundary_ranks, _faces_by_dim, _is_prime,
@@ -21,7 +23,7 @@ from stellar.homology import (QQ, FieldSpec, _boundary_col_signed,
                               reduced_betti_of_faces, relative_betti,
                               relative_betti_pair)
 from stellar.moves import apply_bistellar, enumerate_bistellar
-from stellar.tightness import mu_via_pairs
+from stellar.tightness import _ball_closure, mu_via_pairs
 from stellar.vectors import f_vector
 
 ORACLE_FIELDS = (QQ, FieldSpec.prime(2), FieldSpec.prime(3))
@@ -453,3 +455,152 @@ def test_inclusion_injective_matches_cycle_boundary_meet(corp):
                     failures += not got
     assert failures > 0  # the inputs reach the non-injective case
 
+
+
+# -- the homology-sphere gate --------------------------------------------------
+
+
+def recursive_sphere_test(X, field):
+    """``is_homology_sphere`` as a plain recursion in every dimension: a
+    closed pseudomanifold with the Betti numbers of S^d over ``field``
+    whose vertex links, built as complexes, pass in dimension d - 1.  The
+    oracle of the gate's field-free tests below dimension 3."""
+    d = X.dim
+    if d <= 0:
+        return d == 0 and X.m == 2
+    if not is_closed_pseudomanifold(X):
+        return False
+    if betti(X, field).beta != (1,) + (0,) * (d - 1) + (1,):
+        return False
+    return all(recursive_sphere_test(link(X, (v,)), field) for v in range(X.m))
+
+
+@st.composite
+def walked_spheres(draw):
+    """A random stacked 1-, 2- or 3-sphere after a bistellar walk of up
+    to four moves."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    X = random_stacked_sphere(d, draw(st.integers(d + 2, 11)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    for _ in range(draw(st.integers(0, 4))):
+        moves = enumerate_bistellar(X)
+        if not moves:
+            break
+        X = apply_bistellar(X, draw(st.sampled_from(moves)))
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(walked_spheres(), st.sampled_from(ORACLE_FIELDS))
+def test_sphere_gate_matches_recursion_on_walked_spheres(X, field):
+    assert is_homology_sphere(X, field)
+    assert recursive_sphere_test(X, field)
+
+
+def _pinched_sphere():
+    """A 2-sphere (a triangular tube of two layers, capped by N and S)
+    with N and S made one vertex: a strongly connected closed
+    pseudomanifold whose link at N is two triangles, chi = 1."""
+    rings = [["a0", "a1", "a2"], ["b0", "b1", "b2"], ["c0", "c1", "c2"]]
+    facets = [["N", rings[0][i], rings[0][(i + 1) % 3]] for i in range(3)]
+    facets += [["N", rings[2][i], rings[2][(i + 1) % 3]] for i in range(3)]
+    for lo, hi in zip(rings, rings[1:]):
+        for i in range(3):
+            j = (i + 1) % 3
+            facets += [[lo[i], lo[j], hi[i]], [lo[j], hi[i], hi[j]]]
+    return Complex.from_facets(facets)
+
+
+def _folded_sphere():
+    """A stacked 3-sphere with two vertices u, v made one, where u and v
+    are not adjacent and have one common neighbour w: the edges uw and vw
+    fold into one, so no two facets or triangles meet and the result keeps
+    the homotopy type of S^3 and is a closed pseudomanifold, but the link
+    of u is two 2-spheres on the vertex w, and that of w is a pinched
+    sphere."""
+    S = random_stacked_sphere(3, 12, seed=0)
+    nbrs = [0] * S.m
+    for e in S.faces_of_dim(1):
+        for x in bits(e):
+            nbrs[x] |= e ^ (1 << x)
+    u, v = next((u, v) for v in range(S.m) for u in range(v)
+                if not nbrs[u] >> v & 1 and (nbrs[u] & nbrs[v]).bit_count() == 1)
+    rename = {S.names[v]: S.names[u]}
+    return Complex.from_facets([[rename.get(n, n) for n in f]
+                                for f in S.facets_as_names()])
+
+
+def _renamed(X, prefix, keep=()):
+    return Complex.from_facets([[n if n in keep else prefix + n for n in f]
+                                for f in X.facets_as_names()])
+
+
+def _gate_inputs():
+    c = corpus()
+    poles = Complex.from_facets([["n"], ["s"]])
+    octa = cross_polytope(2)
+    out = {name: e.complex for name, e in c.items() if e.complex.dim in (2, 3)}
+    for name in ("lutz_S2_8", "ziegler_S2_10", "lutz_S3_8", "ziegler_S3_10"):
+        S = c[name].complex
+        for v in (0, S.m - 1):
+            out[f"closure(antistar({name},{v}))"] = _ball_closure(antistar(S, v))
+    for d in (1, 2, 3):
+        for seed in range(3):
+            ball = random_stacked_ball(d, 2 + 3 * seed, seed=seed)
+            out[f"closure(stacked {d}-ball {seed})"] = _ball_closure(ball)
+    out.update({
+        "susp(torus_7)": join(c["torus_7"].complex, poles),
+        "susp(rp2_6)": join(c["rp2_6"].complex, poles),
+        "pinched sphere": _pinched_sphere(),
+        "folded 3-sphere": _folded_sphere(),
+        # two octahedra on one vertex, and on two: the second has chi = 2
+        "octahedra on x1": Complex.from_facets(
+            octa.facets_as_names() + _renamed(octa, "b", ("x1",)).facets_as_names()),
+        "octahedra on x1, y1": Complex.from_facets(
+            octa.facets_as_names()
+            + _renamed(octa, "b", ("x1", "y1")).facets_as_names()),
+        "octahedron + torus": Complex.from_facets(
+            octa.facets_as_names() + _renamed(c["torus_7"].complex, "t").facets_as_names()),
+        "non-pure 2-complex": Complex.from_facets(["abc", "cde", "ea"]),
+        "non-pure 3-complex": Complex.from_facets(["abcd", "bcde", "ef"]),
+        "cycle": Complex.from_facets(["ab", "bc", "cd", "da"]),
+        "two cycles": Complex.from_facets(["ab", "bc", "ca", "de", "ef", "fd"]),
+        "S^1 * S^2": join(_renamed(standard_sphere(1), "a"),
+                          _renamed(standard_sphere(2), "b")),
+        "cross_polytope(4)": cross_polytope(4),
+    })
+    return out
+
+
+GATE_INPUTS = _gate_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(GATE_INPUTS))
+def test_sphere_gate_matches_recursion(name):
+    X = GATE_INPUTS[name]
+    for field in ORACLE_FIELDS:
+        assert is_homology_sphere(X, field) == recursive_sphere_test(X, field), str(field)
+
+
+def test_sphere_gate_inputs_reach_every_verdict():
+    # each test of the gate is the only one to reject some input: in
+    # dimension 2, chi (a torus) and strong connectivity (two octahedra on
+    # two vertices, an octahedron beside a torus: chi = 2 for both); in
+    # dimension 3, the links (the folded sphere has the Betti numbers of
+    # S^3 over every field)
+    verdicts = {name: is_homology_sphere(X, QQ) for name, X in GATE_INPUTS.items()}
+    folded = GATE_INPUTS["folded 3-sphere"]
+    assert is_closed_pseudomanifold(folded)
+    for field in ORACLE_FIELDS:
+        assert betti(folded, field).beta == (1, 0, 0, 1)
+    assert not any(verdicts[n] for n in (
+        "folded 3-sphere",
+        "torus_7", "pinched sphere", "octahedra on x1", "octahedra on x1, y1",
+        "octahedron + torus", "susp(torus_7)", "susp(rp2_6)", "two cycles",
+        "non-pure 2-complex", "non-pure 3-complex", "M_1_3"))
+    assert all(verdicts[n] for n in (
+        "lutz_S2_8", "Sigma3_16", "cycle", "S^1 * S^2", "cross_polytope(4)",
+        "closure(antistar(lutz_S3_8,0))", "closure(stacked 3-ball 2)"))
+    for name in ("octahedra on x1, y1", "octahedron + torus"):
+        X = GATE_INPUTS[name]
+        assert 2 * X.m - len(X.facets) == 4  # chi = 2, as each edge is in two triangles

@@ -1,5 +1,6 @@
 """Sigma/mu-vectors, Morse reports, tightness and the criterion battery."""
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -17,7 +18,8 @@ from stellar.core import (Complex, antistar, are_isomorphic, bits, join, link,
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
                               is_homology_sphere)
 from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
-from stellar.tightness import (BudgetError, _ball_closure, _isomorphisms,
+from stellar.tightness import (BudgetError, _ball_closure, _byte_tables,
+                               _component_tallies, _isomorphisms,
                                _loop_sums, _orbit_sums, _sigma_chunk,
                                _subset_sums, criterion_battery,
                                is_tight, morse_report, mu_vector,
@@ -200,6 +202,111 @@ def test_ball_gate_rejects(corp):
         assert not is_homology_sphere(closure, field)  # it is RP^2
         for X in (mobius, nonpure):
             assert _subset_sums(X, field) == loop_table(X, field)
+
+
+def count_components(tables, amask):
+    """Components of the graph induced on amask, flooded one subset at a
+    time over ``_byte_tables`` of the neighbourhoods: the oracle of the
+    bit-parallel tallies."""
+    n = 0
+    while amask:
+        comp = amask & -amask
+        while True:
+            grown, s = comp, comp
+            for table in tables:
+                grown |= table[s & 255]
+                s >>= 8
+            grown &= amask
+            if grown == comp:
+                break
+            comp = grown
+        amask ^= comp
+        n += 1
+    return n
+
+
+def flood_tallies(adj):
+    n = len(adj)
+    tables = _byte_tables(adj)
+    avoid, contain = [0] * (n + 1), [0] * (n + 1)
+    for amask in range(1 << n):
+        side = contain if amask >> (n - 1) & 1 else avoid
+        side[amask.bit_count()] += count_components(tables, amask)
+    return avoid, contain
+
+
+def adjacency(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 13))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from((0.1, 0.3, 0.6, 1.0)))
+    rnd = draw(st.randoms(use_true_random=False))
+    return adjacency(n, [e for e in pairs if rnd.random() < density])
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_component_tallies_match_flood_fill(adj):
+    assert _component_tallies(adj) == flood_tallies(adj)
+
+
+def forest_tallies(n, edges):
+    """The tallies of a forest: components(A) = |A| - (edges inside A),
+    summed over the k-subsets that avoid or contain the last vertex w."""
+    at_w = sum(n - 1 in e for e in edges)
+    rest = len(edges) - at_w
+
+    def c(a, b):
+        return comb(a, b) if 0 <= b <= a else 0
+
+    avoid = [k * c(n - 1, k) - rest * c(n - 3, k - 2) for k in range(n + 1)]
+    contain = [k * c(n - 1, k - 1) - at_w * c(n - 2, k - 2) - rest * c(n - 3, k - 3)
+               for k in range(n + 1)]
+    return avoid, contain
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_component_tallies_across_blocks(n):
+    # from n = 15 on a block holds 2^14 masks and the vertices above are
+    # fixed in it; forests and the complete graph have closed forms
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    forests = {
+        "empty": [],
+        "path": [(order[i], order[i + 1]) for i in range(n - 1)],
+        "path and isolated vertices": [(order[i], order[i + 1]) for i in range(n // 2)],
+        "star": [(order[0], v) for v in order[1:]],
+    }
+    for name, edges in forests.items():
+        assert _component_tallies(adjacency(n, edges)) == forest_tallies(n, edges), name
+    complete = adjacency(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert _component_tallies(complete) == (
+        [0] + [comb(n - 1, k) for k in range(1, n + 1)],
+        [0] + [comb(n - 1, k - 1) for k in range(1, n + 1)])
+
+
+def test_component_tallies_memory_is_one_block():
+    # a mask set over all 2^18 subsets would take 32 KiB per int; the
+    # blocks keep every int at 2^14 bits (2 KiB), so the peak stays far
+    # below one 2^18-bit int per vertex (18 * 32 KiB)
+    n = 18
+    complete = adjacency(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    _component_tallies(adjacency(n, []))  # fill the cache of the block sets
+    tracemalloc.start()
+    try:
+        _component_tallies(complete)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 NO_BUDGET = 1 << 60
