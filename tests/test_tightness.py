@@ -273,24 +273,28 @@ def forest_tallies(n, edges):
     return avoid, contain
 
 
-@pytest.mark.parametrize("n", [15, 16, 17, 18])
+@pytest.mark.parametrize("n", [10, 15, 16, 17, 18])
 def test_component_tallies_across_blocks(n):
     # from n = 15 on a block holds 2^14 masks and the vertices above are
-    # fixed in it; forests and the complete graph have closed forms
+    # fixed in it; forests and the complete graph have closed forms, which
+    # the flood fill checks at n = 10
     order = list(range(n))
     random.Random(n).shuffle(order)
-    forests = {
+    graphs = {
         "empty": [],
         "path": [(order[i], order[i + 1]) for i in range(n - 1)],
         "path and isolated vertices": [(order[i], order[i + 1]) for i in range(n // 2)],
         "star": [(order[0], v) for v in order[1:]],
     }
-    for name, edges in forests.items():
-        assert _component_tallies(adjacency(n, edges)) == forest_tallies(n, edges), name
-    complete = adjacency(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    assert _component_tallies(complete) == (
-        [0] + [comb(n - 1, k) for k in range(1, n + 1)],
-        [0] + [comb(n - 1, k - 1) for k in range(1, n + 1)])
+    expected = {name: forest_tallies(n, edges) for name, edges in graphs.items()}
+    graphs["complete"] = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    expected["complete"] = ([0] + [comb(n - 1, k) for k in range(1, n + 1)],
+                            [0] + [comb(n - 1, k - 1) for k in range(1, n + 1)])
+    for name, edges in graphs.items():
+        adj = adjacency(n, edges)
+        assert _component_tallies(adj) == expected[name], name
+        if n <= 13:
+            assert flood_tallies(adj) == expected[name], name
 
 
 def test_component_tallies_memory_is_one_block():
