@@ -362,12 +362,14 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return BADINPUT if exc.code not in (0, None) else OK
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        if jobs < 1:
-            print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+    for flag, least in (("jobs", 1), ("cap", 0), ("budget", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            print(f"error: --{flag} must be at least {least}, got {value}",
+                  file=sys.stderr)
             return BADINPUT
-        args.jobs = min(jobs, os.cpu_count() or 1)
+    if getattr(args, "jobs", None) is not None:
+        args.jobs = min(args.jobs, os.cpu_count() or 1)
     try:
         return args.fn(args)
     except BudgetError as exc:

@@ -493,6 +493,19 @@ def _components(vert_masks, edge_masks) -> int:
     return n
 
 
+def _map_jobs(fn, tasks: list, jobs: int) -> list:
+    """[fn(t) for t in tasks], in a pool of ``jobs`` worker processes when
+    jobs > 1.  ``fn`` and the tasks are pickled, so fn is a module-level
+    function.  The pool uses the platform's default start method: a
+    spawned worker would re-run a calling script that lacks a
+    ``__main__`` guard."""
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    from multiprocessing import Pool
+    with Pool(jobs) as pool:
+        return pool.map(fn, tasks)
+
+
 def is_connected(X: Complex) -> bool:
     return X.m <= 1 or _components(X.faces_of_dim(0), X.faces_of_dim(1)) == 1
 

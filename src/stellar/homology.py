@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .core import (Complex, InputError, StructureError,
                    _closed_pseudomanifold, _components, bits,
-                   is_closed_pseudomanifold, link, mask_of)
+                   is_closed_pseudomanifold, link, mask_of, submasks)
 from .exactlinalg import rank
 
 
@@ -195,44 +195,38 @@ def reduced_betti(X: Complex, field: FieldSpec) -> tuple[int, ...]:
     return tuple(reduced_betti_of_faces(_faces_by_dim(X), field, X.dim))
 
 
+def _relative_betti(X: Complex, keep, field: FieldSpec) -> list[int]:
+    """Betti numbers of a pair of subcomplexes of X whose relative chains
+    are spanned by the faces f of X with ``keep(f)``."""
+    rel = [[f for f in X.faces_of_dim(t) if keep(f)] for t in range(X.dim + 1)]
+    ranks = _boundary_ranks(rel, field, relative=True)
+    return [len(rel[i]) - ranks[i] - ranks[i + 1] for i in range(len(rel))]
+
+
 def relative_betti(X: Complex, A, B, field: FieldSpec) -> list[int]:
     """Betti numbers of the pair (X[B], X[A]) for vertex-id sets A <= B."""
     amask = mask_of(A)
     bmask = mask_of(B)
     if amask & ~bmask:
         raise InputError("relative_betti needs A to be a subset of B")
-    nota = ~bmask
-    rel = [[f for f in X.faces_of_dim(t) if not f & nota and f & ~amask]
-           for t in range(X.dim + 1)]
-    ranks = _boundary_ranks(rel, field, relative=True)
-    return [len(rel[i]) - ranks[i] - ranks[i + 1] for i in range(len(rel))]
+    return _relative_betti(X, lambda f: not f & ~bmask and f & ~amask, field)
 
 
 def relative_betti_pair(X: Complex, Y: Complex, field: FieldSpec) -> list[int]:
     """Betti numbers of the pair (X, Y) for an arbitrary subcomplex Y of X
     (matched by vertex names); used where the subcomplex is not induced,
     e.g. a ball modulo its boundary."""
-    yfaces = {frozenset(f) for ft in Y.facets_as_names()
-              for f in _name_subsets(ft)}
+    yfaces = set()  # the faces of Y as masks over X's ids
     for ft in Y.facets_as_names():
         try:
-            present = X.has_face(X.mask_from_names(ft))
+            fm = X.mask_from_names(ft)
         except InputError:  # a vertex name that X does not have
-            present = False
-        if not present:
+            fm = None
+        if fm is None or not X.has_face(fm):
             raise InputError(f"pair subcomplex facet {ft} is not in the "
                              "ambient complex")
-    rel = [[f for f in X.faces_of_dim(t)
-            if frozenset(X.names_of_mask(f)) not in yfaces]
-           for t in range(X.dim + 1)]
-    ranks = _boundary_ranks(rel, field, relative=True)
-    return [len(rel[i]) - ranks[i] - ranks[i + 1] for i in range(len(rel))]
-
-
-def _name_subsets(names):
-    from itertools import combinations
-    for r in range(len(names) + 1):
-        yield from combinations(names, r)
+        yfaces.update(submasks(fm))
+    return _relative_betti(X, lambda f: f not in yfaces, field)
 
 
 def inclusion_injective(X: Complex, A, j: int, field: FieldSpec) -> bool:

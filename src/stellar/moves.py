@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, _maximal, _renumbered, _ridge_facets, bits,
-                   boundary, dual_graph, facet_hash, is_connected,
-                   is_closed_pseudomanifold, link, mask_of, popcount,
-                   submasks)
+                   StructureError, _map_jobs, _maximal, _renumbered,
+                   _ridge_facets, bits, boundary, dual_graph, facet_hash,
+                   is_connected, is_closed_pseudomanifold, link, mask_of,
+                   popcount, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -755,21 +755,14 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
     every link is certified."""
     if not is_connected(M):
         raise StructureError("W_k membership needs a connected complex")
-    links = []
+    tasks = []
     for v in range(M.m):
         lk = link(M, (v,))
         if not is_closed_pseudomanifold(lk):
             raise StructureError(
                 f"link of vertex {M.name_of(v)} is not a closed pseudomanifold")
-        links.append(lk)
-    tasks = [(lk.facets_as_names(), k, budget, seed + v)
-             for v, lk in enumerate(links)]
-    if jobs > 1:
-        from multiprocessing import Pool
-        with Pool(jobs) as pool:
-            outcomes = pool.map(_wk_task, tasks)
-    else:
-        outcomes = [_wk_task(t) for t in tasks]
+        tasks.append((lk.facets_as_names(), k, budget, seed + v))
+    outcomes = _map_jobs(_wk_task, tasks, jobs)
     per_vertex = {M.name_of(v): out for v, out in enumerate(outcomes)}
     verdict = "member" if all(o.found for o in outcomes) else "undetermined"
     return WkMembershipReport(k, per_vertex, verdict)

@@ -5,12 +5,12 @@ over all vertex subsets (guarded by a cap on the vertex count); the
 mu-vector averages link sigmas.  Everything is exact rational arithmetic.
 
 The integer table behind sigma (sum of reduced beta_i over the j-subsets)
-comes from the first of five paths whose hypothesis passes an exact
+comes from the first of four paths whose hypothesis passes an exact
 check:
 
 1. cone apex -- some vertex a lies in every facet, so X = a * L: induced
    subcomplexes containing a are contractible and the others are those
-   of L, whose table goes back through the same five paths;
+   of L, whose table goes back through the same four paths;
 2. Alexander duality -- X is an F-homology sphere of dimension <= 3
    (``homology.is_homology_sphere``): the top Betti numbers of X[A] come
    from the components of X[V - A] and beta_1 of a 3-sphere's X[A] from
@@ -21,15 +21,15 @@ check:
 3. the ball path -- X is pure of dimension <= 3 with a boundary and
    S = X u w * bd(X) passes the same test: X[A] = S[A] whenever A avoids
    the new vertex w, so the table of X is S's duality table over those A;
-4. the orbit path -- the loop below would visit at least 2^12 subsets,
-   X is a pure, strongly connected weak pseudomanifold, and a search of
-   at most 8 * 2^m steps finds a nontrivial automorphism group G
-   (``_isomorphisms`` from X to itself): X[A] and X[g(A)] are isomorphic,
-   so one homology run per G-orbit of subsets, weighted by the orbit's
-   size, gives the table;
-5. the subset loop -- one homology run per subset, in fixed
-   ascending-mask blocks so multi-process runs reduce deterministically.
-   It is the oracle the tests compare the other four paths with.
+4. the class path (``_class_sums``) -- one homology run per class
+   {g(A) : g in G} of vertex subsets, weighted by the class's size, as
+   X[A] and X[g(A)] are isomorphic.  G is the automorphism group of X
+   when there are at least 2^12 subsets, X is a pure, strongly connected
+   weak pseudomanifold, and a search of at most 8 * 2^m steps finds it
+   (``_isomorphisms`` from X to itself); otherwise G holds the identity
+   alone and this is the subset loop, one run per subset.  From 2^12
+   classes up, the runs are split over ``jobs`` processes.  The tests
+   compare every path with a plain subset loop of their own.
 
 The mu-vector computes one sigma per isomorphism class of links that the
 same search tells apart: a link shares the sigma of an earlier link when
@@ -45,9 +45,9 @@ from functools import lru_cache, reduce
 from math import comb
 from operator import and_, or_
 
-from .core import Complex, ComplexError, _ridge_facets, bits, ids_of, \
-    is_closed_pseudomanifold, is_connected, link, mask_of, neighbourliness, \
-    popcount, submasks
+from .core import Complex, ComplexError, _map_jobs, _ridge_facets, bits, \
+    ids_of, is_closed_pseudomanifold, is_connected, link, mask_of, \
+    neighbourliness, popcount, submasks
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
     _faces_by_dim, _inclusion_test, betti, is_homology_sphere, orientable, \
@@ -56,57 +56,12 @@ from .vectors import f_vector, g_vector
 
 SIGMA_CAP = 16
 DIRECT_CAP = 12
-LARGE_LOOP = 1 << 12  # subsets from which a loop is split or run up to symmetry
+LARGE_LOOP = 1 << 12  # subsets to seek a group from; classes to split runs from
 BLOCK = 14  # vertices whose subsets share one int in _component_tallies
 
 
 class BudgetError(ComplexError):
     """A subset-enumeration cap was exceeded (override with cap=None)."""
-
-
-def _sigma_chunk(args) -> list[list[int]]:
-    """Integer sums S[i][j] = sum of reduced beta_i over induced
-    subcomplexes on the j-subsets with masks in [lo, hi)."""
-    faces_by_dim, m, dim, field, lo, hi = args
-    sums = [[0] * (m + 1) for _ in range(dim + 1)]
-    for amask in range(lo, hi):
-        j = amask.bit_count()
-        for i, v in enumerate(_induced_betti(faces_by_dim, amask, field, dim)):
-            if v:
-                sums[i][j] += v
-    return sums
-
-
-def _induced_betti(faces_by_dim: list[list[int]], amask: int,
-                   field: FieldSpec, dim: int) -> list[int]:
-    """Reduced Betti numbers of the subcomplex induced on ``amask``."""
-    nota = ~amask
-    return reduced_betti_of_faces(
-        [[f for f in lst if not f & nota] for lst in faces_by_dim], field, dim)
-
-
-def _loop_sums(X: Complex, field: FieldSpec, jobs: int) -> list[list[int]]:
-    """The subset loop: one homology run per vertex subset."""
-    m, dim = X.m, X.dim
-    faces_by_dim = _faces_by_dim(X)
-    total = 1 << m
-    if jobs <= 1 or total < LARGE_LOOP:
-        return _sigma_chunk((faces_by_dim, m, dim, field, 0, total))
-    from multiprocessing import Pool
-    nchunks = jobs * 4
-    step = (total + nchunks - 1) // nchunks
-    tasks = [(faces_by_dim, m, dim, field, lo, min(lo + step, total))
-             for lo in range(0, total, step)]
-    with Pool(jobs) as pool:
-        partials = pool.map(_sigma_chunk, tasks)
-    sums = [[0] * (m + 1) for _ in range(dim + 1)]
-    for part in partials:
-        for i in range(dim + 1):
-            row = part[i]
-            srow = sums[i]
-            for j in range(m + 1):
-                srow[j] += row[j]
-    return sums
 
 
 def _byte_tables(images: list[int]) -> list[list[int]]:
@@ -416,22 +371,39 @@ def _isomorphisms(X: Complex | _Walk, Y: Complex | _Walk, budget: int,
     return found
 
 
-def _orbit_sums(X: Complex, field: FieldSpec,
-                group: list[tuple[int, ...]]) -> list[list[int]]:
-    """The subset loop up to symmetry, for a group of automorphisms of X
-    given as vertex permutations: X[A] and X[g(A)] are isomorphic and A
-    and g(A) have one size.  The masks are taken in ascending order, and
-    each one not yet seen is the least of its orbit {g(A)}: one homology
-    run, weighted by the size of the orbit (orbit-counting lemma)."""
-    m, dim = X.m, X.dim
-    faces_by_dim = _faces_by_dim(X)
-    tables = [_byte_tables([1 << w for w in perm]) for perm in group]
-    seen = bytearray(1 << m)
+def _chunk_sums(args) -> list[list[int]]:
+    """The table's share of the classes (least mask, size) of ``_class_sums``:
+    one homology run per class, weighted by its size."""
+    faces_by_dim, m, dim, field, classes = args
     sums = [[0] * (m + 1) for _ in range(dim + 1)]
+    for amask, size in classes:
+        nota = ~amask
+        j = amask.bit_count()
+        for i, v in enumerate(reduced_betti_of_faces(
+                [[f for f in lst if not f & nota] for lst in faces_by_dim],
+                field, dim)):
+            if v:
+                sums[i][j] += v * size
+    return sums
+
+
+def _class_sums(X: Complex, field: FieldSpec, group: list[tuple[int, ...]],
+                jobs: int) -> list[list[int]]:
+    """The table from one homology run per class {g(A) : g in group} of
+    vertex subsets, at its least mask and weighted by its size, for a
+    group of automorphisms of X given as vertex permutations.  The identity maps A to A and gets no byte table; under
+    it alone this is the subset loop.  From LARGE_LOOP classes up, the
+    runs are split over ``jobs`` processes."""
+    m, dim = X.m, X.dim
+    identity = tuple(range(m))
+    tables = [_byte_tables([1 << w for w in perm])
+              for perm in group if perm != identity]
+    seen = bytearray(1 << m)
+    classes = []
     for amask in range(1 << m):
         if seen[amask]:
             continue
-        orbit = set()
+        orbit = {amask}
         for perm_tables in tables:
             image, s = 0, amask
             for table in perm_tables:
@@ -440,21 +412,25 @@ def _orbit_sums(X: Complex, field: FieldSpec,
             orbit.add(image)
         for image in orbit:
             seen[image] = 1
-        j = amask.bit_count()
-        for i, v in enumerate(_induced_betti(faces_by_dim, amask, field, dim)):
-            if v:
-                sums[i][j] += v * len(orbit)
-    return sums
+        classes.append((amask, len(orbit)))
+    if len(classes) < LARGE_LOOP:
+        jobs = 1
+    step = -(-len(classes) // (4 * jobs))
+    faces_by_dim = _faces_by_dim(X)
+    partials = _map_jobs(_chunk_sums, [
+        (faces_by_dim, m, dim, field, classes[lo:lo + step])
+        for lo in range(0, len(classes), step)], jobs)
+    return [[sum(col) for col in zip(*rows)] for rows in zip(*partials)]
 
 
 def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]:
     """sums[i][j] = sum of reduced beta_i(X[A]) over the j-subsets A, from
-    the first of five paths whose hypothesis holds: cone apex, Alexander
+    the first of four paths whose hypothesis holds: cone apex, Alexander
     duality for an F-homology sphere of dimension <= 3, the same duality
-    for a ball whose closure ``_ball_closure`` is such a sphere, one run
-    per orbit of a nontrivial automorphism group that ``_isomorphisms``
+    for a ball whose closure ``_ball_closure`` is such a sphere, or
+    ``_class_sums`` under the automorphism group that ``_isomorphisms``
     finds within 8 * 2^m steps when there are at least LARGE_LOOP
-    subsets, or the subset loop."""
+    subsets, and under the identity alone otherwise."""
     apex = reduce(and_, X.facet_masks)
     if apex:
         lk = link(X, (apex.bit_length() - 1,))
@@ -467,13 +443,12 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     S = _ball_closure(X)
     if S is not None and is_homology_sphere(S, field):
         return _duality_sums(X, S)
+    group = None
     if 1 << X.m >= LARGE_LOOP:
         # a step of the search costs well under a hundredth of a
         # homology run, so a spent budget adds a few per cent to the loop
         group = _isomorphisms(X, X, 8 << X.m)
-        if group is not None and len(group) > 1:
-            return _orbit_sums(X, field, group)
-    return _loop_sums(X, field, jobs)
+    return _class_sums(X, field, group or [tuple(range(X.m))], jobs)
 
 
 def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
@@ -484,11 +459,11 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     The sums come from ``_subset_sums``: the cone-apex path when some
     vertex lies in every facet, the duality path when X passes
     ``is_homology_sphere`` in dimension <= 3, the ball path when X's
-    ``_ball_closure`` does, the orbit path when there are at least 2^12
-    subsets and ``_isomorphisms`` finds a nontrivial group of X within
-    a budget of 8 * 2^m steps (run serially), else the subset loop (with
-    ``jobs`` processes once there are at least 2^12 subsets).  The cap
-    applies to m whichever path runs."""
+    ``_ball_closure`` does, else the class path: one homology run per
+    class of subsets under the group of X that ``_isomorphisms`` finds
+    within a budget of 8 * 2^m steps when there are at least 2^12 subsets,
+    or per subset when it finds none, with ``jobs`` processes once there
+    are at least 2^12 classes.  The cap applies to m whichever path runs."""
     if X.dim < 0:
         return ()
     m, dim = X.m, X.dim
@@ -508,7 +483,7 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
 
     Isomorphic links have one sigma.  Each link is compared with the links
     that got a sigma of their own before it, and takes the sigma of the
-    first one that ``_isomorphisms`` maps it onto within the orbit path's
+    first one that ``_isomorphisms`` maps it onto within the class path's
     budget of 8 * 2^m steps (m = the link's vertex count); what the search
     needs of each link is worked out once, as its ``_Walk``.  A link that
     matches none, or is not a pure, strongly connected weak

@@ -62,6 +62,26 @@ def test_jobs_checked_before_any_work(capsys, monkeypatch):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_negative_cap_and_budget_checked_before_any_work(capsys, monkeypatch):
+    def no_load(spec):
+        raise AssertionError("input loaded before --cap/--budget was checked")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+    for argv, flag in ((["sigma", "corpus:torus_7", "--cap", "-1"], "--cap"),
+                       (["tight", "corpus:torus_7", "--mode", "direct",
+                         "--cap", "-3"], "--cap"),
+                       (["stellate", "corpus:lutz_S3_8", "--k", "1",
+                         "--budget", "-5"], "--budget"),
+                       (["shellfind", "corpus:lutz_B2", "--budget", "-1"],
+                        "--budget")):
+        assert run(argv) == 3
+        assert f"{flag} must be at least 0" in capsys.readouterr().err
+    monkeypatch.undo()
+    # 0 stays valid; these inputs exceed it
+    assert run(["sigma", "corpus:torus_7", "--cap", "0"]) == 2
+    assert run(["shellfind", "corpus:lutz_B2", "--budget", "0"]) == 2
+
+
 def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     seen = []
 

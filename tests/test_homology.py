@@ -292,6 +292,16 @@ def test_cleared_relative_betti_matches_uncleared(data, field):
     assert _boundary_ranks(rel, field, relative=True) == ranks
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_relative_betti_pair_matches_induced_pairs(data, field):
+    # the pair routine matches Y's faces by name, relative_betti by mask
+    X = data.draw(sample_complexes())
+    A = list(bits(subset_mask(data.draw, X)))
+    assert relative_betti_pair(X, induced(X, A), field) == \
+        relative_betti(X, A, range(X.m), field)
+
+
 @pytest.mark.parametrize("name", ["torus_7", "rp2_6"])
 def test_relative_pairs_give_mu_via_pairs(corp, name):
     """The covering-pair average of relative Betti numbers, taken through

@@ -271,6 +271,19 @@ def test_wk_membership(corp):
     assert not rep.certified
 
 
+def test_wk_membership_pool_agrees(corp):
+    M = corp["M_1_3"].complex
+
+    def outcomes(jobs):
+        rep = w_k_membership(M, 1, jobs=jobs)
+        return rep.verdict, {v: (o.status, o.nodes, o.certificate.to_json())
+                             for v, o in rep.per_vertex.items()}
+
+    serial = outcomes(1)
+    assert serial[0] == "member" and len(serial[1]) == M.m
+    assert outcomes(2) == serial
+
+
 def test_btilde_nonshellable_two_stacked_ball(corp):
     from stellar.core import connected_sum
     lb2 = corp["lutz_B2"].complex

@@ -16,11 +16,10 @@ from stellar.constructions import (corpus, cross_polytope,
 from stellar.core import (Complex, antistar, are_isomorphic, bits, join, link,
                           mask_of)
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
-                              is_homology_sphere)
+                              is_homology_sphere, reduced_betti_of_faces)
 from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
 from stellar.tightness import (BudgetError, _ball_closure, _byte_tables,
-                               _component_tallies, _isomorphisms,
-                               _loop_sums, _orbit_sums, _sigma_chunk,
+                               _class_sums, _component_tallies, _isomorphisms,
                                _subset_sums, criterion_battery,
                                is_tight, morse_report, mu_vector,
                                mu_via_pairs, p23_bounds, sigma_g_report,
@@ -31,8 +30,15 @@ ORACLE_FIELDS = (QQ, Z2, FieldSpec.prime(3))
 
 
 def loop_table(X, field):
-    """The subset loop's table, the oracle for every other path."""
-    return _sigma_chunk((_faces_by_dim(X), X.m, X.dim, field, 0, 1 << X.m))
+    """The subset loop, one homology run per vertex subset: the oracle for
+    every path of ``_subset_sums``."""
+    faces_by_dim = _faces_by_dim(X)
+    sums = [[0] * (X.m + 1) for _ in range(X.dim + 1)]
+    for amask in range(1 << X.m):
+        induced = [[f for f in lst if not f & ~amask] for lst in faces_by_dim]
+        for i, v in enumerate(reduced_betti_of_faces(induced, field, X.dim)):
+            sums[i][amask.bit_count()] += v
+    return sums
 
 
 @st.composite
@@ -126,13 +132,30 @@ def test_sigma_cap():
     assert sigma_vector(x, QQ, cap=None) == sigma_vector(x, QQ)
 
 
-def test_sigma_parallel_agrees(corp):
-    # 2^12 subsets or more: jobs=2 runs the loop's worker pool, and
-    # _subset_sums takes the orbit path (M_2_4 has 48 automorphisms)
+def test_sigma_parallel_agrees(corp, monkeypatch):
+    # M_2_4 has 2^12 subsets and 48 automorphisms: under the identity its
+    # 4096 classes reach LARGE_LOOP, so jobs=2 runs the worker pool; its
+    # 158 orbits reach it only with LARGE_LOOP lowered
     x = corp["M_2_4"].complex
     assert x.m >= 12 and x.dim > 3
-    serial = _loop_sums(x, QQ, 1)
-    assert _loop_sums(x, QQ, 2) == serial
+    pooled = []
+    real_map = tightness._map_jobs
+
+    def spy(fn, tasks, jobs):
+        pooled.append(jobs)
+        return real_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(tightness, "_map_jobs", spy)
+    identity = [tuple(range(x.m))]
+    serial = _class_sums(x, QQ, identity, 1)
+    assert _class_sums(x, QQ, identity, 2) == serial
+    group = _isomorphisms(x, x, NO_BUDGET)
+    assert len(group) == 48
+    assert _class_sums(x, QQ, group, 2) == serial
+    monkeypatch.setattr(tightness, "LARGE_LOOP", 100)
+    assert _class_sums(x, QQ, group, 2) == serial
+    assert pooled == [1, 2, 1, 2]
+    monkeypatch.undo()
     assert _subset_sums(x, QQ) == serial
     assert _subset_sums(x, QQ, jobs=2) == serial
 
@@ -342,14 +365,14 @@ def test_orbit_path_matches_loop(i, field, rnd):
     X = relabelled(ORBIT_POOL[i], rnd)
     group = _isomorphisms(X, X, NO_BUDGET)
     assert group
-    assert _orbit_sums(X, field, group) == loop_table(X, field)
+    assert _class_sums(X, field, group, 1) == loop_table(X, field)
 
 
 @settings(max_examples=30, deadline=None)
 @given(moved_stacked_spheres(), st.sampled_from(ORACLE_FIELDS))
 def test_orbit_path_matches_loop_on_stacked_spheres(X, field):
     group = _isomorphisms(X, X, NO_BUDGET)  # mostly the identity alone
-    assert _orbit_sums(X, field, group) == loop_table(X, field)
+    assert _class_sums(X, field, group, 1) == loop_table(X, field)
 
 
 @pytest.mark.parametrize("name, order", [("M_1_4", 24), ("M_2_4", 48),
@@ -359,7 +382,7 @@ def test_orbit_path_matches_loop_on_sign_change_manifolds(corp, name, order):
         X = relabelled(corp[name].complex, random.Random(seed))
         group = _isomorphisms(X, X, NO_BUDGET)
         assert len(group) == order
-        assert _orbit_sums(X, field, group) == loop_table(X, field)
+        assert _class_sums(X, field, group, 1) == loop_table(X, field)
 
 
 def brute_force_automorphisms(X):
