@@ -391,9 +391,10 @@ def _class_sums(X: Complex, field: FieldSpec, group: list[tuple[int, ...]],
                 jobs: int) -> list[list[int]]:
     """The table from one homology run per class {g(A) : g in group} of
     vertex subsets, at its least mask and weighted by its size, for a
-    group of automorphisms of X given as vertex permutations.  The identity maps A to A and gets no byte table; under
-    it alone this is the subset loop.  From LARGE_LOOP classes up, the
-    runs are split over ``jobs`` processes."""
+    group of automorphisms of X given as vertex permutations.  The
+    identity maps A to A and gets no byte table; under it alone this is
+    the subset loop.  From LARGE_LOOP classes up, the runs are split
+    over ``jobs`` processes."""
     m, dim = X.m, X.dim
     identity = tuple(range(m))
     tables = [_byte_tables([1 << w for w in perm])
