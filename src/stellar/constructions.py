@@ -136,7 +136,7 @@ def random_stacked_sphere(d: int, m: int, seed: int = 0) -> Complex:
         new = {str(len(names) + 1)}
         added = [sorted(set(facet) - {a} | new) for a in facet]
         names, facets = _renumbered(names, facets[:i] + facets[i + 1:], added)
-        facets = sorted(tuple(sorted(f)) for f in facets)
+        facets.sort()
     return Complex(names, facets)
 
 

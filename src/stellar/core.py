@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -105,10 +105,10 @@ def _dominated(masks: Sequence[int]) -> list[int]:
 
 def _renumbered(names: Sequence[str], kept: Sequence[Sequence[int]],
                 added: Iterable[Sequence[object]]) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The names, and the facets as id tuples in no particular order, of
-    ``Complex.from_facets`` on a facet list made of ``kept``, each a tuple
-    of increasing ids into ``names`` (so listed by its names in id order),
-    followed by ``added``, each a sequence of names.
+    """The names, and the facets as increasing id tuples in no particular
+    order, of ``Complex.from_facets`` on a facet list made of ``kept``,
+    each a tuple of increasing ids into ``names`` (so listed by its names
+    in id order), followed by ``added``, each a sequence of names.
 
     Ids are given in first-occurrence order, as ``from_facets`` does, but
     from plain tuples: nothing is parsed, and nothing is checked, so the
@@ -119,9 +119,10 @@ def _renumbered(names: Sequence[str], kept: Sequence[Sequence[int]],
     for i, v in enumerate(order):
         new_id[v] = i
     ids = {names[v]: i for i, v in enumerate(order)}
-    facets = [tuple(map(new_id.__getitem__, f)) for f in kept]
+    renamed = map(map, repeat(new_id.__getitem__), kept)
+    facets = list(map(tuple, map(sorted, renamed)))
     for f in added:
-        facets.append(tuple([ids.setdefault(str(t), len(ids)) for t in f]))
+        facets.append(tuple(sorted([ids.setdefault(str(t), len(ids)) for t in f])))
     return list(ids), facets
 
 
@@ -132,8 +133,13 @@ class Complex:
     in some facet.  ``facets`` are pairwise inclusion-incomparable; the
     constructor checks this with ``_dominated``, which costs O(F) on a
     pure facet list and compares a facet only with the facets through
-    its lowest vertex otherwise.  The complex whose only face is the
-    empty set is represented with a single empty facet and ``dim == -1``.
+    its lowest vertex otherwise.  The private ``Complex._checked`` builds
+    the same fields without these checks, for a caller that already knows
+    its facets to be distinct, increasing id tuples of one size (so none
+    contains another) over every id: ``moves.apply_bistellar`` uses it for
+    the result of a checked move on a pure complex.  The complex whose only
+    face is the empty set is represented with a single empty facet and
+    ``dim == -1``.
 
     Two caches are built lazily and never change what a query returns:
     the face index ``_faces_by_dim``, and ``_moves``, the bistellar move
@@ -159,12 +165,27 @@ class Complex:
         bad = _dominated(masks)
         if bad:
             raise InputError(f"facet {norm[bad[0]]} is contained in another facet")
+        self._fill(names, norm, masks)
+
+    @classmethod
+    def _checked(cls, names: Sequence[str],
+                 facets: Sequence[Sequence[int]]) -> "Complex":
+        """``Complex(names, facets)`` without its checks, for a caller
+        that knows the facets to be distinct, increasing id tuples of one
+        size that use every id 0..m-1, and the names to be distinct."""
+        norm = sorted(facets)
+        bit = [1 << i for i in range(len(names))].__getitem__
+        X = object.__new__(cls)
+        X._fill(tuple(names), norm, list(map(sum, map(map, repeat(bit), norm))))
+        return X
+
+    def _fill(self, names: tuple, norm: list, masks: list) -> None:
         self.names = names
         self.facets = tuple(norm)
         self.facet_masks = tuple(masks)
         self.m = len(names)
-        self.dim = max(len(f) for f in norm) - 1
-        self._id_of = {n: i for i, n in enumerate(names)}
+        self.dim = max(map(len, norm)) - 1
+        self._id_of = dict(zip(names, range(self.m)))
         self._faces_by_dim = None
         self._moves = None
 
@@ -274,7 +295,7 @@ class Complex:
         return frozenset(frozenset(f) for f in self.facets_as_names())
 
     def is_pure(self) -> bool:
-        return all(len(f) == self.dim + 1 for f in self.facets)
+        return len(set(map(len, self.facets))) == 1
 
     def __eq__(self, other: object) -> bool:
         """Equality as labelled complexes: identical facet name sets."""
@@ -496,9 +517,10 @@ def _components(vert_masks, edge_masks) -> int:
 def _map_jobs(fn, tasks: list, jobs: int) -> list:
     """[fn(t) for t in tasks], in a pool of ``jobs`` worker processes when
     jobs > 1.  ``fn`` and the tasks are pickled, so fn is a module-level
-    function.  The pool uses the platform's default start method: a
-    spawned worker would re-run a calling script that lacks a
-    ``__main__`` guard."""
+    function.  The pool uses the platform's default start method, under
+    which a calling script with jobs > 1 needs a ``__main__`` guard
+    unless that method is ``fork`` (the public callers' docstrings say
+    so); forcing ``spawn`` would make the guard necessary everywhere."""
     if jobs <= 1:
         return [fn(t) for t in tasks]
     from multiprocessing import Pool

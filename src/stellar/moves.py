@@ -13,12 +13,17 @@ in the complex's ``_moves`` slot.  ``apply_bistellar`` builds the result
 by replaying ``Complex.from_facets``' first-occurrence numbering on plain
 tuples, updates the state by the faces of the removed and added facets,
 and hands it on to the result, clearing it from the complex it came from,
-so a chain of moves keeps one state alive.  Each listing emits the held
-moves under the current complex's ids and sorts them once.  The
-admissibility check of a move scans the facets and never reads the
-state, so a certificate replay does not trust it.  A complex without a state,
-such as the second of two moves applied to one complex, takes the cold
-path.  Move lists, certificates and search node counts are the same on
+so a chain of moves keeps one state alive.  On a pure complex the result
+skips the constructor's checks (``Complex._checked``): a checked move
+there gives distinct facets of one size, so none repeats or contains
+another, and the result is only numbered, sorted and masked.  A non-pure
+complex goes through the public constructor.  Each listing emits the
+held moves of the indices asked for under the current complex's ids and
+sorts them once; ``stellation_search`` asks only for the indices it can
+take.  The admissibility check of a move scans the facets and never reads
+the state, so a certificate replay does not trust it.  A complex without
+a state, such as the second of two moves applied to one complex, takes
+the cold path.  Move lists, certificates and search node counts are the same on
 either path; tests compare the state with the cold path and with
 ``verify.brute_force_bistellar`` along random walks.
 """
@@ -216,14 +221,26 @@ class _MoveState:
                 else:
                     self.moves[a] = self._names(a, face)
 
-    def listing(self, X: Complex) -> list[BistellarMove]:
-        """The moves of ``X``, the complex holding the state, with names
-        in X's id order, sorted as ``enumerate_bistellar`` returns them."""
+    def listing(self, X: Complex, min_index: int) -> list[BistellarMove]:
+        """The moves of index >= ``min_index`` of ``X``, the complex
+        holding the state, with names in X's id order, sorted as
+        ``enumerate_bistellar`` returns them.  Rows sort by index first,
+        so this is a tail of the full listing."""
         id_of = X._id_of.__getitem__
         rows = sorted((len(b) - 1, tuple(sorted(a, key=id_of)),
                        tuple(sorted(b, key=id_of)))
-                      for a, b in self.moves.values())
+                      for a, b in self.moves.values() if len(b) - 1 >= min_index)
         return [BistellarMove(a, b, i) for i, a, b in rows]
+
+
+def _move_state(X: Complex) -> _MoveState:
+    """The move state of ``X``, built cold and cached if X has none."""
+    state = X._moves
+    if state is None:
+        if not X.is_pure():
+            raise StructureError("bistellar moves need a pure complex")
+        state = X._moves = _MoveState(X)
+    return state
 
 
 def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
@@ -239,12 +256,7 @@ def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
     calls, and calls on the complexes that ``apply_bistellar`` hands the
     state on to, read the moves from it.  Either way the list is the same.
     """
-    state = X._moves
-    if state is None:
-        if not X.is_pure():
-            raise StructureError("bistellar moves need a pure complex")
-        state = X._moves = _MoveState(X)
-    return state.listing(X)
+    return _move_state(X).listing(X, 1)
 
 
 def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
@@ -298,7 +310,9 @@ def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
     alpha, beta = set(map(str, mv.alpha)), set(map(str, mv.beta))
     kept = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
     added = [sorted((alpha - {str(a)}) | beta) for a in mv.alpha]
-    Y = Complex(*_renumbered(X.names, kept, added))
+    names, facets = _renumbered(X.names, kept, added)
+    # a checked move on a pure complex gives distinct facets of one size
+    Y = (Complex._checked if facets and X.is_pure() else Complex)(names, facets)
     state, X._moves = X._moves, None
     if state is not None:
         state.advance(mv)
@@ -574,15 +588,22 @@ def is_1_stacked_via_tree(B: Complex) -> bool:
 # -- canonical ball / manifold ----------------------------------------------
 
 
-def _closure_complex(S: Complex, depth: int) -> Complex:
+def _closure_complex(S: Complex, depth: int,
+                     limit: int | None = None) -> Complex | None:
     """The complex of all vertex sets whose subsets of size <= depth are
-    faces of S (facets = the maximal such sets)."""
+    faces of S (facets = the maximal such sets), or None as soon as one
+    such set has ``limit`` vertices.  The canonical constructions pass
+    dim(S) + 3: such a set makes the dimension exceed dim(S) + 1, which
+    they reject."""
     from itertools import combinations
 
     cliques: list[int] = []
 
-    def extend(alpha: list[int], amask: int, start: int):
+    def extend(alpha: list[int], amask: int, start: int) -> bool:
+        """Collect the cliques through alpha; True at a too large one."""
         cliques.append(amask)
+        if len(alpha) == limit:
+            return True
         for v in range(start, S.m):
             ok = True
             vm = 1 << v
@@ -595,10 +616,13 @@ def _closure_complex(S: Complex, depth: int) -> Complex:
                     break
             if ok:
                 alpha.append(v)
-                extend(alpha, amask | vm, v + 1)
+                if extend(alpha, amask | vm, v + 1):
+                    return True
                 alpha.pop()
+        return False
 
-    extend([], 0, 0)
+    if extend([], 0, 0):
+        return None
     return Complex.from_facets([S.names_of_mask(c) for c in _maximal(cliques)])
 
 
@@ -613,10 +637,10 @@ def canonical_ball(S: Complex, k: int) -> Complex:
     d = S.dim
     if d < 2 * k:
         raise RangeError(f"canonical ball needs dim >= 2k (got d={d}, k={k})")
-    cand = _closure_complex(S, k + 1)
+    cand = _closure_complex(S, k + 1, d + 3)
     try:
-        ok = (cand.dim == d + 1 and boundary(cand) == S
-              and is_k_stacked_ball(cand, k))
+        ok = (cand is not None and cand.dim == d + 1
+              and boundary(cand) == S and is_k_stacked_ball(cand, k))
     except StructureError:
         ok = False
     if not ok:
@@ -633,9 +657,9 @@ def canonical_manifold(M: Complex, k: int) -> Complex:
     d = M.dim
     if d < 2 * k + 2:
         raise RangeError(f"canonical manifold needs dim >= 2k+2 (got d={d}, k={k})")
-    cand = _closure_complex(M, k + 2)
+    cand = _closure_complex(M, k + 2, d + 3)
     try:
-        ok = cand.dim == d + 1 and boundary(cand) == M
+        ok = cand is not None and cand.dim == d + 1 and boundary(cand) == M
         if ok:
             for t in range(d - k + 1):
                 if cand.n_faces(t) != M.n_faces(t):
@@ -687,8 +711,7 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
         while nodes < budget:
             if _is_standard_sphere(current):
                 return _finish_stellation(S, current, trail, k, nodes)
-            pool = [mv for mv in enumerate_bistellar(current)
-                    if mv.index >= min_index]
+            pool = _move_state(current).listing(current, min_index)
             if not pool:
                 if not trail:
                     # deterministic dead end at the root: nothing to try
@@ -752,7 +775,13 @@ def _wk_task(args):
 def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
                    jobs: int = 1) -> WkMembershipReport:
     """Run a stellation search on every vertex link; "member" only when
-    every link is certified."""
+    every link is certified.  The searches are independent, one task each.
+
+    With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
+    with the platform's default start method.  Under ``spawn`` (macOS,
+    Windows) or ``forkserver`` (Linux from Python 3.14) each worker
+    re-imports the calling script, so a script that passes jobs > 1 must
+    make the call under ``if __name__ == "__main__":``."""
     if not is_connected(M):
         raise StructureError("W_k membership needs a connected complex")
     tasks = []

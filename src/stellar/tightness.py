@@ -464,7 +464,13 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     class of subsets under the group of X that ``_isomorphisms`` finds
     within a budget of 8 * 2^m steps when there are at least 2^12 subsets,
     or per subset when it finds none, with ``jobs`` processes once there
-    are at least 2^12 classes.  The cap applies to m whichever path runs."""
+    are at least 2^12 classes.  The cap applies to m whichever path runs.
+
+    With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
+    with the platform's default start method.  Under ``spawn`` (macOS,
+    Windows) or ``forkserver`` (Linux from Python 3.14) each worker
+    re-imports the calling script, so a script that passes jobs > 1 must
+    make the call under ``if __name__ == "__main__":``."""
     if X.dim < 0:
         return ()
     m, dim = X.m, X.dim
@@ -488,7 +494,13 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     budget of 8 * 2^m steps (m = the link's vertex count); what the search
     needs of each link is worked out once, as its ``_Walk``.  A link that
     matches none, or is not a pure, strongly connected weak
-    pseudomanifold, gets its own sigma."""
+    pseudomanifold, gets its own sigma.  ``jobs`` is passed to each sigma.
+
+    With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
+    with the platform's default start method.  Under ``spawn`` (macOS,
+    Windows) or ``forkserver`` (Linux from Python 3.14) each worker
+    re-imports the calling script, so a script that passes jobs > 1 must
+    make the call under ``if __name__ == "__main__":``."""
     d = X.dim
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:

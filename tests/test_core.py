@@ -371,6 +371,22 @@ def test_maximal_face_constructions_match_quadratic_filter(entries, data):
                if all(X.has_face(s) for s in submasks(a) if s.bit_count() <= depth)]
     assert _closure_complex(X, depth).facet_name_set() == names(cliques)
 
+
+@settings(max_examples=100, deadline=None)
+@given(facet_lists(), st.integers(1, 3), st.integers(1, 6))
+def test_closure_limit_stops_only_at_a_set_that_large(entries, depth, limit):
+    """With a vertex limit the closure is None exactly when its largest
+    facet reaches the limit, and is otherwise the same complex."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        X = Complex.from_facets(entries)
+    full = _closure_complex(X, depth)
+    got = _closure_complex(X, depth, limit)
+    if full.dim + 1 >= limit:
+        assert got is None
+    else:
+        assert (got.names, got.facets) == (full.names, full.facets)
+
 def _two_spheres(X, Y, shared):
     """X and Y side by side, on disjoint names except ``shared`` of Y's
     ids, which are glued to X's ids of the same number."""

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stellar.constructions import random_stacked_sphere
-from stellar.core import Complex
-from stellar.moves import (BistellarMove, MoveError, apply_bistellar,
-                           enumerate_bistellar, replay_bistellar,
-                           stellation_search)
+from stellar.constructions import random_stacked_sphere, standard_sphere
+from stellar.core import Complex, InputError, _renumbered
+from stellar.moves import (BistellarMove, MoveError, _move_state,
+                           apply_bistellar, enumerate_bistellar,
+                           replay_bistellar, stellation_search)
 from stellar.verify import brute_force_bistellar
 
 
@@ -68,6 +68,18 @@ def state_walk(draw, max_steps=16, brute_m=0):
         assert (Y.names, Y.facets) == (want.names, want.facets)
         X = Y
     return X
+
+
+def public_route(X, mv):
+    """The result of ``mv`` as ``apply_bistellar`` numbers it, built by
+    the public constructor, which sorts and checks every facet."""
+    am = X.mask_from_names(mv.alpha)
+    kept = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
+    added = [sorted(set(mv.alpha) - {a} | set(mv.beta)) for a in mv.alpha]
+    return Complex(*_renumbered(X.names, kept, added))
+
+
+FIELDS = ("names", "facets", "facet_masks", "dim", "m", "_id_of")
 
 
 # The walks draw inside the test body, through st.data(), so that the
@@ -184,3 +196,65 @@ def test_names_are_compared_as_strings():
     Z = apply_bistellar(Y, BistellarMove(tuple(map(int, mv.alpha)),
                                          tuple(map(int, mv.beta)), mv.index))
     assert enumerate_bistellar(Z) == cold(Z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trusted_results_and_filtered_listings(data):
+    """Walk a random stacked 2-, 3- or 4-sphere by 0-moves and moves of
+    every index 1..d.  Each result, built without the constructor's
+    checks, equals the public constructor's field by field, and each
+    listing from an index on is that tail of the full listing."""
+    d = data.draw(st.sampled_from((2, 3, 4)))
+    X = random_stacked_sphere(d, data.draw(st.integers(d + 2, d + 6)),
+                              seed=data.draw(st.integers(0, 10 ** 6)))
+    used: set[str] = set()
+    for _ in range(data.draw(st.integers(1, 12))):
+        pool = enumerate_bistellar(X)
+        for i in range(d + 2):
+            assert _move_state(X).listing(X, i) == \
+                [mv for mv in pool if mv.index >= i]
+        mv = draw_move(data.draw, X, pool, used)
+        want = public_route(X, mv)
+        X = apply_bistellar(X, mv)
+        for name in FIELDS:
+            assert getattr(X, name) == getattr(want, name), name
+
+
+def test_pure_results_skip_the_constructor(monkeypatch):
+    """A move on a pure complex builds its result without
+    ``Complex.__init__``; a move on a non-pure one goes through it."""
+    built = []
+    init = Complex.__init__
+
+    def spy(self, names, facets):
+        built.append(len(facets))
+        init(self, names, facets)
+
+    X = random_stacked_sphere(3, 9, seed=2)
+    Y = Complex.from_facets(X.facets_as_names() + [("a", "b")])
+    monkeypatch.setattr(Complex, "__init__", spy)
+    mv = enumerate_bistellar(X)[0]
+    apply_bistellar(X, mv)
+    assert built == []
+    core = Y.facets_as_names()[0]
+    got = apply_bistellar(Y, BistellarMove(core, ("new",), 0))
+    assert built == [len(Y.facets) + 3]
+    want = public_route(Y, BistellarMove(core, ("new",), 0))
+    assert not got.is_pure()
+    for name in FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_a_move_that_leaves_no_facet_still_raises():
+    """A checked move never yields a repeated or a dominated facet, so
+    the one input error the constructor can raise on a move's result is
+    an empty facet list: an index-(d+1) move on the boundary of a simplex,
+    or a 0-move on the complex {∅}.  Both still raise it."""
+    message = "a complex needs at least one facet"
+    for d in (0, 1, 2):
+        S = standard_sphere(d)
+        with pytest.raises(InputError, match=message):
+            apply_bistellar(S, BistellarMove((), S.names, d + 1))
+    with pytest.raises(InputError, match=message):
+        apply_bistellar(Complex.empty(), BistellarMove((), ("x",), 0))

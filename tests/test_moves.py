@@ -201,6 +201,33 @@ def test_canonical_ball_guards(corp):
         canonical_ball(corp["torus_7"].complex, 1)
 
 
+def test_closure_stops_at_a_clique_of_d_plus_3_vertices(corp, monkeypatch):
+    """S3_16 is 2-neighbourly, so each of its 2^16 vertex sets spans a
+    complete graph.  The closure stops at the first set of d + 3 = 6
+    vertices, which already fails validation, and raises what the full
+    closure raised."""
+    S = corp["S3_16"].complex
+    calls = []
+    has_face = Complex.has_face
+
+    def counting(X, face):
+        calls.append(face)
+        return has_face(X, face)
+
+    monkeypatch.setattr(Complex, "has_face", counting)
+    with pytest.raises(HypothesisViolation) as ball:
+        canonical_ball(S, 1)
+    with pytest.raises(HypothesisViolation) as manifold:
+        canonical_manifold(S, 0)
+    assert str(ball.value) == ("closure complex failed validation: the input "
+                               "sphere is not 1-stellated/1-stacked with a "
+                               "recoverable ball")
+    assert str(manifold.value) == ("closure complex failed validation: the "
+                                   "input is not a W_0 member with a "
+                                   "recoverable manifold")
+    assert len(calls) < 200
+
+
 def test_canonical_manifold(corp):
     assert canonical_manifold(corp["M_1_4"].complex, 1) == corp["Mbar_1_4"].complex
     got = canonical_manifold(standard_sphere(2), 0)
