@@ -16,10 +16,20 @@ subtracted from another:
   the gcd of its entries; a column is rescaled by the pivot entry only
   when that entry is not 1.
 
-``pivots``, if given, must be an empty dict.  It receives each reduced
-nonzero column (a set over GF(2), a dict otherwise) under its pivot row,
-which is the largest row key left in that column.  The Betti routine in
-``homology`` reads these pivot rows to clear the next boundary map down.
+``pivots``, if given, receives each reduced nonzero column (a set over
+GF(2), a dict otherwise) under its pivot row, which is the largest row
+key left in that column.  The Betti routine in ``homology`` reads these
+pivot rows to clear the next boundary map down.
+
+A caller may seed ``pivots`` with columns it has not built: under row
+key ``low`` it stores an int ``x``, and ``build(x)`` is the integer
+column, whose largest row is ``low`` with an entry that is a unit of the
+field.  Distinct keys make the seeds an echelon form, so the rank of
+``cols`` together with them is ``len(pivots)`` afterwards, whether or
+not a seed is ever read.  A seed is built, and stored for the field in
+its place, only the first time an elimination reads it.  This is how
+``homology`` defers the apparent pivots of a boundary map (Bauer,
+"Ripser", J. Appl. Comput. Topol. 5, 2021).
 """
 from __future__ import annotations
 
@@ -37,32 +47,44 @@ def _gcd_reduce(col: dict) -> dict:
     return col
 
 
-def rank(cols: list[dict], field, pivots: dict | None = None) -> int:
-    """Rank over ``field`` (a ``FieldSpec``) of the integer columns."""
+def _field_col(col: dict, p: int):
+    """The integer column ``col`` over Z_p, or over Q when p is 0."""
+    if p == 2:
+        return {r for r, v in col.items() if v & 1}
+    if p:
+        return {r: v % p for r, v in col.items() if v % p}
+    return {r: v for r, v in col.items() if v}
+
+
+def _pivot_col(col, low, p: int):
+    """A reduced column as it is stored under its pivot row ``low``."""
+    if p == 2:
+        return col
+    if p:
+        inv = pow(col[low], -1, p)
+        return {r: v * inv % p for r, v in col.items()}
+    return _gcd_reduce(col)
+
+
+def rank(cols: list[dict], field, pivots: dict | None = None,
+         build=None) -> int:
+    """Rank over ``field`` (a ``FieldSpec``) of the integer columns; the
+    number of pivots they add to ``pivots``."""
     if pivots is None:
         pivots = {}
     p = field.p if field.kind == "prime" else 0
     n = 0
     for col in cols:
-        if p == 2:
-            col = {r for r, v in col.items() if v & 1}
-        elif p:
-            col = {r: v % p for r, v in col.items() if v % p}
-        else:
-            col = {r: v for r, v in col.items() if v}
+        col = _field_col(col, p)
         while col:
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                if p == 2:
-                    pivots[low] = col
-                elif p:
-                    inv = pow(col[low], -1, p)
-                    pivots[low] = {r: v * inv % p for r, v in col.items()}
-                else:
-                    pivots[low] = _gcd_reduce(col)
+                pivots[low] = _pivot_col(col, low, p)
                 n += 1
                 break
+            if other.__class__ is int:  # a seeded pivot, read for the first time
+                other = pivots[low] = _pivot_col(_field_col(build(other), p), low, p)
             if p == 2:
                 col ^= other
                 continue

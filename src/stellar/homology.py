@@ -10,9 +10,17 @@ Every Betti number, absolute or relative, comes from one routine,
 ``_boundary_ranks``: beta_i = n_i - rank d_i - rank d_{i+1}.  It reduces
 the boundary maps from the top dimension down and clears: a face that is
 the pivot row of a reduced column one dimension up has a column that
-reduces to zero, so it is never built.  Clearing is an exact reduction
-with no hypothesis to check (it needs only d o d = 0); the ranks equal
-those of the plain reduction, which the tests keep as its oracle.
+reduces to zero, so it is never built (Chen & Kerber, EuroCG 2011).  Of
+the faces left, most are apparent pivots: the largest face of the
+boundary of f is f less its lowest vertex, with entry +1, and when no
+smaller face has claimed that row, f claims it without its column being
+built.  ``exactlinalg.rank`` reduces the other faces against these and
+builds a claimed column only the first time an elimination reads it
+(Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021); on M_3_7 that is
+1,627 columns of the 6,974 that clearing leaves.  Both are exact
+reductions with no hypothesis to check (they need only d o d = 0 and
+distinct pivot rows); the ranks equal those of the plain reduction,
+which the tests keep as its oracle.
 
 The inclusion test needs only ranks too: with d = d_{j+1} of X,
 H_j(X[A]) -> H_j(X) is injective iff
@@ -137,19 +145,45 @@ def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
     combination of columns of smaller faces and is skipped.  That needs
     only d o d = 0, over any field and for relative chains too, and the
     ranks are exact (Chen & Kerber, "Persistent homology computation with
-    a twist", EuroCG 2011)."""
+    a twist", EuroCG 2011).
+
+    Of the faces left, in ascending order, each one whose largest
+    boundary face (f less its lowest vertex, or the largest one kept in
+    the family) is no pivot row yet claims that row unbuilt; ``rank``
+    reduces the others against these apparent pivots and builds one only
+    when an elimination reads it (Bauer, "Ripser", J. Appl. Comput.
+    Topol. 5, 2021).  The claimed rows are distinct, so the rank is that
+    of every column, and the pivot rows are the same set as for any
+    echelon form of the map, so clearing skips the same faces."""
     ranks = [0] * (len(faces_by_dim) + 1)
     cleared: dict = {}
     for i in range(len(faces_by_dim) - 1, 0 if relative else 1, -1):
-        faces = faces_by_dim[i]
-        if cleared:
-            faces = [f for f in faces if f not in cleared]
-        cleared = {}  # let the map above's pivots go before these are built
-        cols = [_boundary_col_signed(f) for f in faces]
-        if relative:
-            rows = set(faces_by_dim[i - 1])
-            cols = [{r: v for r, v in c.items() if r in rows} for c in cols]
-        ranks[i] = rank(cols, field, cleared)
+        rows = set(faces_by_dim[i - 1]) if relative else None
+        pivots: dict = {}
+        rest = []
+        for f in faces_by_dim[i]:
+            if f in cleared:
+                continue
+            low = f ^ (f & -f)
+            if rows is not None and low not in rows:
+                low = next((g for g in (f ^ (1 << v) for v in bits(f))
+                            if g in rows), None)
+                if low is None:  # no boundary face kept: a zero column
+                    continue
+            if low in pivots:
+                rest.append(f)
+            else:
+                pivots[low] = f
+        cleared = {}  # let the map above's pivots go before columns are built
+        if rows is None:
+            build = _boundary_col_signed
+        else:
+            def build(f, rows=rows):
+                return {r: v for r, v in _boundary_col_signed(f).items()
+                        if r in rows}
+        rank([build(f) for f in rest], field, pivots, build)
+        ranks[i] = len(pivots)
+        cleared = pivots
     return ranks
 
 

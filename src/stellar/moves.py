@@ -269,6 +269,8 @@ def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
         raise MoveError(f"move {mv} has wrong size for dimension {d}")
     if mv.index != len(mv.beta) - 1:
         raise MoveError(f"move {mv} has inconsistent index")
+    if mv.index > d:  # an empty alpha: the result would have no facet
+        raise MoveError(f"move {mv} has index above the dimension {d}")
     if any(len(set(map(str, t))) != len(t) for t in (mv.alpha, mv.beta)):
         raise MoveError(f"move {mv} repeats a vertex")
     am = X.mask_from_names(mv.alpha)
@@ -312,7 +314,7 @@ def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
     added = [sorted((alpha - {str(a)}) | beta) for a in mv.alpha]
     names, facets = _renumbered(X.names, kept, added)
     # a checked move on a pure complex gives distinct facets of one size
-    Y = (Complex._checked if facets and X.is_pure() else Complex)(names, facets)
+    Y = (Complex._checked if X.is_pure() else Complex)(names, facets)
     state, X._moves = X._moves, None
     if state is not None:
         state.advance(mv)

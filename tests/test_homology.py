@@ -16,7 +16,8 @@ from stellar.constructions import (corpus, cross_polytope, klee_novik,
 from stellar.core import (Complex, InputError, antistar, bits, induced,
                           is_closed_pseudomanifold, join, link, mask_of)
 from stellar.exactlinalg import rank
-from stellar.homology import (QQ, FieldSpec, _boundary_col_signed,
+from stellar import homology
+from stellar.homology import (GF2, QQ, FieldSpec, _boundary_col_signed,
                               _boundary_ranks, _faces_by_dim, _is_prime,
                               betti, inclusion_injective, is_homology_sphere,
                               orientable, reduced_betti,
@@ -278,6 +279,39 @@ def test_cleared_betti_on_fixed_inputs(name):
             uncleared_reduced_betti(fbd, field, X.dim)
 
 
+def test_cleared_ranks_match_uncleared_at_bench_size():
+    """The sign-change 6-manifold the bench reduces, over Z2: 5,104
+    faces in the top map alone."""
+    fbd = _faces_by_dim(klee_novik(2, 7)[1])
+    assert _boundary_ranks(fbd, GF2)[2:] == uncleared_ranks(fbd, GF2)[2:]
+
+
+def test_betti_of_the_largest_sign_change_manifolds():
+    Mbar, M = klee_novik(3, 7)
+    for field in ORACLE_FIELDS:
+        assert betti(M, field).beta == (1, 0, 0, 1, 1, 0, 0, 1)
+        assert betti(Mbar, field).beta == (1, 0, 0, 1, 0, 0, 0, 0, 0)
+
+
+def test_apparent_pivots_are_not_built(monkeypatch):
+    """Of the 702 columns that clearing leaves on M_2_5, only those an
+    elimination reads are built; the count is an operation count, the
+    same over every field here."""
+    built = []
+    col = homology._boundary_col_signed
+
+    def counting(face):
+        built.append(face)
+        return col(face)
+
+    monkeypatch.setattr(homology, "_boundary_col_signed", counting)
+    X = KN_2_5[1]
+    for field in ORACLE_FIELDS:
+        built.clear()
+        assert reduced_betti(X, field) == (0, 0, 1, 1, 0, 1)
+        assert len(built) == len(set(built)) == 267 < 702
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from(ORACLE_FIELDS))
 def test_cleared_relative_betti_matches_uncleared(data, field):
@@ -397,6 +431,47 @@ def test_rank_matches_dense_elimination(cols, field):
     stored = [c if isinstance(c, dict) else dict.fromkeys(c, 1)
               for c in pivots.values()]
     assert dense_rank(stored + cols, field) == r
+
+
+@st.composite
+def seeded_pivots(draw):
+    """Faces over up to 6 vertices, kept when their largest boundary face
+    is new, stored unbuilt under it; each is built as its boundary times
+    a unit sign.  Then integer columns over rows those boundaries touch."""
+    faces = draw(st.lists(st.integers(1, (1 << 6) - 1), max_size=8))
+    seeds = {}
+    for f in faces:
+        seeds.setdefault(f ^ (f & -f), f)
+    sign = {f: draw(st.sampled_from((1, -1))) for f in seeds.values()}
+    keys = sorted({r for f in seeds.values() for r in _boundary_col_signed(f)})
+    entry = st.sampled_from((0, 0, -2, -1, 1, 2, 3))
+    extra = draw(st.lists(st.dictionaries(st.sampled_from(keys or [0]), entry),
+                          max_size=6))
+    return seeds, sign, extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_pivots(), st.sampled_from(KERNEL_FIELDS))
+def test_rank_with_seeded_pivots_matches_dense_elimination(seeded, field):
+    seeds, sign, extra = seeded
+    built = []
+
+    def build(f):
+        built.append(f)
+        return {r: sign[f] * v for r, v in _boundary_col_signed(f).items()}
+
+    pivots = dict(seeds)
+    r = rank(extra, field, pivots, build)
+    assert len(built) == len(set(built))  # each seed built at most once
+    seed_cols = [build(f) for f in seeds.values()]
+    assert len(pivots) == len(seeds) + r == dense_rank(seed_cols + extra, field)
+    for low, col in pivots.items():
+        if isinstance(col, int):  # never read: still the seed
+            assert seeds[low] == col
+            continue
+        assert low == max(col)
+        if field.kind == "prime" and field.p != 2:
+            assert col[low] == 1
 
 
 # -- inclusion_injective against the cycle/boundary meet ---------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stellar.constructions import random_stacked_sphere, standard_sphere
-from stellar.core import Complex, InputError, _renumbered
+from stellar.core import Complex, _renumbered
 from stellar.moves import (BistellarMove, MoveError, _move_state,
                            apply_bistellar, enumerate_bistellar,
                            replay_bistellar, stellation_search)
@@ -247,14 +247,14 @@ def test_pure_results_skip_the_constructor(monkeypatch):
 
 
 def test_a_move_that_leaves_no_facet_still_raises():
-    """A checked move never yields a repeated or a dominated facet, so
-    the one input error the constructor can raise on a move's result is
-    an empty facet list: an index-(d+1) move on the boundary of a simplex,
-    or a 0-move on the complex {∅}.  Both still raise it."""
-    message = "a complex needs at least one facet"
+    """A move with an empty alpha would leave no facet: an index-(d+1)
+    move on the boundary of a simplex, or a 0-move on the complex {∅}.
+    The admissibility check refuses both as moves, since a move's index
+    is at most d, before any result is built."""
+    message = "has index above the dimension"
     for d in (0, 1, 2):
         S = standard_sphere(d)
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(MoveError, match=message):
             apply_bistellar(S, BistellarMove((), S.names, d + 1))
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(MoveError, match=message):
         apply_bistellar(Complex.empty(), BistellarMove((), ("x",), 0))
