@@ -147,14 +147,11 @@ def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
     ranks are exact (Chen & Kerber, "Persistent homology computation with
     a twist", EuroCG 2011).
 
-    Of the faces left, in ascending order, each one whose largest
-    boundary face (f less its lowest vertex, or the largest one kept in
-    the family) is no pivot row yet claims that row unbuilt; ``rank``
-    reduces the others against these apparent pivots and builds one only
-    when an elimination reads it (Bauer, "Ripser", J. Appl. Comput.
-    Topol. 5, 2021).  The claimed rows are distinct, so the rank is that
-    of every column, and the pivot rows are the same set as for any
-    echelon form of the map, so clearing skips the same faces."""
+    Of the faces left, in ascending order, each whose largest boundary
+    face (the largest kept in the family, for relative chains) is no
+    pivot row yet claims it as an apparent pivot, unbuilt, and ``rank``
+    reduces the others.  Every echelon form of a map has the same set of
+    pivot rows, so clearing skips the same faces."""
     ranks = [0] * (len(faces_by_dim) + 1)
     cleared: dict = {}
     for i in range(len(faces_by_dim) - 1, 0 if relative else 1, -1):

@@ -280,8 +280,8 @@ def test_cleared_betti_on_fixed_inputs(name):
 
 
 def test_cleared_ranks_match_uncleared_at_bench_size():
-    """The sign-change 6-manifold the bench reduces, over Z2: 5,104
-    faces in the top map alone."""
+    """The 7-manifold M_2_7 that the bench reduces, 9,948 faces, over
+    Z2."""
     fbd = _faces_by_dim(klee_novik(2, 7)[1])
     assert _boundary_ranks(fbd, GF2)[2:] == uncleared_ranks(fbd, GF2)[2:]
 
