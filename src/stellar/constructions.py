@@ -146,40 +146,31 @@ def random_stacked_ball(d: int, n_facets: int, seed: int = 0) -> Complex:
 
     The ridge is drawn from the boundary ridges in lexicographic order of
     their vertex ids, and the ids are those ``Complex.from_facets`` gives
-    the facets so far: first-occurrence order over the facets sorted by
-    the previous ids.  Both orders are replayed on plain tuples, with the
-    boundary kept as an insertion-ordered set of ridges, and the complex
-    is built once at the end.  That renumbering moves most vertices at
-    almost every step, so a step still sorts the facets and the boundary
-    ridges once.
+    the facets so far followed by the new one, as ``moves.replay_shelling``
+    builds it.  As in ``random_stacked_sphere``, the moves are replayed on
+    plain tuples with that numbering, the boundary ridges are kept by
+    vertex name, and the complex is built once at the end.  The
+    renumbering moves most vertices at almost every step, so a step still
+    sorts the facets and the boundary ridges once.
     """
     import random
-    from itertools import chain
 
     if d < 1:
         raise RangeError("stacked ball needs d >= 1")
     rng = random.Random(seed)
-    rank = list(range(d + 1))       # vertex v, named str(v + 1) -> its id
-    facets = [tuple(range(d + 1))]  # sorted vertex tuples
-    bd = dict.fromkeys(combinations(range(d + 1), d))
+    X = standard_ball(d)
+    names, facets = list(X.names), list(X.facets)
+    bd = {frozenset(r) for r in combinations(names, d)}
     while len(facets) < n_facets:
-        key = rank.__getitem__
-        ridges = sorted((tuple(sorted(map(key, r))), r) for r in bd)
-        ridge = ridges[rng.randrange(len(ridges))][1]
-        vertex_of = [0] * len(rank)
-        for v, i in enumerate(rank):
-            vertex_of[i] = v
-        ids = sorted(tuple(sorted(map(key, f))) for f in facets)
-        for new, old in enumerate(dict.fromkeys(chain.from_iterable(ids))):
-            rank[vertex_of[old]] = new
-        u = len(rank)
-        rank.append(u)
-        facets.append(ridge + (u,))
-        del bd[ridge]
-        bd.update(dict.fromkeys(r + (u,) for r in combinations(ridge, d - 1)))
-    vertex_of = sorted(range(len(rank)), key=rank.__getitem__)
-    return Complex([str(v + 1) for v in vertex_of],
-                   [tuple(rank[v] for v in f) for f in facets])
+        id_of = dict(zip(names, range(len(names)))).__getitem__
+        ridges = sorted(sorted(map(id_of, r)) for r in bd)
+        ridge = [names[v] for v in ridges[rng.randrange(len(ridges))]]
+        new = str(len(names) + 1)
+        names, facets = _renumbered(names, facets, [ridge + [new]])
+        facets.sort()
+        bd.remove(frozenset(ridge))
+        bd.update(frozenset(r + (new,)) for r in combinations(ridge, d - 1))
+    return Complex(names, facets)
 
 
 # -- the corpus ---------------------------------------------------------------

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from functools import reduce
 from itertools import chain, repeat
+from math import inf
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -413,68 +416,107 @@ def boundary(X: Complex) -> Complex:
     return _rebuild(X, bfaces)
 
 
+def _across(masks: Sequence[int]) -> list[dict[int, int]] | None:
+    """across[i][v] = j when facets i and j share the ridge masks[i] - v,
+    each row in increasing v; None when some ridge lies in three or more
+    facets."""
+    across: list[dict[int, int]] = []
+    first: dict = {}  # ridge -> (facet, vertex) while one facet holds it
+    for i, fm in enumerate(masks):
+        across.append({})
+        for v in bits(fm):
+            o = first.setdefault(fm ^ (1 << v), (i, v))
+            if o is None:
+                return None
+            across[i][v] = o[0]  # i itself until a second facet comes
+            if o[0] != i:
+                across[o[0]][o[1]] = i
+                first[fm ^ (1 << v)] = None
+    for i, v in filter(None, first.values()):
+        del across[i][v]
+    return across
+
+
+def _walk(masks: Sequence[int],
+          across: list[dict[int, int]]) -> list[tuple[int, int, int, int]] | None:
+    """The breadth-first walk across ridges from facet 0, neighbours taken
+    in vertex order: (i, v, j, w) when facet j is first reached from facet
+    i through the ridge masks[i] - v and w is the vertex j adds.  None
+    unless the walk reaches every facet."""
+    walk, queue, reached = [], [0], {0}
+    for i in queue:
+        for v, j in across[i].items():
+            if j not in reached:
+                reached.add(j)
+                queue.append(j)
+                walk.append((i, v, j, (masks[j] & ~masks[i]).bit_length() - 1))
+    return walk if len(queue) == len(masks) else None
+
+
+def _face_counts(masks: Sequence[int]) -> dict[int, int]:
+    """face -> number of the facets ``masks`` that contain it."""
+    count: dict[int, int] = {}
+    for s in chain.from_iterable(map(submasks, masks)):
+        count[s] = count.get(s, 0) + 1
+    return count
+
+
 class DualGraph:
-    """Facet-adjacency graph of a weak pseudomanifold."""
+    """The dual graph of a complex X: its nodes are the facets, and facets
+    i and j are joined when they share a ridge.  ``across`` is ``_across``
+    of the facets (None when X is not pure or a ridge lies in three or
+    more facets), ``walk`` is ``_walk`` from facet 0 (None unless across
+    is set and the walk reaches every facet) and ``count`` is
+    ``_face_counts``, built at its first use.  ``dual_graph`` and the
+    pseudomanifold tests read the first two, and ``_isomorphisms`` all
+    three, so a complex compared with many others is worked out once."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("X", "n", "across", "walk", "_count")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        self.n = n
-        self.edges = frozenset(tuple(sorted(e)) for e in edges)
+    def __init__(self, X: Complex):
+        self.X, self.n = X, len(X.facet_masks)
+        self.across = self.walk = self._count = None
+        if X.is_pure():
+            self.across = _across(X.facet_masks)
+            if self.across is not None:
+                self.walk = _walk(X.facet_masks, self.across)
+
+    @property
+    def count(self) -> dict[int, int]:
+        if self._count is None:
+            self._count = _face_counts(self.X.facet_masks)
+        return self._count
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, row in enumerate(self.across)
+                         for j in row.values() if i < j)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return self.walk is not None
 
     def is_tree(self) -> bool:
-        return len(self.edges) == self.n - 1 and self.is_connected()
+        return self.is_connected() and len(self.edges) == self.n - 1
 
     def is_path(self) -> bool:
-        if not self.is_tree():
-            return False
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return all(d <= 2 for d in deg)
+        return self.is_tree() and all(len(row) <= 2 for row in self.across)
 
 
 def dual_graph(X: Complex) -> DualGraph:
     if not X.is_pure():
         raise StructureError("dual graph needs a pure complex")
-    edges = []
-    for owners in _ridge_facets(X.facet_masks).values():
-        if len(owners) > 2:
-            raise StructureError("not a weak pseudomanifold")
-        if len(owners) == 2:
-            edges.append((owners[0], owners[1]))
-    return DualGraph(len(X.facet_masks), edges)
+    G = DualGraph(X)
+    if G.across is None:
+        raise StructureError("not a weak pseudomanifold")
+    return G
 
 
 def is_weak_pseudomanifold(X: Complex) -> bool:
-    if not X.is_pure():
-        return False
-    try:
-        dual_graph(X)
-    except StructureError:
-        return False
-    return True
+    return DualGraph(X).across is not None
 
 
 def is_pseudomanifold(X: Complex) -> bool:
-    return is_weak_pseudomanifold(X) and dual_graph(X).is_connected()
+    return DualGraph(X).is_connected()
 
 
 def is_closed_pseudomanifold(X: Complex) -> bool:
@@ -484,14 +526,16 @@ def is_closed_pseudomanifold(X: Complex) -> bool:
 
 
 def _closed_pseudomanifold(facet_masks: Sequence[int]) -> bool:
-    """``is_closed_pseudomanifold`` of the pure complex with these facets."""
-    edges = []
-    for r, owners in _ridge_facets(facet_masks).items():
-        if len(owners) == 2:
-            edges.append(owners)
-        elif r or len(owners) > 2:
-            return False
-    return DualGraph(len(facet_masks), edges).is_connected()
+    """``is_closed_pseudomanifold`` of the pure complex with these facets:
+    every facet has a neighbour across each of its ridges, and the walk
+    reaches every facet.  In dimension 0 the one ridge is ∅, which one or
+    two points may hold."""
+    across = _across(facet_masks)
+    if across is None:
+        return False
+    n = facet_masks[0].bit_count()
+    return n == 1 or (all(len(row) == n for row in across)
+                      and _walk(facet_masks, across) is not None)
 
 
 def _components(vert_masks, edge_masks) -> int:
@@ -639,24 +683,132 @@ def facet_hash(X: Complex) -> str:
     return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
 
 
-# -- isomorphism (test support; m <= 20) ------------------------------------
+# -- isomorphism -------------------------------------------------------------
 
 
-def _vertex_invariant(X: Complex, v: int) -> tuple:
-    degs = []
-    for t in range(1, X.dim + 1):
-        degs.append(sum(1 for f in X.faces_of_dim(t) if f >> v & 1))
-    return tuple(degs)
+def _isomorphisms(X: Complex | DualGraph, Y: Complex | DualGraph, budget: float,
+                  first: bool = False) -> list[tuple[int, ...]] | None:
+    """The isomorphisms from X onto Y as vertex maps (perm[v] is the id in
+    Y of the image of X's vertex v) when X is a pure, strongly connected
+    weak pseudomanifold other than {∅}; None for any other X, or once the
+    search has cost more than ``budget`` steps.  With Y = X the list is
+    Aut(X); with ``first`` the search stops at the first map it finds.  X
+    and Y may be given as their ``DualGraph``.
+
+    The breadth-first walk ``_walk`` of X reaches every facet j from a
+    facet i through the ridge i - v, and j adds one vertex w.  An
+    isomorphism g carries that ridge to the ridge of g(i) opposite g(v),
+    so g(j) and g(w) follow from g(i) and g on facet 0 (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).  The search fixes
+    the base flag, facet 0 with its vertices in id order, and tries every
+    flag of Y (a facet t with an order of its vertices) as its image: t
+    only when its faces lie in as many facets as those of facet 0, and
+    the order built a vertex at a time, dropped as soon as a face of
+    facet 0 and its image lie in different numbers of facets.  Each full
+    flag is propagated along the walk until the first conflict, and a map
+    is kept only when an exact check shows it carries the facet set of X
+    onto that of Y.  So every isomorphism is found once.
+
+    Steps: F * 2^(d+1) for the face counts of each complex, one per
+    candidate vertex of a flag and one per face it is compared on when it
+    fits, one per ridge crossed and F per exact check.  The face counts
+    are charged whether or not a ``DualGraph`` already holds them, so a
+    verdict does not depend on what was worked out before."""
+    same = Y is X
+    x = X if isinstance(X, DualGraph) else DualGraph(X)
+    walk = x.walk
+    if walk is None or x.X.dim < 0:
+        return None
+    X, masks = x.X, x.X.facet_masks
+    n = X.dim + 1
+    steps = (len(masks) << n) * (1 if same else 2)
+    if steps > budget:
+        return None
+    y = x if same else Y if isinstance(Y, DualGraph) else DualGraph(Y)
+    ymasks = y.X.facet_masks
+    if (y.X.m, y.X.dim, len(ymasks)) != (X.m, X.dim, len(masks)):
+        return []
+    yacross = y.across
+    if yacross is None:
+        return []
+    count, ycount = x.count, y.count
+    kind = sorted(count[s] for s in submasks(masks[0]))
+    base = ids_of(masks[0])
+    facets = set(ymasks)
+    found = []
+    for t, fm in enumerate(ymasks):
+        if sorted(ycount[s] for s in submasks(fm)) != kind:
+            continue
+        # partial orders: images of base[:k], the faces of facet 0 on
+        # base[:k], and their images, in matching positions
+        stack = [((), [0], [0])]
+        while stack:
+            if steps > budget:
+                return None
+            order, faces, images = stack.pop()
+            if len(order) < n:
+                b = 1 << base[len(order)]
+                for w in bits(fm & ~mask_of(order)):
+                    wb = 1 << w
+                    steps += 1
+                    if all(count[f | b] == ycount[g | wb]
+                           for f, g in zip(faces, images)):
+                        steps += len(faces)
+                        stack.append((order + (w,), faces + [f | b for f in faces],
+                                      images + [g | wb for g in images]))
+                continue
+            perm = [-1] * X.m
+            for v, w in zip(base, order):
+                perm[v] = w
+            image = [-1] * len(masks)  # facet index in X -> its image in Y
+            image[0] = t
+            used = fm
+            for i, v, j, w in walk:
+                steps += 1
+                gi = image[i]
+                gj = yacross[gi].get(perm[v])
+                if gj is None:
+                    break
+                new = ymasks[gj] & ~ymasks[gi]
+                if perm[w] < 0:
+                    if used & new:
+                        break
+                    used |= new
+                    perm[w] = new.bit_length() - 1
+                elif 1 << perm[w] != new:
+                    break
+                image[j] = gj
+            else:
+                steps += len(masks)
+                bit = [1 << w for w in perm]
+                if {reduce(or_, map(bit.__getitem__, f)) for f in X.facets} == facets:
+                    found.append(tuple(perm))
+                    if first:
+                        return found
+    return found
 
 
 def are_isomorphic(X: Complex, Y: Complex) -> bool:
-    """Decide isomorphism by backtracking on vertex bijections."""
+    """Decide isomorphism: by ``_isomorphisms`` without a step budget when
+    X is a pure, strongly connected weak pseudomanifold, else by
+    ``_backtracking_isomorphic``."""
+    found = _isomorphisms(X, Y, inf, first=True)
+    return _backtracking_isomorphic(X, Y) if found is None else bool(found)
+
+
+def _backtracking_isomorphic(X: Complex, Y: Complex) -> bool:
+    """Decide isomorphism by backtracking on vertex bijections, one level
+    of recursion per vertex (small complexes only)."""
     if X.m != Y.m or X.dim != Y.dim:
         return False
     if [X.n_faces(t) for t in range(X.dim + 1)] != [Y.n_faces(t) for t in range(Y.dim + 1)]:
         return False
-    inv_x = [_vertex_invariant(X, v) for v in range(X.m)]
-    inv_y = [_vertex_invariant(Y, v) for v in range(Y.m)]
+
+    def invariants(Z: Complex) -> list[tuple[int, ...]]:
+        return [tuple(sum(1 for f in Z.faces_of_dim(t) if f >> v & 1)
+                      for t in range(1, Z.dim + 1)) for v in range(Z.m)]
+
+    inv_x, inv_y = invariants(X), invariants(Y)
     if sorted(inv_x) != sorted(inv_y):
         return False
     y_facets = set(Y.facet_masks)

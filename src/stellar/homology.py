@@ -221,9 +221,7 @@ def betti(X: Complex, field: FieldSpec) -> BettiTable:
 
 
 def reduced_betti(X: Complex, field: FieldSpec) -> tuple[int, ...]:
-    if X.dim < 0:
-        return (-1,)
-    return tuple(reduced_betti_of_faces(_faces_by_dim(X), field, X.dim))
+    return betti(X, field).reduced
 
 
 def _relative_betti(X: Complex, keep, field: FieldSpec) -> list[int]:

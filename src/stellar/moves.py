@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, _map_jobs, _maximal, _renumbered,
-                   _ridge_facets, bits, boundary, dual_graph, facet_hash,
-                   is_connected, is_closed_pseudomanifold, link, mask_of,
-                   popcount, submasks)
+                   StructureError, _across, _face_counts, _map_jobs, _maximal,
+                   _renumbered, _ridge_facets, bits, boundary, dual_graph,
+                   facet_hash, is_connected, is_closed_pseudomanifold, link,
+                   mask_of, popcount, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -425,16 +425,16 @@ def ears(B: Complex) -> list[tuple[str, ...]]:
     simplex-boundary facets.  A single-facet ball reports its facet."""
     if len(B.facet_masks) == 1:
         return [B.facets_as_names()[0]]
-    owners = _ridge_facets(B.facet_masks)
-    if any(len(o) > 2 for o in owners.values()):
+    across = _across(B.facet_masks)
+    if across is None:
         raise StructureError("ears need a weak pseudomanifold")
-    bd_ridges = [r for r, o in owners.items() if len(o) == 1]
+    # E, the vertices opposite a facet's boundary ridges: the facet less
+    # the keys of its across row
+    emasks = [fm & ~mask_of(row) for fm, row in zip(B.facet_masks, across)]
+    bd_ridges = [fm ^ (1 << v) for fm, emask in zip(B.facet_masks, emasks)
+                 for v in bits(emask)]
     out = []
-    for fm in B.facet_masks:
-        emask = 0
-        for v in bits(fm):
-            if len(owners[fm ^ (1 << v)]) == 1:
-                emask |= 1 << v
+    for fm, emask in zip(B.facet_masks, emasks):
         if emask == 0 or emask == fm:
             continue
         # purity of the induced boundary subcomplex <=> the complement
@@ -486,19 +486,14 @@ def find_shelling(B: Complex, budget: int = 10 ** 6) -> SearchOutcome:
     masks = B.facet_masks
     ridges = [[(fm ^ (1 << v), 1 << v) for v in bits(fm)] for fm in masks]
     live = [True] * len(masks)
-    ridge_count: dict[int, int] = {}
-    face_count: dict[int, int] = {}
+    ridge_count = {r: len(o) for r, o in _ridge_facets(masks).items()}
+    face_count = _face_counts(masks)
     bd_cover: dict[int, int] = {}
 
     def cover(r: int, step: int) -> None:
         for sub in submasks(r):
             bd_cover[sub] = bd_cover.get(sub, 0) + step
 
-    for i, fm in enumerate(masks):
-        for sub in submasks(fm):
-            face_count[sub] = face_count.get(sub, 0) + 1
-        for r, _ in ridges[i]:
-            ridge_count[r] = ridge_count.get(r, 0) + 1
     for r, c in ridge_count.items():
         if c == 1:
             cover(r, 1)

@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
-from operator import and_, or_
+from operator import and_
 
-from .core import Complex, ComplexError, _map_jobs, _ridge_facets, bits, \
-    ids_of, is_closed_pseudomanifold, is_connected, link, mask_of, \
-    neighbourliness, popcount, submasks
+from .core import Complex, ComplexError, DualGraph, _isomorphisms, \
+    _map_jobs, _ridge_facets, bits, ids_of, is_closed_pseudomanifold, \
+    is_connected, link, neighbourliness, popcount
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
     _faces_by_dim, _inclusion_test, betti, is_homology_sphere, orientable, \
@@ -209,168 +209,6 @@ def _ball_closure(X: Complex) -> Complex | None:
                    [ids_of(f) for f in X.facet_masks + tuple(caps)])
 
 
-def _across(masks: tuple[int, ...]) -> list[dict[int, int]] | None:
-    """across[i][v] = j when facets i and j share the ridge masks[i] - v;
-    None when some ridge lies in three or more facets."""
-    across: list[dict[int, int]] = [{} for _ in masks]
-    for r, owners in _ridge_facets(masks).items():
-        if len(owners) > 2:
-            return None
-        if len(owners) == 2:
-            i, j = owners
-            across[i][(masks[i] & ~r).bit_length() - 1] = j
-            across[j][(masks[j] & ~r).bit_length() - 1] = i
-    return across
-
-
-def _face_counts(masks: tuple[int, ...]) -> dict[int, int]:
-    """face -> number of the facets ``masks`` that contain it."""
-    count: dict[int, int] = {}
-    for fm in masks:
-        for s in submasks(fm):
-            count[s] = count.get(s, 0) + 1
-    return count
-
-
-class _Walk:
-    """What ``_isomorphisms`` works out about a complex X before it
-    searches, kept so that a complex compared with many others is worked
-    out once: ``across`` (``_across`` of the facets; None when X is empty
-    or not pure), ``walk`` (the breadth-first walk below; None unless it
-    reaches every facet) and ``count`` (``_face_counts``, built at its
-    first use)."""
-
-    __slots__ = ("X", "across", "walk", "_count")
-
-    def __init__(self, X: Complex):
-        self.X = X
-        self.across = self.walk = self._count = None
-        if X.dim < 0 or not X.is_pure():
-            return
-        masks = X.facet_masks
-        across = self.across = _across(masks)
-        if across is None:
-            return
-        walk = []  # (i, v, j, w) as in _isomorphisms, in breadth-first order
-        queue, reached = [0], {0}
-        for i in queue:
-            for v, j in sorted(across[i].items()):
-                if j not in reached:
-                    reached.add(j)
-                    queue.append(j)
-                    walk.append((i, v, j, (masks[j] & ~masks[i]).bit_length() - 1))
-        if len(queue) == len(masks):
-            self.walk = walk
-
-    @property
-    def count(self) -> dict[int, int]:
-        if self._count is None:
-            self._count = _face_counts(self.X.facet_masks)
-        return self._count
-
-
-def _isomorphisms(X: Complex | _Walk, Y: Complex | _Walk, budget: int,
-                  first: bool = False) -> list[tuple[int, ...]] | None:
-    """The isomorphisms from X onto Y as vertex maps (perm[v] is the id in
-    Y of the image of X's vertex v) when X is a pure, strongly connected
-    weak pseudomanifold; None for any other X, or once the search has cost
-    more than ``budget`` steps.  With Y = X the list is Aut(X); with
-    ``first`` the search stops at the first map it finds.  X and Y may be
-    given as their ``_Walk``.
-
-    A breadth-first walk across ridges from facet 0 of X reaches every
-    facet j from a facet i through the ridge i - v, and j adds one vertex
-    w.  An isomorphism g carries that ridge to the ridge of g(i) opposite
-    g(v), so g(j) and g(w) follow from g(i) and g on facet 0 (McKay &
-    Piperno, "Practical graph isomorphism, II", 2014).  The search fixes
-    the base flag, facet 0 with its vertices in id order, and tries every
-    flag of Y (a facet t with an order of its vertices) as its image: t
-    only when its faces lie in as many facets as those of facet 0, and
-    the order built a vertex at a time, dropped as soon as a face of
-    facet 0 and its image lie in different numbers of facets.  Each full
-    flag is propagated along the walk until the first conflict, and a map
-    is kept only when an exact check shows it carries the facet set of X
-    onto that of Y.  So every isomorphism is found once.
-
-    Steps: F * 2^(d+1) for the face counts of each complex, one per
-    candidate vertex of a flag and one per face it is compared on when it
-    fits, one per ridge crossed and F per exact check.  The face counts
-    are charged whether or not a ``_Walk`` already holds them, so a
-    verdict does not depend on what was worked out before."""
-    same = Y is X
-    x = X if isinstance(X, _Walk) else _Walk(X)
-    walk = x.walk
-    if walk is None:
-        return None
-    X, masks = x.X, x.X.facet_masks
-    n = X.dim + 1
-    steps = (len(masks) << n) * (1 if same else 2)
-    if steps > budget:
-        return None
-    y = x if same else Y if isinstance(Y, _Walk) else _Walk(Y)
-    ymasks = y.X.facet_masks
-    if (y.X.m, y.X.dim, len(ymasks)) != (X.m, X.dim, len(masks)):
-        return []
-    yacross = y.across
-    if yacross is None:
-        return []
-    count, ycount = x.count, y.count
-    kind = sorted(count[s] for s in submasks(masks[0]))
-    base = ids_of(masks[0])
-    facets = set(ymasks)
-    found = []
-    for t, fm in enumerate(ymasks):
-        if sorted(ycount[s] for s in submasks(fm)) != kind:
-            continue
-        # partial orders: images of base[:k], the faces of facet 0 on
-        # base[:k], and their images, in matching positions
-        stack = [((), [0], [0])]
-        while stack:
-            if steps > budget:
-                return None
-            order, faces, images = stack.pop()
-            if len(order) < n:
-                b = 1 << base[len(order)]
-                for w in bits(fm & ~mask_of(order)):
-                    wb = 1 << w
-                    steps += 1
-                    if all(count[f | b] == ycount[g | wb]
-                           for f, g in zip(faces, images)):
-                        steps += len(faces)
-                        stack.append((order + (w,), faces + [f | b for f in faces],
-                                      images + [g | wb for g in images]))
-                continue
-            perm = [-1] * X.m
-            for v, w in zip(base, order):
-                perm[v] = w
-            image = [-1] * len(masks)  # facet index in X -> its image in Y
-            image[0] = t
-            used = fm
-            for i, v, j, w in walk:
-                steps += 1
-                gi = image[i]
-                gj = yacross[gi].get(perm[v])
-                if gj is None:
-                    break
-                new = ymasks[gj] & ~ymasks[gi]
-                if perm[w] < 0:
-                    if used & new:
-                        break
-                    used |= new
-                    perm[w] = new.bit_length() - 1
-                elif 1 << perm[w] != new:
-                    break
-                image[j] = gj
-            else:
-                steps += len(masks)
-                bit = [1 << w for w in perm]
-                if {reduce(or_, map(bit.__getitem__, f)) for f in X.facets} == facets:
-                    found.append(tuple(perm))
-                    if first:
-                        return found
-    return found
-
-
 def _chunk_sums(args) -> list[list[int]]:
     """The table's share of the classes (least mask, size) of ``_class_sums``:
     one homology run per class, weighted by its size."""
@@ -492,7 +330,7 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     that got a sigma of their own before it, and takes the sigma of the
     first one that ``_isomorphisms`` maps it onto within the class path's
     budget of 8 * 2^m steps (m = the link's vertex count); what the search
-    needs of each link is worked out once, as its ``_Walk``.  A link that
+    needs of each link is worked out once, as its ``DualGraph``.  A link that
     matches none, or is not a pure, strongly connected weak
     pseudomanifold, gets its own sigma.  ``jobs`` is passed to each sigma.
 
@@ -505,10 +343,10 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:
         mu[1] = Fraction(1)
-    known: list[tuple[_Walk, tuple[Fraction, ...]]] = []
+    known: list[tuple[DualGraph, tuple[Fraction, ...]]] = []
     for v in range(X.m):
         lk = link(X, (v,))
-        walked = _Walk(lk)
+        walked = DualGraph(lk)
         sig = next((s for rep, s in known
                     if _isomorphisms(walked, rep, 8 << lk.m, first=True)), None)
         if sig is None:

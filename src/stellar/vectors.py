@@ -27,10 +27,6 @@ def h_from_f(f: tuple[int, ...], d: int) -> tuple[int, ...]:
         for j in range(d + 2))
 
 
-def g_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(h[j] - (h[j - 1] if j else 0) for j in range(len(h)))
-
-
 def g_from_f(f: tuple[int, ...], d: int) -> tuple[int, ...]:
     """g_j = sum_{i=-1}^{j-1} (-1)^(j-i-1) C(d-i+1, j-i-1) f_i, 0 <= j <= d+1."""
     full = (1,) + tuple(f)

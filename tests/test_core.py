@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
-                          _dominated, antistar, are_isomorphic, bits, boundary,
+                          _dominated, _ridge_facets, antistar, are_isomorphic,
+                          bits, boundary,
                           connected_sum, dual_graph, facet_hash, format_facets,
                           induced, is_closed_pseudomanifold, is_pseudomanifold,
                           is_weak_pseudomanifold, join,
@@ -438,3 +439,90 @@ def test_closed_pseudomanifold_cases(corp):
     assert not is_closed_pseudomanifold(parse_facets("a\nb\nc"))
     two = _two_spheres(standard_sphere(2), standard_sphere(2), 0)
     assert not is_closed_pseudomanifold(two)  # closed, not connected
+
+
+class EdgeListDualGraph:
+    """The dual graph as an edge list with a depth-first search, as
+    ``core.DualGraph`` was before it held the adjacency and the walk."""
+
+    def __init__(self, n, edges):
+        self.n = n
+        self.edges = frozenset(tuple(sorted(e)) for e in edges)
+
+    def is_connected(self):
+        adj = [[] for _ in range(self.n)]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        seen, stack = {0}, [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
+
+    def is_tree(self):
+        return len(self.edges) == self.n - 1 and self.is_connected()
+
+    def is_path(self):
+        deg = [0] * self.n
+        for a, b in self.edges:
+            deg[a] += 1
+            deg[b] += 1
+        return self.is_tree() and all(d <= 2 for d in deg)
+
+
+def edge_list_dual_graph(X):
+    """``dual_graph`` from the ridge map alone: the oracle of the shared
+    adjacency and walk."""
+    if not X.is_pure():
+        raise StructureError("dual graph needs a pure complex")
+    edges = []
+    for owners in _ridge_facets(X.facet_masks).values():
+        if len(owners) > 2:
+            raise StructureError("not a weak pseudomanifold")
+        if len(owners) == 2:
+            edges.append(owners)
+    return EdgeListDualGraph(len(X.facet_masks), edges)
+
+
+def dual_graph_outcome(build, X):
+    try:
+        G = build(X)
+    except StructureError as exc:
+        return str(exc)
+    return G.n, G.edges, G.is_connected(), G.is_tree(), G.is_path()
+
+
+@st.composite
+def dual_graph_inputs(draw):
+    """The inputs of ``closed_or_not``, and stacked spheres and balls with
+    one more facet on a ridge and a new vertex: a ridge on three facets
+    when the ridge was inside."""
+    X = draw(closed_or_not())
+    if X.dim < 1 or not draw(st.booleans()):
+        return X
+    facet = draw(st.sampled_from(X.facets_as_names()))
+    ridge = [n for n in facet if n != draw(st.sampled_from(facet))]
+    return Complex.from_facets(X.facets_as_names() + [ridge + ["new"]])
+
+
+@pytest.mark.filterwarnings("ignore:dropped")
+@settings(max_examples=300, deadline=None)
+@given(dual_graph_inputs())
+def test_dual_graph_matches_edge_list_reference(X):
+    expected = dual_graph_outcome(edge_list_dual_graph, X)
+    assert dual_graph_outcome(dual_graph, X) == expected
+    assert is_weak_pseudomanifold(X) == (not isinstance(expected, str))
+    assert is_pseudomanifold(X) == (not isinstance(expected, str) and expected[2])
+
+
+def test_dual_graph_matches_edge_list_reference_on_stacked_complexes():
+    for d in (1, 2, 3):
+        for seed in range(3):
+            for X in (random_stacked_sphere(d, 30, seed=seed),
+                      random_stacked_ball(d, 30, seed=seed)):
+                assert dual_graph_outcome(dual_graph, X) == \
+                    dual_graph_outcome(edge_list_dual_graph, X)
+                assert is_pseudomanifold(X)

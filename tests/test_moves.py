@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from stellar.constructions import (LUTZ_B2_SHELLING, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import Complex, boundary, facet_hash, join, link
+from stellar.core import (Complex, StructureError, _ridge_facets, antistar,
+                          bits, boundary, facet_hash, join, link)
 from stellar.moves import (BistellarMove, HypothesisViolation, MoveCertificate,
                            MoveError, apply_bistellar, apply_reverse,
                            bistellar_face_delta, canonical_ball,
@@ -160,6 +161,50 @@ def test_ears(corp):
     assert ears(corp["lutz_B2"].complex) == [("2", "4", "5", "7")]
     b = standard_ball(3)
     assert ears(b) == [b.facets_as_names()[0]]
+
+
+def ridge_map_ears(B):
+    """``ears`` with the boundary ridges read from the ridge map: the
+    oracle of the version that reads them off the dual graph."""
+    if len(B.facet_masks) == 1:
+        return [B.facets_as_names()[0]]
+    owners = _ridge_facets(B.facet_masks)
+    if any(len(o) > 2 for o in owners.values()):
+        raise StructureError("ears need a weak pseudomanifold")
+    bd_ridges = [r for r, o in owners.items() if len(o) == 1]
+    out = []
+    for fm in B.facet_masks:
+        emask = 0
+        for v in bits(fm):
+            if len(owners[fm ^ (1 << v)]) == 1:
+                emask |= 1 << v
+        if emask == 0 or emask == fm:
+            continue
+        if any(r & emask == emask for r in bd_ridges):
+            continue
+        out.append(tuple(sorted(B.names_of_mask(fm))))
+    return out
+
+
+def ears_outcome(find, B):
+    try:
+        return find(B)
+    except StructureError as exc:
+        return str(exc)
+
+
+def test_ears_match_ridge_map_reference(corp):
+    inputs = [entry.complex for entry in corp.values()]
+    for d in (1, 2, 3):
+        for n in (1, 2, 5, 20, 60):
+            inputs.append(random_stacked_ball(d, n, seed=n + d))
+    for seed in range(4):
+        S = random_stacked_sphere(3, 12 + 6 * seed, seed=seed)
+        inputs += [antistar(S, v) for v in range(0, S.m, 3)]
+    inputs += [Complex.from_facets(["123", "124", "125"]),  # not weak
+               Complex.from_facets(["123", "34", "45"])]         # not pure
+    for B in inputs:
+        assert ears_outcome(ears, B) == ears_outcome(ridge_map_ears, B)
 
 
 def test_k_stacked(corp):

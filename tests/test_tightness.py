@@ -1,5 +1,6 @@
 """Sigma/mu-vectors, Morse reports, tightness and the criterion battery."""
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -13,13 +14,13 @@ from stellar import tightness
 from stellar.constructions import (corpus, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import (Complex, antistar, are_isomorphic, bits, join, link,
-                          mask_of)
+from stellar.core import (Complex, _backtracking_isomorphic, _isomorphisms,
+                          antistar, are_isomorphic, bits, join, link, mask_of)
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
                               is_homology_sphere, reduced_betti_of_faces)
 from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
 from stellar.tightness import (BudgetError, _ball_closure, _byte_tables,
-                               _class_sums, _component_tallies, _isomorphisms,
+                               _class_sums, _component_tallies,
                                _subset_sums, criterion_battery,
                                is_tight, morse_report, mu_vector,
                                mu_via_pairs, p23_bounds, sigma_g_report,
@@ -465,10 +466,26 @@ FORM_POOL = _form_pool()
 def test_isomorphisms_decide_isomorphism(i, j, rnd):
     X, Y = relabelled(FORM_POOL[i], rnd), relabelled(FORM_POOL[j], rnd)
     found = _isomorphisms(X, Y, NO_BUDGET, first=True)
-    assert bool(found) == are_isomorphic(X, Y)
+    assert bool(found) == _backtracking_isomorphic(X, Y) == are_isomorphic(X, Y)
     if found:
         image = {mask_of(found[0][v] for v in bits(f)) for f in X.facet_masks}
         assert image == set(Y.facet_masks)
+
+
+def test_are_isomorphic_ignores_recursion_limit():
+    X = random_stacked_sphere(3, 150, seed=2)
+    Y = relabelled(X, random.Random(1))
+    Z = relabelled(random_stacked_sphere(3, 150, seed=3), random.Random(1))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)  # far below the 150 vertices
+    try:
+        assert are_isomorphic(X, Y)
+        assert not are_isomorphic(X, Z)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_canonical_form_needs_strongly_connected_pseudomanifold():
