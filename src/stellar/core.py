@@ -108,14 +108,15 @@ def _dominated(masks: Sequence[int]) -> list[int]:
 
 def _renumbered(names: Sequence[str], kept: Sequence[Sequence[int]],
                 added: Iterable[Sequence[object]]) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The names, and the facets as increasing id tuples in no particular
-    order, of ``Complex.from_facets`` on a facet list made of ``kept``,
-    each a tuple of increasing ids into ``names`` (so listed by its names
-    in id order), followed by ``added``, each a sequence of names.
+    """The names, and the facets as increasing id tuples in input order,
+    of a facet list made of ``kept``, each a tuple of increasing ids into
+    ``names`` (so listed by its names in id order), followed by ``added``,
+    each a sequence of names, with ids given in first-occurrence order.
 
-    Ids are given in first-occurrence order, as ``from_facets`` does, but
-    from plain tuples: nothing is parsed, and nothing is checked, so the
-    caller must know that no entry repeats or contains another.
+    This is the one numbering rule: ``Complex.from_facets`` applies it to
+    its input.  Nothing is parsed and nothing is checked, so a caller that
+    builds a complex from the result must know that no entry repeats or
+    contains another.
     """
     order = dict.fromkeys(chain.from_iterable(kept))
     new_id = [0] * len(names)
@@ -203,51 +204,26 @@ class Complex:
     def from_facets(facet_list: Sequence[Sequence[object]]) -> "Complex":
         """Build a complex from vertex-name lists, one facet per entry.
 
-        Names are assigned dense ids in first-occurrence order.  Entries
-        dominated by another entry are dropped with a warning; a repeated
-        vertex inside one entry is an error.
+        Names are assigned dense ids in first-occurrence order
+        (``_renumbered``).  Entries dominated by another entry are dropped
+        with a warning, and the ids left unused are compacted
+        (``_rebuild``); a repeated vertex inside one entry is an error.
         """
         if not facet_list:
             raise InputError("empty facet list")
-        name_ids: dict[str, int] = {}
-        raw = []
-        for entry in facet_list:
-            toks = [str(t) for t in entry]
+        entries = [[str(t) for t in entry] for entry in facet_list]
+        for toks in entries:
             if not toks:
                 raise InputError("empty facet in input")
             if len(set(toks)) != len(toks):
                 raise InputError(f"duplicate vertex within facet {toks}")
-            raw.append(tuple(sorted([name_ids.setdefault(t, len(name_ids))
-                                     for t in toks])))
-        masks = [mask_of(f) for f in raw]
-        dominated = set(_dominated(masks))
-        seen: set[int] = set()
-        keep = []
-        dropped = 0
-        for i, a in enumerate(masks):
-            if i in dominated or a in seen:
-                dropped += 1
-            else:
-                keep.append(raw[i])
-            seen.add(a)
-        if dropped:
-            warnings.warn(f"dropped {dropped} inclusion-dominated input facet(s)",
-                          stacklevel=2)
-        names = [None] * len(name_ids)
-        for n, i in name_ids.items():
-            names[i] = n
-        used = set().union(*keep)
-        if len(used) != len(names):
-            # unused names can only arise from dropped facets; compact ids
-            remap = {}
-            new_names = []
-            for i, n in enumerate(names):
-                if i in used:
-                    remap[i] = len(new_names)
-                    new_names.append(n)
-            keep = [tuple(sorted(remap[v] for v in f)) for f in keep]
-            names = new_names
-        return Complex(names, keep)
+        names, raw = _renumbered((), (), entries)
+        keep = _maximal(map(mask_of, raw))
+        if len(keep) == len(raw):
+            return Complex(names, raw)
+        warnings.warn(f"dropped {len(raw) - len(keep)} inclusion-dominated "
+                      "input facet(s)", stacklevel=2)
+        return _rebuild(names, keep)
 
     # -- basic queries ----------------------------------------------------
 
@@ -322,21 +298,18 @@ class Complex:
 # -- elementary constructions ---------------------------------------------
 
 
-def _rebuild(X: Complex, facet_masks: Iterable[int]) -> Complex:
-    """New complex from face masks of X, keeping names, compacting ids."""
+def _rebuild(names: Sequence[str], facet_masks: Iterable[int]) -> Complex:
+    """New complex from facet masks over the ids of ``names``, keeping
+    the names of the ids used and compacting them in increasing order."""
     facet_masks = list(facet_masks)
     if not facet_masks:
         raise InputError("no facets")
     if facet_masks == [0]:
         return Complex.empty()
-    used = 0
-    for fm in facet_masks:
-        used |= fm
-    old_ids = list(bits(used))
+    old_ids = list(bits(reduce(or_, facet_masks)))
     remap = {v: i for i, v in enumerate(old_ids)}
-    names = [X.names[v] for v in old_ids]
     facets = [tuple(remap[v] for v in bits(fm)) for fm in facet_masks]
-    return Complex(names, facets)
+    return Complex([names[v] for v in old_ids], facets)
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -356,7 +329,7 @@ def skeleton(X: Complex, t: int) -> Complex:
     masks = set()
     for s in range(t + 1):
         masks |= X.faces_of_dim(s)
-    return _rebuild(X, _maximal(masks))
+    return _rebuild(X.names, _maximal(masks))
 
 
 def link(X: Complex, face: Iterable[int]) -> Complex:
@@ -364,27 +337,27 @@ def link(X: Complex, face: Iterable[int]) -> Complex:
     if not X.has_face(fm):
         raise NotAFaceError(f"{X.names_of_mask(fm)} is not a face")
     lk = _maximal(f & ~fm for f in X.facet_masks if f & fm == fm)
-    return _rebuild(X, lk)
+    return _rebuild(X.names, lk)
 
 
 def star(X: Complex, face: Iterable[int]) -> Complex:
     fm = mask_of(face)
     if not X.has_face(fm):
         raise NotAFaceError(f"{X.names_of_mask(fm)} is not a face")
-    return _rebuild(X, [f for f in X.facet_masks if f & fm == fm])
+    return _rebuild(X.names, [f for f in X.facet_masks if f & fm == fm])
 
 
 def antistar(X: Complex, x: int) -> Complex:
     if x < 0 or x >= X.m:
         raise NotAFaceError(f"no vertex id {x}")
     xm = 1 << x
-    return _rebuild(X, _maximal(f & ~xm for f in X.facet_masks))
+    return _rebuild(X.names, _maximal(f & ~xm for f in X.facet_masks))
 
 
 def induced(X: Complex, vertex_ids: Iterable[int]) -> Complex:
     """Induced subcomplex X[A]; ids outside V(X) are ignored."""
     am = mask_of(v for v in vertex_ids if 0 <= v < X.m)
-    return _rebuild(X, _maximal(f & am for f in X.facet_masks))
+    return _rebuild(X.names, _maximal(f & am for f in X.facet_masks))
 
 
 def join(X: Complex, Y: Complex) -> Complex:
@@ -413,7 +386,7 @@ def boundary(X: Complex) -> Complex:
     bfaces = [s for s, o in owners.items() if len(o) == 1]
     if not bfaces:
         return Complex.empty()
-    return _rebuild(X, bfaces)
+    return _rebuild(X.names, bfaces)
 
 
 def _across(masks: Sequence[int]) -> list[dict[int, int]] | None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, _across, _face_counts, _map_jobs, _maximal,
+                   StructureError, _face_counts, _map_jobs, _maximal,
                    _renumbered, _ridge_facets, bits, boundary, dual_graph,
                    facet_hash, is_connected, is_closed_pseudomanifold, link,
                    mask_of, popcount, submasks)
@@ -355,6 +355,14 @@ class ShellingOrderError(MoveError):
                          f"(facet {facet}): {reason}")
 
 
+def _present_ridges(sigma: int, faces) -> int:
+    """T, the vertices b of ``sigma`` whose opposite ridge sigma - b is in
+    ``faces``: adjoining sigma to the complex with these faces is a
+    shelling step iff T is nonempty and not itself a face, and then alpha
+    is sigma - T and beta is T."""
+    return mask_of(b for b in bits(sigma) if sigma ^ (1 << b) in faces)
+
+
 def verify_shelling(B_target: Complex, order) -> MoveCertificate:
     """Check that ``order`` (a permutation of the facets, given by vertex
     names) is a shelling of ``B_target`` and return its certificate.
@@ -371,10 +379,7 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
     yfaces = set(submasks(first))
     steps = []
     for pos, sigma in enumerate(masks[1:], start=1):
-        tmask = 0
-        for b in bits(sigma):
-            if sigma ^ (1 << b) in yfaces:
-                tmask |= 1 << b
+        tmask = _present_ridges(sigma, yfaces)
         if tmask == 0:
             raise ShellingOrderError(pos, B_target.names_of_mask(sigma),
                                      "facet meets the previous complex in no ridge")
@@ -398,51 +403,87 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
 
 
 def replay_shelling(start: Complex, steps) -> Complex:
+    """Adjoin the facet alpha + beta of each step, checking that the step
+    is the shelling step ``_present_ridges`` finds.  The face set is kept
+    over ids of its own, one per name in order of appearance, and grows by
+    each new facet; each intermediate complex is still built by
+    ``Complex.from_facets``, as the ids of the result depend on it."""
     cur = start
+    ids = dict(zip(start.names, range(start.m)))
+    faces = set().union(*map(submasks, start.facet_masks))
     for mv in steps:
-        sigma = tuple(mv.alpha) + tuple(mv.beta)
-        cur_facets = cur.facets_as_names()
-        new = Complex.from_facets(cur_facets + [sigma])
-        # admissibility re-check against the old complex
-        am = new.mask_from_names(mv.alpha)
-        bm = new.mask_from_names(mv.beta)
-        old_faces = set()
-        for f in cur_facets:
-            old_faces.update(submasks(new.mask_from_names(f)))
-        for b in bits(bm):
-            if (am | bm) ^ (1 << b) not in old_faces:
-                raise MoveError(f"invalid shelling step {mv}")
-        if bm in old_faces:
+        cur = Complex.from_facets(cur.facets_as_names()
+                                  + [tuple(mv.alpha) + tuple(mv.beta)])
+        am, bm = (mask_of(ids.setdefault(str(v), len(ids)) for v in part)
+                  for part in (mv.alpha, mv.beta))
+        if _present_ridges(am | bm, faces) != bm or bm in faces:
             raise MoveError(f"invalid shelling step {mv}")
-        cur = new
+        faces.update(submasks(am | bm))
     return cur
+
+
+def _peeling(masks):
+    """Counters of the complex with facets ``masks`` while its facets are
+    peeled and restored one at a time, updated instead of recounted: which
+    facets are live, the number of live facets on each ridge
+    (``ridge_count``) and containing each face (``face_count``), and the
+    number of boundary ridges (ridges on one live facet) containing each
+    face.  Returns live, ridge_count, face_count, ``toggle(i, step)``,
+    which peels facet i (step -1) or restores it (step +1), and ``ear(i)``.
+
+    ``ear(i)`` is the ear test of a live facet i: E, its vertices opposite
+    its boundary ridges, when E is neither empty nor the whole facet and
+    no boundary ridge contains E; else 0."""
+    ridges = [[(fm ^ (1 << v), 1 << v) for v in bits(fm)] for fm in masks]
+    live = [True] * len(masks)
+    ridge_count = {r: len(o) for r, o in _ridge_facets(masks).items()}
+    face_count = _face_counts(masks)
+    bd_cover: dict[int, int] = {}
+
+    def cover(r: int, step: int) -> None:
+        for sub in submasks(r):
+            bd_cover[sub] = bd_cover.get(sub, 0) + step
+
+    for r, c in ridge_count.items():
+        if c == 1:
+            cover(r, 1)
+
+    def toggle(i: int, step: int) -> None:
+        live[i] = step > 0
+        for sub in submasks(masks[i]):
+            face_count[sub] += step
+        for r, _ in ridges[i]:
+            before = ridge_count[r]
+            after = ridge_count[r] = before + step
+            if before == 1:
+                cover(r, -1)
+            if after == 1:
+                cover(r, 1)
+
+    def ear(i: int) -> int:
+        emask = 0
+        for r, vbit in ridges[i]:
+            if ridge_count[r] == 1:
+                emask |= vbit
+        return 0 if emask == masks[i] or bd_cover.get(emask, 0) else emask
+
+    return live, ridge_count, face_count, toggle, ear
 
 
 def ears(B: Complex) -> list[tuple[str, ...]]:
     """Facets whose removal leaves a ball, by the boundary-restriction
     test: the induced subcomplex of the boundary on the facet's vertices
     is pure of codimension one with a nonempty proper subset of the
-    simplex-boundary facets.  A single-facet ball reports its facet."""
+    simplex-boundary facets: ``_peeling``'s ear test on B, which reads
+    purity as no boundary ridge containing E.  A single-facet ball
+    reports its facet."""
     if len(B.facet_masks) == 1:
         return [B.facets_as_names()[0]]
-    across = _across(B.facet_masks)
-    if across is None:
+    _, ridge_count, _, _, ear = _peeling(B.facet_masks)
+    if max(ridge_count.values()) > 2:
         raise StructureError("ears need a weak pseudomanifold")
-    # E, the vertices opposite a facet's boundary ridges: the facet less
-    # the keys of its across row
-    emasks = [fm & ~mask_of(row) for fm, row in zip(B.facet_masks, across)]
-    bd_ridges = [fm ^ (1 << v) for fm, emask in zip(B.facet_masks, emasks)
-                 for v in bits(emask)]
-    out = []
-    for fm, emask in zip(B.facet_masks, emasks):
-        if emask == 0 or emask == fm:
-            continue
-        # purity of the induced boundary subcomplex <=> the complement
-        # core is not itself a boundary face
-        if any(r & emask == emask for r in bd_ridges):
-            continue
-        out.append(tuple(sorted(B.names_of_mask(fm))))
-    return out
+    return [tuple(sorted(B.names_of_mask(fm)))
+            for i, fm in enumerate(B.facet_masks) if ear(i)]
 
 
 @dataclass
@@ -469,63 +510,25 @@ def find_shelling(B: Complex, budget: int = 10 ** 6) -> SearchOutcome:
 
     The depth-first search keeps an explicit stack of candidate
     iterators, one per peeled facet, so its depth is not bounded by the
-    recursion limit.  Three counters are updated as a facet is peeled and
-    restored instead of being recounted at every node: the number of live
-    facets on each ridge, the number of live facets containing each face,
-    and the number of boundary ridges (ridges on one live facet)
-    containing each face.  A live facet with boundary-ridge vertex set E
-    and complement T = facet - E, with E neither empty nor the whole
-    facet, is a candidate iff no boundary ridge contains E (the ear test)
-    and no other live facet contains T (T is a free face).  Candidates
-    are tried in ``B.facet_masks`` order, and a node's iterator resumes
-    only after its child has restored every counter, so it yields what a
-    full recount at that node would.
+    recursion limit.  The counters of ``_peeling`` are updated as a facet
+    is peeled and restored.  A live facet is a candidate iff it passes
+    the ear test with E and no other live facet contains T = facet - E
+    (T is a free face).  Candidates are tried in ``B.facet_masks`` order,
+    and a node's iterator resumes only after its child has restored every
+    counter, so it yields what a full recount at that node would.
     """
     if not B.is_pure():
         raise StructureError("find_shelling needs a pure complex")
     masks = B.facet_masks
-    ridges = [[(fm ^ (1 << v), 1 << v) for v in bits(fm)] for fm in masks]
-    live = [True] * len(masks)
-    ridge_count = {r: len(o) for r, o in _ridge_facets(masks).items()}
-    face_count = _face_counts(masks)
-    bd_cover: dict[int, int] = {}
-
-    def cover(r: int, step: int) -> None:
-        for sub in submasks(r):
-            bd_cover[sub] = bd_cover.get(sub, 0) + step
-
-    for r, c in ridge_count.items():
-        if c == 1:
-            cover(r, 1)
-
-    def toggle(i: int, step: int) -> None:
-        """Peel facet i (step -1) or restore it (step +1)."""
-        live[i] = step > 0
-        for sub in submasks(masks[i]):
-            face_count[sub] += step
-        for r, _ in ridges[i]:
-            before = ridge_count[r]
-            after = ridge_count[r] = before + step
-            if before == 1:
-                cover(r, -1)
-            if after == 1:
-                cover(r, 1)
+    live, _, face_count, toggle, ear = _peeling(masks)
 
     def candidates():
         for i, fm in enumerate(masks):
-            if not live[i]:
-                continue
-            emask = 0
-            for r, vbit in ridges[i]:
-                if ridge_count[r] == 1:
-                    emask |= vbit
-            if emask == 0 or emask == fm:
-                continue
-            if bd_cover.get(emask, 0):
-                continue  # not an ear
-            if face_count[fm & ~emask] != 1:
-                continue  # free face still covered: unshelling invalid
-            yield i
+            if live[i]:
+                emask = ear(i)
+                # the free face must lie in facet i alone
+                if emask and face_count[fm & ~emask] == 1:
+                    yield i
 
     nodes = 0
     budget_hit = False

@@ -491,8 +491,7 @@ def is_tight(X: Complex, field: FieldSpec, mode: str = "p18",
     if mode == "p18":
         if cap is None:
             cap = SIGMA_CAP
-        if not is_connected(X):
-            return TightnessResult(False, mode)
+        # 2-neighbourly makes the 1-skeleton complete, hence connected
         if neighbourliness(X) < 2:
             return TightnessResult(False, mode)
         mu = mu_vector(X, field, cap, jobs)
@@ -593,7 +592,7 @@ def criterion_battery(M: Complex, k: int, field: FieldSpec,
 
     def tight() -> bool:
         # is_tight(M, field, "p18"), with the battery's own mu and beta
-        if not is_connected(M) or nb < 2:
+        if nb < 2:
             return False
         return list(get_mu()) == list(map(Fraction, beta_f))
 

@@ -345,22 +345,18 @@ CRITERIA = [
 ]
 
 
-def run_all(jobs: int = 1, out=print, fail_fast: bool = True) -> bool:
-    """Run every criterion, print one pass/fail line per criterion, and
-    return overall success; with fail_fast the first refutation stops
-    the run."""
-    all_ok = True
+def run_all(jobs: int = 1) -> bool:
+    """Run every criterion and print one pass/fail line per criterion;
+    the first refutation stops the run and returns False."""
     for label, fn in CRITERIA:
         try:
             rows = fn(jobs=jobs)
-            ok = all(r.ok for r in rows)
             bad = [r for r in rows if not r.ok]
         except Exception as exc:  # a crash is a failure, not a skip
-            ok, bad = False, [Row(label, False, f"{type(exc).__name__}: {exc}")]
-        all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] criterion {label}")
+            bad = [Row(label, False, f"{type(exc).__name__}: {exc}")]
+        print(f"[{'FAIL' if bad else 'PASS'}] criterion {label}")
         for r in bad:
-            out(f"       - {r.name}: {r.detail}")
-        if fail_fast and not ok:
+            print(f"       - {r.name}: {r.detail}")
+        if bad:
             return False
-    return all_ok
+    return True

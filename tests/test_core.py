@@ -338,6 +338,86 @@ def test_antichain_check_matches_quadratic_reference(entries):
         assert Complex([str(v) for v in ids], norm).facets == tuple(norm)
 
 
+def loop_from_facets(facet_list):
+    """``Complex.from_facets`` with its own loops for the first-occurrence
+    ids and the compaction of unused names: the oracle of the version
+    built on ``_renumbered`` and ``_rebuild``."""
+    if not facet_list:
+        raise InputError("empty facet list")
+    name_ids = {}
+    raw = []
+    for entry in facet_list:
+        toks = [str(t) for t in entry]
+        if not toks:
+            raise InputError("empty facet in input")
+        if len(set(toks)) != len(toks):
+            raise InputError(f"duplicate vertex within facet {toks}")
+        raw.append(tuple(sorted([name_ids.setdefault(t, len(name_ids))
+                                 for t in toks])))
+    masks = [mask_of(f) for f in raw]
+    dominated = set(_dominated(masks))
+    seen = set()
+    keep = []
+    dropped = 0
+    for i, a in enumerate(masks):
+        if i in dominated or a in seen:
+            dropped += 1
+        else:
+            keep.append(raw[i])
+        seen.add(a)
+    if dropped:
+        warnings.warn(f"dropped {dropped} inclusion-dominated input facet(s)")
+    names = list(name_ids)
+    used = set().union(*keep)
+    if len(used) != len(names):
+        remap = {}
+        new_names = []
+        for i, n in enumerate(names):
+            if i in used:
+                remap[i] = len(new_names)
+                new_names.append(n)
+        keep = [tuple(sorted(remap[v] for v in f)) for f in keep]
+        names = new_names
+    return Complex(names, keep)
+
+
+@st.composite
+def token_lists(draw):
+    """``facet_lists`` spelt with int and str tokens (1 and "1" name one
+    vertex), some vertices renamed to letters, and now and then an empty
+    entry, a vertex repeated within an entry or no entry at all."""
+    letters = draw(st.lists(st.booleans(), min_size=10, max_size=10))
+    entries = [[("abcdefghij"[v] if letters[v] else
+                 draw(st.sampled_from([v, str(v)]))) for v in f]
+               for f in draw(facet_lists())]
+    flaw = draw(st.sampled_from(["none", "none", "none", "empty", "repeat", "all"]))
+    at = draw(st.integers(0, len(entries) - 1))
+    if flaw == "empty":
+        entries.insert(at, [])
+    elif flaw == "repeat":
+        entries[at].append(str(entries[at][0]))
+    elif flaw == "all":
+        entries = []
+    return entries
+
+
+def from_facets_outcome(build, entries):
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        try:
+            X = build(entries)
+        except InputError as exc:
+            return "InputError", str(exc), [str(x.message) for x in w]
+    return X.names, X.facets, [str(x.message) for x in w]
+
+
+@settings(max_examples=150, deadline=None)
+@given(token_lists())
+def test_from_facets_matches_loop_reference(entries):
+    assert from_facets_outcome(Complex.from_facets, entries) == \
+        from_facets_outcome(loop_from_facets, entries)
+
+
 def maximal_reference(masks):
     """The quadratic filter that ``core._maximal`` replaces: the distinct
     masks contained in no other mask."""

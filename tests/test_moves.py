@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 from stellar.constructions import (LUTZ_B2_SHELLING, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import (Complex, StructureError, _ridge_facets, antistar,
-                          bits, boundary, facet_hash, join, link)
+from stellar.core import (Complex, ComplexError, StructureError, _ridge_facets,
+                          antistar, bits, boundary, facet_hash, join, link,
+                          submasks)
 from stellar.moves import (BistellarMove, HypothesisViolation, MoveCertificate,
-                           MoveError, apply_bistellar, apply_reverse,
-                           bistellar_face_delta, canonical_ball,
+                           MoveError, ShellingMove, apply_bistellar,
+                           apply_reverse, bistellar_face_delta, canonical_ball,
                            canonical_manifold, ears, enumerate_bistellar,
                            find_shelling, is_1_stacked_via_tree,
                            is_k_stacked_ball, replay_bistellar,
@@ -145,6 +147,83 @@ def test_shelling_bistellar_boundary_consistency(corp):
                                  BistellarMove(mv.alpha, mv.beta, mv.index))
         assert got == expect
         cur = nxt
+
+
+def full_rebuild_replay(start, steps):
+    """``replay_shelling`` with the face set of the whole complex rebuilt
+    at every step and the step checked ridge by ridge: the oracle of the
+    version that keeps its face set and shares the step test."""
+    cur = start
+    for mv in steps:
+        sigma = tuple(mv.alpha) + tuple(mv.beta)
+        cur_facets = cur.facets_as_names()
+        new = Complex.from_facets(cur_facets + [sigma])
+        am = new.mask_from_names(mv.alpha)
+        bm = new.mask_from_names(mv.beta)
+        old_faces = set()
+        for f in cur_facets:
+            old_faces.update(submasks(new.mask_from_names(f)))
+        for b in bits(bm):
+            if (am | bm) ^ (1 << b) not in old_faces:
+                raise MoveError(f"invalid shelling step {mv}")
+        if bm in old_faces:
+            raise MoveError(f"invalid shelling step {mv}")
+        cur = new
+    return cur
+
+
+def replay_outcome(replay, start, steps):
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        try:
+            X = replay(start, steps)
+        except ComplexError as exc:
+            return type(exc), str(exc), [str(x.message) for x in w]
+    return X.names, X.facets, [str(x.message) for x in w]
+
+
+def corrupted(steps, pos, kind, rng):
+    """``steps`` with step ``pos`` changed by ``kind``."""
+    mv = steps[pos]
+    alpha, beta = list(mv.alpha), list(mv.beta)
+    if kind == "swap":
+        alpha, beta = beta, alpha
+    elif kind == "shift" and len(alpha) + len(beta) > 1:
+        if beta and (not alpha or rng.random() < 0.5):
+            alpha.append(beta.pop(rng.randrange(len(beta))))
+        else:
+            beta.append(alpha.pop(rng.randrange(len(alpha))))
+    elif kind == "rename":
+        part = alpha if alpha and rng.random() < 0.5 else beta
+        part[rng.randrange(len(part))] = rng.choice(["new", steps[0].beta[0]])
+    elif kind == "repeat":
+        alpha, beta = list(steps[pos - 1].alpha), list(steps[pos - 1].beta)
+    elif kind == "overlap":
+        beta.append((alpha or beta)[0])
+    elif kind == "empty":
+        alpha, beta = [], []
+    out = list(steps)
+    out[pos] = ShellingMove(tuple(alpha), tuple(beta), len(beta) - 1)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 30), st.integers(0, 10 ** 6),
+       st.sampled_from(["none", "swap", "shift", "rename", "repeat",
+                        "overlap", "empty"]))
+def test_replay_shelling_matches_full_rebuild_reference(corp, d, n, seed, kind):
+    rng = random.Random(seed)
+    if seed % 5 == 0:
+        start = Complex.from_facets([list(LUTZ_B2_SHELLING[0])])
+        steps = verify_shelling(corp["lutz_B2"].complex,
+                                [list(f) for f in LUTZ_B2_SHELLING]).steps
+    else:
+        out = find_shelling(random_stacked_ball(d, n, seed=seed))
+        start, steps = out.start, out.certificate.steps
+    if kind != "none":
+        steps = corrupted(steps, rng.randrange(len(steps)), kind, rng)
+    assert replay_outcome(replay_shelling, start, steps) == \
+        replay_outcome(full_rebuild_replay, start, steps)
 
 
 def test_find_shelling(corp):

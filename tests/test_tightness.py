@@ -630,6 +630,19 @@ def test_tight_witness():
     assert res.witness == (("1", "3"), 0)
 
 
+def test_p18_refutes_disconnected_inputs_by_neighbourliness():
+    # f_1 = C(m, 2) makes the 1-skeleton complete, so the p18 mode needs
+    # no connectivity test of its own
+    two_spheres = Complex.from_facets(
+        [[a, b, c] for a, b, c in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))]
+        + [[a + 4, b + 4, c + 4] for a, b, c in ((1, 2, 3), (1, 2, 4),
+                                                  (1, 3, 4), (2, 3, 4))])
+    two_points = Complex.from_facets([[1], [2]])
+    for X in (two_spheres, two_points, Complex.empty()):
+        for fld in (QQ, Z2):
+            assert is_tight(X, fld, "p18") == tightness.TightnessResult(False, "p18")
+
+
 def test_tight_modes_agree(corp):
     for name in ("torus_7", "rp2_6", "lutz_S2_8", "M_1_2"):
         X = corp[name].complex
