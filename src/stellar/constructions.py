@@ -5,16 +5,17 @@ battery: the cyclic 16-vertex unflippable 3-sphere, the 16-vertex
 Poincare homology sphere with its derived balls and spheres, Ziegler's
 and Lutz's 3-balls, the 7-vertex torus, the 6-vertex real projective
 plane, and the sign-change family of sphere-product triangulations.
-Every entry self-validates its face vector on load.
+Each entry is built, and its face vector checked, on its first read.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   _facet_lines, _renumbered, boundary, join, parse_facets)
+                   _facet_lines, _renumbered, boundary, join)
 from .vectors import f_vector
 
 
@@ -77,11 +78,14 @@ def cone_over_antistar(S: Complex, x: int) -> Complex:
 def klee_novik(k: int, d: int) -> tuple[Complex, Complex]:
     """The sign-change pair (Mbar, M): Mbar is the pure (d+1)-subcomplex
     of the cross polytope on 2d+4 vertices whose facets have at most k
-    sign changes, and M is its boundary (a triangulated sphere product).
+    sign changes, and M is its boundary (a triangulated sphere product)."""
+    mbar = _sign_change_ball(k, d)
+    return mbar, boundary(mbar)
 
-    Facets are generated from (change-position subset, first sign) pairs,
-    linear in the output size.
-    """
+
+def _sign_change_ball(k: int, d: int) -> Complex:
+    """Mbar of ``klee_novik``, from (change-position subset, first sign)
+    pairs, linear in the output size."""
     if not 0 <= k <= d:
         raise RangeError(f"need 0 <= k <= d (got k={k}, d={d})")
     facets = []
@@ -96,8 +100,7 @@ def klee_novik(k: int, d: int) -> tuple[Complex, Complex]:
                         sign = not sign
                     facet.append(("x" if sign else "y") + str(i))
                 facets.append(facet)
-    mbar = Complex.from_facets(facets)
-    return mbar, boundary(mbar)
+    return Complex.from_facets(facets)
 
 
 def real_projective_plane_6() -> Complex:
@@ -196,105 +199,108 @@ class CorpusEntry:
     tags: dict = field(default_factory=dict)
 
 
-def _data_text(fname: str) -> str:
-    return resources.files("stellar.data").joinpath(fname).read_text("utf-8")
+def _data(fname: str, start: int = 0, stop: int | None = None):
+    """Builder of the complex of the facet lines start:stop of a data file."""
+    def build(c):
+        text = resources.files("stellar.data").joinpath(fname).read_text("utf-8")
+        return Complex.from_facets(_facet_lines(text)[start:stop])
+    return build
 
 
-def _data_complex(fname: str) -> Complex:
-    return parse_facets(_data_text(fname))
+def _cone(name: str, apex: str):
+    """Builder of the cone over the antistar of ``apex`` in entry ``name``."""
+    return lambda c: cone_over_antistar(c[name].complex,
+                                        c[name].complex.id_of(apex))
 
 
-def _build_entries() -> dict[str, CorpusEntry]:
-    entries: dict[str, CorpusEntry] = {}
-
-    def add(name, cx, expected_f, **tags):
-        entries[name] = CorpusEntry(name, cx, tuple(expected_f), tags)
-
-    s3_16 = cyclic_complex(16, S3_16_GENERATORS)
-    add("S3_16", s3_16, (16, 120, 208, 104),
-        unflippable=True, neighbourly=2, closed=True)
-    b4_16 = cone_over_antistar(s3_16, s3_16.id_of("0"))
-    add("B4_16", b4_16, (16, 120, 274, 247, 78),
-        stacked=2, boundary="S3_16")
-
-    sigma = _data_complex("sigma3_16.txt")
-    add("Sigma3_16", sigma, (16, 106, 180, 90), closed=True)
-    d4_16 = cone_over_antistar(sigma, sigma.id_of("6'"))
-    add("D4_16", d4_16, (16, 106, 232, 205, 64), boundary="Sigma3_16")
-    edge = Complex.from_facets([("w1", "w2")])
-    d6_18 = join(d4_16, edge)
-    add("D6_18", d6_18, (18, 139, 460, 775, 706, 333, 64), stacked=2)
-    s5_18 = boundary(d6_18)
-    add("S5_18", s5_18, (18, 139, 460, 775, 654, 218),
-        closed=True, edge_link=("w1", "w2"))
-
-    zs3 = _data_complex("ziegler_s3_10.txt")
-    zlines = _facet_lines(_data_text("ziegler_s3_10.txt"))
-    add("ziegler_S3_10", zs3, (10, 38, 56, 28), closed=True)
-    add("ziegler_S2_10", _data_complex("ziegler_s2_10.txt"), (10, 24, 16),
-        closed=True)
-    zb1 = Complex.from_facets(zlines[:ZIEGLER_B1_COUNT])
-    zb2 = Complex.from_facets(zlines[ZIEGLER_B1_COUNT:])
-    add("ziegler_B1", zb1, (10, 24, 22, 7),
-        dual_graph="path", stacked=1, boundary="ziegler_S2_10")
-    add("ziegler_B2", zb2, (10, 38, 50, 21),
-        ears=(), boundary="ziegler_S2_10")
-
-    ls3 = _data_complex("lutz_s3_8.txt")
-    llines = _facet_lines(_data_text("lutz_s3_8.txt"))
-    add("lutz_S3_8", ls3, (8, 28, 40, 20), closed=True, neighbourly=2)
-    add("lutz_S2_8", _data_complex("lutz_s2_8.txt"), (8, 18, 12), closed=True)
-    lb1 = Complex.from_facets(llines[:LUTZ_B1_COUNT])
-    lb2 = Complex.from_facets(llines[LUTZ_B1_COUNT:])
-    add("lutz_B1", lb1, (8, 18, 16, 5),
-        dual_graph="path", stacked=1, boundary="lutz_S2_8")
-    add("lutz_B2", lb2, (8, 28, 36, 15),
-        ears=(("2", "4", "5", "7"),), shelling_order=LUTZ_B2_SHELLING,
-        shelled=2, boundary="lutz_S2_8")
-
-    add("torus_7", moebius_torus_7(), (7, 21, 14),
-        closed=True, neighbourly=2)
-    add("rp2_6", real_projective_plane_6(), (6, 15, 10),
-        closed=True, neighbourly=2)
-
-    kn_expected = {
-        (1, 2): ((8, 24, 24, 8), (8, 24, 16)),
-        (1, 3): ((10, 40, 60, 40, 10), (10, 40, 60, 30)),
-        (1, 4): ((12, 60, 120, 120, 60, 12), (12, 60, 120, 120, 48)),
-        (2, 4): ((12, 60, 160, 210, 132, 32), (12, 60, 160, 180, 72)),
-        (2, 5): ((14, 84, 280, 490, 462, 224, 44), (14, 84, 280, 490, 420, 140)),
-    }
-    for k, d in KN_PAIRS:
-        mbar, m = klee_novik(k, d)
-        fbar, fm = kn_expected[(k, d)]
-        add(f"Mbar_{k}_{d}", mbar, fbar, kn=(k, d))
-        add(f"M_{k}_{d}", m, fm, kn=(k, d), closed=True)
-
-    return entries
+def _kn(k: int, d: int, f_mbar: tuple, f_m: tuple) -> dict:
+    """The table rows of Mbar_k_d and of M_k_d, its boundary."""
+    mbar = f"Mbar_{k}_{d}"
+    return {mbar: (lambda c: _sign_change_ball(k, d), f_mbar, dict(kn=(k, d))),
+            f"M_{k}_{d}": (lambda c: boundary(c[mbar].complex), f_m,
+                           dict(kn=(k, d), closed=True))}
 
 
-_CORPUS: dict[str, CorpusEntry] | None = None
+# name -> (builder, expected f, tags), in listing order; a builder takes
+# the corpus and reads from it the entries it derives from
+_ENTRIES: dict = {
+    "S3_16": (lambda c: cyclic_complex(16, S3_16_GENERATORS), (16, 120, 208, 104),
+              dict(unflippable=True, neighbourly=2, closed=True)),
+    "B4_16": (_cone("S3_16", "0"), (16, 120, 274, 247, 78),
+              dict(stacked=2, boundary="S3_16")),
+    "Sigma3_16": (_data("sigma3_16.txt"), (16, 106, 180, 90), dict(closed=True)),
+    "D4_16": (_cone("Sigma3_16", "6'"), (16, 106, 232, 205, 64),
+              dict(boundary="Sigma3_16")),
+    "D6_18": (lambda c: join(c["D4_16"].complex, Complex.from_facets([("w1", "w2")])),
+              (18, 139, 460, 775, 706, 333, 64), dict(stacked=2)),
+    "S5_18": (lambda c: boundary(c["D6_18"].complex), (18, 139, 460, 775, 654, 218),
+              dict(closed=True, edge_link=("w1", "w2"))),
+    "ziegler_S3_10": (_data("ziegler_s3_10.txt"), (10, 38, 56, 28), dict(closed=True)),
+    "ziegler_S2_10": (_data("ziegler_s2_10.txt"), (10, 24, 16), dict(closed=True)),
+    "ziegler_B1": (_data("ziegler_s3_10.txt", 0, ZIEGLER_B1_COUNT), (10, 24, 22, 7),
+                   dict(dual_graph="path", stacked=1, boundary="ziegler_S2_10")),
+    "ziegler_B2": (_data("ziegler_s3_10.txt", ZIEGLER_B1_COUNT), (10, 38, 50, 21),
+                   dict(ears=(), boundary="ziegler_S2_10")),
+    "lutz_S3_8": (_data("lutz_s3_8.txt"), (8, 28, 40, 20),
+                  dict(closed=True, neighbourly=2)),
+    "lutz_S2_8": (_data("lutz_s2_8.txt"), (8, 18, 12), dict(closed=True)),
+    "lutz_B1": (_data("lutz_s3_8.txt", 0, LUTZ_B1_COUNT), (8, 18, 16, 5),
+                dict(dual_graph="path", stacked=1, boundary="lutz_S2_8")),
+    "lutz_B2": (_data("lutz_s3_8.txt", LUTZ_B1_COUNT), (8, 28, 36, 15),
+                dict(ears=(("2", "4", "5", "7"),), shelling_order=LUTZ_B2_SHELLING,
+                     shelled=2, boundary="lutz_S2_8")),
+    "torus_7": (lambda c: moebius_torus_7(), (7, 21, 14),
+                dict(closed=True, neighbourly=2)),
+    "rp2_6": (lambda c: real_projective_plane_6(), (6, 15, 10),
+              dict(closed=True, neighbourly=2)),
+    **_kn(1, 2, (8, 24, 24, 8), (8, 24, 16)),
+    **_kn(1, 3, (10, 40, 60, 40, 10), (10, 40, 60, 30)),
+    **_kn(1, 4, (12, 60, 120, 120, 60, 12), (12, 60, 120, 120, 48)),
+    **_kn(2, 4, (12, 60, 160, 210, 132, 32), (12, 60, 160, 180, 72)),
+    **_kn(2, 5, (14, 84, 280, 490, 462, 224, 44), (14, 84, 280, 490, 420, 140)),
+}
 
 
-def corpus() -> dict[str, CorpusEntry]:
-    """The embedded corpus; every entry's face vector is checked once on
-    first load and a mismatch aborts with the offending entry."""
-    global _CORPUS
-    if _CORPUS is None:
-        entries = _build_entries()
-        for name, entry in entries.items():
-            got = f_vector(entry.complex)
-            if got != entry.expected_f:
-                raise CorpusError(
-                    f"corpus entry {name}: face vector {got} does not match "
-                    f"expected {entry.expected_f}")
-        _CORPUS = entries
+class _Corpus(Mapping):
+    """The mapping ``corpus()`` returns.  Iteration, length and membership
+    read ``_ENTRIES`` and build nothing."""
+
+    def __init__(self):
+        self._built: dict[str, CorpusEntry] = {}
+
+    def __getitem__(self, name: str) -> CorpusEntry:
+        if name not in self._built:
+            build, expected_f, tags = _ENTRIES[name]
+            cx = build(self)
+            got = f_vector(cx)
+            if got != expected_f:
+                raise CorpusError(f"corpus entry {name}: face vector {got} "
+                                  f"does not match expected {expected_f}")
+            self._built[name] = CorpusEntry(name, cx, expected_f, dict(tags))
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(_ENTRIES)
+
+    def __len__(self) -> int:
+        return len(_ENTRIES)
+
+    def __contains__(self, name) -> bool:
+        return name in _ENTRIES
+
+
+_CORPUS = _Corpus()
+
+
+def corpus() -> Mapping[str, CorpusEntry]:
+    """The embedded corpus, a read-only mapping from name to entry.  An
+    entry is built, face-vector checked and kept on its first read; a
+    mismatch raises ``CorpusError``, keeps nothing, and so raises again."""
     return _CORPUS
 
 
 def corpus_complex(name: str) -> Complex:
-    entries = corpus()
-    if name not in entries:
+    if name not in _CORPUS:
         raise InputError(f"no corpus entry named {name!r}; "
-                         f"available: {', '.join(sorted(entries))}")
-    return entries[name].complex
+                         f"available: {', '.join(sorted(_CORPUS))}")
+    return _CORPUS[name].complex

@@ -118,17 +118,22 @@ def link_g_identity(X: Complex, j: int) -> tuple[int, int]:
     Links are transformed with dimension parameter d-1, as in the
     two-way-counting proof of the identity.
     """
+    if j < 0 or j > X.dim:
+        raise RangeError(f"j={j} out of range 0..{X.dim}")
+    return _link_g_sides(X)[j]
+
+
+def _link_g_sides(X: Complex) -> list[tuple[int, int]]:
+    """``link_g_identity(X, j)`` for every j, from one pass over the links."""
     d = X.dim
-    if j < 0 or j > d:
-        raise RangeError(f"j={j} out of range 0..{d}")
-    lhs = 0
+    lhs = [0] * (d + 1)
     for x in range(X.m):
         lk = link(X, (x,))
         fl = tuple(lk.n_faces(t) for t in range(d))  # counts up to dim d-1
-        lhs += g_from_f(fl, d - 1)[j]
+        lhs = [a + b for a, b in zip(lhs, g_from_f(fl, d - 1))]
     g = g_vector(X)
-    rhs = (d + 2 - j) * g[j] + (j + 1) * g[j + 1]
-    return lhs, rhs
+    return [(lhs[j], (d + 2 - j) * g[j] + (j + 1) * g[j + 1])
+            for j in range(d + 1)]
 
 
 def euler_identity_check(m: int, d: int, t: int) -> tuple[Fraction, Fraction]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stellar import cli
+from stellar import cli, constructions
 from stellar.cli import run
 from stellar.core import Complex, InputError, parse_facets
 
@@ -138,6 +138,27 @@ def test_corpus_verbs(capsys, tmp_path):
     assert run(["corpus", "export", "torus_7", str(dest)]) == 0
     assert run(["fvec", str(dest)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "f = (7, 21, 14)"
+
+
+def test_corpus_verify_reports_each_entry(capsys, monkeypatch):
+    # one wrong expected f-vector: verify lists every entry, fails that
+    # one and the entries built from it, and exits 1; other verbs exit 3
+    monkeypatch.setattr(constructions, "_CORPUS", constructions._Corpus())
+    build, _, tags = constructions._ENTRIES["D4_16"]
+    monkeypatch.setitem(constructions._ENTRIES, "D4_16",
+                        (build, (16, 106, 232, 205, 65), tags))
+    assert run(["corpus", "verify"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 26
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        "[FAIL] D4_16", "[FAIL] D6_18", "[FAIL] S5_18"]
+    assert "[ok] Sigma3_16" in lines and "[ok] torus_7" in lines
+    assert err.count("corpus entry D4_16: face vector") == 3
+    assert run(["fvec", "corpus:torus_7"]) == 0
+    for argv in (["fvec", "corpus:S5_18"], ["corpus", "list"],
+                 ["corpus", "export", "D4_16", os.devnull]):
+        assert run(argv) == 3
 
 
 def test_identities_verb(capsys):

@@ -1,19 +1,24 @@
 """Generators and corpus self-checks."""
 import hashlib
 import json
+from importlib import resources
 from math import comb
 
 import pytest
 
-from stellar.constructions import (KN_PAIRS, cone_over_antistar,
+from stellar import constructions
+from stellar.constructions import (KN_PAIRS, LUTZ_B2_SHELLING,
+                                   S3_16_GENERATORS, CorpusError,
+                                   cone_over_antistar, corpus,
                                    corpus_complex, cross_polytope,
                                    cyclic_complex, klee_novik,
                                    moebius_torus_7, random_stacked_ball,
                                    random_stacked_sphere,
                                    real_projective_plane_6, standard_ball,
                                    standard_sphere)
-from stellar.core import (Complex, RangeError, are_isomorphic, boundary,
-                          is_closed_pseudomanifold, link, neighbourliness)
+from stellar.core import (Complex, RangeError, _facet_lines, are_isomorphic,
+                          boundary, is_closed_pseudomanifold, join, link,
+                          neighbourliness, parse_facets)
 from stellar.homology import QQ, betti
 from stellar.vectors import f_vector, g_vector
 
@@ -150,6 +155,126 @@ def test_corpus_tags(corp):
     assert corp["S3_16"].tags["unflippable"]
     assert corp["lutz_B2"].tags["ears"] == (("2", "4", "5", "7"),)
     assert neighbourliness(corp["S3_16"].complex) == 2
+
+
+def _eager_entries():
+    """The corpus as it was built before entries were built on demand:
+    every entry in one pass, each derived entry from the objects built
+    before it.  Maps name -> (complex, expected f, tags)."""
+    entries = {}
+
+    def add(name, cx, expected_f, **tags):
+        entries[name] = (cx, tuple(expected_f), tags)
+
+    def text(fname):
+        return resources.files("stellar.data").joinpath(fname).read_text("utf-8")
+
+    s3_16 = cyclic_complex(16, S3_16_GENERATORS)
+    add("S3_16", s3_16, (16, 120, 208, 104),
+        unflippable=True, neighbourly=2, closed=True)
+    add("B4_16", cone_over_antistar(s3_16, s3_16.id_of("0")),
+        (16, 120, 274, 247, 78), stacked=2, boundary="S3_16")
+    sigma = parse_facets(text("sigma3_16.txt"))
+    add("Sigma3_16", sigma, (16, 106, 180, 90), closed=True)
+    d4_16 = cone_over_antistar(sigma, sigma.id_of("6'"))
+    add("D4_16", d4_16, (16, 106, 232, 205, 64), boundary="Sigma3_16")
+    d6_18 = join(d4_16, Complex.from_facets([("w1", "w2")]))
+    add("D6_18", d6_18, (18, 139, 460, 775, 706, 333, 64), stacked=2)
+    add("S5_18", boundary(d6_18), (18, 139, 460, 775, 654, 218),
+        closed=True, edge_link=("w1", "w2"))
+
+    zlines = _facet_lines(text("ziegler_s3_10.txt"))
+    add("ziegler_S3_10", parse_facets(text("ziegler_s3_10.txt")),
+        (10, 38, 56, 28), closed=True)
+    add("ziegler_S2_10", parse_facets(text("ziegler_s2_10.txt")),
+        (10, 24, 16), closed=True)
+    add("ziegler_B1", Complex.from_facets(zlines[:7]), (10, 24, 22, 7),
+        dual_graph="path", stacked=1, boundary="ziegler_S2_10")
+    add("ziegler_B2", Complex.from_facets(zlines[7:]), (10, 38, 50, 21),
+        ears=(), boundary="ziegler_S2_10")
+
+    llines = _facet_lines(text("lutz_s3_8.txt"))
+    add("lutz_S3_8", parse_facets(text("lutz_s3_8.txt")), (8, 28, 40, 20),
+        closed=True, neighbourly=2)
+    add("lutz_S2_8", parse_facets(text("lutz_s2_8.txt")), (8, 18, 12),
+        closed=True)
+    add("lutz_B1", Complex.from_facets(llines[:5]), (8, 18, 16, 5),
+        dual_graph="path", stacked=1, boundary="lutz_S2_8")
+    add("lutz_B2", Complex.from_facets(llines[5:]), (8, 28, 36, 15),
+        ears=(("2", "4", "5", "7"),), shelling_order=LUTZ_B2_SHELLING,
+        shelled=2, boundary="lutz_S2_8")
+
+    add("torus_7", moebius_torus_7(), (7, 21, 14), closed=True, neighbourly=2)
+    add("rp2_6", real_projective_plane_6(), (6, 15, 10),
+        closed=True, neighbourly=2)
+
+    kn_expected = {
+        (1, 2): ((8, 24, 24, 8), (8, 24, 16)),
+        (1, 3): ((10, 40, 60, 40, 10), (10, 40, 60, 30)),
+        (1, 4): ((12, 60, 120, 120, 60, 12), (12, 60, 120, 120, 48)),
+        (2, 4): ((12, 60, 160, 210, 132, 32), (12, 60, 160, 180, 72)),
+        (2, 5): ((14, 84, 280, 490, 462, 224, 44),
+                 (14, 84, 280, 490, 420, 140)),
+    }
+    for (k, d), (fbar, fm) in kn_expected.items():
+        mbar, m = klee_novik(k, d)
+        add(f"Mbar_{k}_{d}", mbar, fbar, kn=(k, d))
+        add(f"M_{k}_{d}", m, fm, kn=(k, d), closed=True)
+    return entries
+
+
+@pytest.fixture
+def fresh_corpus(monkeypatch):
+    """corpus() and corpus_complex() on a corpus with nothing built yet."""
+    c = constructions._Corpus()
+    monkeypatch.setattr(constructions, "_CORPUS", c)
+    return c
+
+
+def test_corpus_matches_eager_oracle(corp):
+    eager = _eager_entries()
+    assert list(corp) == list(eager)
+    for name, (cx, expected_f, tags) in eager.items():
+        e = corp[name]
+        assert e.name == name
+        assert e.complex.names == cx.names, name
+        assert e.complex.facets == cx.facets, name
+        assert e.expected_f == expected_f, name
+        assert e.tags == tags, name
+
+
+def test_corpus_builds_only_what_is_read(fresh_corpus):
+    assert list(corpus()) == list(_eager_entries())
+    assert len(corpus()) == 26 and "torus_7" in corpus()
+    assert "nope" not in corpus() and corpus().get("nope") is None
+    assert fresh_corpus._built == {}
+    assert corpus_complex("torus_7").m == 7
+    assert set(fresh_corpus._built) == {"torus_7"}
+    with pytest.raises(Exception, match="available: B4_16, D4_16"):
+        corpus_complex("nope")
+    assert set(fresh_corpus._built) == {"torus_7"}
+    corpus_complex("S5_18")
+    assert set(fresh_corpus._built) == {"torus_7", "S5_18", "D6_18",
+                                        "D4_16", "Sigma3_16"}
+    assert corpus()["S5_18"] is corpus()["S5_18"]
+
+
+def test_corpus_failed_check_keeps_nothing(fresh_corpus, monkeypatch):
+    build, _, tags = constructions._ENTRIES["D4_16"]
+    monkeypatch.setitem(constructions._ENTRIES, "D4_16",
+                        (build, (16, 106, 232, 205, 65), tags))
+    for _ in range(2):
+        with pytest.raises(CorpusError, match=r"corpus entry D4_16: face "
+                           r"vector \(16, 106, 232, 205, 64\) does not match "
+                           r"expected \(16, 106, 232, 205, 65\)"):
+            corpus()["D4_16"]
+        assert set(fresh_corpus._built) == {"Sigma3_16"}
+    # an entry derived from a failed one fails with it
+    with pytest.raises(CorpusError, match="entry D4_16"):
+        corpus()["S5_18"]
+    assert set(fresh_corpus._built) == {"Sigma3_16"}
+    with pytest.raises(CorpusError):
+        list(corpus().values())
 
 
 def test_s5_18_edge_link(corp):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stellar.constructions import random_stacked_sphere, standard_sphere
-from stellar.core import Complex
-from stellar.vectors import (VectorProfile, check_dehn_sommerville, check_klee,
+from stellar.core import Complex, RangeError, link
+from stellar.vectors import (VectorProfile, _link_g_sides,
+                             check_dehn_sommerville, check_klee,
                              euler_identity_check, f_from_g, f_vector,
-                             g_vector, h_vector, link_g_identity,
+                             g_from_f, g_vector, h_vector, link_g_identity,
                              w_k_gvector_relations)
 
 
@@ -114,12 +115,31 @@ def test_link_g_identity_m13(corp):
     assert lhs == rhs == 40
 
 
+def _link_g_identity_reference(X, j):
+    # the per-j form: every vertex link built again for each j
+    d = X.dim
+    lhs = 0
+    for x in range(X.m):
+        lk = link(X, (x,))
+        lhs += g_from_f(tuple(lk.n_faces(t) for t in range(d)), d - 1)[j]
+    g = g_vector(X)
+    return lhs, (d + 2 - j) * g[j] + (j + 1) * g[j + 1]
+
+
 def test_link_g_identity_everywhere(corp):
     for e in corp.values():
         X = e.complex
-        for j in range(X.dim + 1):
-            lhs, rhs = link_g_identity(X, j)
+        sides = _link_g_sides(X)
+        assert len(sides) == X.dim + 1
+        for j, (lhs, rhs) in enumerate(sides):
             assert lhs == rhs, (e.name, j)
+            assert (lhs, rhs) == _link_g_identity_reference(X, j), (e.name, j)
+    X = corp["M_1_3"].complex
+    assert [link_g_identity(X, j) for j in range(X.dim + 1)] == \
+        _link_g_sides(X)
+    for j in (-1, X.dim + 1):
+        with pytest.raises(RangeError):
+            link_g_identity(X, j)
 
 
 def test_euler_identity_hand_oracle():
