@@ -1,5 +1,6 @@
 import pytest
 
+from stellar import constructions
 from stellar.constructions import corpus
 from stellar.homology import QQ, FieldSpec
 
@@ -7,6 +8,14 @@ from stellar.homology import QQ, FieldSpec
 @pytest.fixture(scope="session")
 def corp():
     return corpus()
+
+
+@pytest.fixture
+def fresh_corpus(monkeypatch):
+    """corpus() and corpus_complex() on a corpus with nothing built yet."""
+    c = constructions._Corpus()
+    monkeypatch.setattr(constructions, "_CORPUS", c)
+    return c
 
 
 @pytest.fixture(scope="session")

@@ -140,10 +140,9 @@ def test_corpus_verbs(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == "f = (7, 21, 14)"
 
 
-def test_corpus_verify_reports_each_entry(capsys, monkeypatch):
+def test_corpus_verify_reports_each_entry(capsys, monkeypatch, fresh_corpus):
     # one wrong expected f-vector: verify lists every entry, fails that
     # one and the entries built from it, and exits 1; other verbs exit 3
-    monkeypatch.setattr(constructions, "_CORPUS", constructions._Corpus())
     build, _, tags = constructions._ENTRIES["D4_16"]
     monkeypatch.setitem(constructions._ENTRIES, "D4_16",
                         (build, (16, 106, 232, 205, 65), tags))

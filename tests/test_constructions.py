@@ -16,9 +16,9 @@ from stellar.constructions import (KN_PAIRS, LUTZ_B2_SHELLING,
                                    random_stacked_sphere,
                                    real_projective_plane_6, standard_ball,
                                    standard_sphere)
-from stellar.core import (Complex, RangeError, _facet_lines, are_isomorphic,
-                          boundary, is_closed_pseudomanifold, join, link,
-                          neighbourliness, parse_facets)
+from stellar.core import (Complex, InputError, RangeError, _facet_lines,
+                          are_isomorphic, boundary, is_closed_pseudomanifold,
+                          join, link, neighbourliness, parse_facets)
 from stellar.homology import QQ, betti
 from stellar.vectors import f_vector, g_vector
 
@@ -223,14 +223,6 @@ def _eager_entries():
     return entries
 
 
-@pytest.fixture
-def fresh_corpus(monkeypatch):
-    """corpus() and corpus_complex() on a corpus with nothing built yet."""
-    c = constructions._Corpus()
-    monkeypatch.setattr(constructions, "_CORPUS", c)
-    return c
-
-
 def test_corpus_matches_eager_oracle(corp):
     eager = _eager_entries()
     assert list(corp) == list(eager)
@@ -250,7 +242,7 @@ def test_corpus_builds_only_what_is_read(fresh_corpus):
     assert fresh_corpus._built == {}
     assert corpus_complex("torus_7").m == 7
     assert set(fresh_corpus._built) == {"torus_7"}
-    with pytest.raises(Exception, match="available: B4_16, D4_16"):
+    with pytest.raises(InputError, match="available: B4_16, D4_16"):
         corpus_complex("nope")
     assert set(fresh_corpus._built) == {"torus_7"}
     corpus_complex("S5_18")
