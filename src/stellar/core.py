@@ -106,6 +106,18 @@ def _dominated(masks: Sequence[int]) -> list[int]:
     return out
 
 
+def _mask_from_names(ids: dict[str, int], names: Iterable[object]) -> int:
+    """The mask of the vertices ``names`` under ``ids``, a map from each
+    vertex name to its id; an unknown name is an ``InputError``."""
+    mask = 0
+    for n in names:
+        v = ids.get(str(n))
+        if v is None:
+            raise InputError(f"unknown vertex name {n!r}")
+        mask |= 1 << v
+    return mask
+
+
 def _renumbered(names: Sequence[str], kept: Sequence[Sequence[int]],
                 added: Iterable[Sequence[object]]) -> tuple[list[str], list[tuple[int, ...]]]:
     """The names, and the facets as increasing id tuples in input order,
@@ -237,7 +249,7 @@ class Complex:
         return self.names[vid]
 
     def mask_from_names(self, names: Iterable[object]) -> int:
-        return mask_of(self.id_of(n) for n in names)
+        return _mask_from_names(self._id_of, names)
 
     def names_of_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bits(mask))

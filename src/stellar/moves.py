@@ -7,25 +7,31 @@ carry order-insensitive SHA-256 digests of their start and end facet sets
 being returned by any search.
 
 A bistellar move of index i changes only i+1 facets, so the engine keeps
-its work local.  The first ``enumerate_bistellar`` on a complex builds a
-``_MoveState`` from the star of every face (the cold path) and caches it
-in the complex's ``_moves`` slot.  ``apply_bistellar`` builds the result
-by replaying ``Complex.from_facets``' first-occurrence numbering on plain
-tuples, updates the state by the faces of the removed and added facets,
-and hands it on to the result, clearing it from the complex it came from,
-so a chain of moves keeps one state alive.  On a pure complex the result
-skips the constructor's checks (``Complex._checked``): a checked move
-there gives distinct facets of one size, so none repeats or contains
-another, and the result is only numbered, sorted and masked.  A non-pure
-complex goes through the public constructor.  Each listing emits the
-held moves of the indices asked for under the current complex's ids and
-sorts them once; ``stellation_search`` asks only for the indices it can
-take.  The admissibility check of a move scans the facets and never reads
-the state, so a certificate replay does not trust it.  A complex without
-a state, such as the second of two moves applied to one complex, takes
-the cold path.  Move lists, certificates and search node counts are the same on
-either path; tests compare the state with the cold path and with
-``verify.brute_force_bistellar`` along random walks.
+its work local.  ``_move_state(X, low)`` builds a ``_MoveState`` for the
+moves of index >= low from the stars of the faces of at most d+1-low
+vertices (the cold path) and caches it in the complex's ``_moves`` slot:
+``enumerate_bistellar`` asks for low = 1, the full state, and
+``stellation_search`` for d-k+1, the lowest index it may take.  A held
+state serves any low at or above its own; a complex whose state starts
+above the index asked for, and a complex without a state, such as the
+second of two moves applied to one complex, build one cold.
+``apply_bistellar`` builds the result by replaying
+``Complex.from_facets``' first-occurrence numbering on plain tuples,
+updates the state by the faces of alpha + beta, and hands it on to the
+result, clearing it from the complex it came from, so a chain of moves
+keeps one state alive.  On a pure complex the result skips the
+constructor's checks (``Complex._checked``): a checked move there gives
+distinct facets of one size, so none repeats or contains another, and
+the result is only numbered, sorted and masked.  A non-pure complex goes
+through the public constructor.  Each listing emits the held moves of
+the indices asked for under the current complex's ids and sorts them
+once.  The admissibility check of a move, ``_check_bistellar``, scans the
+facets and never reads a state.  ``replay_bistellar``, which checks every
+step of a certificate with it, applies the steps to a set of facet masks
+and builds one complex at the end.  Move lists, certificates and search
+node counts are the same on every path; tests compare the state of each
+window with the cold path and with ``verify.brute_force_bistellar`` along
+random walks, and the replay with a chain of ``apply_bistellar`` calls.
 """
 from __future__ import annotations
 
@@ -36,10 +42,11 @@ from dataclasses import dataclass
 from math import comb
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, _face_counts, _map_jobs, _maximal,
-                   _renumbered, _ridge_facets, bits, boundary, dual_graph,
-                   facet_hash, is_connected, is_closed_pseudomanifold, link,
-                   mask_of, popcount, submasks)
+                   StructureError, _face_counts, _map_jobs,
+                   _mask_from_names, _maximal, _rebuild, _renumbered,
+                   _ridge_facets, bits, boundary, dual_graph, facet_hash,
+                   is_connected, is_closed_pseudomanifold, link, mask_of,
+                   popcount, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -119,44 +126,78 @@ class MoveCertificate:
 
 
 class _MoveState:
-    """The admissible bistellar moves of one complex, kept up to date as
-    ``apply_bistellar`` hands the state from a complex to its successor.
+    """The admissible bistellar moves of index >= ``low`` of one complex,
+    kept up to date as ``apply_bistellar`` hands the state from a complex
+    to its successor.
 
     Faces are masks over the state's own vertex numbers: the ids of the
     complex the state was built from, then one new number per vertex a
     0-move adds (``vname`` gives each number's name, and ``sid`` each
     name's latest number).  They are never renumbered, so a move touches
-    only the faces of the facets it removes and adds, although
-    ``from_facets``' first-occurrence ids move at almost every step.
-    ``star`` maps each nonempty face to the facets containing it.
-    ``cand`` maps each face alpha with i+1 owners, 1 <= i <= d, whose
-    union less alpha is a set beta of i+1 vertices to beta; ``by_beta``
-    is its reverse index.  The move (alpha, beta) is admissible iff beta
-    is not a face, and ``moves`` maps the alpha of each to the names of
-    alpha and beta, in no particular order.  A move that changes the
-    star of alpha rechecks alpha, and one that makes beta appear or
-    vanish rechecks the alphas that ``by_beta`` lists under it.
+    only the faces of alpha + beta, although ``from_facets``'
+    first-occurrence ids move at almost every step.
+
+    A move of index i has an alpha of d+1-i vertices, so the state keeps
+    the window of faces of at most ``top`` = d+1-low vertices: ``star``
+    maps each such nonempty face to the list of facets containing it.  A
+    larger face is a face iff a facet in the star of its face on its
+    ``top`` highest vertices contains it.  ``cand`` maps each face alpha of
+    the window with i+1 owners whose union less alpha is a set beta of i+1
+    vertices to beta; ``by_beta`` is its reverse index.  The move (alpha,
+    beta) is admissible iff beta is not a face, and ``moves`` maps the
+    alpha of each to the names of alpha and beta, in no particular order.
+    A move on U = alpha + beta changes the stars of the faces of U in the
+    window, which are rechecked; the faces of U that contain alpha vanish
+    and those that contain beta appear, which rechecks the alphas that
+    ``by_beta`` lists under them.  The full state is the window low = 1.
+    ``_move_state`` rebuilds a state cold for a caller that asks for an
+    index below ``low``.
     """
 
-    __slots__ = ("d", "vname", "sid", "star", "cand", "by_beta", "moves")
+    __slots__ = ("d", "low", "top", "vname", "sid", "star", "cand",
+                 "by_beta", "moves")
 
-    def __init__(self, X: Complex):
-        self.d = X.dim
+    def __init__(self, X: Complex, low: int):
+        self.d, self.low, self.top = X.dim, low, X.dim + 1 - low
         self.vname = list(X.names)
         self.sid = dict(zip(X.names, range(X.m)))
         star: dict[int, list[int]] = {}
+        top = self.top
         for fm in X.facet_masks:
-            for sub in submasks(fm):
-                star.setdefault(sub, []).append(fm)
-        star.pop(0, None)
+            sub = (fm - 1) & fm  # a facet has d + 1 > top vertices
+            while sub:
+                if low == 1 or sub.bit_count() <= top:
+                    owners = star.get(sub)
+                    if owners is None:
+                        star[sub] = [fm]
+                    else:
+                        owners.append(fm)
+                sub = (sub - 1) & fm
         self.star = star
         self.cand: dict[int, int] = {}
         self.by_beta: dict[int, list[int]] = {}
         self.moves: dict[int, tuple] = {}
         for alpha, owners in star.items():
-            n = alpha.bit_count()  # a move needs i + 1 owners, i = d + 1 - n
-            if n <= self.d and len(owners) + n == self.d + 2:
-                self._recheck(alpha)
+            if len(owners) + alpha.bit_count() == self.d + 2:
+                self._candidate(alpha, owners)
+
+    def _window(self, mask: int) -> list[int]:
+        """The nonempty faces of the simplex ``mask`` in the window."""
+        faces = []
+        sub = mask
+        while sub:
+            if sub.bit_count() <= self.top:
+                faces.append(sub)
+            sub = (sub - 1) & mask
+        return faces
+
+    def _is_face(self, face: int) -> bool:
+        sub = face
+        for _ in range(face.bit_count() - self.top):
+            sub &= sub - 1  # drop the lowest vertex
+        if sub == face:
+            return face in self.star
+        return any(fm & face == face for fm in self.star.get(sub, ()))
 
     def mask(self, names) -> int:
         return mask_of(self.sid[str(n)] for n in names)
@@ -165,8 +206,10 @@ class _MoveState:
         vname = self.vname
         return ([vname[v] for v in bits(alpha)], [vname[v] for v in bits(beta)])
 
-    def _recheck(self, alpha: int) -> None:
-        """Recompute whether the face alpha is a candidate and a move."""
+    def _recheck(self, alpha: int, owners) -> None:
+        """Recompute whether the face alpha of the window, contained in
+        the facets ``owners`` (None if it is no face), is a candidate and
+        a move."""
         beta = self.cand.pop(alpha, None)
         if beta is not None:
             alphas = self.by_beta[beta]
@@ -174,56 +217,60 @@ class _MoveState:
             if not alphas:
                 del self.by_beta[beta]
             self.moves.pop(alpha, None)
-        owners = self.star.get(alpha)
-        i = self.d + 1 - alpha.bit_count()
-        if owners is None or i < 1 or len(owners) != i + 1:
-            return
+        # a move of index i needs i + 1 owners, and |alpha| = d + 1 - i
+        if owners is not None and len(owners) + alpha.bit_count() == self.d + 2:
+            self._candidate(alpha, owners)
+
+    def _candidate(self, alpha: int, owners) -> None:
+        """Record alpha, which has i+1 owners, if their union less alpha
+        has i+1 vertices."""
         beta = 0
         for fm in owners:
             beta |= fm
         beta &= ~alpha
-        if beta.bit_count() != i + 1:
+        if beta.bit_count() != len(owners):
             return
         self.cand[alpha] = beta
         self.by_beta.setdefault(beta, []).append(alpha)
-        if beta not in self.star:
+        if not self._is_face(beta):
             self.moves[alpha] = self._names(alpha, beta)
 
     def advance(self, mv: BistellarMove) -> None:
-        """Apply the checked move ``mv``."""
+        """Apply the checked move ``mv``: on U = alpha + beta, the facets
+        U - b for b in beta give way to the facets U - a for a in alpha."""
         star, sid = self.star, self.sid
         if mv.index == 0:
             sid[str(mv.beta[0])] = len(self.vname)
             self.vname.append(str(mv.beta[0]))
         alpha, beta = self.mask(mv.alpha), self.mask(mv.beta)
-        removed = star[alpha][:]
-        added = [alpha ^ (1 << a) | beta for a in bits(alpha)]
-        touched = {sub for fm in removed + added for sub in submasks(fm)}
-        touched.discard(0)
-        was = {f for f in touched if f in star}
-        for fm in removed:
-            for sub in submasks(fm):
-                if sub:
-                    owners = star[sub]
+        u = alpha | beta
+        removed = [(1 << b, u ^ (1 << b)) for b in bits(beta)]
+        added = [(1 << a, u ^ (1 << a)) for a in bits(alpha)]
+        for face in self._window(u):
+            owners = star.get(face)
+            if owners is None:
+                owners = star[face] = []
+            for vb, fm in removed:
+                if not vb & face:
                     owners.remove(fm)
-                    if not owners:
-                        del star[sub]
-        for fm in added:
-            for sub in submasks(fm):
-                if sub:
-                    star.setdefault(sub, []).append(fm)
-        for face in touched:
-            self._recheck(face)
-        for face in was.symmetric_difference(f for f in touched if f in star):
-            for a in self.by_beta.get(face, ()):
-                if face in star:
-                    self.moves.pop(a, None)
-                else:
-                    self.moves[a] = self._names(a, face)
+            for vb, fm in added:
+                if not vb & face:
+                    owners.append(fm)
+            if not owners:
+                del star[face]
+                owners = None
+            self._recheck(face, owners)
+        by_beta, moves = self.by_beta, self.moves
+        for t in submasks(beta):  # U - t, t in beta, contains alpha: vanishes
+            for a in by_beta.get(u ^ t, ()):
+                moves[a] = self._names(a, u ^ t)
+        for t in submasks(alpha):  # U - t, t in alpha, contains beta: appears
+            for a in by_beta.get(u ^ t, ()):
+                moves.pop(a, None)
 
     def listing(self, X: Complex, min_index: int) -> list[BistellarMove]:
-        """The moves of index >= ``min_index`` of ``X``, the complex
-        holding the state, with names in X's id order, sorted as
+        """The moves of index >= ``min_index`` >= ``low`` of ``X``, the
+        complex holding the state, with names in X's id order, sorted as
         ``enumerate_bistellar`` returns them.  Rows sort by index first,
         so this is a tail of the full listing."""
         id_of = X._id_of.__getitem__
@@ -233,13 +280,15 @@ class _MoveState:
         return [BistellarMove(a, b, i) for i, a, b in rows]
 
 
-def _move_state(X: Complex) -> _MoveState:
-    """The move state of ``X``, built cold and cached if X has none."""
+def _move_state(X: Complex, low: int = 1) -> _MoveState:
+    """The move state of ``X`` for the moves of index >= ``low``: the one
+    X holds if its window reaches down to ``low``, else one built cold
+    and cached in its place."""
     state = X._moves
-    if state is None:
+    if state is None or state.low > low:
         if not X.is_pure():
             raise StructureError("bistellar moves need a pure complex")
-        state = X._moves = _MoveState(X)
+        state = X._moves = _MoveState(X, low)
     return state
 
 
@@ -251,20 +300,23 @@ def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
     are not listed.  A pair (alpha, beta) is admissible iff the link of
     alpha is exactly the boundary of the missing simplex beta.
 
-    The first call on a complex builds its ``_MoveState`` from the star
-    of every face (the cold path) and caches it in ``X._moves``; later
-    calls, and calls on the complexes that ``apply_bistellar`` hands the
-    state on to, read the moves from it.  Either way the list is the same.
+    The first call on a complex builds its full ``_MoveState`` from the
+    star of every proper face (the cold path) and caches it in
+    ``X._moves``; later calls, and calls on the complexes that
+    ``apply_bistellar`` hands the state on to, read the moves from it.  A
+    state kept for the higher indices of a search is replaced by a full
+    one.  Either way the list is the same.
     """
     return _move_state(X).listing(X, 1)
 
 
-def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
-    """Admissibility; returns (alpha_mask, beta_mask), beta_mask == 0 for
-    0-moves (the new vertex does not exist yet).  The star tests scan the
-    facets of X and never read its move state, so a certificate replay
-    checks every step independently of the search that found it."""
-    d = X.dim
+def _check_bistellar(d: int, ids: dict, facets, mv: BistellarMove) -> tuple[int, int]:
+    """Admissibility of ``mv`` on the d-complex whose vertex names have
+    the ids ``ids`` and whose facets are the masks ``facets``; returns
+    (alpha_mask, beta_mask), beta_mask == 0 for 0-moves (the new vertex
+    does not exist yet).  The star tests scan the facets and never read a
+    move state, so a certificate replay checks every step independently
+    of the search that found it."""
     if len(mv.alpha) + len(mv.beta) != d + 2:
         raise MoveError(f"move {mv} has wrong size for dimension {d}")
     if mv.index != len(mv.beta) - 1:
@@ -273,23 +325,23 @@ def _check_bistellar(X: Complex, mv: BistellarMove) -> tuple[int, int]:
         raise MoveError(f"move {mv} has index above the dimension {d}")
     if any(len(set(map(str, t))) != len(t) for t in (mv.alpha, mv.beta)):
         raise MoveError(f"move {mv} repeats a vertex")
-    am = X.mask_from_names(mv.alpha)
+    am = _mask_from_names(ids, mv.alpha)
     if mv.index == 0:
         new = mv.beta[0]
-        if str(new) in X._id_of:
+        if str(new) in ids:
             raise MoveError(f"0-move vertex {new!r} already present")
-        if am not in X.facet_masks:
+        if am not in facets:
             raise MoveError(f"0-move core {mv.alpha} is not a facet")
         return am, 0
     try:
-        bm = X.mask_from_names(mv.beta)
+        bm = _mask_from_names(ids, mv.beta)
     except InputError:
         raise MoveError(f"move {mv}: beta vertices must exist for index >= 1") from None
     if am & bm:
         raise MoveError(f"move {mv}: alpha and beta overlap")
-    if any(fm & bm == bm for fm in X.facet_masks):
+    if any(fm & bm == bm for fm in facets):
         raise MoveError(f"move {mv}: beta is already a face")
-    owners = [fm for fm in X.facet_masks if fm & am == am]
+    owners = [fm for fm in facets if fm & am == am]
     expect = {am | (bm ^ (1 << b)) for b in bits(bm)}
     if set(owners) != expect:
         raise MoveError(
@@ -308,7 +360,7 @@ def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
     a move state, the state is updated by the move and handed on to the
     result, and X no longer holds it.
     """
-    am, _ = _check_bistellar(X, mv)
+    am, _ = _check_bistellar(X.dim, X._id_of, X.facet_masks, mv)
     alpha, beta = set(map(str, mv.alpha)), set(map(str, mv.beta))
     kept = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
     added = [sorted((alpha - {str(a)}) | beta) for a in mv.alpha]
@@ -338,10 +390,32 @@ def bistellar_face_delta(d: int, index: int) -> tuple[int, ...]:
 
 
 def replay_bistellar(start: Complex, steps) -> Complex:
-    cur = start
+    """Apply the bistellar moves ``steps`` to ``start``, each checked by
+    ``_check_bistellar`` as ``apply_bistellar`` checks it.
+
+    The moves act on a set of facet masks over the ids of ``start``, with
+    a new id for each vertex a 0-move adds (also for a name that an
+    index-d move deleted earlier), and the complex is built once, at the
+    end, with its ids compacted in increasing order.  A checked move makes
+    no facet contain another, so the result equals the chain of
+    ``apply_bistellar`` calls as a labelled complex, and a bad step raises
+    what the chain raises there; only the ids can differ.  The replay
+    never reads or changes a move state.
+    """
+    d, names, ids = start.dim, list(start.names), dict(start._id_of)
+    facets = set(start.facet_masks)
     for mv in steps:
-        cur = apply_bistellar(cur, mv)
-    return cur
+        am, bm = _check_bistellar(d, ids, facets, mv)
+        if mv.index == 0:
+            bm = 1 << len(names)
+            ids[str(mv.beta[0])] = len(names)
+            names.append(str(mv.beta[0]))
+        u = am | bm
+        facets.difference_update([u ^ (1 << b) for b in bits(bm)])
+        facets.update(u ^ (1 << a) for a in bits(am))
+        if am & (am - 1) == 0:  # the one vertex of alpha is in no facet now
+            del ids[names[am.bit_length() - 1]]
+    return _rebuild(names, facets)
 
 
 # -- shelling ---------------------------------------------------------------
@@ -404,22 +478,40 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
 
 def replay_shelling(start: Complex, steps) -> Complex:
     """Adjoin the facet alpha + beta of each step, checking that the step
-    is the shelling step ``_present_ridges`` finds.  The face set is kept
-    over ids of its own, one per name in order of appearance, and grows by
-    each new facet; each intermediate complex is still built by
-    ``Complex.from_facets``, as the ids of the result depend on it."""
-    cur = start
+    is the shelling step ``_present_ridges`` finds.  The check keeps the
+    face set and the facet set over ids of its own, one per name in order
+    of appearance.
+
+    The result is the complex ``Complex.from_facets`` gives the facets so
+    far (in id order) followed by the new one, step after step, as its ids
+    depend on that numbering.  The numbering is replayed on plain tuples
+    (``core._renumbered``) and the complex is built once, at the end.  A
+    step whose new facet from_facets would refuse, or which contains or
+    lies in another facet, goes through from_facets itself, so each step
+    raises and warns as it does there."""
+    names, facets = list(start.names), list(start.facets)
     ids = dict(zip(start.names, range(start.m)))
     faces = set().union(*map(submasks, start.facet_masks))
+    tops = set(start.facet_masks)
     for mv in steps:
-        cur = Complex.from_facets(cur.facets_as_names()
-                                  + [tuple(mv.alpha) + tuple(mv.beta)])
+        entry = tuple(mv.alpha) + tuple(mv.beta)
         am, bm = (mask_of(ids.setdefault(str(v), len(ids)) for v in part)
                   for part in (mv.alpha, mv.beta))
-        if _present_ridges(am | bm, faces) != bm or bm in faces:
+        sigma = am | bm
+        if (popcount(sigma) == len(entry) and sigma not in faces
+                and not any(sub in tops for sub in submasks(sigma))):
+            names, facets = _renumbered(names, facets, [entry])
+            facets.sort()
+            tops.add(sigma)
+        else:
+            X = Complex.from_facets([[names[v] for v in f] for f in facets]
+                                    + [entry])
+            names, facets = list(X.names), list(X.facets)
+            tops = {mask_of(ids[n] for n in f) for f in X.facets_as_names()}
+        if _present_ridges(sigma, faces) != bm or bm in faces:
             raise MoveError(f"invalid shelling step {mv}")
-        faces.update(submasks(am | bm))
-    return cur
+        faces.update(submasks(sigma))
+    return Complex(names, facets)
 
 
 def _peeling(masks):
@@ -711,7 +803,7 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
         while nodes < budget:
             if _is_standard_sphere(current):
                 return _finish_stellation(S, current, trail, k, nodes)
-            pool = _move_state(current).listing(current, min_index)
+            pool = _move_state(current, min_index).listing(current, min_index)
             if not pool:
                 if not trail:
                     # deterministic dead end at the root: nothing to try
@@ -738,8 +830,7 @@ def _finish_stellation(S: Complex, reduced: Complex,
                        nodes: int) -> SearchOutcome:
     d = S.dim
     steps = tuple(mv.reversed(d) for mv in reversed(trail))
-    # replay on a copy without the search's move state
-    end = replay_bistellar(Complex(reduced.names, reduced.facets), steps)
+    end = replay_bistellar(reduced, steps)
     if end != S:
         raise MoveError("internal error: certificate replay mismatch")
     cert = MoveCertificate("bistellar", steps, facet_hash(reduced), facet_hash(S))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from stellar.constructions import random_stacked_sphere, standard_sphere
 from stellar.core import Complex, _renumbered
-from stellar.moves import (BistellarMove, MoveError, _move_state,
+from stellar.moves import (BistellarMove, MoveError, _move_state, _MoveState,
                            apply_bistellar, enumerate_bistellar,
                            replay_bistellar, stellation_search)
 from stellar.verify import brute_force_bistellar
@@ -116,6 +116,64 @@ def test_branching_from_one_complex(data):
         assert enumerate_bistellar(Z) == cold(Z)
     Z = apply_bistellar(Y1, first.reversed(X.dim))  # Y1's state goes back
     assert Z == X and enumerate_bistellar(Z) == cold(Z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_windowed_states_match_the_full_listing(data):
+    """Walk a random stacked 2-, 3- or 4-sphere by 0-moves, which may
+    reuse the name of a deleted vertex, and moves of every index 1..d
+    (index d deletes a vertex).  At every step a state of each window
+    low = 1..d, built cold or handed on by every move since the start,
+    lists the moves of index >= low of the full listing and of the cold
+    one, from the stars of the faces in its window alone."""
+    d = data.draw(st.sampled_from((2, 3, 4)))
+    X = random_stacked_sphere(d, data.draw(st.integers(d + 2, d + 5)),
+                              seed=data.draw(st.integers(0, 10 ** 6)))
+    walkers = {}
+    for low in range(1, d + 1):
+        walkers[low] = Complex(X.names, X.facets)
+        walkers[low]._moves = _MoveState(walkers[low], low)
+    used: set[str] = set()
+    for _ in range(data.draw(st.integers(1, 12))):
+        pool, full = cold(X), enumerate_bistellar(X)
+        assert full == pool
+        for low, W in walkers.items():
+            want = [mv for mv in pool if mv.index >= low]
+            assert _MoveState(X, low).listing(X, low) == want
+            assert W._moves.low == low and W._moves.listing(W, low) == want
+            # the state holds the faces of at most d + 1 - low vertices
+            assert max(map(int.bit_count, W._moves.star)) == d + 1 - low
+        mv = draw_move(data.draw, X, pool, used)
+        X = apply_bistellar(X, mv)
+        walkers = {low: apply_bistellar(W, mv) for low, W in walkers.items()}
+
+
+def test_a_windowed_state_is_rebuilt_for_a_full_listing():
+    """A complex holding the state of a search for index >= 3 answers
+    ``enumerate_bistellar`` with the full cold list, from a state that it
+    builds for every index and keeps."""
+    X = random_stacked_sphere(3, 14, seed=7)
+    windowed = _move_state(X, 3)
+    assert windowed.low == 3 and X._moves is windowed
+    assert enumerate_bistellar(X) == cold(X)
+    assert X._moves is not windowed and X._moves.low == 1
+    assert _move_state(X, 3) is X._moves  # a full state serves index >= 3
+
+
+def test_a_search_reuses_a_full_state():
+    """A search started on a complex that already holds a full state lists
+    its first pool from that state and hands it on along the trail; the
+    outcome is that of a search from a fresh copy, which builds the
+    window of its index bound."""
+    X = random_stacked_sphere(3, 30, seed=1)
+    enumerate_bistellar(X)
+    state = X._moves
+    out = stellation_search(X, 1)
+    assert out.found and out.start._moves is state and state.low == 1
+    fresh = stellation_search(Complex(X.names, X.facets), 1)
+    assert fresh.start._moves.low == 3
+    assert (out.nodes, out.certificate) == (fresh.nodes, fresh.certificate)
 
 
 def test_state_is_handed_on_and_released():

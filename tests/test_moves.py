@@ -183,7 +183,8 @@ def replay_outcome(replay, start, steps):
 
 
 def corrupted(steps, pos, kind, rng):
-    """``steps`` with step ``pos`` changed by ``kind``."""
+    """``steps``, shelling or bistellar moves, with step ``pos`` changed
+    by ``kind``."""
     mv = steps[pos]
     alpha, beta = list(mv.alpha), list(mv.beta)
     if kind == "swap":
@@ -203,7 +204,7 @@ def corrupted(steps, pos, kind, rng):
     elif kind == "empty":
         alpha, beta = [], []
     out = list(steps)
-    out[pos] = ShellingMove(tuple(alpha), tuple(beta), len(beta) - 1)
+    out[pos] = type(mv)(tuple(alpha), tuple(beta), len(beta) - 1)
     return out
 
 
@@ -224,6 +225,79 @@ def test_replay_shelling_matches_full_rebuild_reference(corp, d, n, seed, kind):
         steps = corrupted(steps, rng.randrange(len(steps)), kind, rng)
     assert replay_outcome(replay_shelling, start, steps) == \
         replay_outcome(full_rebuild_replay, start, steps)
+
+
+def chain_replay(start, steps):
+    """The certificate replay as one ``apply_bistellar`` per step, each
+    building its complex: the oracle of ``replay_bistellar``, which applies
+    the steps to a set of facet masks."""
+    cur = start
+    for mv in steps:
+        cur = apply_bistellar(cur, mv)
+    return cur
+
+
+def bistellar_outcome(replay, start, steps):
+    """The facet-name set of the replay from a fresh copy of ``start``, or
+    the type and message of what it raised."""
+    try:
+        X = replay(Complex(start.names, start.facets), steps)
+    except ComplexError as exc:
+        return type(exc), str(exc)
+    return X.facet_name_set()
+
+
+@st.composite
+def bistellar_certificates(draw):
+    """A start and steps: the certificate of a stellation search on a
+    random stacked 2- or 3-sphere, from the reduced sphere or from the
+    sphere itself down by the reverse moves and back, so that its 0-moves
+    put the vertices deleted by index-d moves back under their names; or a
+    random walk whose 0-moves may take the name of a deleted vertex.  The start may carry a
+    disjoint edge, which makes it non-pure and takes part in no move."""
+    d = draw(st.sampled_from((2, 3)))
+    S = random_stacked_sphere(d, draw(st.integers(d + 2, 10)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        out = stellation_search(S, draw(st.integers(1, 2)),
+                                seed=draw(st.integers(0, 100)))
+        start, steps = out.start, list(out.certificate.steps)
+        if draw(st.booleans()):  # down from S and back up by the same names
+            start = S
+            steps = [mv.reversed(d) for mv in reversed(steps)] + steps
+    else:
+        X, start, steps = S, Complex(S.names, S.facets), []
+        for fresh in range(draw(st.integers(1, 8))):
+            pool = enumerate_bistellar(X)
+            deletions = [mv for mv in pool if mv.index == d]
+            choice = draw(st.integers(0, 2))
+            if choice == 0 and deletions:
+                mv = draw(st.sampled_from(deletions))
+            elif choice == 1 and pool:
+                mv = draw(st.sampled_from(pool))
+            else:
+                deleted = sorted(set(S.names) - set(X.names))
+                name = draw(st.sampled_from(deleted + [f"n{fresh}"]))
+                mv = BistellarMove(draw(st.sampled_from(X.facets_as_names())),
+                                   (name,), 0)
+            X = apply_bistellar(X, mv)
+            steps.append(mv)
+    if draw(st.booleans()):
+        start = Complex.from_facets(start.facets_as_names() + [("x", "y")])
+    return start, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(bistellar_certificates(), st.integers(0, 10 ** 6),
+       st.sampled_from(["none", "swap", "shift", "rename", "repeat",
+                        "overlap", "empty"]))
+def test_replay_bistellar_matches_the_chain_of_moves(case, seed, kind):
+    start, steps = case
+    rng = random.Random(seed)
+    if kind != "none" and steps:
+        steps = corrupted(steps, rng.randrange(len(steps)), kind, rng)
+    assert bistellar_outcome(replay_bistellar, start, steps) == \
+        bistellar_outcome(chain_replay, start, steps)
 
 
 def test_find_shelling(corp):
