@@ -7,31 +7,29 @@ carry order-insensitive SHA-256 digests of their start and end facet sets
 being returned by any search.
 
 A bistellar move of index i changes only i+1 facets, so the engine keeps
-its work local.  ``_move_state(X, low)`` builds a ``_MoveState`` for the
+its work local.  ``_move_state(X, low)`` builds a ``_MoveState`` of the
 moves of index >= low from the stars of the faces of at most d+1-low
 vertices (the cold path) and caches it in the complex's ``_moves`` slot:
 ``enumerate_bistellar`` asks for low = 1, the full state, and
-``stellation_search`` for d-k+1, the lowest index it may take.  A held
-state serves any low at or above its own; a complex whose state starts
-above the index asked for, and a complex without a state, such as the
-second of two moves applied to one complex, build one cold.
-``apply_bistellar`` builds the result by replaying
-``Complex.from_facets``' first-occurrence numbering on plain tuples,
-updates the state by the faces of alpha + beta, and hands it on to the
-result, clearing it from the complex it came from, so a chain of moves
-keeps one state alive.  On a pure complex the result skips the
-constructor's checks (``Complex._checked``): a checked move there gives
-distinct facets of one size, so none repeats or contains another, and
-the result is only numbered, sorted and masked.  A non-pure complex goes
-through the public constructor.  Each listing emits the held moves of
-the indices asked for under the current complex's ids and sorts them
-once.  The admissibility check of a move, ``_check_bistellar``, scans the
-facets and never reads a state.  ``replay_bistellar``, which checks every
-step of a certificate with it, applies the steps to a set of facet masks
-and builds one complex at the end.  Move lists, certificates and search
-node counts are the same on every path; tests compare the state of each
-window with the cold path and with ``verify.brute_force_bistellar`` along
-random walks, and the replay with a chain of ``apply_bistellar`` calls.
+``stellation_search`` for d-k+1.  A complex without a state, such as the
+second of two moves applied to one complex, or with one that starts
+above the index asked for, builds one cold.  ``apply_bistellar`` builds
+the result by replaying ``Complex.from_facets``' first-occurrence
+numbering on plain tuples, updates the state by the faces of alpha +
+beta, and hands it on to the result, clearing it from the complex it
+came from, so a chain of moves keeps one state alive.  On a pure complex
+the result skips the constructor's checks (``Complex._checked``): a
+checked move there gives distinct facets of one size, so none repeats or
+contains another.  A non-pure complex goes through the public
+constructor.  Each listing emits the held moves of the indices asked for
+under the current complex's ids and sorts them once.  The admissibility
+check ``_check_bistellar`` scans the facets and never reads a state;
+``replay_bistellar`` checks every step of a certificate with it on a set
+of facet masks and builds one complex at the end.  Move lists,
+certificates and search node counts are the same on every path; tests
+compare the state of each window with the cold path and with
+``verify.brute_force_bistellar`` along random walks, and the replay with
+a chain of ``apply_bistellar`` calls.
 """
 from __future__ import annotations
 
@@ -478,36 +476,34 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
 
 def replay_shelling(start: Complex, steps) -> Complex:
     """Adjoin the facet alpha + beta of each step, checking that the step
-    is the shelling step ``_present_ridges`` finds.  The check keeps the
-    face set and the facet set over ids of its own, one per name in order
-    of appearance.
+    is the shelling step ``_present_ridges`` finds.  The face set is kept
+    over ids of its own, one per name in order of appearance.
 
-    The result is the complex ``Complex.from_facets`` gives the facets so
-    far (in id order) followed by the new one, step after step, as its ids
-    depend on that numbering.  The numbering is replayed on plain tuples
-    (``core._renumbered``) and the complex is built once, at the end.  A
-    step whose new facet from_facets would refuse, or which contains or
-    lies in another facet, goes through from_facets itself, so each step
-    raises and warns as it does there."""
+    The result is ``Complex.from_facets`` of the facets so far (in id
+    order) and the new one, step after step, as its ids depend on that
+    numbering.  The numbering is replayed on plain tuples
+    (``core._renumbered``) and the complex is built once, at the end; a
+    step that from_facets could refuse or thin out, with a warning, goes
+    through from_facets itself."""
     names, facets = list(start.names), list(start.facets)
     ids = dict(zip(start.names, range(start.m)))
     faces = set().union(*map(submasks, start.facet_masks))
-    tops = set(start.facet_masks)
+    sizes = set(map(len, facets))
     for mv in steps:
         entry = tuple(mv.alpha) + tuple(mv.beta)
         am, bm = (mask_of(ids.setdefault(str(v), len(ids)) for v in part)
                   for part in (mv.alpha, mv.beta))
         sigma = am | bm
-        if (popcount(sigma) == len(entry) and sigma not in faces
-                and not any(sub in tops for sub in submasks(sigma))):
+        # distinct vertices, the one facet size, and in no facet so far
+        if popcount(sigma) == len(entry) and sizes == {len(entry)} \
+                and sigma not in faces:
             names, facets = _renumbered(names, facets, [entry])
             facets.sort()
-            tops.add(sigma)
         else:
             X = Complex.from_facets([[names[v] for v in f] for f in facets]
                                     + [entry])
             names, facets = list(X.names), list(X.facets)
-            tops = {mask_of(ids[n] for n in f) for f in X.facets_as_names()}
+            sizes = set(map(len, facets))
         if _present_ridges(sigma, faces) != bm or bm in faces:
             raise MoveError(f"invalid shelling step {mv}")
         faces.update(submasks(sigma))
