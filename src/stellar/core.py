@@ -159,7 +159,8 @@ class Complex:
 
     Two caches are built lazily and never change what a query returns:
     the face index ``_faces_by_dim``, and ``_moves``, the bistellar move
-    state of ``moves.enumerate_bistellar``.  ``moves.apply_bistellar``
+    state that ``moves.enumerate_bistellar`` and ``moves.stellation_search``
+    list from.  ``moves.apply_bistellar``
     hands the move state on to the complex it returns and clears it here,
     so a chain of moves keeps one state alive.
     """
