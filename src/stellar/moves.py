@@ -11,7 +11,7 @@ its work local.  ``_move_state(X, low)`` builds a ``_MoveState`` of the
 moves of index >= low from the stars of the faces of at most d+1-low
 vertices (the cold path) and caches it in the complex's ``_moves`` slot:
 ``enumerate_bistellar`` asks for low = 1, the full state, and
-``stellation_search`` for d-k+1.  A complex without a state, such as the
+``stellation_search`` for d-k+1 (a state never starts below 1).  A complex without a state, such as the
 second of two moves applied to one complex, or with one that starts
 above the index asked for, builds one cold.  ``apply_bistellar`` builds
 the result by replaying ``Complex.from_facets``' first-occurrence
@@ -147,24 +147,26 @@ class _MoveState:
     A move on U = alpha + beta changes the stars of the faces of U in the
     window, which are rechecked; the faces of U that contain alpha vanish
     and those that contain beta appear, which rechecks the alphas that
-    ``by_beta`` lists under them.  The full state is the window low = 1.
-    ``_move_state`` rebuilds a state cold for a caller that asks for an
-    index below ``low``.
+    ``by_beta`` lists under them.  The full state is the window low = 1;
+    a caller that asks for index >= 0 (a search with k = d + 1) gets it,
+    as index-0 moves are never listed.  ``_move_state`` rebuilds a state
+    cold for a caller that asks for an index below ``low``.
     """
 
     __slots__ = ("d", "low", "top", "vname", "sid", "star", "cand",
                  "by_beta", "moves")
 
     def __init__(self, X: Complex, low: int):
+        low = max(low, 1)  # index-0 moves are never listed
         self.d, self.low, self.top = X.dim, low, X.dim + 1 - low
         self.vname = list(X.names)
         self.sid = dict(zip(X.names, range(X.m)))
         star: dict[int, list[int]] = {}
         top = self.top
-        for fm in X.facet_masks:
+        for fm in X.facet_masks:  # _window(fm) inline, a list less per facet
             sub = (fm - 1) & fm  # a facet has d + 1 > top vertices
             while sub:
-                if low == 1 or sub.bit_count() <= top:
+                if sub.bit_count() <= top:
                     owners = star.get(sub)
                     if owners is None:
                         star[sub] = [fm]

@@ -316,3 +316,14 @@ def test_a_move_that_leaves_no_facet_still_raises():
             apply_bistellar(S, BistellarMove((), S.names, d + 1))
     with pytest.raises(MoveError, match=message):
         apply_bistellar(Complex.empty(), BistellarMove((), ("x",), 0))
+
+
+def test_a_window_from_index_0_is_the_full_state():
+    """A search with k = d + 1 asks for the moves of index >= 0; index-0
+    moves are never listed, so its state is the full one."""
+    X = random_stacked_sphere(3, 10, seed=0)
+    state = _move_state(X, 0)
+    assert state.low == 1 and state.top == X.dim
+    assert state.listing(X, 0) == enumerate_bistellar(X) == cold(X)
+    Y = apply_bistellar(X, state.listing(X, 0)[0])
+    assert Y._moves is state and state.listing(Y, 0) == cold(Y)

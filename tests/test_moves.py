@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stellar.constructions import (LUTZ_B2_SHELLING, cross_polytope,
-                                   random_stacked_ball, random_stacked_sphere,
+                                   moebius_torus_7, random_stacked_ball,
+                                   random_stacked_sphere,
                                    standard_ball, standard_sphere)
 from stellar.core import (Complex, ComplexError, StructureError, _ridge_facets,
                           antistar, bits, boundary, facet_hash, join, link,
@@ -745,6 +746,44 @@ def test_stellation_search_pinned(corp, name):
     out = stellation_search(X, k, budget, seed)
     assert (out.status, out.nodes, certificate_digest(out)) == \
         STELLATION_PINS[name]
+
+
+# the same for searches with k = d + 1, which may take moves of every
+# index: their window d - k + 1 = 0 is held as the full state, since
+# index-0 moves are never listed.  As the search gave them when every
+# move state held the faces of every size
+STELLATION_TOP_PINS = {
+    "stacked(3,10,0),k=4": (
+        random_stacked_sphere, (3, 10, 0), 4, "found", 6,
+        "bf68a04f75b4f809d3918b479d573edf7bc3b77268ad579e1c60d53a94ecf340"),
+    "stacked(4,14,2),k=5": (
+        random_stacked_sphere, (4, 14, 2), 5, "found", 9,
+        "4bb71ac93864e4d43804dea3d12b4b8072485c887dafa5c61980a4f00841dfd3"),
+    "flipped(1),k=4": (
+        flipped_sphere, (1,), 4, "found", 31,
+        "2b1d31be446fb167f1c98e9b022418c9c4068dde57874414c3960737bdd640ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STELLATION_TOP_PINS))
+def test_stellation_search_top_index_pinned(name):
+    make, args, k, *want = STELLATION_TOP_PINS[name]
+    out = stellation_search(make(*args), k)
+    assert [out.status, out.nodes, certificate_digest(out)] == want
+
+
+def test_w_k_membership_on_non_standard_links():
+    """The vertex links of the 7-vertex torus are hexagons, so each
+    search for k = 2 = d + 1 takes moves; the digests are those of the
+    search when every move state held the faces of every size."""
+    rep = w_k_membership(moebius_torus_7(), 2)
+    assert rep.verdict == "member"
+    got = {v: (o.nodes, certificate_digest(o)[:16])
+           for v, o in rep.per_vertex.items()}
+    assert got == {"0": (3, "c5432ec08094ac94"), "1": (3, "80e84a8b4a8f1e3b"),
+                   "2": (3, "2117717a46ee967a"), "3": (3, "cc6c1480b6d602c0"),
+                   "4": (3, "87232edcdf72aa14"), "5": (3, "fa47ae4f900aedce"),
+                   "6": (3, "1769cc476161e79e")}
 
 
 # (nodes, certificate digest) of each vertex link's search in
