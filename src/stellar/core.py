@@ -10,7 +10,6 @@ import hashlib
 import warnings
 from functools import reduce
 from itertools import chain, repeat
-from math import inf
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -775,57 +774,59 @@ def _isomorphisms(X: Complex | DualGraph, Y: Complex | DualGraph, budget: float,
 
 
 def are_isomorphic(X: Complex, Y: Complex) -> bool:
-    """Decide isomorphism: by ``_isomorphisms`` without a step budget when
-    X is a pure, strongly connected weak pseudomanifold, else by
-    ``_backtracking_isomorphic``."""
-    found = _isomorphisms(X, Y, inf, first=True)
-    return _backtracking_isomorphic(X, Y) if found is None else bool(found)
+    """Decide isomorphism of any two complexes by individualisation and
+    refinement (McKay & Piperno, J. Symbolic Comput. 60, 2014), on an
+    explicit stack.
 
-
-def _backtracking_isomorphic(X: Complex, Y: Complex) -> bool:
-    """Decide isomorphism by backtracking on vertex bijections, one level
-    of recursion per vertex (small complexes only)."""
-    if X.m != Y.m or X.dim != Y.dim:
+    The vertices of X (ids 0..m-1) and of Y (ids m..2m-1) are coloured
+    together.  Each round of refinement gives a facet the multiset of its
+    vertices' colours, and a vertex its colour with the multiset of its
+    facets' colours, numbered by first occurrence, until the number of
+    colours stops growing; so the colours of the two sides compare, and a
+    colouring whose sides differ as multisets is dropped.  Otherwise the
+    first vertex of the smallest cell with two vertices of X or more is
+    given a new colour with each vertex of Y in its cell in turn.  The map
+    of a discrete colouring is accepted only if it carries the facets of X
+    exactly onto those of Y.  Refinement alone settles trees and most
+    complexes; on inputs it cannot split, such as regular graphs, the
+    search stays exponential, as graph isomorphism is in general."""
+    if (X.m, X.dim, sorted(map(len, X.facets))) != (Y.m, Y.dim, sorted(map(len, Y.facets))):
         return False
-    if [X.n_faces(t) for t in range(X.dim + 1)] != [Y.n_faces(t) for t in range(Y.dim + 1)]:
-        return False
-
-    def invariants(Z: Complex) -> list[tuple[int, ...]]:
-        return [tuple(sum(1 for f in Z.faces_of_dim(t) if f >> v & 1)
-                      for t in range(1, Z.dim + 1)) for v in range(Z.m)]
-
-    inv_x, inv_y = invariants(X), invariants(Y)
-    if sorted(inv_x) != sorted(inv_y):
-        return False
-    y_facets = set(Y.facet_masks)
-    order = sorted(range(X.m), key=lambda v: (inv_x.count(inv_x[v]), v))
-    assign: dict[int, int] = {}
-    used = [False] * Y.m
-
-    def feasible(xv: int, yv: int) -> bool:
-        if inv_x[xv] != inv_y[yv]:
-            return False
-        # every X-edge between assigned vertices must map to a Y-edge
-        ex = X.faces_of_dim(1)
-        ey = Y.faces_of_dim(1)
-        for u, yu in assign.items():
-            if (mask_of((u, xv)) in ex) != (mask_of((yu, yv)) in ey):
-                return False
-        return True
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            mapped = {mask_of(assign[v] for v in f) for f in X.facets}
-            return mapped == y_facets
-        xv = order[k]
-        for yv in range(Y.m):
-            if not used[yv] and feasible(xv, yv):
-                assign[xv] = yv
-                used[yv] = True
-                if extend(k + 1):
-                    return True
-                del assign[xv]
-                used[yv] = False
-        return False
-
-    return extend(0)
+    m = X.m
+    facets = list(X.facets) + [tuple(v + m for v in f) for f in Y.facets]
+    star: list[list[int]] = [[] for _ in range(2 * m)]
+    for i, f in enumerate(facets):
+        for v in f:
+            star[v].append(i)
+    target = set(Y.facet_masks)
+    stack = [[0] * (2 * m)]
+    while stack:
+        colour = stack.pop()
+        n = len(set(colour))
+        while True:
+            fids: dict[tuple, int] = {}
+            fc = [fids.setdefault(tuple(sorted(map(colour.__getitem__, f))), len(fids))
+                  for f in facets]
+            ids: dict[tuple, int] = {}
+            colour = [ids.setdefault((c, tuple(sorted(map(fc.__getitem__, s)))), len(ids))
+                      for c, s in zip(colour, star)]
+            if len(ids) == n:
+                break
+            n = len(ids)
+        if sorted(colour[:m]) != sorted(colour[m:]):
+            continue
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)  # the X half of a cell first
+        split = [cell for cell in cells.values() if len(cell) > 2]
+        if split:
+            cell = min(split, key=len)
+            for y in reversed(cell[len(cell) // 2:]):
+                branch = colour.copy()
+                branch[cell[0]] = branch[y] = n
+                stack.append(branch)
+            continue
+        image = [1 << (y - m) for _, y in sorted(cells.values())]  # by X vertex
+        if {reduce(or_, map(image.__getitem__, f), 0) for f in X.facets} == target:
+            return True
+    return False

@@ -43,7 +43,7 @@ from .core import (Complex, ComplexError, InputError, RangeError,
                    StructureError, _face_counts, _map_jobs,
                    _mask_from_names, _maximal, _rebuild, _renumbered,
                    _ridge_facets, bits, boundary, dual_graph, facet_hash,
-                   is_connected, is_closed_pseudomanifold, link, mask_of,
+                   ids_of, is_connected, is_closed_pseudomanifold, mask_of,
                    popcount, submasks)
 from .vectors import g_vector, h_vector
 
@@ -720,13 +720,13 @@ def canonical_ball(S: Complex, k: int) -> Complex:
     """The unique k-stacked (d+1)-ball bounded by a k-stellated d-sphere,
     built as the sets all of whose <= (k+1)-subsets are faces.
 
-    Requires dim(S) >= 2k.  The output is validated (boundary equals S and
-    it is k-stacked); failure raises HypothesisViolation rather than
-    returning an unverified complex.
+    Requires 0 <= k and dim(S) >= 2k.  The output is validated (boundary
+    equals S and it is k-stacked); failure raises HypothesisViolation
+    rather than returning an unverified complex.
     """
     d = S.dim
-    if d < 2 * k:
-        raise RangeError(f"canonical ball needs dim >= 2k (got d={d}, k={k})")
+    if k < 0 or d < 2 * k:
+        raise RangeError(f"canonical ball needs 0 <= k <= d/2 (got d={d}, k={k})")
     cand = _closure_complex(S, k + 1, d + 3)
     try:
         ok = (cand is not None and cand.dim == d + 1
@@ -741,12 +741,12 @@ def canonical_ball(S: Complex, k: int) -> Complex:
 
 
 def canonical_manifold(M: Complex, k: int) -> Complex:
-    """The unique (d+1)-manifold bounded by a W_k(d) member for
-    d >= 2k+2, built as the sets all of whose <= (k+2)-subsets are faces;
-    validated against its defining properties."""
+    """The unique (d+1)-manifold bounded by a W_k(d) member for k >= 0
+    and d >= 2k+2, built as the sets all of whose <= (k+2)-subsets are
+    faces; validated against its defining properties."""
     d = M.dim
-    if d < 2 * k + 2:
-        raise RangeError(f"canonical manifold needs dim >= 2k+2 (got d={d}, k={k})")
+    if k < 0 or d < 2 * k + 2:
+        raise RangeError(f"canonical manifold needs 0 <= k <= (d-2)/2 (got d={d}, k={k})")
     cand = _closure_complex(M, k + 2, d + 3)
     try:
         ok = cand is not None and cand.dim == d + 1 and boundary(cand) == M
@@ -856,9 +856,7 @@ class WkMembershipReport:
 
 
 def _wk_task(args):
-    facets, k, budget, seed = args
-    lk = Complex.from_facets(facets)
-    return stellation_search(lk, k, budget, seed)
+    return stellation_search(*args)
 
 
 def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
@@ -875,11 +873,13 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
         raise StructureError("W_k membership needs a connected complex")
     tasks = []
     for v in range(M.m):
-        lk = link(M, (v,))
+        # link(M, (v,))'s facets in its order, numbered as the pins need
+        masks = _maximal(f ^ 1 << v for f in M.facet_masks if f >> v & 1)
+        lk = Complex.from_facets([M.names_of_mask(f) for f in sorted(masks, key=ids_of)])
         if not is_closed_pseudomanifold(lk):
             raise StructureError(
                 f"link of vertex {M.name_of(v)} is not a closed pseudomanifold")
-        tasks.append((lk.facets_as_names(), k, budget, seed + v))
+        tasks.append((lk, k, budget, seed + v))
     outcomes = _map_jobs(_wk_task, tasks, jobs)
     per_vertex = {M.name_of(v): out for v, out in enumerate(outcomes)}
     verdict = "member" if all(o.found for o in outcomes) else "undetermined"

@@ -16,7 +16,7 @@ from math import comb
 from .constructions import (LUTZ_B2_SHELLING, corpus, cross_polytope,
                             random_stacked_sphere, standard_ball,
                             standard_sphere)
-from .core import Complex, boundary, induced, join, neighbourliness
+from .core import Complex, _maximal, boundary, join, mask_of, neighbourliness
 from .homology import QQ, FieldSpec, betti
 from .moves import (BistellarMove, apply_bistellar, canonical_manifold,
                     enumerate_bistellar, ears, find_shelling,
@@ -245,8 +245,9 @@ def criterion_9_identities(jobs: int = 1) -> list[Row]:
 
 def brute_force_bistellar(X: Complex) -> list[BistellarMove]:
     """Independent move oracle: try every disjoint pair (alpha, beta) with
-    |alpha| + |beta| = d + 2 and test the induced-subcomplex condition by
-    direct face comparison."""
+    |alpha| + |beta| = d + 2, test beta against the face index, and read
+    the induced subcomplex on alpha | beta as the maximal masks among the
+    facets cut down to it, which must be the facets alpha | beta - b."""
     from itertools import combinations
 
     d = X.dim
@@ -254,16 +255,13 @@ def brute_force_bistellar(X: Complex) -> list[BistellarMove]:
     verts = range(X.m)
     for i in range(1, d + 1):
         for alpha in combinations(verts, d - i + 1):
+            am = mask_of(alpha)
             for beta in combinations(set(verts) - set(alpha), i + 1):
-                both = set(alpha) | set(beta)
-                ind = induced(X, both)
-                want = set()
-                for b in beta:
-                    want.add(frozenset(X.name_of(v) for v in both - {b}))
-                got = {frozenset(f) for f in ind.facets_as_names()}
-                if got == want and not X.has_face(beta):
-                    out.append(BistellarMove(X.names_of_mask(sum(1 << a for a in alpha)),
-                                             X.names_of_mask(sum(1 << b for b in beta)), i))
+                bm = mask_of(beta)
+                both = am | bm
+                if not X.has_face(bm) and (set(_maximal(f & both for f in X.facet_masks))
+                                           == {both ^ 1 << b for b in beta}):
+                    out.append(BistellarMove(X.names_of_mask(am), X.names_of_mask(bm), i))
     out.sort(key=lambda mv: (mv.index, mv.alpha, mv.beta))
     return out
 

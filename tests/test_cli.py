@@ -30,6 +30,8 @@ def test_bad_input_exit_code(capsys, tmp_path):
     assert run(["betti", "corpus:torus_7", "--field", "z6"]) == 3
     assert run(["betti", "corpus:torus_7", "--field", "zx"]) == 3
     assert run(["sigma", "corpus:torus_7", "--field", "z"]) == 3
+    assert run(["canonical-ball", "corpus:lutz_S2_8", "--k", "-1"]) == 3
+    assert run(["canonical-manifold", "corpus:M_1_4", "--k", "-1"]) == 3
     # verbs that write no report take no --json; verify-paper's seeds are fixed
     assert run(["verify-paper", "--json", str(tmp_path / "v.json")]) == 3
     assert run(["corpus", "list", "--json", str(tmp_path / "c.json")]) == 3

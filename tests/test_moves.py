@@ -13,9 +13,9 @@ from stellar.constructions import (LUTZ_B2_SHELLING, cross_polytope,
                                    moebius_torus_7, random_stacked_ball,
                                    random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import (Complex, ComplexError, StructureError, _ridge_facets,
-                          antistar, bits, boundary, facet_hash, join, link,
-                          submasks)
+from stellar.core import (Complex, ComplexError, RangeError, StructureError,
+                          _ridge_facets, antistar, bits, boundary, facet_hash,
+                          induced, join, link, submasks)
 from stellar.moves import (BistellarMove, HypothesisViolation, MoveCertificate,
                            MoveError, ShellingMove, apply_bistellar,
                            apply_reverse, bistellar_face_delta, canonical_ball,
@@ -39,6 +39,38 @@ def test_enumerate_against_oracle_small(corp):
               corp["rp2_6"].complex,
               corp["lutz_S3_8"].complex):
         assert enumerate_bistellar(X) == brute_force_bistellar(X)
+
+
+def induced_complex_bistellar(X):
+    """The move oracle that builds ``induced(X, alpha | beta)``, a full
+    complex, for every disjoint pair and compares its facets by name: the
+    reference of ``brute_force_bistellar``, which reads masks."""
+    from itertools import combinations
+
+    d = X.dim
+    out = []
+    verts = range(X.m)
+    for i in range(1, d + 1):
+        for alpha in combinations(verts, d - i + 1):
+            for beta in combinations(set(verts) - set(alpha), i + 1):
+                both = set(alpha) | set(beta)
+                ind = induced(X, both)
+                want = set()
+                for b in beta:
+                    want.add(frozenset(X.name_of(v) for v in both - {b}))
+                got = {frozenset(f) for f in ind.facets_as_names()}
+                if got == want and not X.has_face(beta):
+                    out.append(BistellarMove(X.names_of_mask(sum(1 << a for a in alpha)),
+                                             X.names_of_mask(sum(1 << b for b in beta)), i))
+    out.sort(key=lambda mv: (mv.index, mv.alpha, mv.beta))
+    return out
+
+
+def test_brute_force_matches_induced_complex_reference(corp):
+    small = [corp[name].complex for name in corp if corp[name].complex.m <= 10]
+    assert len(small) == 14
+    for X in small:
+        assert brute_force_bistellar(X) == induced_complex_bistellar(X)
 
 
 def test_minimal_spheres_admit_no_moves():
@@ -395,6 +427,10 @@ def test_canonical_ball():
 def test_canonical_ball_guards(corp):
     with pytest.raises(Exception):
         canonical_ball(corp["S3_16"].complex, 2)  # d < 2k
+    with pytest.raises(RangeError):
+        canonical_ball(corp["lutz_S2_8"].complex, -1)
+    with pytest.raises(RangeError):
+        canonical_manifold(corp["M_1_4"].complex, -1)
     # a non-1-stellated sphere fails validation rather than succeeding
     with pytest.raises(HypothesisViolation):
         canonical_ball(corp["torus_7"].complex, 1)
@@ -631,6 +667,13 @@ def walked_spheres_and_moves(draw):
     else:
         mv = BistellarMove(draw(st.sampled_from(X.facets_as_names())), ("new",), 0)
     return X, mv
+
+
+@settings(max_examples=10, deadline=None)
+@given(walked_spheres_and_moves())
+def test_brute_force_matches_induced_complex_reference_on_walks(case):
+    X = apply_bistellar(*case)
+    assert brute_force_bistellar(X) == induced_complex_bistellar(X)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from stellar import tightness
 from stellar.constructions import (corpus, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import (Complex, _backtracking_isomorphic, _isomorphisms,
+from stellar.core import (Complex, _isomorphisms, _maximal, _rebuild,
                           antistar, are_isomorphic, bits, join, link, mask_of)
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
                               is_homology_sphere, reduced_betti_of_faces)
@@ -459,6 +459,56 @@ def _form_pool():
 FORM_POOL = _form_pool()
 
 
+def backtracking_isomorphic(X, Y):
+    """Decide isomorphism by backtracking on vertex bijections, one level
+    of recursion per vertex (small complexes only): the oracle of
+    ``are_isomorphic``."""
+    if X.m != Y.m or X.dim != Y.dim:
+        return False
+    if [X.n_faces(t) for t in range(X.dim + 1)] != [Y.n_faces(t) for t in range(Y.dim + 1)]:
+        return False
+
+    def invariants(Z):
+        return [tuple(sum(1 for f in Z.faces_of_dim(t) if f >> v & 1)
+                      for t in range(1, Z.dim + 1)) for v in range(Z.m)]
+
+    inv_x, inv_y = invariants(X), invariants(Y)
+    if sorted(inv_x) != sorted(inv_y):
+        return False
+    y_facets = set(Y.facet_masks)
+    order = sorted(range(X.m), key=lambda v: (inv_x.count(inv_x[v]), v))
+    assign = {}
+    used = [False] * Y.m
+
+    def feasible(xv, yv):
+        if inv_x[xv] != inv_y[yv]:
+            return False
+        # every X-edge between assigned vertices must map to a Y-edge
+        ex = X.faces_of_dim(1)
+        ey = Y.faces_of_dim(1)
+        for u, yu in assign.items():
+            if (mask_of((u, xv)) in ex) != (mask_of((yu, yv)) in ey):
+                return False
+        return True
+
+    def extend(k):
+        if k == len(order):
+            mapped = {mask_of(assign[v] for v in f) for f in X.facets}
+            return mapped == y_facets
+        xv = order[k]
+        for yv in range(Y.m):
+            if not used[yv] and feasible(xv, yv):
+                assign[xv] = yv
+                used[yv] = True
+                if extend(k + 1):
+                    return True
+                del assign[xv]
+                used[yv] = False
+        return False
+
+    return extend(0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(range(len(FORM_POOL))),
        st.sampled_from(range(len(FORM_POOL))),
@@ -466,24 +516,94 @@ FORM_POOL = _form_pool()
 def test_isomorphisms_decide_isomorphism(i, j, rnd):
     X, Y = relabelled(FORM_POOL[i], rnd), relabelled(FORM_POOL[j], rnd)
     found = _isomorphisms(X, Y, NO_BUDGET, first=True)
-    assert bool(found) == _backtracking_isomorphic(X, Y) == are_isomorphic(X, Y)
+    assert bool(found) == backtracking_isomorphic(X, Y) == are_isomorphic(X, Y)
     if found:
         image = {mask_of(found[0][v] for v in bits(f)) for f in X.facet_masks}
         assert image == set(Y.facet_masks)
 
 
+def _graph(edges):
+    return Complex.from_facets([e.split() for e in edges])
+
+
+# regular graphs, on which refinement splits no colour and the search
+# has to branch: a hexagon and two triangles, K_{3,3} and the prism, the
+# cube and the Moebius ladder on eight vertices
+REGULAR = [_graph(["1 2", "2 3", "3 4", "4 5", "5 6", "6 1"]),
+           _graph(["1 2", "2 3", "3 1", "4 5", "5 6", "6 4"]),
+           _graph(["1 4", "1 5", "1 6", "2 4", "2 5", "2 6", "3 4", "3 5", "3 6"]),
+           _graph(["1 2", "2 3", "3 1", "4 5", "5 6", "6 4", "1 4", "2 5", "3 6"]),
+           _graph([f"{a} {a ^ b}" for a in range(8) for b in (1, 2, 4) if a < a ^ b]),
+           _graph([f"{a} {(a + 1) % 8}" for a in range(8)]
+                  + [f"{a} {a + 4}" for a in range(4)])]
+
+
+@st.composite
+def isomorphism_pairs(draw):
+    """A complex X and a complex Y that is X, or X with one vertex of one
+    facet replaced.  X is drawn on 3-8 vertices from up to eight vertex
+    sets of at most two or at most four vertices (graphs, and non-pure
+    and disconnected complexes), or taken from the pseudomanifolds of
+    FORM_POOL or the regular graphs of REGULAR."""
+    kind = draw(st.sampled_from(("graph", "complex", "pool")))
+    if kind == "pool":
+        X = draw(st.sampled_from(FORM_POOL + REGULAR))
+    else:
+        m = draw(st.integers(3, 8))
+        sets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1,
+                                     max_size=2 if kind == "graph" else 4),
+                             min_size=1, max_size=8))
+        X = _rebuild([str(v) for v in range(m)], _maximal(map(mask_of, sets)))
+    masks = list(X.facet_masks)
+    i = draw(st.integers(0, len(masks) - 1))
+    others = [u for u in range(X.m) if not masks[i] >> u & 1]
+    if others and draw(st.booleans()):
+        v = draw(st.sampled_from(list(bits(masks[i]))))
+        masks[i] ^= 1 << v | 1 << draw(st.sampled_from(others))
+    return X, _rebuild(X.names, _maximal(masks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(isomorphism_pairs(), st.randoms(use_true_random=False))
+def test_are_isomorphic_matches_backtracking(pair, rnd):
+    X, Y = relabelled(pair[0], rnd), relabelled(pair[1], rnd)
+    assert are_isomorphic(X, Y) == backtracking_isomorphic(X, Y)
+
+
+def test_are_isomorphic_on_regular_graphs():
+    rnd = random.Random(4)
+    for i, X in enumerate(REGULAR):
+        for j, Y in enumerate(REGULAR):
+            assert are_isomorphic(X, relabelled(Y, rnd)) == (i == j)
+
+
+def comb_graph(teeth, long_tooth=None):
+    """A path on ``teeth`` vertices with a pendant edge at each vertex,
+    and a second edge on the tooth at ``long_tooth``."""
+    edges = [(f"p{i}", f"p{i + 1}") for i in range(teeth - 1)]
+    edges += [(f"p{i}", f"t{i}") for i in range(teeth)]
+    if long_tooth is not None:
+        edges.append((f"t{long_tooth}", "end"))
+    return Complex.from_facets(edges)
+
+
 def test_are_isomorphic_ignores_recursion_limit():
+    rnd = random.Random(1)
     X = random_stacked_sphere(3, 150, seed=2)
-    Y = relabelled(X, random.Random(1))
-    Z = relabelled(random_stacked_sphere(3, 150, seed=3), random.Random(1))
+    Z = random_stacked_sphere(3, 150, seed=3)
+    # combs are trees, not pseudomanifolds; the two long teeth ten path
+    # vertices apart give both combs the same vertex degrees
+    C, D = comb_graph(100, 10), comb_graph(100, 20)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 60)  # far below the 150 vertices
+    sys.setrecursionlimit(depth + 60)  # far below the 150 and 201 vertices
     try:
-        assert are_isomorphic(X, Y)
-        assert not are_isomorphic(X, Z)
+        assert are_isomorphic(X, relabelled(X, rnd))
+        assert not are_isomorphic(X, relabelled(Z, rnd))
+        assert are_isomorphic(relabelled(C, rnd), relabelled(C, rnd))
+        assert not are_isomorphic(relabelled(C, rnd), relabelled(D, rnd))
     finally:
         sys.setrecursionlimit(limit)
 
