@@ -450,27 +450,19 @@ class DualGraph:
     """The dual graph of a complex X: its nodes are the facets, and facets
     i and j are joined when they share a ridge.  ``across`` is ``_across``
     of the facets (None when X is not pure or a ridge lies in three or
-    more facets), ``walk`` is ``_walk`` from facet 0 (None unless across
-    is set and the walk reaches every facet) and ``count`` is
-    ``_face_counts``, built at its first use.  ``dual_graph`` and the
-    pseudomanifold tests read the first two, and ``_isomorphisms`` all
-    three, so a complex compared with many others is worked out once."""
+    more facets) and ``walk`` is ``_walk`` from facet 0 (None unless across
+    is set and the walk reaches every facet).  ``dual_graph``, the
+    pseudomanifold tests and ``_automorphisms`` read them."""
 
-    __slots__ = ("X", "n", "across", "walk", "_count")
+    __slots__ = ("X", "n", "across", "walk")
 
     def __init__(self, X: Complex):
         self.X, self.n = X, len(X.facet_masks)
-        self.across = self.walk = self._count = None
+        self.across = self.walk = None
         if X.is_pure():
             self.across = _across(X.facet_masks)
             if self.across is not None:
                 self.walk = _walk(X.facet_masks, self.across)
-
-    @property
-    def count(self) -> dict[int, int]:
-        if self._count is None:
-            self._count = _face_counts(self.X.facet_masks)
-        return self._count
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -671,58 +663,45 @@ def facet_hash(X: Complex) -> str:
 # -- isomorphism -------------------------------------------------------------
 
 
-def _isomorphisms(X: Complex | DualGraph, Y: Complex | DualGraph, budget: float,
-                  first: bool = False) -> list[tuple[int, ...]] | None:
-    """The isomorphisms from X onto Y as vertex maps (perm[v] is the id in
-    Y of the image of X's vertex v) when X is a pure, strongly connected
-    weak pseudomanifold other than {∅}; None for any other X, or once the
-    search has cost more than ``budget`` steps.  With Y = X the list is
-    Aut(X); with ``first`` the search stops at the first map it finds.  X
-    and Y may be given as their ``DualGraph``.
+def _automorphisms(X: Complex, budget: float) -> list[tuple[int, ...]] | None:
+    """Aut(X) as vertex maps (perm[v] is the image of vertex v) when X is
+    a pure, strongly connected weak pseudomanifold other than {∅}; None
+    for any other X, or once the search has cost more than ``budget``
+    steps.
 
     The breadth-first walk ``_walk`` of X reaches every facet j from a
     facet i through the ridge i - v, and j adds one vertex w.  An
-    isomorphism g carries that ridge to the ridge of g(i) opposite g(v),
+    automorphism g carries that ridge to the ridge of g(i) opposite g(v),
     so g(j) and g(w) follow from g(i) and g on facet 0 (McKay & Piperno,
     "Practical graph isomorphism, II", 2014).  The search fixes
     the base flag, facet 0 with its vertices in id order, and tries every
-    flag of Y (a facet t with an order of its vertices) as its image: t
+    flag of X (a facet t with an order of its vertices) as its image: t
     only when its faces lie in as many facets as those of facet 0, and
     the order built a vertex at a time, dropped as soon as a face of
     facet 0 and its image lie in different numbers of facets.  Each full
     flag is propagated along the walk until the first conflict, and a map
     is kept only when an exact check shows it carries the facet set of X
-    onto that of Y.  So every isomorphism is found once.
+    onto itself.  So every automorphism is found once.
 
-    Steps: F * 2^(d+1) for the face counts of each complex, one per
-    candidate vertex of a flag and one per face it is compared on when it
-    fits, one per ridge crossed and F per exact check.  The face counts
-    are charged whether or not a ``DualGraph`` already holds them, so a
-    verdict does not depend on what was worked out before."""
-    same = Y is X
-    x = X if isinstance(X, DualGraph) else DualGraph(X)
-    walk = x.walk
-    if walk is None or x.X.dim < 0:
+    Steps: F * 2^(d+1) for the face counts, one per candidate vertex of a
+    flag and one per face it is compared on when it fits, one per ridge
+    crossed and F per exact check."""
+    G = DualGraph(X)
+    walk, across = G.walk, G.across
+    if walk is None or X.dim < 0:
         return None
-    X, masks = x.X, x.X.facet_masks
+    masks = X.facet_masks
     n = X.dim + 1
-    steps = (len(masks) << n) * (1 if same else 2)
+    steps = len(masks) << n
     if steps > budget:
         return None
-    y = x if same else Y if isinstance(Y, DualGraph) else DualGraph(Y)
-    ymasks = y.X.facet_masks
-    if (y.X.m, y.X.dim, len(ymasks)) != (X.m, X.dim, len(masks)):
-        return []
-    yacross = y.across
-    if yacross is None:
-        return []
-    count, ycount = x.count, y.count
+    count = _face_counts(masks)
     kind = sorted(count[s] for s in submasks(masks[0]))
     base = ids_of(masks[0])
-    facets = set(ymasks)
+    facets = set(masks)
     found = []
-    for t, fm in enumerate(ymasks):
-        if sorted(ycount[s] for s in submasks(fm)) != kind:
+    for t, fm in enumerate(masks):
+        if sorted(count[s] for s in submasks(fm)) != kind:
             continue
         # partial orders: images of base[:k], the faces of facet 0 on
         # base[:k], and their images, in matching positions
@@ -736,7 +715,7 @@ def _isomorphisms(X: Complex | DualGraph, Y: Complex | DualGraph, budget: float,
                 for w in bits(fm & ~mask_of(order)):
                     wb = 1 << w
                     steps += 1
-                    if all(count[f | b] == ycount[g | wb]
+                    if all(count[f | b] == count[g | wb]
                            for f, g in zip(faces, images)):
                         steps += len(faces)
                         stack.append((order + (w,), faces + [f | b for f in faces],
@@ -745,16 +724,16 @@ def _isomorphisms(X: Complex | DualGraph, Y: Complex | DualGraph, budget: float,
             perm = [-1] * X.m
             for v, w in zip(base, order):
                 perm[v] = w
-            image = [-1] * len(masks)  # facet index in X -> its image in Y
+            image = [-1] * len(masks)  # facet index -> the index of its image
             image[0] = t
             used = fm
             for i, v, j, w in walk:
                 steps += 1
                 gi = image[i]
-                gj = yacross[gi].get(perm[v])
+                gj = across[gi].get(perm[v])
                 if gj is None:
                     break
-                new = ymasks[gj] & ~ymasks[gi]
+                new = masks[gj] & ~masks[gi]
                 if perm[w] < 0:
                     if used & new:
                         break
@@ -768,8 +747,6 @@ def _isomorphisms(X: Complex | DualGraph, Y: Complex | DualGraph, budget: float,
                 bit = [1 << w for w in perm]
                 if {reduce(or_, map(bit.__getitem__, f)) for f in X.facets} == facets:
                     found.append(tuple(perm))
-                    if first:
-                        return found
     return found
 
 
@@ -779,11 +756,13 @@ def are_isomorphic(X: Complex, Y: Complex) -> bool:
     explicit stack.
 
     The vertices of X (ids 0..m-1) and of Y (ids m..2m-1) are coloured
-    together.  Each round of refinement gives a facet the multiset of its
-    vertices' colours, and a vertex its colour with the multiset of its
-    facets' colours, numbered by first occurrence, until the number of
-    colours stops growing; so the colours of the two sides compare, and a
-    colouring whose sides differ as multisets is dropped.  Otherwise the
+    together, first by their degrees.  Each round of refinement gives a
+    facet the multiset of its vertices' colours, and a vertex its colour
+    with the multiset of its facets' colours, numbered by first
+    occurrence, until the number of colours stops growing or reaches m,
+    where every cell holds one vertex of each side unless the sides
+    differ; so the colours of the two sides compare, and a colouring
+    whose sides differ as multisets is dropped.  Otherwise the
     first vertex of the smallest cell with two vertices of X or more is
     given a new colour with each vertex of Y in its cell in turn.  The map
     of a discrete colouring is accepted only if it carries the facets of X
@@ -799,11 +778,11 @@ def are_isomorphic(X: Complex, Y: Complex) -> bool:
         for v in f:
             star[v].append(i)
     target = set(Y.facet_masks)
-    stack = [[0] * (2 * m)]
+    stack = [[len(s) for s in star]]
     while stack:
         colour = stack.pop()
         n = len(set(colour))
-        while True:
+        while n < m:
             fids: dict[tuple, int] = {}
             fc = [fids.setdefault(tuple(sorted(map(colour.__getitem__, f))), len(fids))
                   for f in facets]

@@ -26,15 +26,14 @@ check:
    X[A] and X[g(A)] are isomorphic.  G is the automorphism group of X
    when there are at least 2^12 subsets, X is a pure, strongly connected
    weak pseudomanifold, and a search of at most 8 * 2^m steps finds it
-   (``_isomorphisms`` from X to itself); otherwise G holds the identity
-   alone and this is the subset loop, one run per subset.  From 2^12
-   classes up, the runs are split over ``jobs`` processes.  The tests
-   compare every path with a plain subset loop of their own.
+   (``_automorphisms``); otherwise G holds the identity alone and this is
+   the subset loop, one run per subset.  From 2^12 classes up, the runs
+   are split over ``jobs`` processes.  The tests compare every path with
+   a plain subset loop of their own.
 
-The mu-vector computes one sigma per isomorphism class of links that the
-same search tells apart: a link shares the sigma of an earlier link when
-``_isomorphisms`` finds a map between them within 8 * 2^m steps, and any
-other link gets its own.
+The mu-vector computes one sigma per isomorphism class of links: a link
+shares the sigma of the first earlier link that ``are_isomorphic`` matches
+it with, and any other link gets its own.
 """
 from __future__ import annotations
 
@@ -45,12 +44,12 @@ from functools import lru_cache, reduce
 from math import comb
 from operator import and_
 
-from .core import Complex, ComplexError, DualGraph, _isomorphisms, \
-    _map_jobs, _ridge_facets, bits, ids_of, is_closed_pseudomanifold, \
+from .core import Complex, ComplexError, _automorphisms, _map_jobs, \
+    _ridge_facets, are_isomorphic, bits, ids_of, is_closed_pseudomanifold, \
     is_connected, link, neighbourliness, popcount
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
-    _faces_by_dim, _inclusion_test, betti, is_homology_sphere, orientable, \
+    _faces_by_dim, _inclusion_test, betti, is_homology_sphere, \
     reduced_betti_of_faces
 from .vectors import f_vector, g_vector
 
@@ -267,7 +266,7 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     the first of four paths whose hypothesis holds: cone apex, Alexander
     duality for an F-homology sphere of dimension <= 3, the same duality
     for a ball whose closure ``_ball_closure`` is such a sphere, or
-    ``_class_sums`` under the automorphism group that ``_isomorphisms``
+    ``_class_sums`` under the automorphism group that ``_automorphisms``
     finds within 8 * 2^m steps when there are at least LARGE_LOOP
     subsets, and under the identity alone otherwise."""
     apex = reduce(and_, X.facet_masks)
@@ -286,7 +285,7 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     if 1 << X.m >= LARGE_LOOP:
         # a step of the search costs well under a hundredth of a
         # homology run, so a spent budget adds a few per cent to the loop
-        group = _isomorphisms(X, X, 8 << X.m)
+        group = _automorphisms(X, 8 << X.m)
     return _class_sums(X, field, group or [tuple(range(X.m))], jobs)
 
 
@@ -299,7 +298,7 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     vertex lies in every facet, the duality path when X passes
     ``is_homology_sphere`` in dimension <= 3, the ball path when X's
     ``_ball_closure`` does, else the class path: one homology run per
-    class of subsets under the group of X that ``_isomorphisms`` finds
+    class of subsets under the group of X that ``_automorphisms`` finds
     within a budget of 8 * 2^m steps when there are at least 2^12 subsets,
     or per subset when it finds none, with ``jobs`` processes once there
     are at least 2^12 classes.  The cap applies to m whichever path runs.
@@ -328,11 +327,8 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
 
     Isomorphic links have one sigma.  Each link is compared with the links
     that got a sigma of their own before it, and takes the sigma of the
-    first one that ``_isomorphisms`` maps it onto within the class path's
-    budget of 8 * 2^m steps (m = the link's vertex count); what the search
-    needs of each link is worked out once, as its ``DualGraph``.  A link that
-    matches none, or is not a pure, strongly connected weak
-    pseudomanifold, gets its own sigma.  ``jobs`` is passed to each sigma.
+    first one that ``are_isomorphic`` matches it with; a link that matches
+    none gets its own sigma.  ``jobs`` is passed to each sigma.
 
     With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
     with the platform's default start method.  Under ``spawn`` (macOS,
@@ -343,15 +339,13 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:
         mu[1] = Fraction(1)
-    known: list[tuple[DualGraph, tuple[Fraction, ...]]] = []
+    known: list[tuple[Complex, tuple[Fraction, ...]]] = []
     for v in range(X.m):
         lk = link(X, (v,))
-        walked = DualGraph(lk)
-        sig = next((s for rep, s in known
-                    if _isomorphisms(walked, rep, 8 << lk.m, first=True)), None)
+        sig = next((s for rep, s in known if are_isomorphic(lk, rep)), None)
         if sig is None:
             sig = sigma_vector(lk, field, cap, jobs)
-            known.append((walked, sig))
+            known.append((lk, sig))
         for i in range(1, d + 1):
             if i - 1 < len(sig):
                 mu[i] += Fraction(sig[i - 1], X.m)
@@ -447,7 +441,7 @@ def morse_report(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
         slack.append(s)
     weak_ok = all(mu[j] >= bt.beta[j] for j in range(d + 1))
     duality = None
-    if is_closed_pseudomanifold(X) and orientable(X, field):
+    if is_closed_pseudomanifold(X) and bt.beta[d] == 1:  # orientable
         duality = all(mu[d - j] == mu[j] for j in range(d + 1))
     if neighbourliness(X) >= 2:
         verdict = "tight" if list(mu) == list(map(Fraction, bt.beta)) else "not-tight"
@@ -581,7 +575,7 @@ def criterion_battery(M: Complex, k: int, field: FieldSpec,
     nb = neighbourliness(M)
     closed = is_closed_pseudomanifold(M)
     beta_f = betti(M, field).beta
-    orient = orientable(M, field) if closed else None
+    orient = beta_f[d] == 1 if closed else None  # homology.orientable
     mu = None
 
     def get_mu():
