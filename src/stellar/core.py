@@ -254,22 +254,35 @@ class Complex:
     def names_of_mask(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bits(mask))
 
-    def _index(self) -> list[set[int]]:
-        # Lazy, idempotent build; safe to race (last assignment wins with
-        # an identical value).
+    def _index(self) -> list[frozenset[int]]:
+        """The faces by size: slot t+1 holds the t-faces, slot 0 {∅}.
+        Each facet enters its own level, and then each level, from the top
+        down, adds the boundary faces of its faces to the level below:
+        sum_k k f_k adds, where the submasks of every facet would cost
+        F 2^(d+1).  Lazy and idempotent, so safe to race (the last
+        assignment wins with an identical value)."""
         idx = self._faces_by_dim
         if idx is None:
-            idx = [set() for _ in range(self.dim + 2)]  # slot t+1 holds dim t; slot 0 dim -1
+            levels = [set() for _ in range(self.dim + 2)]
             for fm in self.facet_masks:
-                for sub in submasks(fm):
-                    idx[sub.bit_count()].add(sub)
-            self._faces_by_dim = idx
+                levels[fm.bit_count()].add(fm)
+            for k in range(self.dim + 1, 0, -1):
+                add = levels[k - 1].add
+                for f in levels[k]:
+                    g = f
+                    while g:
+                        low = g & -g
+                        add(f ^ low)
+                        g ^= low
+                levels[k] = frozenset(levels[k])
+            levels[0] = frozenset(levels[0])
+            idx = self._faces_by_dim = levels
         return idx
 
-    def faces_of_dim(self, t: int) -> set[int]:
+    def faces_of_dim(self, t: int) -> frozenset[int]:
         """All faces of dimension ``t`` as bitmasks (t = -1 gives {0})."""
         if t < -1 or t > self.dim:
-            return set()
+            return frozenset()
         return self._index()[t + 1]
 
     def n_faces(self, t: int) -> int:

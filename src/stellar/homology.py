@@ -16,11 +16,18 @@ boundary of f is f less its lowest vertex, with entry +1, and when no
 smaller face has claimed that row, f claims it without its column being
 built.  ``exactlinalg.rank`` reduces the other faces against these and
 builds a claimed column only the first time an elimination reads it
-(Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021); on M_3_7 that is
-1,627 columns of the 6,974 that clearing leaves.  Both are exact
+(Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).  Both are exact
 reductions with no hypothesis to check (they need only d o d = 0 and
 distinct pivot rows); the ranks equal those of the plain reduction,
 which the tests keep as its oracle.
+
+The top map, reduced first, has one shortcut with a gate: when apparent
+pivots leave columns over and no row meets more than two columns (as on
+the facets of a closed pseudomanifold), ``_two_entry_pivots`` finds its
+pivot rows by a signed union-find with no elimination, and they clear
+the map below as the elimination's would.  On M_3_7 the elimination
+then builds 997 of the 6,974 columns that clearing leaves, none of them
+in the top map.
 
 The inclusion test needs only ranks too: with d = d_{j+1} of X,
 H_j(X[A]) -> H_j(X) is injective iff
@@ -131,6 +138,74 @@ def _boundary_col_signed(face: int) -> dict[int, int]:
     return col
 
 
+def _two_entry_pivots(faces, rows, field: FieldSpec) -> set[int] | None:
+    """The pivot rows of the boundary map on the chains of ``faces``, rows
+    restricted to ``rows`` (None: every boundary face), or None once a row
+    meets a third column.
+
+    Row r is a pivot row of the column-reduced map iff it is not in the
+    span of the rows above it, so the pivot rows are the greedy row basis
+    in decreasing order.  When every row has at most two entries, all of
+    them +-1, the rows are the edges and half-edges of a signed graph on
+    the columns, and that basis is found with no elimination (Zaslavsky,
+    "Signed graphs", Discrete Appl. Math. 4, 1982).  The rows of a
+    component span the vectors orthogonal to its column signs s (s_i =
+    -a b s_j along a row a e_i + b e_j) until a half-edge or a cycle with
+    a s_i + b s_j != 0 makes them span every vector on its columns:
+    ``full``.  Over Z2 every cycle is balanced."""
+    meets: dict[int, list[int]] = {}
+    for c, f in enumerate(faces):
+        sign, g = 1, f
+        while g:
+            low = g & -g
+            r = f ^ low
+            g ^= low
+            if rows is None or r in rows:
+                e = meets.get(r)
+                if e is None:
+                    meets[r] = [c, sign]
+                elif len(e) == 2:
+                    e += (c, sign)
+                else:
+                    return None
+            sign = -sign
+    parent = list(range(len(faces)))
+    parity = [1] * len(faces)  # the sign of a column over its parent's
+    full = [False] * len(faces)
+    gf2 = field.p == 2
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        s = 1
+        for j in reversed(path):
+            s *= parity[j]
+            parity[j], parent[j] = s, i
+        return i, s
+
+    pivots = set()
+    for r in sorted(meets, reverse=True):
+        e = meets[r]
+        ri, si = find(e[0])
+        if len(e) == 2:
+            if not full[ri]:
+                full[ri] = True
+                pivots.add(r)
+        else:
+            rj, sj = find(e[2])
+            if ri != rj:
+                if not (full[ri] and full[rj]):
+                    pivots.add(r)
+                parent[rj], parity[rj] = ri, -e[1] * e[3] * si * sj
+                full[ri] = full[ri] or full[rj]
+            elif not (full[ri] or gf2 or e[1] * si + e[3] * sj == 0):
+                full[ri] = True
+                pivots.add(r)
+    return pivots
+
+
 def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
                     relative: bool = False) -> list[int]:
     """ranks[i] = rank of the boundary map on the chains of
@@ -151,9 +226,12 @@ def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
     face (the largest kept in the family, for relative chains) is no
     pivot row yet claims it as an apparent pivot, unbuilt, and ``rank``
     reduces the others.  Every echelon form of a map has the same set of
-    pivot rows, so clearing skips the same faces."""
+    pivot rows, so clearing skips the same faces.  The first map has
+    nothing cleared; when faces are left over there and no row meets
+    more than two of its columns (every ridge of a closed
+    pseudomanifold), ``_two_entry_pivots`` gives its pivot rows instead."""
     ranks = [0] * (len(faces_by_dim) + 1)
-    cleared: dict = {}
+    cleared: dict | set = {}
     for i in range(len(faces_by_dim) - 1, 0 if relative else 1, -1):
         rows = set(faces_by_dim[i - 1]) if relative else None
         pivots: dict = {}
@@ -171,6 +249,12 @@ def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
                 rest.append(f)
             else:
                 pivots[low] = f
+        found = None
+        if rest and i == len(faces_by_dim) - 1:
+            found = _two_entry_pivots(faces_by_dim[i], rows, field)
+        if found is not None:
+            ranks[i], cleared = len(found), found
+            continue
         cleared = {}  # let the map above's pivots go before columns are built
         if rows is None:
             build = _boundary_col_signed
@@ -338,7 +422,12 @@ def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:
 
 
 def orientable(X: Complex, field: FieldSpec) -> bool:
-    """F-orientability of a closed connected pseudomanifold: beta_d = 1."""
+    """F-orientability of a closed connected pseudomanifold: beta_d = 1.
+    Nothing lies above the facets, so beta_d = F - rank d_d, and every
+    ridge lies in two facets, so ``_two_entry_pivots`` gives that rank.
+    Below dimension 1 there is no d_d to rank."""
     if not is_closed_pseudomanifold(X):
         raise StructureError("orientability needs a closed connected pseudomanifold")
-    return betti(X, field).beta[X.dim] == 1
+    if X.dim < 1:
+        return betti(X, field).beta[X.dim] == 1
+    return len(X.facets) - len(_two_entry_pivots(X.facet_masks, None, field)) == 1

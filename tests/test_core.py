@@ -511,6 +511,23 @@ def test_closed_pseudomanifold_matches_three_pass_reference(X):
         is_pseudomanifold(X) and boundary(X) == Complex.empty())
 
 
+def test_faces_of_dim_cannot_change_the_index():
+    X = standard_sphere(2)
+    f = f_vector(X)
+    edges = X.faces_of_dim(1)
+    missing = 1 | 1 << X.m  # an edge to a vertex X does not have
+    with pytest.raises(AttributeError):
+        edges.add(missing)
+    with pytest.raises(AttributeError):
+        edges.discard(next(iter(edges)))
+    with pytest.raises(AttributeError):
+        X.faces_of_dim(-1).clear()
+    assert not X.has_face(missing)
+    assert all(map(X.has_face, edges))
+    assert f_vector(X) == f == (4, 6, 4)
+    assert X.faces_of_dim(7) == frozenset()
+
+
 def test_closed_pseudomanifold_cases(corp):
     assert is_closed_pseudomanifold(corp["S3_16"].complex)
     assert not is_closed_pseudomanifold(corp["lutz_B2"].complex)

@@ -1,6 +1,7 @@
 """Exact homology over Q and prime fields."""
 import random
 from fractions import Fraction
+from unittest import mock
 from itertools import combinations
 from math import comb
 
@@ -14,7 +15,8 @@ from stellar.constructions import (corpus, cross_polytope, klee_novik,
                                    real_projective_plane_6, standard_ball,
                                    standard_sphere)
 from stellar.core import (Complex, InputError, antistar, bits, induced,
-                          is_closed_pseudomanifold, join, link, mask_of)
+                          is_closed_pseudomanifold, join, link, mask_of,
+                          submasks)
 from stellar.exactlinalg import rank
 from stellar import homology
 from stellar.homology import (GF2, QQ, FieldSpec, _boundary_col_signed,
@@ -230,6 +232,7 @@ def uncleared_reduced_betti(faces_by_dim, field, top):
 KN_2_5 = klee_novik(2, 5)
 FIXED = {"Mbar_2_5": KN_2_5[0], "M_2_5": KN_2_5[1],
          "torus_7": moebius_torus_7(), "rp2_6": real_projective_plane_6()}
+RIDGE_IN_3 = Complex.from_facets(["abc", "abd", "abe", "cde"])
 
 
 @st.composite
@@ -295,7 +298,8 @@ def test_betti_of_the_largest_sign_change_manifolds():
 
 def test_apparent_pivots_are_not_built(monkeypatch):
     """Of the 702 columns that clearing leaves on M_2_5, only those an
-    elimination reads are built; the count is an operation count, the
+    elimination reads are built, and the top map, which the signed
+    union-find ranks, builds none; the count is an operation count, the
     same over every field here."""
     built = []
     col = homology._boundary_col_signed
@@ -309,7 +313,98 @@ def test_apparent_pivots_are_not_built(monkeypatch):
     for field in ORACLE_FIELDS:
         built.clear()
         assert reduced_betti(X, field) == (0, 0, 1, 1, 0, 1)
-        assert len(built) == len(set(built)) == 267 < 702
+        assert len(built) == len(set(built)) == 127 < 702
+
+
+def pivot_row_families(data, X):
+    """(family, relative) pairs: X's faces, an induced subcomplex, and a
+    relative family, drawn as the clearing oracles draw them."""
+    fbd = _faces_by_dim(X)
+    amask = subset_mask(data.draw, X)
+    bmask = subset_mask(data.draw, X)
+    cmask = bmask & subset_mask(data.draw, X)
+    return [(fbd, False),
+            ([[f for f in fs if not f & ~amask] for fs in fbd], False),
+            ([[f for f in fs if not f & ~bmask and f & ~cmask] for fs in fbd],
+             True)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_two_entry_pivots_match_elimination(data, field):
+    """Wherever its gate holds, the signed union-find gives the keys of
+    ``pivots`` after ``rank`` on the full columns of a map; and
+    ``_boundary_ranks`` gives the same ranks without it."""
+    X = data.draw(st.one_of(sample_complexes(), st.just(RIDGE_IN_3)))
+    for fbd, relative in pivot_row_families(data, X):
+        for i in range(1, len(fbd)):
+            rows = set(fbd[i - 1]) if relative else None
+            got = homology._two_entry_pivots(fbd[i], rows, field)
+            if got is None:
+                continue
+            pivots = {}
+            rank([{r: v for r, v in _boundary_col_signed(f).items()
+                   if rows is None or r in rows} for f in fbd[i]],
+                 field, pivots)
+            assert got == set(pivots)
+        ranks = _boundary_ranks(fbd, field, relative)
+        with mock.patch.object(homology, "_two_entry_pivots",
+                               lambda *args: None):
+            assert _boundary_ranks(fbd, field, relative) == ranks
+
+
+def test_two_entry_gate_reaches_both_outcomes():
+    """The top map of RIDGE_IN_3 has a row in three columns; rp2_6 is
+    closed and not orientable over Q, so an unbalanced cycle fills it."""
+    for field in ORACLE_FIELDS:
+        assert homology._two_entry_pivots(RIDGE_IN_3.facet_masks, None,
+                                          field) is None
+    top = FIXED["rp2_6"].facet_masks
+    assert len(homology._two_entry_pivots(top, None, QQ)) == len(top)
+    assert len(homology._two_entry_pivots(top, None, GF2)) == len(top) - 1
+
+
+def test_orientable_matches_top_betti(corp):
+    closed = [corp[n].complex for n in corp
+              if is_closed_pseudomanifold(corp[n].complex)]
+    assert FIXED["rp2_6"] in closed
+    closed += [Complex.from_facets(["a"]), Complex.from_facets(["a", "b"])]
+    for X in closed:
+        for field in ORACLE_FIELDS:
+            assert orientable(X, field) == (betti(X, field).beta[X.dim] == 1)
+
+
+def submask_index(X):
+    """The face index as ``Complex._index`` built it before it went top
+    down: every submask of every facet, by size."""
+    idx = [set() for _ in range(X.dim + 2)]
+    for fm in X.facet_masks:
+        for sub in submasks(fm):
+            idx[sub.bit_count()].add(sub)
+    return idx
+
+
+@pytest.mark.filterwarnings("ignore:dropped")
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    sample_complexes(),
+    st.builds(Complex.from_facets, st.lists(
+        st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=5,
+                 unique=True), min_size=1, max_size=10))))
+def test_index_matches_submasks(X):
+    assert X._index() == submask_index(X)
+
+
+def test_index_matches_submasks_on_fixed_inputs(corp):
+    inputs = [Complex.empty(), RIDGE_IN_3,
+              Complex.from_facets(["abc", "cde", "ea"]),
+              Complex.from_facets(["abcd", "bcde", "ef", "g"])]
+    inputs += [standard_ball(d) for d in range(6)]  # a lone simplex
+    inputs += [corp[n].complex for n in corp]
+    for X in inputs:
+        X._faces_by_dim = None
+        assert X._index() == submask_index(X)
+        assert all(type(level) is frozenset for level in X._index())
 
 
 @settings(max_examples=60, deadline=None)
