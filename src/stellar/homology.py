@@ -152,7 +152,9 @@ def _two_entry_pivots(faces, rows, field: FieldSpec) -> set[int] | None:
     component span the vectors orthogonal to its column signs s (s_i =
     -a b s_j along a row a e_i + b e_j) until a half-edge or a cycle with
     a s_i + b s_j != 0 makes them span every vector on its columns:
-    ``full``.  Over Z2 every cycle is balanced."""
+    ``full``.  Over Z2 every cycle is balanced.  A row that joins two
+    components relabels the smaller one, so each column moves
+    O(log F) times."""
     meets: dict[int, list[int]] = {}
     for c, f in enumerate(faces):
         sign, g = 1, f
@@ -169,40 +171,35 @@ def _two_entry_pivots(faces, rows, field: FieldSpec) -> set[int] | None:
                 else:
                     return None
             sign = -sign
-    parent = list(range(len(faces)))
-    parity = [1] * len(faces)  # the sign of a column over its parent's
+    comp = list(range(len(faces)))  # the component of each column
+    signs = [1] * len(faces)  # its sign s within the component
+    members = [[c] for c in comp]
     full = [False] * len(faces)
     gf2 = field.p == 2
-
-    def find(i):
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        s = 1
-        for j in reversed(path):
-            s *= parity[j]
-            parity[j], parent[j] = s, i
-        return i, s
-
     pivots = set()
-    for r in sorted(meets, reverse=True):
-        e = meets[r]
-        ri, si = find(e[0])
+    for r, e in sorted(meets.items(), reverse=True):
+        a = comp[e[0]]
         if len(e) == 2:
-            if not full[ri]:
-                full[ri] = True
+            if not full[a]:
+                full[a] = True
                 pivots.add(r)
-        else:
-            rj, sj = find(e[2])
-            if ri != rj:
-                if not (full[ri] and full[rj]):
-                    pivots.add(r)
-                parent[rj], parity[rj] = ri, -e[1] * e[3] * si * sj
-                full[ri] = full[ri] or full[rj]
-            elif not (full[ri] or gf2 or e[1] * si + e[3] * sj == 0):
-                full[ri] = True
+            continue
+        b = comp[e[2]]
+        flip = -e[1] * e[3] * signs[e[0]] * signs[e[2]]  # 1 iff s balances r
+        if a == b:
+            if not (flip == 1 or full[a] or gf2):
+                full[a] = True
                 pivots.add(r)
+            continue
+        if not (full[a] and full[b]):
+            pivots.add(r)
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for c in members[b]:  # relabel the smaller side
+            comp[c] = a
+            signs[c] *= flip
+        members[a] += members[b]
+        full[a] = full[a] or full[b]
     return pivots
 
 
