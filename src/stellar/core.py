@@ -67,6 +67,16 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def _boundary_faces(faces: Iterable[int]) -> Iterator[int]:
+    """Each of ``faces`` less one of its vertices, in turn."""
+    for f in faces:
+        g = f
+        while g:
+            low = g & -g
+            yield f ^ low
+            g ^= low
+
+
 def _ridge_facets(facet_masks: Sequence[int]) -> dict[int, list[int]]:
     """Map each ridge (a facet mask minus one vertex) to the indices, in
     increasing order, of the facets that contain it, in the id space of
@@ -256,27 +266,20 @@ class Complex:
 
     def _index(self) -> list[frozenset[int]]:
         """The faces by size: slot t+1 holds the t-faces, slot 0 {∅}.
-        Each facet enters its own level, and then each level, from the top
-        down, adds the boundary faces of its faces to the level below:
-        sum_k k f_k adds, where the submasks of every facet would cost
-        F 2^(d+1).  Lazy and idempotent, so safe to race (the last
-        assignment wins with an identical value)."""
+        From the top level down, each level is its facets and the
+        boundary faces of the level above: sum_k k f_k set adds, where
+        the submasks of every facet would cost F 2^(d+1).  Lazy and
+        idempotent, so safe to race (the last assignment wins with an
+        identical value)."""
         idx = self._faces_by_dim
         if idx is None:
-            levels = [set() for _ in range(self.dim + 2)]
+            idx = [[] for _ in range(self.dim + 2)]
             for fm in self.facet_masks:
-                levels[fm.bit_count()].add(fm)
-            for k in range(self.dim + 1, 0, -1):
-                add = levels[k - 1].add
-                for f in levels[k]:
-                    g = f
-                    while g:
-                        low = g & -g
-                        add(f ^ low)
-                        g ^= low
-                levels[k] = frozenset(levels[k])
-            levels[0] = frozenset(levels[0])
-            idx = self._faces_by_dim = levels
+                idx[fm.bit_count()].append(fm)
+            above = ()
+            for k in range(self.dim + 1, -1, -1):
+                idx[k] = above = frozenset(chain(idx[k], _boundary_faces(above)))
+            self._faces_by_dim = idx
         return idx
 
     def faces_of_dim(self, t: int) -> frozenset[int]:

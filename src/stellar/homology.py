@@ -177,7 +177,8 @@ def _two_entry_pivots(faces, rows, field: FieldSpec) -> set[int] | None:
     full = [False] * len(faces)
     gf2 = field.p == 2
     pivots = set()
-    for r, e in sorted(meets.items(), reverse=True):
+    for r in sorted(meets, reverse=True):
+        e = meets[r]
         a = comp[e[0]]
         if len(e) == 2:
             if not full[a]:
