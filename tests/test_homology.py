@@ -1,9 +1,9 @@
 """Exact homology over Q and prime fields."""
 import random
 from fractions import Fraction
-from unittest import mock
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
