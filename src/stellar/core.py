@@ -467,8 +467,8 @@ class DualGraph:
     i and j are joined when they share a ridge.  ``across`` is ``_across``
     of the facets (None when X is not pure or a ridge lies in three or
     more facets) and ``walk`` is ``_walk`` from facet 0 (None unless across
-    is set and the walk reaches every facet).  ``dual_graph``, the
-    pseudomanifold tests and ``_automorphisms`` read them."""
+    is set and the walk reaches every facet).  ``dual_graph`` and the
+    pseudomanifold tests read them."""
 
     __slots__ = ("X", "n", "across", "walk")
 
@@ -679,135 +679,70 @@ def facet_hash(X: Complex) -> str:
 # -- isomorphism -------------------------------------------------------------
 
 
-def _automorphisms(X: Complex, budget: float) -> list[tuple[int, ...]] | None:
-    """Aut(X) as vertex maps (perm[v] is the image of vertex v) when X is
-    a pure, strongly connected weak pseudomanifold other than {∅}; None
-    for any other X, or once the search has cost more than ``budget``
-    steps.
-
-    The breadth-first walk ``_walk`` of X reaches every facet j from a
-    facet i through the ridge i - v, and j adds one vertex w.  An
-    automorphism g carries that ridge to the ridge of g(i) opposite g(v),
-    so g(j) and g(w) follow from g(i) and g on facet 0 (McKay & Piperno,
-    "Practical graph isomorphism, II", 2014).  The search fixes
-    the base flag, facet 0 with its vertices in id order, and tries every
-    flag of X (a facet t with an order of its vertices) as its image: t
-    only when its faces lie in as many facets as those of facet 0, and
-    the order built a vertex at a time, dropped as soon as a face of
-    facet 0 and its image lie in different numbers of facets.  Each full
-    flag is propagated along the walk until the first conflict, and a map
-    is kept only when an exact check shows it carries the facet set of X
-    onto itself.  So every automorphism is found once.
-
-    Steps: F * 2^(d+1) for the face counts, one per candidate vertex of a
-    flag and one per face it is compared on when it fits, one per ridge
-    crossed and F per exact check."""
-    G = DualGraph(X)
-    walk, across = G.walk, G.across
-    if walk is None or X.dim < 0:
-        return None
-    masks = X.facet_masks
-    n = X.dim + 1
-    steps = len(masks) << n
-    if steps > budget:
-        return None
-    count = _face_counts(masks)
-    kind = sorted(count[s] for s in submasks(masks[0]))
-    base = ids_of(masks[0])
-    facets = set(masks)
-    found = []
-    for t, fm in enumerate(masks):
-        if sorted(count[s] for s in submasks(fm)) != kind:
-            continue
-        # partial orders: images of base[:k], the faces of facet 0 on
-        # base[:k], and their images, in matching positions
-        stack = [((), [0], [0])]
-        while stack:
-            if steps > budget:
-                return None
-            order, faces, images = stack.pop()
-            if len(order) < n:
-                b = 1 << base[len(order)]
-                for w in bits(fm & ~mask_of(order)):
-                    wb = 1 << w
-                    steps += 1
-                    if all(count[f | b] == count[g | wb]
-                           for f, g in zip(faces, images)):
-                        steps += len(faces)
-                        stack.append((order + (w,), faces + [f | b for f in faces],
-                                      images + [g | wb for g in images]))
-                continue
-            perm = [-1] * X.m
-            for v, w in zip(base, order):
-                perm[v] = w
-            image = [-1] * len(masks)  # facet index -> the index of its image
-            image[0] = t
-            used = fm
-            for i, v, j, w in walk:
-                steps += 1
-                gi = image[i]
-                gj = across[gi].get(perm[v])
-                if gj is None:
-                    break
-                new = masks[gj] & ~masks[gi]
-                if perm[w] < 0:
-                    if used & new:
-                        break
-                    used |= new
-                    perm[w] = new.bit_length() - 1
-                elif 1 << perm[w] != new:
-                    break
-                image[j] = gj
-            else:
-                steps += len(masks)
-                bit = [1 << w for w in perm]
-                if {reduce(or_, map(bit.__getitem__, f)) for f in X.facets} == facets:
-                    found.append(tuple(perm))
-    return found
-
-
-def are_isomorphic(X: Complex, Y: Complex) -> bool:
-    """Decide isomorphism of any two complexes by individualisation and
-    refinement (McKay & Piperno, J. Symbolic Comput. 60, 2014), on an
-    explicit stack.
-
-    The vertices of X (ids 0..m-1) and of Y (ids m..2m-1) are coloured
-    together, first by their degrees.  Each round of refinement gives a
-    facet the multiset of its vertices' colours, and a vertex its colour
-    with the multiset of its facets' colours, numbered by first
-    occurrence, until the number of colours stops growing or reaches m,
-    where every cell holds one vertex of each side unless the sides
-    differ; so the colours of the two sides compare, and a colouring
-    whose sides differ as multisets is dropped.  Otherwise the
-    first vertex of the smallest cell with two vertices of X or more is
-    given a new colour with each vertex of Y in its cell in turn.  The map
-    of a discrete colouring is accepted only if it carries the facets of X
-    exactly onto those of Y.  Refinement alone settles trees and most
-    complexes; on inputs it cannot split, such as regular graphs, the
-    search stays exponential, as graph isomorphism is in general."""
-    if (X.m, X.dim, sorted(map(len, X.facets))) != (Y.m, Y.dim, sorted(map(len, Y.facets))):
-        return False
-    m = X.m
-    facets = list(X.facets) + [tuple(v + m for v in f) for f in Y.facets]
-    star: list[list[int]] = [[] for _ in range(2 * m)]
+def _start(X: Complex, Y: Complex, fixed: Sequence[tuple[int, int]]) -> tuple:
+    """The facets of X ⊔ Y (Y's vertices shifted by X.m), each vertex's
+    star as the indices of its facets, and the first colouring: the
+    degree of each vertex, but a colour of its own for each pair of
+    ``fixed``, on its vertex of X and its vertex of Y."""
+    facets = list(X.facets) + [tuple(v + X.m for v in f) for f in Y.facets]
+    star: list[list[int]] = [[] for _ in range(X.m + Y.m)]
     for i, f in enumerate(facets):
         for v in f:
             star[v].append(i)
+    colour = [len(s) for s in star]
+    for k, (x, y) in enumerate(fixed):
+        colour[x] = colour[y + X.m] = -1 - k  # degrees are never negative
+    return facets, star, colour
+
+
+def _refined(facets: list, star: list, colour: list[int]) -> tuple[list[int], int]:
+    """The refinement of a colouring of X ⊔ Y (``_start``), and its number
+    of colours.  Each round gives a facet the multiset of its vertices'
+    colours, and a vertex its colour with the multiset of its facets'
+    colours, numbered by first occurrence, until the number of colours
+    stops growing or reaches m = |V(X)|, where every cell holds one vertex
+    of each side unless the sides differ.  The rounds read only colours
+    and incidences, so a map from X onto Y that keeps the colours keeps
+    the refined ones."""
+    m = len(star) // 2
+    n = len(set(colour))
+    while n < m:
+        fids: dict[tuple, int] = {}
+        fc = [fids.setdefault(tuple(sorted(map(colour.__getitem__, f))), len(fids))
+              for f in facets]
+        ids: dict[tuple, int] = {}
+        colour = [ids.setdefault((c, tuple(sorted(map(fc.__getitem__, s)))), len(ids))
+                  for c, s in zip(colour, star)]
+        if len(ids) == n:
+            break
+        n = len(ids)
+    return colour, n
+
+
+def _isomorphism(X: Complex, Y: Complex,
+                 fixed: Sequence[tuple[int, int]] = ()) -> list[int] | None:
+    """An isomorphism from X onto Y that maps x to y for each pair (x, y)
+    of ``fixed``, as the list of the images of X's vertices, or None when
+    there is none: individualisation and refinement (McKay & Piperno,
+    J. Symbolic Comput. 60, 2014) on an explicit stack.
+
+    A colouring of X ⊔ Y, the first from ``_start``, is ``_refined``, and
+    dropped if its sides differ as multisets.  Otherwise the first vertex
+    of the smallest cell with two vertices of X or more is given a new
+    colour with each vertex of Y in its cell in turn; an isomorphism that
+    keeps the colouring keeps one of these branches, so none is missed.
+    The map of a discrete colouring is returned only if it carries the
+    facets of X exactly onto those of Y.  On inputs that refinement
+    cannot split, such as regular graphs, the search stays exponential,
+    as graph isomorphism is in general."""
+    if (X.m, X.dim, sorted(map(len, X.facets))) != (Y.m, Y.dim, sorted(map(len, Y.facets))):
+        return None
+    m = X.m
+    facets, star, colour = _start(X, Y, fixed)
     target = set(Y.facet_masks)
-    stack = [[len(s) for s in star]]
+    stack = [colour]
     while stack:
-        colour = stack.pop()
-        n = len(set(colour))
-        while n < m:
-            fids: dict[tuple, int] = {}
-            fc = [fids.setdefault(tuple(sorted(map(colour.__getitem__, f))), len(fids))
-                  for f in facets]
-            ids: dict[tuple, int] = {}
-            colour = [ids.setdefault((c, tuple(sorted(map(fc.__getitem__, s)))), len(ids))
-                      for c, s in zip(colour, star)]
-            if len(ids) == n:
-                break
-            n = len(ids)
+        colour, n = _refined(facets, star, stack.pop())
         if sorted(colour[:m]) != sorted(colour[m:]):
             continue
         cells: dict[int, list[int]] = {}
@@ -821,7 +756,49 @@ def are_isomorphic(X: Complex, Y: Complex) -> bool:
                 branch[cell[0]] = branch[y] = n
                 stack.append(branch)
             continue
-        image = [1 << (y - m) for _, y in sorted(cells.values())]  # by X vertex
-        if {reduce(or_, map(image.__getitem__, f), 0) for f in X.facets} == target:
-            return True
-    return False
+        image = [y - m for _, y in sorted(cells.values())]  # by X vertex
+        bit = [1 << y for y in image]
+        if {reduce(or_, map(bit.__getitem__, f), 0) for f in X.facets} == target:
+            return image
+    return None
+
+
+def are_isomorphic(X: Complex, Y: Complex) -> bool:
+    """Whether some vertex bijection carries the facets of X onto those of
+    Y (``_isomorphism``), for any two complexes."""
+    return _isomorphism(X, Y) is not None
+
+
+def _orbit(v: int, gens: list[list[int]]) -> list[int]:
+    """The orbit of vertex v under the group that the maps ``gens`` generate."""
+    orbit = [v]
+    for u in orbit:
+        orbit += {g[u] for g in gens}.difference(orbit)
+    return orbit
+
+
+def _automorphism_generators(X: Complex) -> list[list[int]]:
+    """Generators of Aut(X) as vertex maps, [] when it is trivial, for any
+    complex X.  Level i refines X ⊔ X with 0..i-1 fixed, and the levels
+    stop at the first whose X side is discrete, as only the identity keeps
+    its colours; an automorphism that fixes 0..i-1 sends i into i's cell.
+    From the deepest level up, each y in the cell that the generators
+    found so far do not send i to is tried by ``_isomorphism`` with
+    0..i-1 fixed and i sent to y.  Every map it finds passes the exact
+    facet check, and the generators found from level i down generate the
+    stabiliser of 0..i-1 (Seress, Permutation Group Algorithms, CUP 2003),
+    so |Aut(X)| is the product of the orbit lengths."""
+    cells = []
+    for i in range(X.m):
+        colour, n = _refined(*_start(X, X, [(v, v) for v in range(i)]))
+        if n == X.m:  # both sides alike, so the X side is discrete
+            break
+        cells.append([y for y in range(X.m) if colour[y] == colour[i]])
+    gens: list[list[int]] = []
+    for i in reversed(range(len(cells))):
+        for y in cells[i]:
+            if y not in _orbit(i, gens):
+                g = _isomorphism(X, X, [(v, v) for v in range(i)] + [(i, y)])
+                if g is not None:
+                    gens.append(g)
+    return gens

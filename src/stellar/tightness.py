@@ -23,13 +23,13 @@ check:
    the new vertex w, so the table of X is S's duality table over those A;
 4. the class path (``_class_sums``) -- one homology run per class
    {g(A) : g in G} of vertex subsets, weighted by the class's size, as
-   X[A] and X[g(A)] are isomorphic.  G is the automorphism group of X
-   when there are at least 2^12 subsets, X is a pure, strongly connected
-   weak pseudomanifold, and a search of at most 8 * 2^m steps finds it
-   (``_automorphisms``); otherwise G holds the identity alone and this is
-   the subset loop, one run per subset.  From 2^12 classes up, the runs
-   are split over ``jobs`` processes.  The tests compare every path with
-   a plain subset loop of their own.
+   X[A] and X[g(A)] are isomorphic.  From 2^12 subsets up, G is Aut(X),
+   whose generators ``_automorphism_generators`` finds for any complex by
+   the refinement search of ``are_isomorphic`` with base vertices fixed,
+   each checked exactly on the facets; a class is closed under them.
+   With no generators (fewer subsets, or a trivial group) this is the
+   subset loop.  From 2^12 classes up, the runs are split over ``jobs``
+   processes.  The tests compare every path with a subset loop of their own.
 
 The mu-vector computes one sigma per isomorphism class of links: a link
 shares the sigma of the first earlier link that ``are_isomorphic`` matches
@@ -44,9 +44,9 @@ from functools import lru_cache, reduce
 from math import comb
 from operator import and_
 
-from .core import Complex, ComplexError, _automorphisms, _map_jobs, \
-    _ridge_facets, are_isomorphic, bits, ids_of, is_closed_pseudomanifold, \
-    is_connected, link, neighbourliness, popcount
+from .core import Complex, ComplexError, _automorphism_generators, \
+    _map_jobs, _ridge_facets, are_isomorphic, bits, ids_of, \
+    is_closed_pseudomanifold, is_connected, link, neighbourliness, popcount
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
     _faces_by_dim, _inclusion_test, betti, is_homology_sphere, \
@@ -224,32 +224,33 @@ def _chunk_sums(args) -> list[list[int]]:
     return sums
 
 
-def _class_sums(X: Complex, field: FieldSpec, group: list[tuple[int, ...]],
+def _class_sums(X: Complex, field: FieldSpec, gens: list[list[int]],
                 jobs: int) -> list[list[int]]:
-    """The table from one homology run per class {g(A) : g in group} of
-    vertex subsets, at its least mask and weighted by its size, for a
-    group of automorphisms of X given as vertex permutations.  The
-    identity maps A to A and gets no byte table; under it alone this is
-    the subset loop.  From LARGE_LOOP classes up, the runs are split
-    over ``jobs`` processes."""
+    """The table from one homology run per class {g(A) : g in G} of
+    vertex subsets, at its least mask and weighted by its size, where G is
+    generated by ``gens``, automorphisms of X as vertex maps.  A class is
+    closed from its least mask under the generators' ``_byte_tables``, as
+    the orbits of a finite group are.  With no generators this is the
+    subset loop.  From LARGE_LOOP classes up, the runs are split over
+    ``jobs`` processes."""
     m, dim = X.m, X.dim
-    identity = tuple(range(m))
-    tables = [_byte_tables([1 << w for w in perm])
-              for perm in group if perm != identity]
+    tables = [_byte_tables([1 << w for w in g]) for g in gens]
     seen = bytearray(1 << m)
     classes = []
     for amask in range(1 << m):
         if seen[amask]:
             continue
-        orbit = {amask}
-        for perm_tables in tables:
-            image, s = 0, amask
-            for table in perm_tables:
-                image |= table[s & 255]
-                s >>= 8
-            orbit.add(image)
-        for image in orbit:
-            seen[image] = 1
+        seen[amask] = 1
+        orbit = [amask]
+        for a in orbit:
+            for g_tables in tables:
+                image, s = 0, a
+                for table in g_tables:
+                    image |= table[s & 255]
+                    s >>= 8
+                if not seen[image]:
+                    seen[image] = 1
+                    orbit.append(image)
         classes.append((amask, len(orbit)))
     if len(classes) < LARGE_LOOP:
         jobs = 1
@@ -266,9 +267,9 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     the first of four paths whose hypothesis holds: cone apex, Alexander
     duality for an F-homology sphere of dimension <= 3, the same duality
     for a ball whose closure ``_ball_closure`` is such a sphere, or
-    ``_class_sums`` under the automorphism group that ``_automorphisms``
-    finds within 8 * 2^m steps when there are at least LARGE_LOOP
-    subsets, and under the identity alone otherwise."""
+    ``_class_sums`` under the generators of Aut(X) that
+    ``_automorphism_generators`` finds when there are at least LARGE_LOOP
+    subsets, and under none otherwise."""
     apex = reduce(and_, X.facet_masks)
     if apex:
         lk = link(X, (apex.bit_length() - 1,))
@@ -281,12 +282,8 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     S = _ball_closure(X)
     if S is not None and is_homology_sphere(S, field):
         return _duality_sums(X, S)
-    group = None
-    if 1 << X.m >= LARGE_LOOP:
-        # a step of the search costs well under a hundredth of a
-        # homology run, so a spent budget adds a few per cent to the loop
-        group = _automorphisms(X, 8 << X.m)
-    return _class_sums(X, field, group or [tuple(range(X.m))], jobs)
+    gens = _automorphism_generators(X) if 1 << X.m >= LARGE_LOOP else []
+    return _class_sums(X, field, gens, jobs)
 
 
 def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
@@ -298,10 +295,11 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     vertex lies in every facet, the duality path when X passes
     ``is_homology_sphere`` in dimension <= 3, the ball path when X's
     ``_ball_closure`` does, else the class path: one homology run per
-    class of subsets under the group of X that ``_automorphisms`` finds
-    within a budget of 8 * 2^m steps when there are at least 2^12 subsets,
-    or per subset when it finds none, with ``jobs`` processes once there
-    are at least 2^12 classes.  The cap applies to m whichever path runs.
+    class of subsets under Aut(X), whose generators
+    ``_automorphism_generators`` finds when there are at least 2^12
+    subsets, or per subset below that or when the group is trivial, with
+    ``jobs`` processes once there are at least 2^12 classes.  The cap
+    applies to m whichever path runs.
 
     With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
     with the platform's default start method.  Under ``spawn`` (macOS,

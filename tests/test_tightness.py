@@ -3,8 +3,10 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
-from math import comb
+from math import comb, factorial
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,10 @@ from stellar import tightness
 from stellar.constructions import (corpus, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import (Complex, _automorphisms, _maximal, _rebuild,
-                          antistar, are_isomorphic, bits, join, link, mask_of)
+from stellar.core import (Complex, DualGraph, _automorphism_generators,
+                          _face_counts, _isomorphism, _maximal, _rebuild,
+                          antistar, are_isomorphic, bits, ids_of, join, link,
+                          mask_of, submasks)
 from stellar.homology import (QQ, FieldSpec, _faces_by_dim, betti,
                               is_homology_sphere, reduced_betti_of_faces)
 from stellar.moves import apply_bistellar, enumerate_bistellar, w_k_membership
@@ -72,9 +76,10 @@ def walked_stacked_balls(draw):
     return X
 
 
-def relabelled(X, rnd):
+def relabelling(X, rnd):
     """X with permuted vertex names, shuffled facets and shuffled vertices
-    within each facet, so ``from_facets`` gives it new ids."""
+    within each facet, so ``from_facets`` gives it new ids, and the list
+    of the ids it gives X's vertices: an isomorphism from X onto it."""
     perm = list(X.names)
     rnd.shuffle(perm)
     rename = dict(zip(X.names, perm))
@@ -82,7 +87,12 @@ def relabelled(X, rnd):
     for f in facets:
         rnd.shuffle(f)
     rnd.shuffle(facets)
-    return Complex.from_facets(facets)
+    Y = Complex.from_facets(facets)
+    return Y, [Y.id_of(rename[n]) for n in X.names]
+
+
+def relabelled(X, rnd):
+    return relabelling(X, rnd)[0]
 
 
 def per_link_mu(X, field):
@@ -134,7 +144,7 @@ def test_sigma_cap():
 
 
 def test_sigma_parallel_agrees(corp, monkeypatch):
-    # M_2_4 has 2^12 subsets and 48 automorphisms: under the identity its
+    # M_2_4 has 2^12 subsets and 48 automorphisms: with no generators its
     # 4096 classes reach LARGE_LOOP, so jobs=2 runs the worker pool; its
     # 158 orbits reach it only with LARGE_LOOP lowered
     x = corp["M_2_4"].complex
@@ -147,14 +157,13 @@ def test_sigma_parallel_agrees(corp, monkeypatch):
         return real_map(fn, tasks, jobs)
 
     monkeypatch.setattr(tightness, "_map_jobs", spy)
-    identity = [tuple(range(x.m))]
-    serial = _class_sums(x, QQ, identity, 1)
-    assert _class_sums(x, QQ, identity, 2) == serial
-    group = _automorphisms(x, NO_BUDGET)
-    assert len(group) == 48
-    assert _class_sums(x, QQ, group, 2) == serial
+    serial = _class_sums(x, QQ, [], 1)
+    assert _class_sums(x, QQ, [], 2) == serial
+    gens = _automorphism_generators(x)
+    assert len(generated(gens, x.m)) == 48
+    assert _class_sums(x, QQ, gens, 2) == serial
     monkeypatch.setattr(tightness, "LARGE_LOOP", 100)
-    assert _class_sums(x, QQ, group, 2) == serial
+    assert _class_sums(x, QQ, gens, 2) == serial
     assert pooled == [1, 2, 1, 2]
     monkeypatch.undo()
     assert _subset_sums(x, QQ) == serial
@@ -340,6 +349,121 @@ def test_component_tallies_memory_is_one_block():
 NO_BUDGET = 1 << 60
 
 
+def flag_automorphisms(X, budget):
+    """Aut(X) as vertex maps (perm[v] is the image of vertex v) when X is
+    a pure, strongly connected weak pseudomanifold other than {∅}; None
+    for any other X, or once the search has cost more than ``budget``
+    steps: the flag search the library used before its generator search,
+    kept as the oracle of ``_automorphism_generators``.
+
+    The breadth-first walk ``_walk`` of X reaches every facet j from a
+    facet i through the ridge i - v, and j adds one vertex w.  An
+    automorphism g carries that ridge to the ridge of g(i) opposite g(v),
+    so g(j) and g(w) follow from g(i) and g on facet 0 (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).  The search fixes
+    the base flag, facet 0 with its vertices in id order, and tries every
+    flag of X (a facet t with an order of its vertices) as its image: t
+    only when its faces lie in as many facets as those of facet 0, and
+    the order built a vertex at a time, dropped as soon as a face of
+    facet 0 and its image lie in different numbers of facets.  Each full
+    flag is propagated along the walk until the first conflict, and a map
+    is kept only when an exact check shows it carries the facet set of X
+    onto itself.  So every automorphism is found once.
+
+    Steps: F * 2^(d+1) for the face counts, one per candidate vertex of a
+    flag and one per face it is compared on when it fits, one per ridge
+    crossed and F per exact check."""
+    G = DualGraph(X)
+    walk, across = G.walk, G.across
+    if walk is None or X.dim < 0:
+        return None
+    masks = X.facet_masks
+    n = X.dim + 1
+    steps = len(masks) << n
+    if steps > budget:
+        return None
+    count = _face_counts(masks)
+    kind = sorted(count[s] for s in submasks(masks[0]))
+    base = ids_of(masks[0])
+    facets = set(masks)
+    found = []
+    for t, fm in enumerate(masks):
+        if sorted(count[s] for s in submasks(fm)) != kind:
+            continue
+        # partial orders: images of base[:k], the faces of facet 0 on
+        # base[:k], and their images, in matching positions
+        stack = [((), [0], [0])]
+        while stack:
+            if steps > budget:
+                return None
+            order, faces, images = stack.pop()
+            if len(order) < n:
+                b = 1 << base[len(order)]
+                for w in bits(fm & ~mask_of(order)):
+                    wb = 1 << w
+                    steps += 1
+                    if all(count[f | b] == count[g | wb]
+                           for f, g in zip(faces, images)):
+                        steps += len(faces)
+                        stack.append((order + (w,), faces + [f | b for f in faces],
+                                      images + [g | wb for g in images]))
+                continue
+            perm = [-1] * X.m
+            for v, w in zip(base, order):
+                perm[v] = w
+            image = [-1] * len(masks)  # facet index -> the index of its image
+            image[0] = t
+            used = fm
+            for i, v, j, w in walk:
+                steps += 1
+                gi = image[i]
+                gj = across[gi].get(perm[v])
+                if gj is None:
+                    break
+                new = masks[gj] & ~masks[gi]
+                if perm[w] < 0:
+                    if used & new:
+                        break
+                    used |= new
+                    perm[w] = new.bit_length() - 1
+                elif 1 << perm[w] != new:
+                    break
+                image[j] = gj
+            else:
+                steps += len(masks)
+                bit = [1 << w for w in perm]
+                if {reduce(or_, map(bit.__getitem__, f)) for f in X.facets} == facets:
+                    found.append(tuple(perm))
+    return found
+
+
+def generated(gens, m):
+    """The group that the vertex maps ``gens`` on m vertices generate, as
+    a set of tuples, closed from the identity."""
+    identity = tuple(range(m))
+    group, todo = {identity}, [identity]
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[v] for v in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
+
+
+def checked_group(X):
+    """The group that ``_automorphism_generators(X)`` generates, after a
+    check that each generator is a bijection that carries the facets of X
+    onto its facets."""
+    gens = _automorphism_generators(X)
+    facets = set(X.facet_masks)
+    for g in gens:
+        assert sorted(g) == list(range(X.m))
+        assert {mask_of(g[v] for v in bits(f)) for f in X.facet_masks} == facets
+    return generated(gens, X.m)
+
+
 def renamed(X, prefix):
     return Complex.from_facets([[prefix + n for n in f]
                                 for f in X.facets_as_names()])
@@ -364,16 +488,16 @@ ORBIT_POOL = _orbit_pool()
        st.randoms(use_true_random=False))
 def test_orbit_path_matches_loop(i, field, rnd):
     X = relabelled(ORBIT_POOL[i], rnd)
-    group = _automorphisms(X, NO_BUDGET)
-    assert group
-    assert _class_sums(X, field, group, 1) == loop_table(X, field)
+    gens = _automorphism_generators(X)
+    assert gens
+    assert _class_sums(X, field, gens, 1) == loop_table(X, field)
 
 
 @settings(max_examples=30, deadline=None)
 @given(moved_stacked_spheres(), st.sampled_from(ORACLE_FIELDS))
 def test_orbit_path_matches_loop_on_stacked_spheres(X, field):
-    group = _automorphisms(X, NO_BUDGET)  # mostly the identity alone
-    assert _class_sums(X, field, group, 1) == loop_table(X, field)
+    gens = _automorphism_generators(X)  # mostly none
+    assert _class_sums(X, field, gens, 1) == loop_table(X, field)
 
 
 @pytest.mark.parametrize("name, order", [("M_1_4", 24), ("M_2_4", 48),
@@ -381,9 +505,9 @@ def test_orbit_path_matches_loop_on_stacked_spheres(X, field):
 def test_orbit_path_matches_loop_on_sign_change_manifolds(corp, name, order):
     for seed, field in enumerate(ORACLE_FIELDS):
         X = relabelled(corp[name].complex, random.Random(seed))
-        group = _automorphisms(X, NO_BUDGET)
-        assert len(group) == order
-        assert _class_sums(X, field, group, 1) == loop_table(X, field)
+        gens = _automorphism_generators(X)
+        assert len(generated(gens, X.m)) == order
+        assert _class_sums(X, field, gens, 1) == loop_table(X, field)
 
 
 def brute_force_automorphisms(X):
@@ -399,32 +523,47 @@ def brute_force_automorphisms(X):
 def test_automorphisms_match_brute_force(corp, name, order):
     X = cross_polytope(3) if name == "cross_polytope_3" else corp[name].complex
     X = relabelled(X, random.Random(0))
-    group = _automorphisms(X, NO_BUDGET)
-    assert len(set(group)) == len(group)
-    assert set(group) == brute_force_automorphisms(X)
+    group = checked_group(X)
+    assert group == brute_force_automorphisms(X)
+    assert group == set(flag_automorphisms(X, NO_BUDGET))
     if order is not None:
         assert len(group) == order
-    facets = set(X.facet_masks)
-    for g in group:
-        assert {mask_of(g[v] for v in bits(f)) for f in X.facet_masks} == facets
-    closure = {tuple(g[h[v]] for v in range(X.m)) for g in group for h in group}
-    assert closure == set(group)
 
 
-def test_automorphisms_need_strongly_connected_pseudomanifold_and_budget(corp):
+def test_generators_need_no_pseudomanifold(corp):
+    # the flag search served only pure, strongly connected weak
+    # pseudomanifolds other than {∅}; the generator search takes any complex
     for facets in (["123", "345"],               # two facets on a vertex
                    ["123", "124", "125"],        # a ridge on three facets
                    ["123", "34"]):               # not pure
         X = Complex.from_facets(facets)
-        assert _automorphisms(X, NO_BUDGET) is None
+        assert flag_automorphisms(X, NO_BUDGET) is None
+        assert checked_group(X) == brute_force_automorphisms(X)
     empty = Complex.empty()
-    assert _automorphisms(empty, NO_BUDGET) is None
+    assert _automorphism_generators(empty) == []
+    assert checked_group(empty) == brute_force_automorphisms(empty) == {()}
     simplex = Complex.from_facets(["123"])
-    assert len(_automorphisms(simplex, NO_BUDGET)) == 6
-    X = corp["M_2_4"].complex
-    assert _automorphisms(X, 8 << X.m) is not None
-    cp5 = cross_polytope(5)
-    assert _automorphisms(cp5, 8 << 12) is None  # |Aut| = 46,080
+    assert checked_group(simplex) == brute_force_automorphisms(simplex)
+    assert len(checked_group(simplex)) == 6
+
+
+def test_generators_of_cross_polytopes():
+    # the boundary of the (d+1)-dimensional cross polytope has the
+    # hyperoctahedral group, of order 2^(d+1) (d+1)!; 46,080 for d = 5
+    for d in range(1, 6):
+        X = relabelled(cross_polytope(d), random.Random(d))
+        assert len(checked_group(X)) == 2 ** (d + 1) * factorial(d + 1)
+
+
+@pytest.mark.parametrize("name", ["M_1_4", "M_2_4", "Mbar_2_4", "M_2_5",
+                                  "Mbar_2_5", "S3_16", "B4_16", "Sigma3_16",
+                                  "torus_7", "rp2_6", "lutz_S3_8",
+                                  "cross_polytope_3", "cross_polytope_4"])
+def test_generators_match_flag_search_on_corpus(corp, name):
+    X = (cross_polytope(int(name[-1])) if name.startswith("cross")
+         else corp[name].complex)
+    X = relabelled(X, random.Random(1))
+    assert checked_group(X) == set(flag_automorphisms(X, NO_BUDGET))
 
 
 def test_subset_sums_path_by_homology_runs(corp, monkeypatch):
@@ -436,8 +575,8 @@ def test_subset_sums_path_by_homology_runs(corp, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(tightness, "reduced_betti_of_faces", counting)
-    for X, expected in ((corp["M_2_4"].complex, 158),   # orbit path
-                        (cross_polytope(5), 4096),      # budget spent: loop
+    for X, expected in ((corp["M_2_4"].complex, 158),   # 48 automorphisms
+                        (cross_polytope(5), 28),        # 46,080 automorphisms
                         (corp["torus_7"].complex, 128)):  # m < 12: loop
         runs.clear()
         sigma_vector(X, QQ)
@@ -519,6 +658,64 @@ def test_are_isomorphic_matches_backtracking_across_form_pool(i, shift, rnd):
     assert are_isomorphic(X, Y) == backtracking_isomorphic(X, Y)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(ORBIT_POOL + FORM_POOL))),
+       st.randoms(use_true_random=False))
+def test_generators_match_flag_search_on_pools(i, rnd):
+    X = relabelled((ORBIT_POOL + FORM_POOL)[i], rnd)
+    group = checked_group(X)
+    assert group == set(flag_automorphisms(X, NO_BUDGET))
+    if X.m <= 7:  # lutz_S3_8's eight vertices are brute-forced above
+        assert group == brute_force_automorphisms(X)
+
+
+def assert_isomorphism(X, Y, image, fixed):
+    """``image`` is a bijection from X's vertices onto Y's that carries the
+    facets of X onto those of Y and maps x to y for each pair of ``fixed``."""
+    assert sorted(image) == list(range(Y.m))
+    assert {mask_of(image[v] for v in bits(f)) for f in X.facet_masks} \
+        == set(Y.facet_masks)
+    assert all(image[x] == y for x, y in fixed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(FORM_POOL))),
+       st.integers(0, len(FORM_POOL) - 1),
+       st.randoms(use_true_random=False))
+def test_isomorphism_map_matches_backtracking(i, shift, rnd):
+    # shift 0 gives two labellings of one entry
+    j = (i + shift) % len(FORM_POOL)
+    X, Y = relabelled(FORM_POOL[i], rnd), relabelled(FORM_POOL[j], rnd)
+    image = _isomorphism(X, Y)
+    assert (image is None) == (not backtracking_isomorphic(X, Y))
+    if image is not None:
+        assert_isomorphism(X, Y, image, ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(FORM_POOL))), st.integers(0, 3),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_isomorphism_honours_fixed_pairs(i, k, kept, rnd):
+    # the isomorphisms from X onto Y = pi(X) are pi g for g in Aut(X),
+    # which the flag search lists; the pairs are drawn from one of them
+    # when ``kept``, and at random otherwise
+    X = relabelled(FORM_POOL[i], rnd)
+    Y, pi = relabelling(X, rnd)
+    group = flag_automorphisms(X, NO_BUDGET)
+    xs = rnd.sample(range(X.m), k)
+    if kept:
+        g = rnd.choice(group)
+        ys = [pi[g[x]] for x in xs]
+    else:
+        ys = rnd.sample(range(Y.m), k)
+    fixed = list(zip(xs, ys))
+    image = _isomorphism(X, Y, fixed)
+    assert (image is not None) == any(all(pi[g[x]] == y for x, y in fixed)
+                                      for g in group)
+    if image is not None:
+        assert_isomorphism(X, Y, image, fixed)
+
+
 def _graph(edges):
     return Complex.from_facets([e.split() for e in edges])
 
@@ -586,6 +783,16 @@ def test_are_isomorphic_on_regular_graphs():
     for i, X in enumerate(REGULAR):
         for j, Y in enumerate(REGULAR):
             assert are_isomorphic(X, relabelled(Y, rnd)) == (i == j)
+
+
+def test_generators_on_regular_graphs():
+    # refinement splits no colour of a regular graph, so every level
+    # branches: the dihedral groups of the hexagon (12) and the Moebius
+    # ladder (16), the wreath product of two triangles (72), K_{3,3} (72),
+    # the prism (12) and the cube (48)
+    for X, order in zip(REGULAR, (12, 72, 72, 12, 48, 16)):
+        X = relabelled(X, random.Random(order))
+        assert len(checked_group(X)) == order
 
 
 def comb_graph(teeth, long_tooth=None):
