@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
 from operator import or_
@@ -75,6 +76,21 @@ def _boundary_faces(faces: Iterable[int]) -> Iterator[int]:
             low = g & -g
             yield f ^ low
             g ^= low
+
+
+def _levels(facet_masks: Iterable[int], top: int) -> list[frozenset[int]]:
+    """The faces of the complex with these facets, of at most ``top``
+    vertices each, by size: slot k holds the faces of k vertices, slot 0
+    {∅}.  From the top level down, each level is its facets and the
+    boundary faces of the level above: sum_k k f_k set adds, where the
+    submasks of every facet would cost F 2^(d+1)."""
+    idx: list = [[] for _ in range(top + 1)]
+    for fm in facet_masks:
+        idx[fm.bit_count()].append(fm)
+    above = ()
+    for k in range(top, -1, -1):
+        idx[k] = above = frozenset(chain(idx[k], _boundary_faces(above)))
+    return idx
 
 
 def _ridge_facets(facet_masks: Sequence[int]) -> dict[int, list[int]]:
@@ -265,21 +281,12 @@ class Complex:
         return tuple(self.names[i] for i in bits(mask))
 
     def _index(self) -> list[frozenset[int]]:
-        """The faces by size: slot t+1 holds the t-faces, slot 0 {∅}.
-        From the top level down, each level is its facets and the
-        boundary faces of the level above: sum_k k f_k set adds, where
-        the submasks of every facet would cost F 2^(d+1).  Lazy and
-        idempotent, so safe to race (the last assignment wins with an
-        identical value)."""
+        """The faces by size, ``_levels`` of the facets: slot t+1 holds
+        the t-faces, slot 0 {∅}.  Lazy and idempotent, so safe to race
+        (the last assignment wins with an identical value)."""
         idx = self._faces_by_dim
         if idx is None:
-            idx = [[] for _ in range(self.dim + 2)]
-            for fm in self.facet_masks:
-                idx[fm.bit_count()].append(fm)
-            above = ()
-            for k in range(self.dim + 1, -1, -1):
-                idx[k] = above = frozenset(chain(idx[k], _boundary_faces(above)))
-            self._faces_by_dim = idx
+            idx = self._faces_by_dim = _levels(self.facet_masks, self.dim + 1)
         return idx
 
     def faces_of_dim(self, t: int) -> frozenset[int]:
@@ -417,43 +424,6 @@ def boundary(X: Complex) -> Complex:
     return _rebuild(X.names, bfaces)
 
 
-def _across(masks: Sequence[int]) -> list[dict[int, int]] | None:
-    """across[i][v] = j when facets i and j share the ridge masks[i] - v,
-    each row in increasing v; None when some ridge lies in three or more
-    facets."""
-    across: list[dict[int, int]] = []
-    first: dict = {}  # ridge -> (facet, vertex) while one facet holds it
-    for i, fm in enumerate(masks):
-        across.append({})
-        for v in bits(fm):
-            o = first.setdefault(fm ^ (1 << v), (i, v))
-            if o is None:
-                return None
-            across[i][v] = o[0]  # i itself until a second facet comes
-            if o[0] != i:
-                across[o[0]][o[1]] = i
-                first[fm ^ (1 << v)] = None
-    for i, v in filter(None, first.values()):
-        del across[i][v]
-    return across
-
-
-def _walk(masks: Sequence[int],
-          across: list[dict[int, int]]) -> list[tuple[int, int, int, int]] | None:
-    """The breadth-first walk across ridges from facet 0, neighbours taken
-    in vertex order: (i, v, j, w) when facet j is first reached from facet
-    i through the ridge masks[i] - v and w is the vertex j adds.  None
-    unless the walk reaches every facet."""
-    walk, queue, reached = [], [0], {0}
-    for i in queue:
-        for v, j in across[i].items():
-            if j not in reached:
-                reached.add(j)
-                queue.append(j)
-                walk.append((i, v, j, (masks[j] & ~masks[i]).bit_length() - 1))
-    return walk if len(queue) == len(masks) else None
-
-
 def _face_counts(masks: Sequence[int]) -> dict[int, int]:
     """face -> number of the facets ``masks`` that contain it."""
     count: dict[int, int] = {}
@@ -463,53 +433,65 @@ def _face_counts(masks: Sequence[int]) -> dict[int, int]:
 
 
 class DualGraph:
-    """The dual graph of a complex X: its nodes are the facets, and facets
-    i and j are joined when they share a ridge.  ``across`` is ``_across``
-    of the facets (None when X is not pure or a ridge lies in three or
-    more facets) and ``walk`` is ``_walk`` from facet 0 (None unless across
-    is set and the walk reaches every facet).  ``dual_graph`` and the
-    pseudomanifold tests read them."""
+    """The dual graph of a complex X: its nodes are the ``n`` facets, and
+    facets i and j are joined when they share a ridge.  ``edges`` is the
+    set of owner pairs (i, j), i < j, of ``_ridge_facets`` (None when X is
+    not pure or a ridge lies in three or more facets), and ``connected``
+    is whether those pairs reach every facet (``_reaches_all``).
+    ``dual_graph`` and the pseudomanifold tests read them."""
 
-    __slots__ = ("X", "n", "across", "walk")
+    __slots__ = ("n", "edges", "connected")
 
     def __init__(self, X: Complex):
-        self.X, self.n = X, len(X.facet_masks)
-        self.across = self.walk = None
+        self.n = len(X.facet_masks)
+        self.edges, self.connected = None, False
         if X.is_pure():
-            self.across = _across(X.facet_masks)
-            if self.across is not None:
-                self.walk = _walk(X.facet_masks, self.across)
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i, row in enumerate(self.across)
-                         for j in row.values() if i < j)
+            owners = _ridge_facets(X.facet_masks).values()
+            if all(len(o) <= 2 for o in owners):
+                self.edges = frozenset(tuple(o) for o in owners if len(o) == 2)
+                self.connected = _reaches_all(self.n, self.edges)
 
     def is_connected(self) -> bool:
-        return self.walk is not None
+        return self.connected
 
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == self.n - 1
+        return self.connected and len(self.edges) == self.n - 1
 
     def is_path(self) -> bool:
-        return self.is_tree() and all(len(row) <= 2 for row in self.across)
+        return self.is_tree() and max(
+            Counter(chain.from_iterable(self.edges)).values(), default=0) <= 2
+
+
+def _reaches_all(n: int, pairs: Iterable[Sequence[int]]) -> bool:
+    """Whether the edges ``pairs`` join the nodes 0..n-1, n >= 1, into one
+    component: a breadth-first search from node 0."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    queue, seen = [0], {0}
+    for i in queue:
+        new = set(adj[i]) - seen
+        seen |= new
+        queue += new
+    return len(queue) == n
 
 
 def dual_graph(X: Complex) -> DualGraph:
     if not X.is_pure():
         raise StructureError("dual graph needs a pure complex")
     G = DualGraph(X)
-    if G.across is None:
+    if G.edges is None:
         raise StructureError("not a weak pseudomanifold")
     return G
 
 
 def is_weak_pseudomanifold(X: Complex) -> bool:
-    return DualGraph(X).across is not None
+    return DualGraph(X).edges is not None
 
 
 def is_pseudomanifold(X: Complex) -> bool:
-    return DualGraph(X).is_connected()
+    return DualGraph(X).connected
 
 
 def is_closed_pseudomanifold(X: Complex) -> bool:
@@ -520,15 +502,14 @@ def is_closed_pseudomanifold(X: Complex) -> bool:
 
 def _closed_pseudomanifold(facet_masks: Sequence[int]) -> bool:
     """``is_closed_pseudomanifold`` of the pure complex with these facets:
-    every facet has a neighbour across each of its ridges, and the walk
-    reaches every facet.  In dimension 0 the one ridge is ∅, which one or
-    two points may hold."""
-    across = _across(facet_masks)
-    if across is None:
-        return False
-    n = facet_masks[0].bit_count()
-    return n == 1 or (all(len(row) == n for row in across)
-                      and _walk(facet_masks, across) is not None)
+    every ridge has exactly two owners in ``_ridge_facets``, and the owner
+    pairs reach every facet.  In dimension 0 the one ridge is ∅, which one
+    or two points may hold."""
+    if facet_masks[0].bit_count() == 1:
+        return len(facet_masks) <= 2
+    owners = _ridge_facets(facet_masks).values()
+    return all(len(o) == 2 for o in owners) and \
+        _reaches_all(len(facet_masks), owners)
 
 
 def _components(vert_masks, edge_masks) -> int:

@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Complex, InputError, StructureError,
-                   _closed_pseudomanifold, _components, bits,
-                   is_closed_pseudomanifold, link, mask_of, submasks)
+                   _closed_pseudomanifold, _components, _levels, bits,
+                   is_closed_pseudomanifold, link, mask_of)
 from .exactlinalg import rank
 
 
@@ -327,7 +327,7 @@ def relative_betti_pair(X: Complex, Y: Complex, field: FieldSpec) -> list[int]:
     """Betti numbers of the pair (X, Y) for an arbitrary subcomplex Y of X
     (matched by vertex names); used where the subcomplex is not induced,
     e.g. a ball modulo its boundary."""
-    yfaces = set()  # the faces of Y as masks over X's ids
+    yfacets = []  # the facets of Y as masks over X's ids
     for ft in Y.facets_as_names():
         try:
             fm = X.mask_from_names(ft)
@@ -336,7 +336,8 @@ def relative_betti_pair(X: Complex, Y: Complex, field: FieldSpec) -> list[int]:
         if fm is None or not X.has_face(fm):
             raise InputError(f"pair subcomplex facet {ft} is not in the "
                              "ambient complex")
-        yfaces.update(submasks(fm))
+        yfacets.append(fm)
+    yfaces = frozenset().union(*_levels(yfacets, Y.dim + 1))
     return _relative_betti(X, lambda f: f not in yfaces, field)
 
 

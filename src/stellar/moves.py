@@ -481,33 +481,38 @@ def replay_shelling(start: Complex, steps) -> Complex:
     is the shelling step ``_present_ridges`` finds.  The face set is kept
     over ids of its own, one per name in order of appearance.
 
-    The result is ``Complex.from_facets`` of the facets so far (in id
-    order) and the new one, step after step, as its ids depend on that
-    numbering.  The numbering is replayed on plain tuples
-    (``core._renumbered``) and the complex is built once, at the end; a
-    step that from_facets could refuse or thin out, with a warning, goes
-    through from_facets itself."""
+    Before any step is replayed, a start that is not pure, and a step
+    whose index is not |beta| - 1, whose facet size differs from the
+    start's or that repeats a vertex, is a ``MoveError``.  The facets then
+    all have one size, and a step whose facet is already a face fails the
+    step test, so every step adds a new facet that contains no other.  The
+    result is ``Complex.from_facets`` of the facets so far (in id order)
+    and the new one, step after step, as its ids depend on that numbering;
+    the numbering is replayed on plain tuples (``core._renumbered``) and
+    the complex is built once, at the end."""
+    steps = tuple(steps)
+    if not start.is_pure():
+        raise MoveError("shelling replay needs a pure start")
+    d = start.dim
+    for mv in steps:
+        entry = [str(v) for part in (mv.alpha, mv.beta) for v in part]
+        if len(entry) != d + 1:
+            raise MoveError(f"move {mv} has wrong size for dimension {d}")
+        if mv.index != len(mv.beta) - 1:
+            raise MoveError(f"move {mv} has inconsistent index")
+        if len(set(entry)) != len(entry):
+            raise MoveError(f"move {mv} repeats a vertex")
     names, facets = list(start.names), list(start.facets)
     ids = dict(zip(start.names, range(start.m)))
     faces = set().union(*map(submasks, start.facet_masks))
-    sizes = set(map(len, facets))
     for mv in steps:
-        entry = tuple(mv.alpha) + tuple(mv.beta)
         am, bm = (mask_of(ids.setdefault(str(v), len(ids)) for v in part)
                   for part in (mv.alpha, mv.beta))
         sigma = am | bm
-        # distinct vertices, the one facet size, and in no facet so far
-        if popcount(sigma) == len(entry) and sizes == {len(entry)} \
-                and sigma not in faces:
-            names, facets = _renumbered(names, facets, [entry])
-            facets.sort()
-        else:
-            X = Complex.from_facets([[names[v] for v in f] for f in facets]
-                                    + [entry])
-            names, facets = list(X.names), list(X.facets)
-            sizes = set(map(len, facets))
         if _present_ridges(sigma, faces) != bm or bm in faces:
             raise MoveError(f"invalid shelling step {mv}")
+        names, facets = _renumbered(names, facets, [(*mv.alpha, *mv.beta)])
+        facets.sort()
         faces.update(submasks(sigma))
     return Complex(names, facets)
 
@@ -606,6 +611,13 @@ def find_shelling(B: Complex, budget: int = 10 ** 6) -> SearchOutcome:
     (T is a free face).  Candidates are tried in ``B.facet_masks`` order,
     and a node's iterator resumes only after its child has restored every
     counter, so it yields what a full recount at that node would.
+
+    The ear test does not imply the free-face test, as it reads only the
+    boundary ridges of the facet.  In the strip abf, abc, acd, cde, def,
+    whose vertex f has a link of two edges, both end facets pass the ear
+    test with T = f in both; without the free-face test the peel would
+    complete, and ``verify_shelling`` would refuse the order it gives,
+    where the search answers "none".
     """
     if not B.is_pure():
         raise StructureError("find_shelling needs a pure complex")

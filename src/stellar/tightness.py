@@ -23,13 +23,13 @@ check:
    the new vertex w, so the table of X is S's duality table over those A;
 4. the class path (``_class_sums``) -- one homology run per class
    {g(A) : g in G} of vertex subsets, weighted by the class's size, as
-   X[A] and X[g(A)] are isomorphic.  From 2^12 subsets up, G is Aut(X),
-   whose generators ``_automorphism_generators`` finds for any complex by
-   the refinement search of ``are_isomorphic`` with base vertices fixed,
-   each checked exactly on the facets; a class is closed under them.
-   With no generators (fewer subsets, or a trivial group) this is the
-   subset loop.  From 2^12 classes up, the runs are split over ``jobs``
-   processes.  The tests compare every path with a subset loop of their own.
+   X[A] and X[g(A)] are isomorphic.  G is Aut(X), whose generators
+   ``_automorphism_generators`` finds for any complex by the refinement
+   search of ``are_isomorphic`` with base vertices fixed, each checked
+   exactly on the facets; a class is closed under them.  With no
+   generators (a trivial group) this is the subset loop.  From 2^12
+   classes up, the runs are split over ``jobs`` processes.  The tests
+   compare every path with a subset loop of their own.
 
 The mu-vector computes one sigma per isomorphism class of links: a link
 shares the sigma of the first earlier link that ``are_isomorphic`` matches
@@ -55,7 +55,7 @@ from .vectors import f_vector, g_vector
 
 SIGMA_CAP = 16
 DIRECT_CAP = 12
-LARGE_LOOP = 1 << 12  # subsets to seek a group from; classes to split runs from
+LARGE_LOOP = 1 << 12  # classes to split the runs of _class_sums from
 BLOCK = 14  # vertices whose subsets share one int in _component_tallies
 
 
@@ -268,8 +268,7 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     duality for an F-homology sphere of dimension <= 3, the same duality
     for a ball whose closure ``_ball_closure`` is such a sphere, or
     ``_class_sums`` under the generators of Aut(X) that
-    ``_automorphism_generators`` finds when there are at least LARGE_LOOP
-    subsets, and under none otherwise."""
+    ``_automorphism_generators`` finds."""
     apex = reduce(and_, X.facet_masks)
     if apex:
         lk = link(X, (apex.bit_length() - 1,))
@@ -282,8 +281,7 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
     S = _ball_closure(X)
     if S is not None and is_homology_sphere(S, field):
         return _duality_sums(X, S)
-    gens = _automorphism_generators(X) if 1 << X.m >= LARGE_LOOP else []
-    return _class_sums(X, field, gens, jobs)
+    return _class_sums(X, field, _automorphism_generators(X), jobs)
 
 
 def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
@@ -296,10 +294,9 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     ``is_homology_sphere`` in dimension <= 3, the ball path when X's
     ``_ball_closure`` does, else the class path: one homology run per
     class of subsets under Aut(X), whose generators
-    ``_automorphism_generators`` finds when there are at least 2^12
-    subsets, or per subset below that or when the group is trivial, with
-    ``jobs`` processes once there are at least 2^12 classes.  The cap
-    applies to m whichever path runs.
+    ``_automorphism_generators`` finds, or per subset when the group is
+    trivial, with ``jobs`` processes once there are at least 2^12
+    classes.  The cap applies to m whichever path runs.
 
     With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
     with the platform's default start method.  Under ``spawn`` (macOS,

@@ -109,9 +109,12 @@ def test_stellate_and_wk(capsys):
     assert run(["wk", "corpus:M_1_2", "--k", "1"]) == 0
 
 
-def test_shellfind_exit_codes(capsys):
+def test_shellfind_exit_codes(capsys, tmp_path):
     assert run(["shellfind", "corpus:ziegler_B2"]) == 1
     assert run(["shellfind", "corpus:lutz_B2"]) == 0
+    pinched = tmp_path / "pinched.fct"  # refuted by the free-face test
+    pinched.write_text("a b f\na b c\na c d\nc d e\nd e f\n")
+    assert run(["shellfind", str(pinched)]) == 1
 
 
 def test_ears_stacked(capsys):

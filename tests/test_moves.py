@@ -28,6 +28,7 @@ from stellar.vectors import f_vector, g_vector, h_vector
 from stellar.verify import brute_force_bistellar
 
 FIVE_VERTEX_SPHERE = ["124", "134", "234", "125", "135", "235"]
+PINCHED_STRIP = ["abf", "abc", "acd", "cde", "def"]  # not a ball
 
 
 def test_enumerate_against_oracle_small(corp):
@@ -185,11 +186,26 @@ def test_shelling_bistellar_boundary_consistency(corp):
 def full_rebuild_replay(start, steps):
     """``replay_shelling`` with the face set of the whole complex rebuilt
     at every step and the step checked ridge by ridge: the oracle of the
-    version that keeps its face set and shares the step test."""
+    version that keeps its face set and shares the step test.  A start
+    that is not pure, and a step of the wrong size or index or with a
+    repeated vertex, is refused before any step is replayed."""
+    if not start.is_pure():
+        raise MoveError("shelling replay needs a pure start")
+    d = start.dim
+    for mv in steps:
+        sigma = tuple(mv.alpha) + tuple(mv.beta)
+        if len(sigma) != d + 1:
+            raise MoveError(f"move {mv} has wrong size for dimension {d}")
+        if mv.index != len(mv.beta) - 1:
+            raise MoveError(f"move {mv} has inconsistent index")
+        if len(set(sigma)) != len(sigma):
+            raise MoveError(f"move {mv} repeats a vertex")
     cur = start
     for mv in steps:
         sigma = tuple(mv.alpha) + tuple(mv.beta)
         cur_facets = cur.facets_as_names()
+        if set(sigma) in map(set, cur_facets):  # from_facets would drop it
+            raise MoveError(f"invalid shelling step {mv}")
         new = Complex.from_facets(cur_facets + [sigma])
         am = new.mask_from_names(mv.alpha)
         bm = new.mask_from_names(mv.beta)
@@ -203,6 +219,19 @@ def full_rebuild_replay(start, steps):
             raise MoveError(f"invalid shelling step {mv}")
         cur = new
     return cur
+
+
+@pytest.mark.parametrize("start, step", [
+    ("abc", ShellingMove(("a",), ("d",), 0)),  # would replay to {abc, ad}
+    ("abc", ShellingMove(("a", "b"), ("d",), 5)),  # index is not |beta| - 1
+    ("abc", ShellingMove(("a", "b"), ("a",), 0)),  # a repeated vertex
+    ("abc cd", ShellingMove(("b", "c"), ("d",), 0)),  # a start not pure
+])
+def test_replay_shelling_refuses_malformed_steps(start, step):
+    X = Complex.from_facets(start.split())
+    for replay in (replay_shelling, full_rebuild_replay):
+        with pytest.raises(MoveError):
+            replay(X, [step])
 
 
 def replay_outcome(replay, start, steps):
@@ -340,6 +369,10 @@ def test_find_shelling(corp):
     res = find_shelling(corp["ziegler_B1"].complex)
     assert res.found and res.certificate.k_bound <= 1
     assert find_shelling(standard_ball(4)).found
+    # f's link is two edges: the end facets pass the ear test, and only
+    # the free-face test (T = f lies in both) refuses them
+    out = find_shelling(Complex.from_facets(PINCHED_STRIP))
+    assert (out.status, out.nodes) == ("none", 0)
 
 
 def test_ears(corp):
