@@ -37,7 +37,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from math import comb
+from operator import and_
 
 from .core import (Complex, ComplexError, InputError, RangeError,
                    StructureError, _face_counts, _map_jobs,
@@ -696,36 +699,54 @@ def _closure_complex(S: Complex, depth: int,
     faces of S (facets = the maximal such sets), or None as soon as one
     such set has ``limit`` vertices.  The canonical constructions pass
     dim(S) + 3: such a set makes the dimension exceed dim(S) + 1, which
-    they reject."""
-    from itertools import combinations
+    they reject.
 
-    cliques: list[int] = []
+    ``ext[f]`` is the mask of the vertices w for which f + w is a face,
+    for each face f of fewer than ``depth`` vertices, read once off S's
+    face index.  The sets are listed depth first on a stack.  A set's
+    candidates are the vertices above its last that lie in the AND of
+    ``ext`` over its subsets of fewer than ``depth`` vertices (so common
+    neighbours at depth 2, as in Bron & Kerbosch, CACM 16, 1973), pushed
+    largest first: the sets pop in the pre-order of ascending vertices
+    that fixes the facets' ids.  Only the sets with no candidate can be
+    maximal, so only they go to ``_maximal``."""
+    idx = S._index()
+    ext = dict.fromkeys(chain.from_iterable(idx[:depth]), 0)
+    for f in chain.from_iterable(idx[1:depth + 1]):
+        for w in bits(f):
+            ext[f ^ 1 << w] |= 1 << w
+    leaves = []
+    stack = [0]
+    while stack:
+        c = stack.pop()
+        if c.bit_count() == limit:
+            return None
+        common = reduce(and_, [ext[t] for t in submasks(c) if t.bit_count() < depth])
+        cand = common >> c.bit_length() << c.bit_length()
+        if not cand:
+            leaves.append(c)
+        stack.extend(c | 1 << v for v in reversed(ids_of(cand)))
+    return Complex.from_facets([S.names_of_mask(c) for c in _maximal(leaves)])
 
-    def extend(alpha: list[int], amask: int, start: int) -> bool:
-        """Collect the cliques through alpha; True at a too large one."""
-        cliques.append(amask)
-        if len(alpha) == limit:
-            return True
-        for v in range(start, S.m):
-            ok = True
-            vm = 1 << v
-            for r in range(min(depth - 1, len(alpha)) + 1):
-                for sub in combinations(alpha, r):
-                    if not S.has_face(mask_of(sub) | vm):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                alpha.append(v)
-                if extend(alpha, amask | vm, v + 1):
-                    return True
-                alpha.pop()
-        return False
 
-    if extend([], 0, 0):
-        return None
-    return Complex.from_facets([S.names_of_mask(c) for c in _maximal(cliques)])
+def _canonical(S: Complex, k: int, depth: int, what: str, bound: str,
+               claim: str) -> Complex:
+    """The canonical ``what`` of S, for 0 <= k <= ``bound`` (that is,
+    dim(S) >= 2 depth - 2): the closure at ``depth``, returned only if it
+    is a k-stacked (d+1)-complex with boundary S; otherwise a
+    HypothesisViolation says that the input ``claim``."""
+    d = S.dim
+    if k < 0 or d < 2 * depth - 2:
+        raise RangeError(f"canonical {what} needs 0 <= k <= {bound} (got d={d}, k={k})")
+    cand = _closure_complex(S, depth, d + 3)
+    try:
+        ok = (cand is not None and cand.dim == d + 1
+              and boundary(cand) == S and is_k_stacked_ball(cand, k))
+    except StructureError:
+        ok = False
+    if not ok:
+        raise HypothesisViolation(f"closure complex failed validation: the input {claim}")
+    return cand
 
 
 def canonical_ball(S: Complex, k: int) -> Complex:
@@ -736,44 +757,18 @@ def canonical_ball(S: Complex, k: int) -> Complex:
     equals S and it is k-stacked); failure raises HypothesisViolation
     rather than returning an unverified complex.
     """
-    d = S.dim
-    if k < 0 or d < 2 * k:
-        raise RangeError(f"canonical ball needs 0 <= k <= d/2 (got d={d}, k={k})")
-    cand = _closure_complex(S, k + 1, d + 3)
-    try:
-        ok = (cand is not None and cand.dim == d + 1
-              and boundary(cand) == S and is_k_stacked_ball(cand, k))
-    except StructureError:
-        ok = False
-    if not ok:
-        raise HypothesisViolation(
-            "closure complex failed validation: the input sphere is not "
-            f"{k}-stellated/{k}-stacked with a recoverable ball")
-    return cand
+    return _canonical(S, k, k + 1, "ball", "d/2", f"sphere is not "
+                      f"{k}-stellated/{k}-stacked with a recoverable ball")
 
 
 def canonical_manifold(M: Complex, k: int) -> Complex:
     """The unique (d+1)-manifold bounded by a W_k(d) member for k >= 0
     and d >= 2k+2, built as the sets all of whose <= (k+2)-subsets are
-    faces; validated against its defining properties."""
-    d = M.dim
-    if k < 0 or d < 2 * k + 2:
-        raise RangeError(f"canonical manifold needs 0 <= k <= (d-2)/2 (got d={d}, k={k})")
-    cand = _closure_complex(M, k + 2, d + 3)
-    try:
-        ok = cand is not None and cand.dim == d + 1 and boundary(cand) == M
-        if ok:
-            for t in range(d - k + 1):
-                if cand.n_faces(t) != M.n_faces(t):
-                    ok = False
-                    break
-    except StructureError:
-        ok = False
-    if not ok:
-        raise HypothesisViolation(
-            "closure complex failed validation: the input is not a "
-            f"W_{k} member with a recoverable manifold")
-    return cand
+    faces.  It is validated as ``canonical_ball``'s output is: once the
+    boundary equals M, its faces of at most d-k+1 vertices are M's
+    exactly when it is k-stacked."""
+    return _canonical(M, k, k + 2, "manifold", "(d-2)/2",
+                      f"is not a W_{k} member with a recoverable manifold")
 
 
 # -- stellation search -------------------------------------------------------

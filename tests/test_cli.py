@@ -129,6 +129,14 @@ def test_canonical_manifold_cli(capsys, tmp_path):
     assert run(["canonical-manifold", "corpus:M_1_4", "--k", "1",
                 "--save", str(out)]) == 0
     assert out.exists()
+    capsys.readouterr()
+    assert run(["canonical-ball", "corpus:lutz_S2_8", "--k", "1"]) == 0
+    assert capsys.readouterr().out == ("built and validated: dim 3, 5 facets, "
+                                       "hash ed2f2057c1ccaae9...\n")
+    assert run(["canonical-ball", "corpus:torus_7", "--k", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "hypothesis violated: closure complex failed validation: the input "
+        "sphere is not 1-stellated/1-stacked with a recoverable ball\n")
 
 
 def test_kn_verb(capsys):

@@ -3,21 +3,21 @@ import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
-                          _dominated, _ridge_facets, antistar, are_isomorphic,
-                          bits, boundary,
+                          _dominated, _maximal, _ridge_facets, antistar,
+                          are_isomorphic, bits, boundary,
                           connected_sum, dual_graph, facet_hash, format_facets,
                           induced, is_closed_pseudomanifold, is_pseudomanifold,
                           is_weak_pseudomanifold, join,
                           link, load_facets, mask_of, neighbourliness,
                           parse_facets, save_facets, skeleton, star, submasks)
-from stellar.constructions import (corpus, cross_polytope,
+from stellar.constructions import (corpus, cross_polytope, klee_novik,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.moves import _closure_complex
+from stellar.moves import _closure_complex, apply_bistellar, enumerate_bistellar
 from stellar.vectors import f_vector
 
 
@@ -453,11 +453,68 @@ def test_maximal_face_constructions_match_quadratic_filter(entries, data):
     assert _closure_complex(X, depth).facet_name_set() == names(cliques)
 
 
+def closure_reference(S, depth, limit=None):
+    """The recursion that ``moves._closure_complex`` replaces: it extends
+    each set by every later vertex with one ``has_face`` per subset, and
+    fixes the ids that the stack listing must keep."""
+    from itertools import combinations
+
+    cliques: list[int] = []
+
+    def extend(alpha: list[int], amask: int, start: int) -> bool:
+        """Collect the cliques through alpha; True at a too large one."""
+        cliques.append(amask)
+        if len(alpha) == limit:
+            return True
+        for v in range(start, S.m):
+            ok = True
+            vm = 1 << v
+            for r in range(min(depth - 1, len(alpha)) + 1):
+                for sub in combinations(alpha, r):
+                    if not S.has_face(mask_of(sub) | vm):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                alpha.append(v)
+                if extend(alpha, amask | vm, v + 1):
+                    return True
+                alpha.pop()
+        return False
+
+    if extend([], 0, 0):
+        return None
+    return Complex.from_facets([S.names_of_mask(c) for c in _maximal(cliques)])
+
+
+@st.composite
+def walked_sphere_facets(draw):
+    """The facets of a random stacked 2- or 3-sphere after up to three
+    random bistellar moves."""
+    d = draw(st.sampled_from((2, 3)))
+    X = random_stacked_sphere(d, draw(st.integers(d + 2, 10)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    for _ in range(draw(st.integers(0, 3))):
+        pool = enumerate_bistellar(X)
+        if not pool:
+            break
+        X = apply_bistellar(X, draw(st.sampled_from(pool)))
+    return X.facets_as_names()
+
+
+def names_and_ids(X):
+    return None if X is None else (X.names, X.facets)
+
+
 @settings(max_examples=100, deadline=None)
-@given(facet_lists(), st.integers(1, 3), st.integers(1, 6))
+@given(st.one_of(facet_lists(), walked_sphere_facets()), st.integers(1, 3),
+       st.integers(1, 6))
+@example(klee_novik(1, 4)[1].facets_as_names(), 3, 7)  # canonical M_1_4
 def test_closure_limit_stops_only_at_a_set_that_large(entries, depth, limit):
     """With a vertex limit the closure is None exactly when its largest
-    facet reaches the limit, and is otherwise the same complex."""
+    facet reaches the limit, and is otherwise the same complex; with or
+    without a limit, it has the reference's names and ids."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         X = Complex.from_facets(entries)
@@ -467,6 +524,9 @@ def test_closure_limit_stops_only_at_a_set_that_large(entries, depth, limit):
         assert got is None
     else:
         assert (got.names, got.facets) == (full.names, full.facets)
+    assert names_and_ids(full) == names_and_ids(closure_reference(X, depth))
+    assert names_and_ids(got) == names_and_ids(closure_reference(X, depth, limit))
+
 
 def _two_spheres(X, Y, shared):
     """X and Y side by side, on disjoint names except ``shared`` of Y's
