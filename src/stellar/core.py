@@ -533,16 +533,17 @@ def _components(vert_masks, edge_masks) -> int:
 
 
 def _map_jobs(fn, tasks: list, jobs: int) -> list:
-    """[fn(t) for t in tasks], in a pool of ``jobs`` worker processes when
-    jobs > 1.  ``fn`` and the tasks are pickled, so fn is a module-level
+    """[fn(t) for t in tasks], in a pool of ``jobs`` worker processes, or
+    one per task if there are fewer, when jobs > 1 and there are two tasks
+    or more.  ``fn`` and the tasks are pickled, so fn is a module-level
     function.  The pool uses the platform's default start method, under
     which a calling script with jobs > 1 needs a ``__main__`` guard
     unless that method is ``fork`` (the public callers' docstrings say
     so); forcing ``spawn`` would make the guard necessary everywhere."""
-    if jobs <= 1:
+    if jobs <= 1 or len(tasks) < 2:
         return [fn(t) for t in tasks]
     from multiprocessing import Pool
-    with Pool(jobs) as pool:
+    with Pool(min(jobs, len(tasks))) as pool:
         return pool.map(fn, tasks)
 
 
@@ -748,6 +749,26 @@ def are_isomorphic(X: Complex, Y: Complex) -> bool:
     """Whether some vertex bijection carries the facets of X onto those of
     Y (``_isomorphism``), for any two complexes."""
     return _isomorphism(X, Y) is not None
+
+
+def _classes(complexes: Sequence[Complex]) -> list[tuple[int, list[int]]]:
+    """For each complex of the list, the index of its representative, the
+    first complex of the list that ``_isomorphism`` maps onto it, with
+    that map.  Each complex is compared only with the representatives
+    before it, and one that matches none represents itself, under the
+    identity."""
+    reps: list[int] = []
+    out = []
+    for i, Y in enumerate(complexes):
+        for r in reps:
+            image = _isomorphism(complexes[r], Y)
+            if image is not None:
+                out.append((r, image))
+                break
+        else:
+            reps.append(i)
+            out.append((i, list(range(Y.m))))
+    return out
 
 
 def _orbit(v: int, gens: list[list[int]]) -> list[int]:

@@ -43,7 +43,7 @@ from math import comb
 from operator import and_
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   StructureError, _face_counts, _map_jobs,
+                   StructureError, _classes, _face_counts, _map_jobs,
                    _mask_from_names, _maximal, _rebuild, _renumbered,
                    _ridge_facets, bits, boundary, dual_graph, facet_hash,
                    ids_of, is_connected, is_closed_pseudomanifold, mask_of,
@@ -793,8 +793,7 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
     if k < 0 or k > d + 1:
         raise RangeError(f"k={k} out of range for dimension {d}")
     if _is_standard_sphere(S):
-        cert = MoveCertificate("bistellar", (), facet_hash(S), facet_hash(S))
-        return SearchOutcome("found", cert, 0, S)
+        return SearchOutcome("found", _stellation_certificate(S, S, (), k), 0, S)
     if k == 0:
         return SearchOutcome("exhausted", None, 0)
     min_index = d - k + 1
@@ -807,7 +806,9 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
         temp = 2.0
         while nodes < budget:
             if _is_standard_sphere(current):
-                return _finish_stellation(S, current, trail, k, nodes)
+                steps = tuple(mv.reversed(d) for mv in reversed(trail))
+                cert = _stellation_certificate(S, current, steps, k)
+                return SearchOutcome("found", cert, nodes, current)
             pool = _move_state(current, min_index).listing(current, min_index)
             if not pool:
                 if not trail:
@@ -830,15 +831,21 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
     return SearchOutcome("exhausted", None, nodes)
 
 
-def _finish_stellation(S: Complex, reduced: Complex,
-                       trail: list[BistellarMove], k: int,
-                       nodes: int) -> SearchOutcome:
+def _stellation_certificate(S: Complex, start: Complex, steps: tuple,
+                            k: int) -> MoveCertificate:
+    """The certificate that the bistellar moves ``steps`` build S from
+    ``start``, once it is shown to witness that S is k-stellated: start is
+    the boundary of a simplex, the steps replay to S, every step has
+    index < k and, where d >= 2k - 1, the steps of each index j < k
+    number g_(j+1)(S).  Any other certificate raises ``MoveError``, so one
+    built elsewhere, such as one carried through a vertex map, never
+    passes unless it is right."""
     d = S.dim
-    steps = tuple(mv.reversed(d) for mv in reversed(trail))
-    end = replay_bistellar(reduced, steps)
-    if end != S:
+    if not _is_standard_sphere(start):
+        raise MoveError("internal error: certificate does not start at a simplex boundary")
+    if replay_bistellar(start, steps) != S:
         raise MoveError("internal error: certificate replay mismatch")
-    cert = MoveCertificate("bistellar", steps, facet_hash(reduced), facet_hash(S))
+    cert = MoveCertificate("bistellar", steps, facet_hash(start), facet_hash(S))
     if cert.k_bound > k:
         raise MoveError("internal error: certificate exceeds index bound")
     if d >= 2 * k - 1:
@@ -848,7 +855,7 @@ def _finish_stellation(S: Complex, reduced: Complex,
         for j in range(k):
             if counts.get(j, 0) != g[j + 1]:
                 raise MoveError("internal error: move counts disagree with g-vector")
-    return SearchOutcome("found", cert, nodes, reduced)
+    return cert
 
 
 @dataclass
@@ -866,19 +873,46 @@ def _wk_task(args):
     return stellation_search(*args)
 
 
+def _carried(out: SearchOutcome, rep: Complex, lk: Complex,
+             image: list[int], k: int) -> SearchOutcome:
+    """The outcome of the search on ``rep`` for ``lk``, which the vertex
+    map ``image`` (rep's ids to lk's) is to carry rep onto: the same
+    status and nodes, and a certificate whose start complex and steps are
+    renamed through the map and validated by ``_stellation_certificate``
+    against lk, so a wrong map raises."""
+    if not out.found:
+        return SearchOutcome(out.status, None, out.nodes)
+    name = dict(zip(rep.names, (lk.names[y] for y in image))).__getitem__
+    start = Complex(list(map(name, out.start.names)), out.start.facets)
+    steps = tuple(BistellarMove(tuple(map(name, mv.alpha)), tuple(map(name, mv.beta)),
+                                mv.index) for mv in out.certificate.steps)
+    return SearchOutcome("found", _stellation_certificate(lk, start, steps, k),
+                         out.nodes, start)
+
+
 def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
                    jobs: int = 1) -> WkMembershipReport:
-    """Run a stellation search on every vertex link; "member" only when
-    every link is certified.  The searches are independent, one task each.
+    """Certify every vertex link k-stellated; "member" only when every
+    link is certified.
 
-    With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
-    with the platform's default start method.  Under ``spawn`` (macOS,
+    Each link is checked to be a closed pseudomanifold, then sorted into
+    classes by ``core._classes``: a link joins the first earlier class
+    representative that ``_isomorphism`` maps onto it.  Only the
+    representatives are searched, each by ``stellation_search`` with seed
+    + v for its vertex v.  A member takes its representative's outcome
+    carried through the vertex map (``_carried``): its certificate is
+    renamed and validated against its own link, and it reports the
+    representative's nodes, or exhausted if that search was.
+
+    With ``jobs`` > 1 the representatives' searches go to a
+    ``multiprocessing`` pool with the platform's default start method,
+    when there are two or more.  Under ``spawn`` (macOS,
     Windows) or ``forkserver`` (Linux from Python 3.14) each worker
     re-imports the calling script, so a script that passes jobs > 1 must
     make the call under ``if __name__ == "__main__":``."""
     if not is_connected(M):
         raise StructureError("W_k membership needs a connected complex")
-    tasks = []
+    links = []
     for v in range(M.m):
         # link(M, (v,))'s facets in its order, numbered as the pins need
         masks = _maximal(f ^ 1 << v for f in M.facet_masks if f >> v & 1)
@@ -886,8 +920,13 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
         if not is_closed_pseudomanifold(lk):
             raise StructureError(
                 f"link of vertex {M.name_of(v)} is not a closed pseudomanifold")
-        tasks.append((lk, k, budget, seed + v))
-    outcomes = _map_jobs(_wk_task, tasks, jobs)
+        links.append(lk)
+    classes = _classes(links)
+    reps = [v for v, (r, _) in enumerate(classes) if r == v]
+    searched = dict(zip(reps, _map_jobs(
+        _wk_task, [(links[v], k, budget, seed + v) for v in reps], jobs)))
+    outcomes = [searched[v] if r == v else _carried(searched[r], links[r], lk, image, k)
+                for v, (lk, (r, image)) in enumerate(zip(links, classes))]
     per_vertex = {M.name_of(v): out for v, out in enumerate(outcomes)}
     verdict = "member" if all(o.found for o in outcomes) else "undetermined"
     return WkMembershipReport(k, per_vertex, verdict)

@@ -32,7 +32,7 @@ check:
    compare every path with a subset loop of their own.
 
 The mu-vector computes one sigma per isomorphism class of links: a link
-shares the sigma of the first earlier link that ``are_isomorphic`` matches
+shares the sigma of the first earlier link that ``core._classes`` matches
 it with, and any other link gets its own.
 """
 from __future__ import annotations
@@ -45,7 +45,7 @@ from math import comb
 from operator import and_
 
 from .core import Complex, ComplexError, _automorphism_generators, \
-    _map_jobs, _ridge_facets, are_isomorphic, bits, ids_of, \
+    _classes, _map_jobs, _ridge_facets, bits, ids_of, \
     is_closed_pseudomanifold, is_connected, link, neighbourliness, popcount
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
@@ -322,7 +322,7 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
 
     Isomorphic links have one sigma.  Each link is compared with the links
     that got a sigma of their own before it, and takes the sigma of the
-    first one that ``are_isomorphic`` matches it with; a link that matches
+    first one that ``core._classes`` matches it with; a link that matches
     none gets its own sigma.  ``jobs`` is passed to each sigma.
 
     With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
@@ -334,13 +334,12 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:
         mu[1] = Fraction(1)
-    known: list[tuple[Complex, tuple[Fraction, ...]]] = []
-    for v in range(X.m):
-        lk = link(X, (v,))
-        sig = next((s for rep, s in known if are_isomorphic(lk, rep)), None)
-        if sig is None:
-            sig = sigma_vector(lk, field, cap, jobs)
-            known.append((lk, sig))
+    links = [link(X, (v,)) for v in range(X.m)]
+    sigmas: dict[int, tuple[Fraction, ...]] = {}
+    for r, _ in _classes(links):
+        if r not in sigmas:
+            sigmas[r] = sigma_vector(links[r], field, cap, jobs)
+        sig = sigmas[r]
         for i in range(1, d + 1):
             if i - 1 < len(sig):
                 mu[i] += Fraction(sig[i - 1], X.m)

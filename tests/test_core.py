@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
-                          _dominated, _maximal, _ridge_facets, antistar,
+                          _classes, _dominated, _map_jobs, _maximal,
+                          _ridge_facets, antistar,
                           are_isomorphic, bits, boundary,
                           connected_sum, dual_graph, facet_hash, format_facets,
                           induced, is_closed_pseudomanifold, is_pseudomanifold,
@@ -282,6 +283,26 @@ def test_isomorphism():
     path = Complex.from_facets([[1, 2], [2, 3], [3, 4]])
     assert are_isomorphic(a, b)
     assert not are_isomorphic(a, path)
+    (r0, i0), (r1, i1), (r2, i2) = _classes([a, path, b])
+    assert (r0, i0, r1, i1, r2) == (0, [0, 1, 2, 3], 1, [0, 1, 2, 3], 0)
+    assert {mask_of(i2[v] for v in f) for f in a.facets} == set(b.facet_masks)
+
+
+def test_map_jobs_starts_one_worker_per_task_at_most(monkeypatch):
+    import multiprocessing
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    assert _map_jobs(abs, [-1], 3) == [1]
+    assert _map_jobs(abs, [], 3) == []
+    assert started == []
+    assert _map_jobs(abs, [-1, -2], 3) == [1, 2]
+    assert started == [2]
 
 
 def dominated_reference(masks):

@@ -1,6 +1,7 @@
 """Bistellar/shelling engine, certificates and searches."""
 import hashlib
 import json
+import multiprocessing
 import random
 import sys
 import warnings
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stellar import moves
-from stellar.constructions import (LUTZ_B2_SHELLING, cross_polytope,
+from stellar import core, moves
+from stellar.constructions import (LUTZ_B2_SHELLING, corpus, cross_polytope,
                                    moebius_torus_7, random_stacked_ball,
                                    random_stacked_sphere,
                                    standard_ball, standard_sphere)
 from stellar.core import (Complex, ComplexError, RangeError, StructureError,
                           _ridge_facets, antistar, bits, boundary, facet_hash,
-                          induced, join, link, submasks)
+                          induced, join, link, mask_of, submasks)
 from stellar.moves import (BistellarMove, HypothesisViolation, MoveCertificate,
                            MoveError, ShellingMove, apply_bistellar,
                            apply_reverse, bistellar_face_delta, canonical_ball,
@@ -568,7 +569,15 @@ def test_wk_membership(corp):
     assert not rep.certified
 
 
-def test_wk_membership_pool_agrees(corp):
+def test_wk_membership_pool_agrees(corp, monkeypatch):
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
     M = corp["M_1_3"].complex
 
     def outcomes(jobs):
@@ -579,6 +588,13 @@ def test_wk_membership_pool_agrees(corp):
     serial = outcomes(1)
     assert serial[0] == "member" and len(serial[1]) == M.m
     assert outcomes(2) == serial
+    assert started == []  # M_1_3's links form one class: one search, no pool
+    # a stacked 3-sphere's links form 3 classes, searched in a pool
+    M = random_stacked_sphere(3, 8, seed=0)
+    serial = outcomes(1)
+    assert serial[0] == "member" and len(serial[1]) == M.m
+    assert outcomes(2) == serial
+    assert started == [2]
 
 
 def test_btilde_nonshellable_two_stacked_ball(corp):
@@ -851,45 +867,122 @@ def test_stellation_search_top_index_pinned(name):
 
 
 def test_w_k_membership_on_non_standard_links():
-    """The vertex links of the 7-vertex torus are hexagons, so each
-    search for k = 2 = d + 1 takes moves; the digests are those of the
-    search when every move state held the faces of every size."""
+    """The vertex links of the 7-vertex torus are hexagons, so the search
+    for k = 2 = d + 1 takes moves.  The links form one class: vertex 0's
+    digest is that of the search when every move state held the faces of
+    every size, and the others' are of its certificate carried to them."""
     rep = w_k_membership(moebius_torus_7(), 2)
     assert rep.verdict == "member"
     got = {v: (o.nodes, certificate_digest(o)[:16])
            for v, o in rep.per_vertex.items()}
-    assert got == {"0": (3, "c5432ec08094ac94"), "1": (3, "80e84a8b4a8f1e3b"),
-                   "2": (3, "2117717a46ee967a"), "3": (3, "cc6c1480b6d602c0"),
-                   "4": (3, "87232edcdf72aa14"), "5": (3, "fa47ae4f900aedce"),
-                   "6": (3, "1769cc476161e79e")}
+    assert got == {"0": (3, "c5432ec08094ac94"), "1": (3, "71bae443005e701d"),
+                   "2": (3, "b43908a35d3c7c37"), "3": (3, "649c5ea2751e2a4a"),
+                   "4": (3, "cca803c3d5f30960"), "5": (3, "c8af4fb7b20c816d"),
+                   "6": (3, "68300945652bd61b")}
 
 
-# (nodes, certificate digest) of each vertex link's search in
-# w_k_membership(M_2_5, 2), under the same rebuild-every-step engine
+# (nodes, certificate digest) of each vertex link in w_k_membership(M_2_5,
+# 2): the links form one class, so x1's is the search under the same
+# rebuild-every-step engine, and the others' are x1's certificate carried
 WK_M25_PINS = {
     "x1": (21, "59a87bfcbc3a80e6ec5d08e9ba4bcb50e77f59023c7db95f0925aa9b4d0a8701"),
-    "x2": (21, "4f033b80736419c0537b575899b602497694f52037967c7eafbaa14b3248858d"),
-    "x3": (21, "819e1b8883352f466bf0eabf7dce2c8047cfabb41ce21025cd19a76492734ba4"),
-    "x4": (21, "1329183dda24acd85bf565a4af0aefc1f6eeb469562a423efe2885a7348fb99e"),
-    "x5": (21, "dfcb03e186b6c40ca9a603bd6ed778a3c8071aa159ccb12f6584407efc1b0c05"),
-    "x6": (21, "66163eb434e6edce18a9f9599424b6fc596162b26cabf3dcdcb19a0cf269a1bf"),
-    "x7": (21, "61c753266e5c22c427cd447edd9fff812f348cb15c787ec7f499368e1cf8428b"),
-    "y1": (21, "fd7f393e6c8ef69b98f969018dabffd329bd0083cf2ff8affe4aa193be8b8711"),
-    "y2": (21, "b7ff50a1718147af9412694209084ec2e0d790b8e780fb6fbd3db6279f5a3bec"),
-    "y3": (21, "9c463c880e1bbcbd044d4453fd5dc8e651af2cefeaf9184c46a558b93bfdc94a"),
-    "y4": (21, "45edd4f978c9d6df32a9187ae295c997551e74ef0d3364fdd654d982ffb3ec55"),
-    "y5": (21, "834ebcd2295ee4d0efa7d5508f72dca8b36094ea17589afa0df0b6532a912e52"),
-    "y6": (21, "6cd3f3d90383a5a04e45ae7e8a3a195bee75a3e555743e8f5a575efa776dc8c5"),
-    "y7": (21, "ecc89b4e2f28cc1d756e49f2c4c7daa8882fe661090e5169d7066fa2992e3321"),
+    "x2": (21, "4a6a16a55bee38025336f9ba9b7e87d1af323fe272b1dddc491e2608c5cc818b"),
+    "x3": (21, "f5f202f57b2a12ba7dc0a9d6dc32b1395ced4b86568786795d04f1c290d81e31"),
+    "x4": (21, "2d3f1c279294069cc599f05f46be1b3e8a48e06d491a06ab18452773df56bbf5"),
+    "x5": (21, "3b1817fe1bdb524e3a6c7f88420a0e1451d5cd4a00ad797c21cd3dbb8e4d1b5d"),
+    "x6": (21, "89ffb83bc2f07c510ceb24ce21f70ffc8b486e8d6c3ad716b6034fa62b227fab"),
+    "x7": (21, "a18918416a3912c69eb060f9f23cc053f27ecf7487901b2e45b8a7471eea955f"),
+    "y1": (21, "e2ce4068bfd464e11d30fbeff2e1b56c626bed40ec21fb7aff0c7cb412fcb3bc"),
+    "y2": (21, "4ab2a35c3d3ae16be475d4a1e64d769c6fb3c13f111973d317b9b33e7fb91279"),
+    "y3": (21, "ad2513e48eff4b624065ae45a7f6c8010e607375250bba6e2d844400cbcc947d"),
+    "y4": (21, "b84c5125c43285239f1bcba90cad27a033bfc060469ff1e98beb3409bf9394c9"),
+    "y5": (21, "78a90af3e30eea2846b37b3f5a1dedb3532031057344fdcd2f40d7d34799cd5b"),
+    "y6": (21, "3f8bfce9206d02d90f6fd2e1ac984ed6481d01f36cfd2985565664141b9b8777"),
+    "y7": (21, "3c31c8b79f9515ad5a0cbc673d67406826ec747e6e8dd09d13821899591a968c"),
 }
 
 
-def test_w_k_membership_pinned(corp):
+def test_w_k_membership_pinned(corp, monkeypatch):
+    searches = []
+    real_search = moves.stellation_search
+
+    def counting(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(moves, "stellation_search", counting)
     rep = w_k_membership(corp["M_2_5"].complex, 2)
     assert rep.verdict == "member"
     got = {v: (o.nodes, certificate_digest(o))
            for v, o in rep.per_vertex.items()}
     assert got == WK_M25_PINS
+    assert len(searches) == 1  # x1's link, which the other 13 match
+
+
+def per_link_verdict(M, k, seed):
+    """The verdict of one stellation search per vertex link, with seed +
+    v for vertex v: the oracle of ``w_k_membership``'s one search per
+    class of isomorphic links."""
+    found = [stellation_search(link(M, (v,)), k, seed=seed + v).found
+             for v in range(M.m)]
+    return "member" if all(found) else "undetermined"
+
+
+def relabelled(X, rnd):
+    """X with permuted vertex names and shuffled facets, so that
+    ``from_facets`` numbers its vertices anew."""
+    perm = list(X.names)
+    rnd.shuffle(perm)
+    rename = dict(zip(X.names, perm))
+    facets = [[rename[n] for n in f] for f in X.facets_as_names()]
+    rnd.shuffle(facets)
+    return Complex.from_facets(facets)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(("M_1_3", "torus_7", "stacked")),
+       st.integers(0, 10 ** 6), st.integers(0, 100), st.randoms())
+def test_w_k_membership_matches_per_link_searches(name, build, seed, rnd):
+    M = (random_stacked_sphere(3, 5 + build % 6, seed=build) if name == "stacked"
+         else corpus()[name].complex)
+    M = relabelled(M, rnd)
+    rep = w_k_membership(M, 1, seed=seed)
+    assert rep.verdict == per_link_verdict(M, 1, seed)
+    for v in range(M.m):
+        out, lk = rep.per_vertex[M.name_of(v)], link(M, (v,))
+        cert = out.certificate
+        assert out.start.m == out.start.dim + 2 == len(out.start.facets)
+        assert replay_bistellar(out.start, cert.steps) == lk
+        assert (cert.start_hash, cert.end_hash) == (facet_hash(out.start),
+                                                    facet_hash(lk))
+        assert cert.k_bound <= 1
+
+
+@pytest.mark.parametrize("name,k", [("M_2_5", 2), ("torus_7", 1)])
+def test_w_k_membership_rejects_a_wrong_link_map(corp, monkeypatch, name, k):
+    """A vertex map that is not an isomorphism fails the replay of the
+    certificate carried through it, so the run raises and certifies
+    nothing."""
+    real = core._isomorphism
+    wrong_maps = []
+
+    def wrong(X, Y, fixed=()):
+        image = real(X, Y, fixed)
+        if image is None:
+            return None
+        target = set(Y.facet_masks)
+        for j in range(1, X.m):  # the first transposition that breaks it
+            bad = image.copy()
+            bad[0], bad[j] = bad[j], bad[0]
+            if {mask_of(bad[v] for v in f) for f in X.facets} != target:
+                wrong_maps.append(bad)
+                return bad
+        raise AssertionError("no transposition breaks the map")
+
+    monkeypatch.setattr(core, "_isomorphism", wrong)
+    with pytest.raises(MoveError, match="replay"):
+        w_k_membership(corp[name].complex, k)
+    assert wrong_maps
 
 
 def walk_digest(X, steps, seed):
