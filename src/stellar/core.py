@@ -751,22 +751,33 @@ def are_isomorphic(X: Complex, Y: Complex) -> bool:
     return _isomorphism(X, Y) is not None
 
 
+def _invariant(X: Complex) -> tuple:
+    """X's vertex count, dimension, facet sizes and vertex degrees, the
+    last two sorted: equal on isomorphic complexes."""
+    degree = [0] * X.m
+    for f in X.facets:
+        for v in f:
+            degree[v] += 1
+    return X.m, X.dim, tuple(sorted(map(len, X.facets))), tuple(sorted(degree))
+
+
 def _classes(complexes: Sequence[Complex]) -> list[tuple[int, list[int]]]:
     """For each complex of the list, the index of its representative, the
     first complex of the list that ``_isomorphism`` maps onto it, with
     that map.  Each complex is compared only with the representatives
-    before it, and one that matches none represents itself, under the
-    identity."""
-    reps: list[int] = []
+    before it of the same ``_invariant``, and one that matches none
+    represents itself, under the identity."""
+    reps: dict[tuple, list[int]] = {}
     out = []
     for i, Y in enumerate(complexes):
-        for r in reps:
+        bucket = reps.setdefault(_invariant(Y), [])
+        for r in bucket:
             image = _isomorphism(complexes[r], Y)
             if image is not None:
                 out.append((r, image))
                 break
         else:
-            reps.append(i)
+            bucket.append(i)
             out.append((i, list(range(Y.m))))
     return out
 

@@ -793,7 +793,8 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
     if k < 0 or k > d + 1:
         raise RangeError(f"k={k} out of range for dimension {d}")
     if _is_standard_sphere(S):
-        return SearchOutcome("found", _stellation_certificate(S, S, (), k), 0, S)
+        cert = MoveCertificate("bistellar", (), facet_hash(S), facet_hash(S))
+        return SearchOutcome("found", cert, 0, S)
     if k == 0:
         return SearchOutcome("exhausted", None, 0)
     min_index = d - k + 1
@@ -897,9 +898,11 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
 
     Each link is checked to be a closed pseudomanifold, then sorted into
     classes by ``core._classes``: a link joins the first earlier class
-    representative that ``_isomorphism`` maps onto it.  Only the
-    representatives are searched, each by ``stellation_search`` with seed
-    + v for its vertex v.  A member takes its representative's outcome
+    representative of its ``core._invariant`` that ``_isomorphism`` maps
+    onto it.  A link that is a simplex boundary is its own class, since
+    its search takes no step and a carried certificate would cost more.
+    Only the representatives are searched, each by ``stellation_search``
+    with seed + v for its vertex v.  A member takes its representative's outcome
     carried through the vertex map (``_carried``): its certificate is
     renamed and validated against its own link, and it reports the
     representative's nodes, or exhausted if that search was.
@@ -921,7 +924,10 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
             raise StructureError(
                 f"link of vertex {M.name_of(v)} is not a closed pseudomanifold")
         links.append(lk)
-    classes = _classes(links)
+    classes: list[tuple[int, list[int] | None]] = [(v, None) for v in range(M.m)]
+    plain = [v for v, lk in enumerate(links) if not _is_standard_sphere(lk)]
+    for v, (r, image) in zip(plain, _classes([links[v] for v in plain])):
+        classes[v] = (plain[r], image)
     reps = [v for v, (r, _) in enumerate(classes) if r == v]
     searched = dict(zip(reps, _map_jobs(
         _wk_task, [(links[v], k, budget, seed + v) for v in reps], jobs)))

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from stellar import constructions
@@ -21,3 +23,18 @@ def fresh_corpus(monkeypatch):
 @pytest.fixture(scope="session")
 def fields():
     return [QQ, FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5)]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of the ``multiprocessing`` pools started during
+    the test, in order."""
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    return started

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stellar import core
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
                           _classes, _dominated, _map_jobs, _maximal,
-                          _ridge_facets, antistar,
+                          _invariant, _ridge_facets, antistar,
                           are_isomorphic, bits, boundary,
                           connected_sum, dual_graph, facet_hash, format_facets,
                           induced, is_closed_pseudomanifold, is_pseudomanifold,
@@ -288,21 +289,45 @@ def test_isomorphism():
     assert {mask_of(i2[v] for v in f) for f in a.facets} == set(b.facet_masks)
 
 
-def test_map_jobs_starts_one_worker_per_task_at_most(monkeypatch):
-    import multiprocessing
-    started = []
-    real_pool = multiprocessing.Pool
+def classes_reference(complexes):
+    """``_classes`` as it compared each complex with every representative
+    before it, whatever its ``_invariant``."""
+    reps, out = [], []
+    for i, Y in enumerate(complexes):
+        for r in reps:
+            image = core._isomorphism(complexes[r], Y)
+            if image is not None:
+                out.append((r, image))
+                break
+        else:
+            reps.append(i)
+            out.append((i, list(range(Y.m))))
+    return out
 
-    def spy(processes=None, *args, **kwargs):
-        started.append(processes)
-        return real_pool(processes, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", spy)
+@pytest.mark.parametrize("d,n,seed", [(2, 12, 0), (3, 20, 1), (4, 14, 2)])
+def test_classes_compare_only_equal_invariants(monkeypatch, d, n, seed):
+    X = random_stacked_sphere(d, n, seed=seed)
+    links = [link(X, (v,)) for v in range(X.m)]
+    want = classes_reference(links)
+    compared = []
+    real = core._isomorphism
+
+    def spy(A, B, fixed=()):
+        compared.append((A, B))
+        return real(A, B, fixed)
+
+    monkeypatch.setattr(core, "_isomorphism", spy)
+    assert _classes(links) == want
+    assert compared and all(_invariant(A) == _invariant(B) for A, B in compared)
+
+
+def test_map_jobs_starts_one_worker_per_task_at_most(pool_sizes):
     assert _map_jobs(abs, [-1], 3) == [1]
     assert _map_jobs(abs, [], 3) == []
-    assert started == []
+    assert pool_sizes == []
     assert _map_jobs(abs, [-1, -2], 3) == [1, 2]
-    assert started == [2]
+    assert pool_sizes == [2]
 
 
 def dominated_reference(masks):

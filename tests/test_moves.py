@@ -1,7 +1,6 @@
 """Bistellar/shelling engine, certificates and searches."""
 import hashlib
 import json
-import multiprocessing
 import random
 import sys
 import warnings
@@ -569,15 +568,7 @@ def test_wk_membership(corp):
     assert not rep.certified
 
 
-def test_wk_membership_pool_agrees(corp, monkeypatch):
-    started = []
-    real_pool = multiprocessing.Pool
-
-    def spy(processes=None, *args, **kwargs):
-        started.append(processes)
-        return real_pool(processes, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", spy)
+def test_wk_membership_pool_agrees(corp, pool_sizes):
     M = corp["M_1_3"].complex
 
     def outcomes(jobs):
@@ -588,13 +579,14 @@ def test_wk_membership_pool_agrees(corp, monkeypatch):
     serial = outcomes(1)
     assert serial[0] == "member" and len(serial[1]) == M.m
     assert outcomes(2) == serial
-    assert started == []  # M_1_3's links form one class: one search, no pool
-    # a stacked 3-sphere's links form 3 classes, searched in a pool
+    assert pool_sizes == []  # M_1_3's links form one class: one search, no pool
+    # a stacked 3-sphere's links: 2 classes and 3 simplex boundaries, each
+    # searched by itself, so 5 searches in a pool
     M = random_stacked_sphere(3, 8, seed=0)
     serial = outcomes(1)
     assert serial[0] == "member" and len(serial[1]) == M.m
     assert outcomes(2) == serial
-    assert started == [2]
+    assert pool_sizes == [2]
 
 
 def test_btilde_nonshellable_two_stacked_ball(corp):
@@ -917,6 +909,51 @@ def test_w_k_membership_pinned(corp, monkeypatch):
            for v, o in rep.per_vertex.items()}
     assert got == WK_M25_PINS
     assert len(searches) == 1  # x1's link, which the other 13 match
+
+
+# (nodes, certificate digest) of stellation_search(lk, 2, seed=v) on the
+# link lk of each vertex v of M_2_5 and of the 7-vertex torus, numbered
+# by Complex.from_facets as w_k_membership numbers it, under the same
+# rebuild-every-step engine: the searches of w_k_membership when it
+# searched every link
+LINK_SEARCH_PINS = {
+    "M_2_5": {
+        "x1": (21, "59a87bfcbc3a80e6ec5d08e9ba4bcb50e77f59023c7db95f0925aa9b4d0a8701"),
+        "x2": (21, "4f033b80736419c0537b575899b602497694f52037967c7eafbaa14b3248858d"),
+        "x3": (21, "819e1b8883352f466bf0eabf7dce2c8047cfabb41ce21025cd19a76492734ba4"),
+        "x4": (21, "1329183dda24acd85bf565a4af0aefc1f6eeb469562a423efe2885a7348fb99e"),
+        "x5": (21, "dfcb03e186b6c40ca9a603bd6ed778a3c8071aa159ccb12f6584407efc1b0c05"),
+        "x6": (21, "66163eb434e6edce18a9f9599424b6fc596162b26cabf3dcdcb19a0cf269a1bf"),
+        "x7": (21, "61c753266e5c22c427cd447edd9fff812f348cb15c787ec7f499368e1cf8428b"),
+        "y1": (21, "fd7f393e6c8ef69b98f969018dabffd329bd0083cf2ff8affe4aa193be8b8711"),
+        "y2": (21, "b7ff50a1718147af9412694209084ec2e0d790b8e780fb6fbd3db6279f5a3bec"),
+        "y3": (21, "9c463c880e1bbcbd044d4453fd5dc8e651af2cefeaf9184c46a558b93bfdc94a"),
+        "y4": (21, "45edd4f978c9d6df32a9187ae295c997551e74ef0d3364fdd654d982ffb3ec55"),
+        "y5": (21, "834ebcd2295ee4d0efa7d5508f72dca8b36094ea17589afa0df0b6532a912e52"),
+        "y6": (21, "6cd3f3d90383a5a04e45ae7e8a3a195bee75a3e555743e8f5a575efa776dc8c5"),
+        "y7": (21, "ecc89b4e2f28cc1d756e49f2c4c7daa8882fe661090e5169d7066fa2992e3321"),
+    },
+    "torus_7": {
+        "0": (3, "c5432ec08094ac94873e248054aaa69ee3560b0150c12d5e0d989143ca763c1d"),
+        "1": (3, "80e84a8b4a8f1e3b6cef222b72021d58604b2996e837ac6e43269bce2a05a2f6"),
+        "2": (3, "2117717a46ee967a511a222742bbc981ab8887e6ce0f1a415e51d4dfa1e259f9"),
+        "3": (3, "cc6c1480b6d602c073a5ec81ac987c9c70535e182fdfe132c5c3a3d6c1126928"),
+        "4": (3, "87232edcdf72aa14828321b9d402ed3d41e6d088707ff2d0581276cfa0e988ad"),
+        "5": (3, "fa47ae4f900aedce9c785acbbce51d1ca29e7be00ecf99d8badc4f58e3c11863"),
+        "6": (3, "1769cc476161e79e8de109a81ab483a99d311caa13a9014a346461dcf2fba191"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINK_SEARCH_PINS))
+def test_link_searches_pinned(corp, name):
+    M = corp[name].complex
+    got = {}
+    for v in range(M.m):
+        lk = Complex.from_facets(link(M, (v,)).facets_as_names())
+        out = stellation_search(lk, 2, seed=v)
+        got[M.name_of(v)] = (out.nodes, certificate_digest(out))
+    assert got == LINK_SEARCH_PINS[name]
 
 
 def per_link_verdict(M, k, seed):
