@@ -369,10 +369,22 @@ def skeleton(X: Complex, t: int) -> Complex:
 
 def link(X: Complex, face: Iterable[int]) -> Complex:
     fm = mask_of(face)
-    if not X.has_face(fm):
+    # distinct facets less one face are never nested: none is dropped
+    lk = [f & ~fm for f in X.facet_masks if f & fm == fm]
+    if not lk:
         raise NotAFaceError(f"{X.names_of_mask(fm)} is not a face")
-    lk = _maximal(f & ~fm for f in X.facet_masks if f & fm == fm)
     return _rebuild(X.names, lk)
+
+
+def _vertex_links(X: Complex) -> list[list[int]]:
+    """For each vertex v, the facets of its link as masks in X's ids, in
+    X's facet order, from one pass over the facets:
+    ``_rebuild(X.names, _vertex_links(X)[v])`` is ``link(X, (v,))``."""
+    links: list[list[int]] = [[] for _ in range(X.m)]
+    for f, fm in zip(X.facets, X.facet_masks):
+        for v in f:
+            links[v].append(fm ^ 1 << v)
+    return links
 
 
 def star(X: Complex, face: Iterable[int]) -> Complex:
@@ -754,10 +766,7 @@ def are_isomorphic(X: Complex, Y: Complex) -> bool:
 def _invariant(X: Complex) -> tuple:
     """X's vertex count, dimension, facet sizes and vertex degrees, the
     last two sorted: equal on isomorphic complexes."""
-    degree = [0] * X.m
-    for f in X.facets:
-        for v in f:
-            degree[v] += 1
+    degree = map(len, _vertex_links(X))
     return X.m, X.dim, tuple(sorted(map(len, X.facets))), tuple(sorted(degree))
 
 

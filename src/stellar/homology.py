@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Complex, InputError, StructureError,
-                   _closed_pseudomanifold, _components, _levels, bits,
-                   is_closed_pseudomanifold, link, mask_of)
+                   _closed_pseudomanifold, _components, _levels, _rebuild,
+                   _vertex_links, bits, is_closed_pseudomanifold, mask_of)
 from .exactlinalg import rank
 
 
@@ -374,16 +374,6 @@ def _inclusion_test(X: Complex, j: int, field: FieldSpec):
     return injective
 
 
-def _vertex_links(masks) -> dict[int, list[int]]:
-    """v -> the facets of the link of v, as masks in the ids of ``masks``,
-    for a pure facet family (no facet of such a link contains another)."""
-    links: dict[int, list[int]] = {}
-    for fm in masks:
-        for v in bits(fm):
-            links.setdefault(v, []).append(fm ^ (1 << v))
-    return links
-
-
 def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:
     """Is X an F-homology sphere whose vertex links are F-homology
     spheres too (an F-homology manifold), the hypothesis of Alexander
@@ -415,9 +405,10 @@ def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:
         return d == 1 or 2 * X.m - len(X.facets) == 4  # f_1 = 3 f_2 / 2
     if betti(X, field).beta != (1,) + (0,) * (d - 1) + (1,):
         return False
+    links = _vertex_links(X)
     if d == 3:
-        return all(map(_closed_pseudomanifold, _vertex_links(X.facet_masks).values()))
-    return all(is_homology_sphere(link(X, (v,)), field) for v in range(X.m))
+        return all(map(_closed_pseudomanifold, links))
+    return all(is_homology_sphere(_rebuild(X.names, lk), field) for lk in links)
 
 
 def orientable(X: Complex, field: FieldSpec) -> bool:

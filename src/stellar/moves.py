@@ -45,9 +45,9 @@ from operator import and_
 from .core import (Complex, ComplexError, InputError, RangeError,
                    StructureError, _classes, _face_counts, _map_jobs,
                    _mask_from_names, _maximal, _rebuild, _renumbered,
-                   _ridge_facets, bits, boundary, dual_graph, facet_hash,
-                   ids_of, is_connected, is_closed_pseudomanifold, mask_of,
-                   popcount, submasks)
+                   _ridge_facets, _vertex_links, bits, boundary, dual_graph,
+                   facet_hash, ids_of, is_connected, is_closed_pseudomanifold,
+                   mask_of, popcount, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -896,13 +896,14 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
     """Certify every vertex link k-stellated; "member" only when every
     link is certified.
 
-    Each link is checked to be a closed pseudomanifold, then sorted into
-    classes by ``core._classes``: a link joins the first earlier class
-    representative of its ``core._invariant`` that ``_isomorphism`` maps
-    onto it.  A link that is a simplex boundary is its own class, since
-    its search takes no step and a carried certificate would cost more.
-    Only the representatives are searched, each by ``stellation_search``
-    with seed + v for its vertex v.  A member takes its representative's outcome
+    The links (``core._vertex_links``) are sorted into classes by
+    ``core._classes``: a link joins the first earlier class representative
+    of its ``core._invariant`` that ``_isomorphism`` maps onto it.  A link
+    that is a simplex boundary is its own class, since its search takes no
+    step and a carried certificate would cost more.  Only the
+    representatives are checked to be closed pseudomanifolds, as a member
+    is its representative's image, and searched by ``stellation_search``
+    with seed + v for vertex v.  A member takes its representative's outcome
     carried through the vertex map (``_carried``): its certificate is
     renamed and validated against its own link, and it reports the
     representative's nodes, or exhausted if that search was.
@@ -915,20 +916,18 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
     make the call under ``if __name__ == "__main__":``."""
     if not is_connected(M):
         raise StructureError("W_k membership needs a connected complex")
-    links = []
-    for v in range(M.m):
-        # link(M, (v,))'s facets in its order, numbered as the pins need
-        masks = _maximal(f ^ 1 << v for f in M.facet_masks if f >> v & 1)
-        lk = Complex.from_facets([M.names_of_mask(f) for f in sorted(masks, key=ids_of)])
-        if not is_closed_pseudomanifold(lk):
-            raise StructureError(
-                f"link of vertex {M.name_of(v)} is not a closed pseudomanifold")
-        links.append(lk)
+    # numbered by from_facets on the facets in M's order, as the pins need
+    links = [Complex.from_facets(list(map(M.names_of_mask, lk)))
+             for lk in _vertex_links(M)]
     classes: list[tuple[int, list[int] | None]] = [(v, None) for v in range(M.m)]
     plain = [v for v, lk in enumerate(links) if not _is_standard_sphere(lk)]
     for v, (r, image) in zip(plain, _classes([links[v] for v in plain])):
         classes[v] = (plain[r], image)
     reps = [v for v, (r, _) in enumerate(classes) if r == v]
+    for v in reps:
+        if not is_closed_pseudomanifold(links[v]):
+            raise StructureError(
+                f"link of vertex {M.name_of(v)} is not a closed pseudomanifold")
     searched = dict(zip(reps, _map_jobs(
         _wk_task, [(links[v], k, budget, seed + v) for v in reps], jobs)))
     outcomes = [searched[v] if r == v else _carried(searched[r], links[r], lk, image, k)

@@ -45,8 +45,9 @@ from math import comb
 from operator import and_
 
 from .core import Complex, ComplexError, _automorphism_generators, \
-    _classes, _map_jobs, _ridge_facets, bits, ids_of, \
-    is_closed_pseudomanifold, is_connected, link, neighbourliness, popcount
+    _classes, _map_jobs, _rebuild, _ridge_facets, _vertex_links, bits, \
+    ids_of, is_closed_pseudomanifold, is_connected, link, neighbourliness, \
+    popcount
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
     _faces_by_dim, _inclusion_test, betti, is_homology_sphere, \
@@ -334,7 +335,7 @@ def mu_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     mu = [Fraction(1)] + [Fraction(0)] * d
     if d >= 1:
         mu[1] = Fraction(1)
-    links = [link(X, (v,)) for v in range(X.m)]
+    links = [_rebuild(X.names, lk) for lk in _vertex_links(X)]
     sigmas: dict[int, tuple[Fraction, ...]] = {}
     for r, _ in _classes(links):
         if r not in sigmas:
@@ -437,11 +438,17 @@ def morse_report(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     duality = None
     if is_closed_pseudomanifold(X) and bt.beta[d] == 1:  # orientable
         duality = all(mu[d - j] == mu[j] for j in range(d + 1))
-    if neighbourliness(X) >= 2:
-        verdict = "tight" if list(mu) == list(map(Fraction, bt.beta)) else "not-tight"
-    else:
-        verdict = "not-applicable"
+    verdict = _p18(neighbourliness(X), lambda: mu, bt.beta)
     return MuReport(field, sig, mu, bt, tuple(slack), weak_ok, duality, verdict)
+
+
+def _p18(nb: int, mu, beta: tuple[int, ...]) -> str:
+    """P18: "not-applicable" unless 2-neighbourly (nb >= 2), which makes
+    the 1-skeleton complete, hence connected; else "tight" iff mu = beta,
+    where ``mu()`` gives mu and is called only in that case."""
+    if nb < 2:
+        return "not-applicable"
+    return "tight" if list(mu()) == list(map(Fraction, beta)) else "not-tight"
 
 
 @dataclass
@@ -477,15 +484,13 @@ def is_tight(X: Complex, field: FieldSpec, mode: str = "p18",
                                            (tuple(X.name_of(v) for v in bits(amask)), j))
         return TightnessResult(True, mode)
     if mode == "p18":
-        if cap is None:
-            cap = SIGMA_CAP
-        # 2-neighbourly makes the 1-skeleton complete, hence connected
-        if neighbourliness(X) < 2:
+        nb = neighbourliness(X)
+        if nb < 2:
             return TightnessResult(False, mode)
-        mu = mu_vector(X, field, cap, jobs)
-        bt = betti(X, field)
-        ok = list(mu) == list(map(Fraction, bt.beta))
-        return TightnessResult(ok, mode, None, mu, bt.beta)
+        mu = mu_vector(X, field, SIGMA_CAP if cap is None else cap, jobs)
+        beta = betti(X, field).beta
+        return TightnessResult(_p18(nb, lambda: mu, beta) == "tight", mode,
+                               None, mu, beta)
     raise ComplexError(f"unknown tightness mode {mode!r}")
 
 
@@ -570,19 +575,11 @@ def criterion_battery(M: Complex, k: int, field: FieldSpec,
     closed = is_closed_pseudomanifold(M)
     beta_f = betti(M, field).beta
     orient = beta_f[d] == 1 if closed else None  # homology.orientable
-    mu = None
-
-    def get_mu():
-        nonlocal mu
-        if mu is None:
-            mu = mu_vector(M, field, cap, jobs)
-        return mu
+    get_mu = lru_cache(maxsize=None)(lambda: mu_vector(M, field, cap, jobs))
 
     def tight() -> bool:
         # is_tight(M, field, "p18"), with the battery's own mu and beta
-        if nb < 2:
-            return False
-        return list(get_mu()) == list(map(Fraction, beta_f))
+        return _p18(nb, get_mu, beta_f) == "tight"
 
     # -- mu/g relations for 2-neighbourly W_k members
     if wk_certified and nb >= 2 and d >= 2 * k >= 2:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import Complex, RangeError, link
+from .core import Complex, RangeError, _levels, _vertex_links
 
 
 def f_vector(X: Complex) -> tuple[int, ...]:
@@ -127,9 +127,8 @@ def _link_g_sides(X: Complex) -> list[tuple[int, int]]:
     """``link_g_identity(X, j)`` for every j, from one pass over the links."""
     d = X.dim
     lhs = [0] * (d + 1)
-    for x in range(X.m):
-        lk = link(X, (x,))
-        fl = tuple(lk.n_faces(t) for t in range(d))  # counts up to dim d-1
+    for lk in _vertex_links(X):
+        fl = tuple(map(len, _levels(lk, d)[1:]))  # counts up to dim d-1
         lhs = [a + b for a, b in zip(lhs, g_from_f(fl, d - 1))]
     g = g_vector(X)
     return [(lhs[j], (d + 2 - j) * g[j] + (j + 1) * g[j + 1])

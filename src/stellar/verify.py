@@ -341,13 +341,16 @@ CRITERIA = [
 
 def run_all(jobs: int = 1) -> bool:
     """Run every criterion and print one pass/fail line per criterion;
-    the first refutation stops the run and returns False."""
+    the first refutation stops the run and returns False.  A criterion
+    that raises fails too, and stops the run with a RuntimeError: none
+    reads input, so the CLI exits as on an internal error."""
     for label, fn in CRITERIA:
         try:
-            rows = fn(jobs=jobs)
-            bad = [r for r in rows if not r.ok]
-        except Exception as exc:  # a crash is a failure, not a skip
-            bad = [Row(label, False, f"{type(exc).__name__}: {exc}")]
+            bad = [r for r in fn(jobs=jobs) if not r.ok]
+        except Exception as exc:
+            print(f"[FAIL] criterion {label}")
+            print(f"       - {label}: {type(exc).__name__}: {exc}")
+            raise RuntimeError(f"criterion {label} crashed") from exc
         print(f"[{'FAIL' if bad else 'PASS'}] criterion {label}")
         for r in bad:
             print(f"       - {r.name}: {r.detail}")

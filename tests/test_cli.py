@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stellar import cli, constructions
+from stellar import verify as verify_mod
 from stellar.cli import run
 from stellar.core import Complex, InputError, parse_facets
 
@@ -190,6 +191,45 @@ def test_json_reports_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     data = json.loads(a.read_text())
     assert data["mu"] == ["1", "2", "1"] and data["verdict"] == "tight"
+    capsys.readouterr()
+    common = ["verb", "input", "seed"]
+    for argv, keys, line in (
+            (["hvec"], ["h"], "h = (1, 4, 10, -1)"),
+            (["gvec"], ["g"], "g = (1, 3, 6, -11)"),
+            (["betti", "--field", "z2"], ["field", "beta", "reduced"],
+             "betti(Z2) = (1, 2, 1)")):
+        assert run([argv[0], "corpus:torus_7", *argv[1:], "--json", str(a)]) == 0
+        assert capsys.readouterr().out == line + "\n"
+        assert list(json.loads(a.read_text())) == common + keys
+
+
+def test_verify_paper_exit_codes(capsys, monkeypatch):
+    """A refuting row exits 1 and a crashing criterion 4, each after its
+    FAIL line; both stop the run.  Stub criteria, so none of the battery
+    runs."""
+    def passing(jobs):
+        return [verify_mod.Row("row", True)]
+
+    def failing(jobs):
+        return [verify_mod.Row("row", False, "detail")]
+
+    def crashing(jobs):
+        raise TypeError("boom")
+
+    for stubs, code, out in (
+            ([passing, passing], 0,
+             "[PASS] criterion a\n[PASS] criterion b\n"),
+            ([failing, passing], 1,
+             "[FAIL] criterion a\n       - row: detail\n"),
+            ([passing, crashing, passing], 4,
+             "[PASS] criterion a\n[FAIL] criterion b\n"
+             "       - b: TypeError: boom\n")):
+        monkeypatch.setattr(verify_mod, "CRITERIA", list(zip("abc", stubs)))
+        assert run(["verify-paper"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == ("internal error: RuntimeError: criterion b "
+                                "crashed\n" if code == 4 else "")
 
 
 def test_moves_verb(capsys):

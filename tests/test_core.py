@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from stellar import core
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
                           _classes, _dominated, _map_jobs, _maximal,
-                          _invariant, _ridge_facets, antistar,
+                          _invariant, _rebuild, _ridge_facets, _vertex_links,
+                          antistar,
                           are_isomorphic, bits, boundary,
                           connected_sum, dual_graph, facet_hash, format_facets,
                           induced, is_closed_pseudomanifold, is_pseudomanifold,
-                          is_weak_pseudomanifold, join,
+                          is_weak_pseudomanifold, ids_of, join,
                           link, load_facets, mask_of, neighbourliness,
                           parse_facets, save_facets, skeleton, star, submasks)
 from stellar.constructions import (corpus, cross_polytope, klee_novik,
@@ -497,6 +498,30 @@ def test_maximal_face_constructions_match_quadratic_filter(entries, data):
     cliques = [a for a in range(1 << X.m)
                if all(X.has_face(s) for s in submasks(a) if s.bit_count() <= depth)]
     assert _closure_complex(X, depth).facet_name_set() == names(cliques)
+
+
+@settings(max_examples=200, deadline=None)
+@given(facet_lists())
+@example([[0], [1]])  # two points: each link is {∅}
+@example([[3]])
+@example([[0, 1], [2], [1, 2, 3]])
+def test_vertex_links_match_per_vertex_maximal_reference(entries):
+    """``_vertex_links`` against the per-vertex construction that it
+    replaced: the facets through v less v, filtered by ``_maximal``, as
+    the same masks in the same order, and so the same complexes as
+    ``link``.  The masks come in increasing id order, the order in which
+    ``w_k_membership`` numbers a link."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        X = Complex.from_facets(entries)  # pure or not
+    links = _vertex_links(X)
+    assert len(links) == X.m
+    for v, lk in enumerate(links):
+        old = _maximal(f & ~(1 << v) for f in X.facet_masks if f >> v & 1)
+        assert lk == old == sorted(lk, key=ids_of)
+        got, want = _rebuild(X.names, lk), link(X, (v,))
+        assert (got.names, got.facets) == (want.names, want.facets)
+    assert _vertex_links(Complex.empty()) == []
 
 
 def closure_reference(S, depth, limit=None):

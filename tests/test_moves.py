@@ -1022,6 +1022,32 @@ def test_w_k_membership_rejects_a_wrong_link_map(corp, monkeypatch, name, k):
     assert wrong_maps
 
 
+def tetrahedron_boundaries(*tetrahedra):
+    """The boundaries of the tetrahedra on the letters of each string of
+    ``tetrahedra``, as one complex."""
+    from itertools import combinations
+    return Complex.from_facets([f for t in tetrahedra
+                                for f in combinations(t, 3)])
+
+
+@pytest.mark.parametrize("M,error", [
+    # a's link is two disjoint triangles
+    (tetrahedron_boundaries("abcd", "aefg"),
+     "link of vertex a is not a closed pseudomanifold"),
+    # so is d's, after the triangles that are the links of a, b and c
+    (tetrahedron_boundaries("abcd", "defg"),
+     "link of vertex d is not a closed pseudomanifold"),
+    # b's link is a's relabelled, so only a's is checked
+    (tetrahedron_boundaries("abcd", "aefg", "bhij"),
+     "link of vertex a is not a closed pseudomanifold"),
+    (Complex.from_facets(["ab", "bc", "ca", "de", "ef", "fd"]),
+     "W_k membership needs a connected complex"),
+], ids=["first-vertex", "later-vertex", "two-in-one-class", "disconnected"])
+def test_w_k_membership_error_texts(M, error):
+    with pytest.raises(StructureError, match=f"^{error}$"):
+        w_k_membership(M, 1)
+
+
 def walk_digest(X, steps, seed):
     """SHA-256 over (names, facets_as_names(), enumerate_bistellar list)
     of the start and of every step of a seeded walk by moves of index 1

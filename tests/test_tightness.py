@@ -1096,3 +1096,32 @@ def test_battery_m24(corp):
     assert lines["P23a"].status == "holds"
     assert lines["P20"].status == "not-applicable"
     assert lines["P21"].status == "not-applicable"
+
+
+# the lines of criterion_battery(X, k, QQ, wk_certified=True), in order:
+# with these inputs every line of the battery runs, and each holds, but
+# for the standard spheres' equalities in P21c, P23a and P23b
+BATTERY_LINES = {
+    ("standard_sphere(3)", 1): "P20a P20b P20c P21ab P22b P23a P23b L9",
+    ("standard_sphere(4)", 1):
+        "P20a P20b P20c P21ab P21c P21d P22a P23a P23b L9 L10",
+    ("standard_sphere(4)", 2): "P20a P20b P20c P21ab P23a P23b P25a P26 L9 L10",
+    ("standard_sphere(5)", 2): "P20a P20b P20c P21ab P23a P23b P25b L9",
+    ("lutz_S3_8", 1): "P20a P20b P20c P21ab P22b P23a P23b L9",
+}
+
+
+BATTERY_INPUTS = {f"standard_sphere({d})": (lambda d=d: standard_sphere(d))
+                  for d in (3, 4, 5)}
+BATTERY_INPUTS["lutz_S3_8"] = lambda: corpus()["lutz_S3_8"].complex
+
+
+@pytest.mark.parametrize("name,k", sorted(BATTERY_LINES))
+def test_battery_lines_on_certified_spheres(name, k):
+    X = BATTERY_INPUTS[name]()
+    assert w_k_membership(X, k).certified
+    lines = criterion_battery(X, k, QQ, wk_certified=True)
+    equality = {"P21c", "P23a", "P23b"} if name.startswith("standard") else set()
+    assert [(l.prop, l.status) for l in lines] == [
+        (p, "equality" if p in equality else "holds")
+        for p in BATTERY_LINES[name, k].split()]
