@@ -10,8 +10,7 @@ from stellar import core
 from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
                           _classes, _dominated, _map_jobs, _maximal,
                           _invariant, _rebuild, _ridge_facets, _vertex_links,
-                          antistar,
-                          are_isomorphic, bits, boundary,
+                          antistar, are_isomorphic, bits, boundary,
                           connected_sum, dual_graph, facet_hash, format_facets,
                           induced, is_closed_pseudomanifold, is_pseudomanifold,
                           is_weak_pseudomanifold, ids_of, join,
@@ -504,7 +503,7 @@ def test_maximal_face_constructions_match_quadratic_filter(entries, data):
 @given(facet_lists())
 @example([[0], [1]])  # two points: each link is {∅}
 @example([[3]])
-@example([[0, 1], [2], [1, 2, 3]])
+@example([[0, 1], [4], [1, 2, 3]])  # non-pure, with an isolated vertex
 def test_vertex_links_match_per_vertex_maximal_reference(entries):
     """``_vertex_links`` against the per-vertex construction that it
     replaced: the facets through v less v, filtered by ``_maximal``, as
