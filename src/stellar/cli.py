@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import verify as verify_mod
 from .constructions import CorpusError, corpus, corpus_complex, klee_novik
-from .core import (Complex, ComplexError, _facet_lines, facet_hash,
-                   load_facets, read_text, save_facets)
+from .core import (Complex, ComplexError, _facet_lines, _worker_count,
+                   facet_hash, load_facets, read_text, save_facets)
 from .homology import FieldSpec, betti
 from .moves import (HypothesisViolation, canonical_ball, canonical_manifold,
                     ears, enumerate_bistellar, find_shelling,
@@ -373,7 +372,7 @@ def run(argv=None) -> int:
                   file=sys.stderr)
             return BADINPUT
     if getattr(args, "jobs", None) is not None:
-        args.jobs = min(args.jobs, os.cpu_count() or 1)
+        args.jobs = _worker_count(args.jobs)
     try:
         return args.fn(args)
     except BudgetError as exc:

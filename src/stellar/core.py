@@ -7,6 +7,7 @@ complexes are immutable after construction.
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
 from collections import Counter
 from functools import reduce
@@ -389,9 +390,10 @@ def _vertex_links(X: Complex) -> list[list[int]]:
 
 def star(X: Complex, face: Iterable[int]) -> Complex:
     fm = mask_of(face)
-    if not X.has_face(fm):
+    st = [f for f in X.facet_masks if f & fm == fm]
+    if not st:
         raise NotAFaceError(f"{X.names_of_mask(fm)} is not a face")
-    return _rebuild(X.names, [f for f in X.facet_masks if f & fm == fm])
+    return _rebuild(X.names, st)
 
 
 def antistar(X: Complex, x: int) -> Complex:
@@ -542,6 +544,13 @@ def _components(vert_masks, edge_masks) -> int:
             parent[ra] = rb
             n -= 1
     return n
+
+
+def _worker_count(jobs: int) -> int:
+    """``jobs`` capped at ``os.cpu_count()`` (1 if unknown); below 1, RangeError."""
+    if jobs < 1:
+        raise RangeError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _map_jobs(fn, tasks: list, jobs: int) -> list:

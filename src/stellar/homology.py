@@ -7,11 +7,14 @@ Chain bases are faces as bitmasks, so chain spaces of an induced
 subcomplex embed in those of the ambient complex with no reindexing.
 
 Every Betti number, absolute or relative, comes from one routine,
-``_boundary_ranks``: beta_i = n_i - rank d_i - rank d_{i+1}.  It reduces
-the boundary maps from the top dimension down and clears: a face that is
-the pivot row of a reduced column one dimension up has a column that
-reduces to zero, so it is never built (Chen & Kerber, EuroCG 2011).  Of
-the faces left, most are apparent pivots: the largest face of the
+``_boundary_ranks``: beta_i = n_i - rank d_i - rank d_{i+1}.  A pair
+(K, L) goes through it as the complex K u wL, the cone over L from a new
+vertex w glued to K: its reduced chain complex is the mapping cone of
+C~(L) -> C~(K), so its reduced Betti numbers are H_i(K, L).  The routine
+reduces the boundary maps from the top dimension down and clears: a face
+that is the pivot row of a reduced column one dimension up has a column
+that reduces to zero, so it is never built (Chen & Kerber, EuroCG 2011).
+Of the faces left, most are apparent pivots: the largest face of the
 boundary of f is f less its lowest vertex, with entry +1, and when no
 smaller face has claimed that row, f claims it without its column being
 built.  ``exactlinalg.rank`` reduces the other faces against these and
@@ -138,10 +141,9 @@ def _boundary_col_signed(face: int) -> dict[int, int]:
     return col
 
 
-def _two_entry_pivots(faces, rows, field: FieldSpec) -> set[int] | None:
-    """The pivot rows of the boundary map on the chains of ``faces``, rows
-    restricted to ``rows`` (None: every boundary face), or None once a row
-    meets a third column.
+def _two_entry_pivots(faces, field: FieldSpec) -> set[int] | None:
+    """The pivot rows of the boundary map on the chains of ``faces``, or
+    None once a row meets a third column.
 
     Row r is a pivot row of the column-reduced map iff it is not in the
     span of the rows above it, so the pivot rows are the greedy row basis
@@ -162,14 +164,13 @@ def _two_entry_pivots(faces, rows, field: FieldSpec) -> set[int] | None:
             low = g & -g
             r = f ^ low
             g ^= low
-            if rows is None or r in rows:
-                e = meets.get(r)
-                if e is None:
-                    meets[r] = [c, sign]
-                elif len(e) == 2:
-                    e += (c, sign)
-                else:
-                    return None
+            e = meets.get(r)
+            if e is None:
+                meets[r] = [c, sign]
+            elif len(e) == 2:
+                e += (c, sign)
+            else:
+                return None
             sign = -sign
     comp = list(range(len(faces)))  # the component of each column
     signs = [1] * len(faces)  # its sign s within the component
@@ -204,86 +205,68 @@ def _two_entry_pivots(faces, rows, field: FieldSpec) -> set[int] | None:
     return pivots
 
 
-def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec,
-                    relative: bool = False) -> list[int]:
+def _boundary_ranks(faces_by_dim: list[list[int]], field: FieldSpec) -> list[int]:
     """ranks[i] = rank of the boundary map on the chains of
-    ``faces_by_dim[i]``, for 2 <= i < len(faces_by_dim), or 1 <= i when
-    ``relative``; the list has len(faces_by_dim) + 1 entries, 0 elsewhere.
-    ``relative``: a boundary face outside the family is dropped, so the
-    chains are taken modulo the subcomplex the family leaves out.
+    ``faces_by_dim[i]``, for 2 <= i < len(faces_by_dim); the list has
+    len(faces_by_dim) + 1 entries, 0 elsewhere.  A pair of complexes
+    comes as the faces of its mapping cone (``_cone_faces``).
 
     The maps are reduced from the top down, with clearing: a face that is
     the pivot row of a reduced column of the map one dimension up is the
     largest face of a boundary z with d(z) = 0, so its own column is a
     combination of columns of smaller faces and is skipped.  That needs
-    only d o d = 0, over any field and for relative chains too, and the
-    ranks are exact (Chen & Kerber, "Persistent homology computation with
-    a twist", EuroCG 2011).
+    only d o d = 0, over any field, and the ranks are exact (Chen &
+    Kerber, "Persistent homology computation with a twist", EuroCG 2011).
 
     Of the faces left, in ascending order, each whose largest boundary
-    face (the largest kept in the family, for relative chains) is no
-    pivot row yet claims it as an apparent pivot, unbuilt, and ``rank``
-    reduces the others.  Every echelon form of a map has the same set of
-    pivot rows, so clearing skips the same faces.  The first map has
-    nothing cleared; when faces are left over there and no row meets
-    more than two of its columns (every ridge of a closed
+    face is no pivot row yet claims it as an apparent pivot, unbuilt, and
+    ``rank`` reduces the others.  Every echelon form of a map has the
+    same set of pivot rows, so clearing skips the same faces.  The first
+    map has nothing cleared; when faces are left over there and no row
+    meets more than two of its columns (every ridge of a closed
     pseudomanifold), ``_two_entry_pivots`` gives its pivot rows instead."""
     ranks = [0] * (len(faces_by_dim) + 1)
     cleared: dict | set = {}
-    for i in range(len(faces_by_dim) - 1, 0 if relative else 1, -1):
-        rows = set(faces_by_dim[i - 1]) if relative else None
+    for i in range(len(faces_by_dim) - 1, 1, -1):
         pivots: dict = {}
         rest = []
         for f in faces_by_dim[i]:
             if f in cleared:
                 continue
             low = f ^ (f & -f)
-            if rows is not None and low not in rows:
-                low = next((g for g in (f ^ (1 << v) for v in bits(f))
-                            if g in rows), None)
-                if low is None:  # no boundary face kept: a zero column
-                    continue
             if low in pivots:
                 rest.append(f)
             else:
                 pivots[low] = f
         found = None
         if rest and i == len(faces_by_dim) - 1:
-            found = _two_entry_pivots(faces_by_dim[i], rows, field)
+            found = _two_entry_pivots(faces_by_dim[i], field)
         if found is not None:
             ranks[i], cleared = len(found), found
             continue
         cleared = {}  # let the map above's pivots go before columns are built
-        if rows is None:
-            build = _boundary_col_signed
-        else:
-            def build(f, rows=rows):
-                return {r: v for r, v in _boundary_col_signed(f).items()
-                        if r in rows}
-        rank([build(f) for f in rest], field, pivots, build)
+        rank([_boundary_col_signed(f) for f in rest], field, pivots,
+             _boundary_col_signed)
         ranks[i] = len(pivots)
         cleared = pivots
     return ranks
 
 
-def reduced_betti_of_faces(faces_by_dim: list[list[int]], field: FieldSpec,
-                           top: int) -> list[int]:
+def reduced_betti_of_faces(faces_by_dim: list[list[int]],
+                           field: FieldSpec) -> list[int]:
     """Reduced Betti numbers beta~_0..beta~_top of the complex whose faces
-    are given as bitmasks, ``faces_by_dim[t]`` the t-faces for t = 0..top.
-    Empty complex convention: beta~_0 = -1."""
-    out = [0] * (top + 1)
-    verts = faces_by_dim[0] if faces_by_dim else []
+    are given as bitmasks, ``faces_by_dim[t]`` the t-faces for t = 0..top,
+    top = len(faces_by_dim) - 1.  Empty complex convention: beta~_0 = -1.
+    d_0 is the augmentation, of rank 1, and d_1 has rank n_0 less the
+    number of components."""
+    verts = faces_by_dim[0]
     if not verts:
-        out[0] = -1
-        return out
+        return [-1] + [0] * (len(faces_by_dim) - 1)
     edges = faces_by_dim[1] if len(faces_by_dim) > 1 else []
-    comp = _components(verts, edges)
-    out[0] = comp - 1
     ranks = _boundary_ranks(faces_by_dim, field)
-    ranks[1] = len(verts) - comp
-    for i in range(1, top + 1):
-        out[i] = len(faces_by_dim[i]) - ranks[i] - ranks[i + 1]
-    return out
+    ranks[0], ranks[1] = 1, len(verts) - _components(verts, edges)
+    return [len(fs) - ranks[i] - ranks[i + 1]
+            for i, fs in enumerate(faces_by_dim)]
 
 
 def _faces_by_dim(X: Complex) -> list[list[int]]:
@@ -295,8 +278,7 @@ def betti(X: Complex, field: FieldSpec) -> BettiTable:
     if X.dim < 0:
         # the empty complex: reduced beta_0 = -1 by convention
         return BettiTable(field, (0,), (-1,))
-    d = X.dim
-    reduced = reduced_betti_of_faces(_faces_by_dim(X), field, d)
+    reduced = reduced_betti_of_faces(_faces_by_dim(X), field)
     beta = list(reduced)
     beta[0] += 1
     return BettiTable(field, tuple(beta), tuple(reduced))
@@ -306,12 +288,16 @@ def reduced_betti(X: Complex, field: FieldSpec) -> tuple[int, ...]:
     return betti(X, field).reduced
 
 
-def _relative_betti(X: Complex, keep, field: FieldSpec) -> list[int]:
-    """Betti numbers of a pair of subcomplexes of X whose relative chains
-    are spanned by the faces f of X with ``keep(f)``."""
-    rel = [[f for f in X.faces_of_dim(t) if keep(f)] for t in range(X.dim + 1)]
-    ranks = _boundary_ranks(rel, field, relative=True)
-    return [len(rel[i]) - ranks[i] - ranks[i + 1] for i in range(len(rel))]
+def _cone_faces(X: Complex, in_k, in_l) -> list[list[int]]:
+    """The faces by dimension of K u wL, w a new vertex (X.m), for the
+    subcomplexes K and L of X whose faces pass ``in_k`` and ``in_l``.  Its
+    reduced Betti numbers are H_i(K, L) (Hatcher, "Algebraic Topology",
+    2002, section 2.1).  Level t holds the t-faces of K and w joined to
+    the (t-1)-faces of L, whose empty face gives w alone."""
+    w = 1 << X.m
+    fbd = _faces_by_dim(X)
+    return [[f for f in k if in_k(f)] + [f | w for f in l if in_l(f)]
+            for k, l in zip(fbd + [[]], [[0]] + fbd)]
 
 
 def relative_betti(X: Complex, A, B, field: FieldSpec) -> list[int]:
@@ -320,7 +306,8 @@ def relative_betti(X: Complex, A, B, field: FieldSpec) -> list[int]:
     bmask = mask_of(B)
     if amask & ~bmask:
         raise InputError("relative_betti needs A to be a subset of B")
-    return _relative_betti(X, lambda f: not f & ~bmask and f & ~amask, field)
+    cone = _cone_faces(X, lambda f: not f & ~bmask, lambda f: not f & ~amask)
+    return reduced_betti_of_faces(cone, field)[:X.dim + 1]
 
 
 def relative_betti_pair(X: Complex, Y: Complex, field: FieldSpec) -> list[int]:
@@ -338,7 +325,8 @@ def relative_betti_pair(X: Complex, Y: Complex, field: FieldSpec) -> list[int]:
                              "ambient complex")
         yfacets.append(fm)
     yfaces = frozenset().union(*_levels(yfacets, Y.dim + 1))
-    return _relative_betti(X, lambda f: f not in yfaces, field)
+    cone = _cone_faces(X, lambda f: True, yfaces.__contains__)
+    return reduced_betti_of_faces(cone, field)[:X.dim + 1]
 
 
 def inclusion_injective(X: Complex, A, j: int, field: FieldSpec) -> bool:
@@ -420,4 +408,4 @@ def orientable(X: Complex, field: FieldSpec) -> bool:
         raise StructureError("orientability needs a closed connected pseudomanifold")
     if X.dim < 1:
         return betti(X, field).beta[X.dim] == 1
-    return len(X.facets) - len(_two_entry_pivots(X.facet_masks, None, field)) == 1
+    return len(X.facets) - len(_two_entry_pivots(X.facet_masks, field)) == 1

@@ -45,9 +45,9 @@ from operator import and_
 from .core import (Complex, ComplexError, InputError, RangeError,
                    StructureError, _classes, _face_counts, _map_jobs,
                    _mask_from_names, _maximal, _rebuild, _renumbered,
-                   _ridge_facets, _vertex_links, bits, boundary, dual_graph,
-                   facet_hash, ids_of, is_connected, is_closed_pseudomanifold,
-                   mask_of, popcount, submasks)
+                   _ridge_facets, _vertex_links, _worker_count, bits,
+                   boundary, dual_graph, facet_hash, ids_of, is_connected,
+                   is_closed_pseudomanifold, mask_of, popcount, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -908,12 +908,14 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
     renamed and validated against its own link, and it reports the
     representative's nodes, or exhausted if that search was.
 
-    With ``jobs`` > 1 the representatives' searches go to a
+    ``jobs`` below 1 is a RangeError, and above the CPU count is cut to
+    it.  With ``jobs`` > 1 the representatives' searches go to a
     ``multiprocessing`` pool with the platform's default start method,
-    when there are two or more.  Under ``spawn`` (macOS,
-    Windows) or ``forkserver`` (Linux from Python 3.14) each worker
-    re-imports the calling script, so a script that passes jobs > 1 must
-    make the call under ``if __name__ == "__main__":``."""
+    when there are two or more.  Under ``spawn`` (macOS, Windows) or
+    ``forkserver`` (Linux from Python 3.14) each worker re-imports the
+    calling script, so a script that passes jobs > 1 must make the call
+    under ``if __name__ == "__main__":``."""
+    jobs = _worker_count(jobs)
     if not is_connected(M):
         raise StructureError("W_k membership needs a connected complex")
     # numbered by from_facets on the facets in M's order, as the pins need

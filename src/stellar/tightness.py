@@ -45,9 +45,9 @@ from math import comb
 from operator import and_
 
 from .core import Complex, ComplexError, _automorphism_generators, \
-    _classes, _map_jobs, _rebuild, _ridge_facets, _vertex_links, bits, \
-    ids_of, is_closed_pseudomanifold, is_connected, link, neighbourliness, \
-    popcount
+    _classes, _map_jobs, _rebuild, _ridge_facets, _vertex_links, \
+    _worker_count, bits, ids_of, is_closed_pseudomanifold, is_connected, \
+    link, neighbourliness, popcount
 from .exactlinalg import rank
 from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
     _faces_by_dim, _inclusion_test, betti, is_homology_sphere, \
@@ -219,7 +219,7 @@ def _chunk_sums(args) -> list[list[int]]:
         j = amask.bit_count()
         for i, v in enumerate(reduced_betti_of_faces(
                 [[f for f in lst if not f & nota] for lst in faces_by_dim],
-                field, dim)):
+                field)):
             if v:
                 sums[i][j] += v * size
     return sums
@@ -299,11 +299,13 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     trivial, with ``jobs`` processes once there are at least 2^12
     classes.  The cap applies to m whichever path runs.
 
-    With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
+    ``jobs`` below 1 is a RangeError, and above the CPU count is cut to
+    it.  With ``jobs`` > 1 the work goes to a ``multiprocessing`` pool
     with the platform's default start method.  Under ``spawn`` (macOS,
     Windows) or ``forkserver`` (Linux from Python 3.14) each worker
     re-imports the calling script, so a script that passes jobs > 1 must
     make the call under ``if __name__ == "__main__":``."""
+    jobs = _worker_count(jobs)
     if X.dim < 0:
         return ()
     m, dim = X.m, X.dim

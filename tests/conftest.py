@@ -38,3 +38,26 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", spy)
     return started
+
+
+@pytest.fixture
+def stub_pool_sizes(monkeypatch):
+    """The worker counts asked of ``multiprocessing.Pool`` during the test,
+    in order, by a stub that maps in this process and starts none."""
+    asked = []
+
+    class StubPool:
+        def __init__(self, processes=None):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", StubPool)
+    return asked

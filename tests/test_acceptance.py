@@ -3,6 +3,7 @@ pass/fail line each."""
 import os
 
 from stellar import verify
+from stellar.tightness import CheckLine
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -48,6 +49,18 @@ def test_criterion_7_tightness():
 
 def test_criterion_8_lower_bounds():
     _run("8 lower-bound equalities", verify.criterion_8_lower_bounds)
+
+
+def test_criterion_8_reads_p23_from_the_battery(monkeypatch):
+    """The P23 rows are the battery's P23a and P23b lines on M(1,4) over
+    Z2, so a battery line that says otherwise fails its row."""
+    rows = verify.criterion_8_lower_bounds()
+    assert [r.detail for r in rows[2:]] == ["P23a: equality (beta_1(Z2)=1)",
+                                            "P23b: holds (21 >= 15)"]
+    monkeypatch.setattr(verify, "criterion_battery", lambda M, k, field: [
+        CheckLine("P23a", "holds"), CheckLine("P23b", "equality")])
+    assert [r.ok for r in verify.criterion_8_lower_bounds()] == \
+        [True, True, False, False]
 
 
 def test_criterion_9_identities():

@@ -1,4 +1,5 @@
 """Core complex representation and elementary constructions."""
+import os
 import re
 import warnings
 
@@ -7,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stellar import core
-from stellar.core import (Complex, InputError, NotAFaceError, StructureError,
-                          _classes, _dominated, _map_jobs, _maximal,
-                          _invariant, _rebuild, _ridge_facets, _vertex_links,
+from stellar.core import (Complex, InputError, NotAFaceError, RangeError,
+                          StructureError, _classes, _dominated, _map_jobs,
+                          _maximal, _invariant, _rebuild, _ridge_facets,
+                          _vertex_links, _worker_count,
                           antistar, are_isomorphic, bits, boundary,
                           connected_sum, dual_graph, facet_hash, format_facets,
                           induced, is_closed_pseudomanifold, is_pseudomanifold,
@@ -113,6 +115,21 @@ def test_star_antistar_partition(corp):
             sf, af = _face_names(st), _face_names(ast)
             assert sf | af == _face_names(X)
             assert sf & af == _face_names(lk)
+
+
+def test_star_reads_facets_not_the_face_index(corp):
+    """star filters the facets, as link does, and never builds the face
+    index; a non-face is refused by name."""
+    tor = corp["torus_7"].complex
+    X = Complex.from_facets(tor.facets_as_names())
+    assert X._faces_by_dim is None
+    for face in (["0"], ["0", "1"], list(X.facets_as_names()[0]), []):
+        want = {f for f in X.facet_name_set() if f >= set(face)}
+        assert star(X, mask(X, face)).facet_name_set() == want
+    assert len(star(X, mask(X, ["0"])).facets) == 6
+    with pytest.raises(NotAFaceError, match=r"\('0', '1', '2'\) is not a face"):
+        star(X, mask(X, ["0", "1", "2"]))
+    assert X._faces_by_dim is None
 
 
 def test_induced():
@@ -320,6 +337,16 @@ def test_classes_compare_only_equal_invariants(monkeypatch, d, n, seed):
     monkeypatch.setattr(core, "_isomorphism", spy)
     assert _classes(links) == want
     assert compared and all(_invariant(A) == _invariant(B) for A, B in compared)
+
+
+def test_worker_count_refuses_below_one_and_caps_at_cpu_count(monkeypatch):
+    for jobs in (0, -1):
+        with pytest.raises(RangeError, match=f"jobs must be at least 1, got {jobs}"):
+            _worker_count(jobs)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [_worker_count(j) for j in (1, 2, 3, 64)] == [1, 2, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+    assert _worker_count(5) == 1
 
 
 def test_map_jobs_starts_one_worker_per_task_at_most(pool_sizes):

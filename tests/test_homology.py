@@ -14,9 +14,9 @@ from stellar.constructions import (corpus, cross_polytope, klee_novik,
                                    random_stacked_ball, random_stacked_sphere,
                                    real_projective_plane_6, standard_ball,
                                    standard_sphere)
-from stellar.core import (Complex, InputError, antistar, bits, induced,
-                          is_closed_pseudomanifold, join, link, mask_of,
-                          submasks)
+from stellar.core import (Complex, InputError, _maximal, antistar, bits,
+                          induced, is_closed_pseudomanifold, join, link,
+                          mask_of, submasks)
 from stellar.exactlinalg import rank
 from stellar import homology
 from stellar.homology import (GF2, QQ, FieldSpec, _boundary_col_signed,
@@ -269,7 +269,7 @@ def test_cleared_ranks_match_uncleared(data, field):
     for fbd in families:
         cleared = _boundary_ranks(fbd, field)
         assert cleared[2:] == uncleared_ranks(fbd, field)[2:]
-        assert reduced_betti_of_faces(fbd, field, X.dim) == \
+        assert reduced_betti_of_faces(fbd, field) == \
             uncleared_reduced_betti(fbd, field, X.dim)
 
 
@@ -316,17 +316,21 @@ def test_apparent_pivots_are_not_built(monkeypatch):
         assert len(built) == len(set(built)) == 127 < 702
 
 
+def cone_family(X, bmask, cmask):
+    """The faces ``relative_betti`` ranks for the pair (X[B], X[C])."""
+    return homology._cone_faces(X, lambda f: not f & ~bmask,
+                                lambda f: not f & ~cmask)
+
+
 def pivot_row_families(data, X):
-    """(family, relative) pairs: X's faces, an induced subcomplex, and a
-    relative family, drawn as the clearing oracles draw them."""
+    """X's faces, an induced subcomplex, and the cone family of a pair,
+    drawn as the clearing oracles draw them."""
     fbd = _faces_by_dim(X)
     amask = subset_mask(data.draw, X)
     bmask = subset_mask(data.draw, X)
     cmask = bmask & subset_mask(data.draw, X)
-    return [(fbd, False),
-            ([[f for f in fs if not f & ~amask] for fs in fbd], False),
-            ([[f for f in fs if not f & ~bmask and f & ~cmask] for fs in fbd],
-             True)]
+    return [fbd, [[f for f in fs if not f & ~amask] for fs in fbd],
+            cone_family(X, bmask, cmask)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,32 +340,29 @@ def test_two_entry_pivots_match_elimination(data, field):
     ``pivots`` after ``rank`` on the full columns of a map; and
     ``_boundary_ranks`` gives the same ranks without it."""
     X = data.draw(st.one_of(sample_complexes(), st.just(RIDGE_IN_3)))
-    for fbd, relative in pivot_row_families(data, X):
+    for fbd in pivot_row_families(data, X):
         for i in range(1, len(fbd)):
-            rows = set(fbd[i - 1]) if relative else None
-            got = homology._two_entry_pivots(fbd[i], rows, field)
+            got = homology._two_entry_pivots(fbd[i], field)
             if got is None:
                 continue
             pivots = {}
-            rank([{r: v for r, v in _boundary_col_signed(f).items()
-                   if rows is None or r in rows} for f in fbd[i]],
-                 field, pivots)
+            rank([_boundary_col_signed(f) for f in fbd[i]], field, pivots)
             assert got == set(pivots)
-        ranks = _boundary_ranks(fbd, field, relative)
+        ranks = _boundary_ranks(fbd, field)
         with mock.patch.object(homology, "_two_entry_pivots",
                                lambda *args: None):
-            assert _boundary_ranks(fbd, field, relative) == ranks
+            assert _boundary_ranks(fbd, field) == ranks
 
 
 def test_two_entry_gate_reaches_both_outcomes():
     """The top map of RIDGE_IN_3 has a row in three columns; rp2_6 is
     closed and not orientable over Q, so an unbalanced cycle fills it."""
     for field in ORACLE_FIELDS:
-        assert homology._two_entry_pivots(RIDGE_IN_3.facet_masks, None,
+        assert homology._two_entry_pivots(RIDGE_IN_3.facet_masks,
                                           field) is None
     top = FIXED["rp2_6"].facet_masks
-    assert len(homology._two_entry_pivots(top, None, QQ)) == len(top)
-    assert len(homology._two_entry_pivots(top, None, GF2)) == len(top) - 1
+    assert len(homology._two_entry_pivots(top, QQ)) == len(top)
+    assert len(homology._two_entry_pivots(top, GF2)) == len(top) - 1
 
 
 def test_orientable_matches_top_betti(corp):
@@ -418,7 +419,8 @@ def test_cleared_relative_betti_matches_uncleared(data, field):
     ranks = uncleared_ranks(rel, field, relative=True)
     expect = [len(rel[i]) - ranks[i] - ranks[i + 1] for i in range(len(rel))]
     assert relative_betti(X, bits(amask), bits(bmask), field) == expect
-    assert _boundary_ranks(rel, field, relative=True) == ranks
+    cone = cone_family(X, bmask, amask)
+    assert _boundary_ranks(cone, field)[2:] == uncleared_ranks(cone, field)[2:]
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,6 +431,41 @@ def test_relative_betti_pair_matches_induced_pairs(data, field):
     A = list(bits(subset_mask(data.draw, X)))
     assert relative_betti_pair(X, induced(X, A), field) == \
         relative_betti(X, A, range(X.m), field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_relative_betti_pair_matches_uncleared_on_any_subcomplex(data, field):
+    """Y, the closure of a few faces of X drawn at random, is in general
+    not induced; the oracle ranks the relative chains, X's faces outside
+    Y, with no clearing and no cone."""
+    X = data.draw(sample_complexes())
+    faces = [f for fs in _faces_by_dim(X) for f in fs]
+    gens = data.draw(st.lists(st.sampled_from(faces), min_size=1, max_size=6))
+    Y = Complex.from_facets([X.names_of_mask(f) for f in _maximal(gens)])
+    yfaces = {s for g in gens for s in submasks(g)}
+    rel = [[f for f in fs if f not in yfaces] for fs in _faces_by_dim(X)]
+    ranks = uncleared_ranks(rel, field, relative=True)
+    expect = [len(rel[i]) - ranks[i] - ranks[i + 1] for i in range(len(rel))]
+    assert relative_betti_pair(X, Y, field) == expect
+
+
+def test_relative_betti_edge_pairs(corp):
+    """Modulo {∅} a pair gives the absolute Betti numbers, modulo itself
+    zeros, and the pair ({∅}, {∅}) gives none."""
+    empty = Complex.empty()
+    for X in (corp["torus_7"].complex, corp["rp2_6"].complex,
+              standard_ball(2), standard_sphere(3), Complex.from_facets("ab")):
+        everything = range(X.m)
+        for field in ORACLE_FIELDS:
+            beta = list(betti(X, field).beta)
+            assert relative_betti_pair(X, empty, field) == beta
+            assert relative_betti(X, [], everything, field) == beta
+            assert relative_betti_pair(X, X, field) == [0] * (X.dim + 1)
+            assert relative_betti(X, everything, everything, field) == \
+                [0] * (X.dim + 1)
+    for field in ORACLE_FIELDS:
+        assert relative_betti_pair(empty, empty, field) == []
 
 
 @pytest.mark.parametrize("name", ["torus_7", "rp2_6"])

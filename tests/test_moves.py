@@ -1,6 +1,7 @@
 """Bistellar/shelling engine, certificates and searches."""
 import hashlib
 import json
+import os
 import random
 import sys
 import warnings
@@ -566,6 +567,20 @@ def test_wk_membership(corp):
     # the search dead-ends deterministically
     rep = w_k_membership(cross_polytope(2), 0, budget=100)
     assert not rep.certified
+
+
+def test_wk_membership_jobs_refused_below_one_and_capped(monkeypatch,
+                                                         stub_pool_sizes):
+    """jobs < 1 is refused before any search; above the CPU count it is cut
+    to it: the 5 searches of this stacked 3-sphere ask a pool of 2 workers,
+    where 64 would ask for 5.  The stub pool maps in this process."""
+    M = random_stacked_sphere(3, 8, seed=0)
+    for jobs in (0, -1):
+        with pytest.raises(RangeError, match="jobs must be at least 1"):
+            w_k_membership(M, 1, jobs=jobs)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert w_k_membership(M, 1, jobs=64).verdict == "member"
+    assert stub_pool_sizes == [2]
 
 
 def test_wk_membership_pool_agrees(corp, pool_sizes):

@@ -1,4 +1,5 @@
 """Sigma/mu-vectors, Morse reports, tightness and the criterion battery."""
+import os
 import random
 import sys
 import tracemalloc
@@ -16,7 +17,8 @@ from stellar import tightness
 from stellar.constructions import (corpus, cross_polytope,
                                    random_stacked_ball, random_stacked_sphere,
                                    standard_ball, standard_sphere)
-from stellar.core import (Complex, _automorphism_generators, _face_counts,
+from stellar.core import (Complex, RangeError, _automorphism_generators,
+                          _face_counts,
                           _isomorphism, _maximal, _rebuild, antistar,
                           are_isomorphic, bits, ids_of, join, link, mask_of,
                           submasks)
@@ -41,7 +43,7 @@ def loop_table(X, field):
     sums = [[0] * (X.m + 1) for _ in range(X.dim + 1)]
     for amask in range(1 << X.m):
         induced = [[f for f in lst if not f & ~amask] for lst in faces_by_dim]
-        for i, v in enumerate(reduced_betti_of_faces(induced, field, X.dim)):
+        for i, v in enumerate(reduced_betti_of_faces(induced, field)):
             sums[i][amask.bit_count()] += v
     return sums
 
@@ -168,6 +170,23 @@ def test_sigma_parallel_agrees(corp, monkeypatch):
     monkeypatch.undo()
     assert _subset_sums(x, QQ) == serial
     assert _subset_sums(x, QQ, jobs=2) == serial
+
+
+def test_sigma_jobs_refused_below_one_and_capped(corp, monkeypatch,
+                                                  stub_pool_sizes):
+    """jobs < 1 is refused before any work, whether or not the classes
+    reach LARGE_LOOP; above the CPU count it is cut to it, so the 8,192
+    classes of this 4-sphere go to 4 * 2 chunks and a pool of 2, where 64
+    would ask for 64 workers.  The stub pool maps in this process."""
+    X = random_stacked_sphere(4, 13, seed=0)
+    for Y in (X, corp["torus_7"].complex):
+        for jobs in (0, -1):
+            with pytest.raises(RangeError, match="jobs must be at least 1"):
+                sigma_vector(Y, QQ, jobs=jobs)
+    assert stub_pool_sizes == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert sigma_vector(X, Z2, jobs=64) == sigma_vector(X, Z2)
+    assert stub_pool_sizes == [2]
 
 
 @settings(max_examples=40, deadline=None)
