@@ -32,11 +32,10 @@ the map below as the elimination's would.  On M_3_7 the elimination
 then builds 997 of the 6,974 columns that clearing leaves, none of them
 in the top map.
 
-The inclusion test needs only ranks too: with d = d_{j+1} of X,
-H_j(X[A]) -> H_j(X) is injective iff
-rank d - rank(d less the rows inside A) == rank(d restricted to X[A]),
-because the kernel of the map is B_j(X) ∩ C_j(X[A]) modulo B_j(X[A]).
-All ranks come from ``exactlinalg.rank``.
+The inclusion test is no separate computation: the exact sequence of
+the pair (X, X[A]) gives the dimension of the kernel of H_j(X[A]) ->
+H_j(X) from the Betti numbers of X[A], of X and of the pair.  So
+``exactlinalg.rank`` has one caller, ``_boundary_ranks``.
 """
 from __future__ import annotations
 
@@ -127,9 +126,6 @@ class BettiTable:
     field: FieldSpec
     beta: tuple[int, ...]      # beta_0 .. beta_d
     reduced: tuple[int, ...]   # reduced beta_0 .. beta_d
-
-    def euler(self) -> int:
-        return sum((-1) ** i * b for i, b in enumerate(self.beta))
 
 
 def _boundary_col_signed(face: int) -> dict[int, int]:
@@ -288,16 +284,22 @@ def reduced_betti(X: Complex, field: FieldSpec) -> tuple[int, ...]:
     return betti(X, field).reduced
 
 
+def _cone(K: list[list[int]], L: list[list[int]], w: int) -> list[list[int]]:
+    """The faces by dimension of K u wL, for the faces by dimension K of a
+    complex and L of a subcomplex, lists of equal length, and w the bit of
+    a new vertex above theirs.  Its reduced Betti numbers are H_i(K, L)
+    (Hatcher, "Algebraic Topology", 2002, section 2.1).  Level t holds the
+    t-faces of K and w joined to the (t-1)-faces of L, whose empty face
+    gives w alone; sorted levels give sorted levels."""
+    return [k + [f | w for f in l] for k, l in zip(K + [[]], [[0]] + L)]
+
+
 def _cone_faces(X: Complex, in_k, in_l) -> list[list[int]]:
-    """The faces by dimension of K u wL, w a new vertex (X.m), for the
-    subcomplexes K and L of X whose faces pass ``in_k`` and ``in_l``.  Its
-    reduced Betti numbers are H_i(K, L) (Hatcher, "Algebraic Topology",
-    2002, section 2.1).  Level t holds the t-faces of K and w joined to
-    the (t-1)-faces of L, whose empty face gives w alone."""
-    w = 1 << X.m
+    """``_cone`` of the subcomplexes K and L of X whose faces pass
+    ``in_k`` and ``in_l``, with w = X.m."""
     fbd = _faces_by_dim(X)
-    return [[f for f in k if in_k(f)] + [f | w for f in l if in_l(f)]
-            for k, l in zip(fbd + [[]], [[0]] + fbd)]
+    return _cone([[f for f in fs if in_k(f)] for fs in fbd],
+                 [[f for f in fs if in_l(f)] for fs in fbd], 1 << X.m)
 
 
 def relative_betti(X: Complex, A, B, field: FieldSpec) -> list[int]:
@@ -329,37 +331,36 @@ def relative_betti_pair(X: Complex, Y: Complex, field: FieldSpec) -> list[int]:
     return reduced_betti_of_faces(cone, field)[:X.dim + 1]
 
 
+def _exactness_defects(fbd: list[list[int]], reduced: list[int], amask: int,
+                       w: int, field: FieldSpec) -> list[int]:
+    """s_i = beta~_i(X[A]) + beta_i(X, X[A]) - beta~_i(X) for i = 0..top,
+    where ``fbd`` holds the faces by dimension of a nonempty complex X,
+    ``reduced`` its reduced Betti numbers, A the vertices of ``amask`` and
+    w the bit of a vertex above X's.  The exact sequence of the pair
+    gives s_i = k_i + k_{i-1}, where k_i is the dimension of the kernel of
+    H_i(X[A]) -> H_i(X) and k_{-1} = 0; in degree 0 the reduced numbers
+    differ from the plain ones by 1 on both sides, and X[A] = {∅} has
+    beta~_0 = -1.  So every k_i is 0 iff every s_i is."""
+    nota = ~amask
+    sub = [[f for f in fs if not f & nota] for fs in fbd]
+    rel = reduced_betti_of_faces(_cone(fbd, sub, w), field)
+    return [a + r - x for a, r, x in
+            zip(reduced_betti_of_faces(sub, field), rel, reduced)]
+
+
 def inclusion_injective(X: Complex, A, j: int, field: FieldSpec) -> bool:
-    """Is H_j(X[A]) -> H_j(X) injective?  Decided by three ranks of
-    d = d_{j+1} of X.  The kernel of the map is the meet
-    Z_j(X[A]) ∩ B_j(X) modulo B_j(X[A]), and since every boundary is a
-    cycle the meet is B_j(X) ∩ C_j(X[A]): the kernel of B_j(X) ->
-    C_j(X) / C_j(X[A]), the map d with the rows inside A dropped.  So the
-    map is injective iff
-    rank d - rank(d less the rows inside A) == rank(d restricted to X[A])."""
+    """Is H_j(X[A]) -> H_j(X) injective?  Its kernel has dimension
+    k_j = s_j - s_{j-1} + ... +- s_0 in the terms of
+    ``_exactness_defects``.  Those of degree <= j depend only on the
+    (j+1)-skeleton, so only faces of dimension <= j + 1 are built."""
     if j < 0 or j > X.dim:
         raise InputError(f"index {j} out of range")
-    return _inclusion_test(X, j, field)(mask_of(A))
-
-
-def _inclusion_test(X: Complex, j: int, field: FieldSpec):
-    """``inclusion_injective`` in degree j as a function of the vertex
-    mask of A: d_{j+1} and its rank do not depend on A, so they are built
-    once for every A tested."""
-    jfaces = X.faces_of_dim(j)
-    faces = list(X.faces_of_dim(j + 1))
-    cols = [_boundary_col_signed(f) for f in faces]
-    full = rank(cols, field)
-
-    def injective(amask: int) -> bool:
-        nota = ~amask
-        if all(f & nota for f in jfaces):  # X[A] has no j-faces
-            return True
-        outside = [{r: v for r, v in c.items() if r & nota} for c in cols]
-        inside = [c for f, c in zip(faces, cols) if not f & nota]
-        return full - rank(outside, field) == rank(inside, field)
-
-    return injective
+    fbd = [sorted(X.faces_of_dim(t)) for t in range(j + 2)]
+    k = 0
+    for s in _exactness_defects(fbd, reduced_betti_of_faces(fbd, field),
+                                mask_of(A), 1 << X.m, field)[:j + 1]:
+        k = s - k
+    return k == 0
 
 
 def is_homology_sphere(X: Complex, field: FieldSpec) -> bool:

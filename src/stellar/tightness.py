@@ -48,10 +48,8 @@ from .core import Complex, ComplexError, _automorphism_generators, \
     _classes, _map_jobs, _rebuild, _ridge_facets, _vertex_links, \
     _worker_count, bits, ids_of, is_closed_pseudomanifold, is_connected, \
     link, neighbourliness, popcount
-from .exactlinalg import rank
-from .homology import BettiTable, FieldSpec, _boundary_col_signed, \
-    _faces_by_dim, _inclusion_test, betti, is_homology_sphere, \
-    reduced_betti_of_faces
+from .homology import BettiTable, FieldSpec, _cone, _exactness_defects, \
+    _faces_by_dim, betti, is_homology_sphere, reduced_betti_of_faces
 from .vectors import f_vector, g_vector
 
 SIGMA_CAP = 16
@@ -353,39 +351,26 @@ def mu_via_pairs(X: Complex, field: FieldSpec,
                  cap: int | None = SIGMA_CAP) -> tuple[Fraction, ...]:
     """The covering-pair form of the mu-vector, valid for 2-neighbourly
     complexes: an average of relative Betti numbers beta_i(X[B], X[B-x])
-    over all pairs B, x in B.  Independent of mu_vector's code path."""
+    over all pairs B, x in B, each the reduced Betti numbers of the cone
+    of X[B] over X[B-x] (``homology._cone``).  The formula is independent
+    of mu_vector's links and sigmas; the rank kernel, ``_boundary_ranks``,
+    is the one both use."""
     if neighbourliness(X) < 2:
         raise ComplexError("mu_via_pairs needs a 2-neighbourly complex")
     m, d = X.m, X.dim
     if cap is not None and m > cap:
         raise BudgetError(f"pair enumeration on {m} vertices exceeds cap {cap}")
-    faces_by_dim = _faces_by_dim(X)
+    faces_by_dim, w = _faces_by_dim(X), 1 << m
     sums = [[0] * (m + 1) for _ in range(d + 1)]  # over |B| = j
     for bmask in range(1, 1 << m):
         j = popcount(bmask)
         notb = ~bmask
-        rel = []
-        for lst in faces_by_dim:
-            rel.append([f for f in lst if not f & notb])
+        K = [[f for f in fs if not f & notb] for fs in faces_by_dim]
         for x in bits(bmask):
-            xbit = 1 << x
-            ns = []
-            ranks = [0] * (d + 3)
-            per_dim = []
+            L = [[f for f in fs if not f >> x & 1] for fs in K]
+            rel = reduced_betti_of_faces(_cone(K, L, w), field)
             for i in range(d + 1):
-                per_dim.append([f for f in rel[i] if f & xbit])
-                ns.append(len(per_dim[i]))
-            for i in range(1, d + 1):
-                if not per_dim[i]:
-                    continue
-                # rows without x lie in X[B - x] and are dropped
-                cols = [{r: v for r, v in _boundary_col_signed(f).items()
-                         if r & xbit} for f in per_dim[i]]
-                ranks[i] = rank(cols, field)
-            for i in range(d + 1):
-                v = ns[i] - ranks[i] - ranks[i + 1]
-                if v:
-                    sums[i][j] += v
+                sums[i][j] += rel[i]
     return tuple(
         sum((Fraction(sums[i][j], m * comb(m - 1, j - 1))
              for j in range(1, m + 1)), Fraction(0))
@@ -404,7 +389,6 @@ class MuReport:
     weak_ok: bool                      # mu_j >= beta_j componentwise
     duality_ok: bool | None            # mu_{d-j} == mu_j (orientable closed)
     verdict: str                       # tight | not-tight | not-applicable
-    witness: tuple | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -414,7 +398,7 @@ class MuReport:
             "beta": list(self.beta.beta),
             "slack": [str(s) for s in self.morse_slack],
             "verdict": self.verdict,
-            "witnesses": list(self.witness) if self.witness else [],
+            "witnesses": [],  # kept so that the report keeps its keys
         }
 
     def to_json(self) -> str:
@@ -424,8 +408,8 @@ class MuReport:
 def morse_report(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
                  jobs: int = 1) -> MuReport:
     """Strong/weak Morse-inequality report.  The inequalities are only
-    guaranteed for 2-neighbourly complexes; other inputs get the verdict
-    "not-applicable" with the numbers still computed."""
+    guaranteed for 2-neighbourly complexes and a point; other inputs get
+    the verdict "not-applicable" with the numbers still computed."""
     d = X.dim
     bt = betti(X, field)
     sig = sigma_vector(X, field, cap, jobs)
@@ -440,15 +424,23 @@ def morse_report(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     duality = None
     if is_closed_pseudomanifold(X) and bt.beta[d] == 1:  # orientable
         duality = all(mu[d - j] == mu[j] for j in range(d + 1))
-    verdict = _p18(neighbourliness(X), lambda: mu, bt.beta)
+    verdict = _p18(_complete_edges(X), lambda: mu, bt.beta)
     return MuReport(field, sig, mu, bt, tuple(slack), weak_ok, duality, verdict)
 
 
-def _p18(nb: int, mu, beta: tuple[int, ...]) -> str:
-    """P18: "not-applicable" unless 2-neighbourly (nb >= 2), which makes
-    the 1-skeleton complete, hence connected; else "tight" iff mu = beta,
-    where ``mu()`` gives mu and is called only in that case."""
-    if nb < 2:
+def _complete_edges(X: Complex) -> bool:
+    """P18's hypothesis: X has a vertex and an edge on every two vertices,
+    so its 1-skeleton is complete, hence connected.  That is
+    2-neighbourliness, or a point, whose ``neighbourliness`` is capped
+    at 1."""
+    return X.m >= 1 and X.n_faces(1) == comb(X.m, 2)
+
+
+def _p18(complete: bool, mu, beta: tuple[int, ...]) -> str:
+    """P18: "not-applicable" unless ``complete`` (``_complete_edges``);
+    else "tight" iff mu = beta, where ``mu()`` gives mu and is called only
+    in that case."""
+    if not complete:
         return "not-applicable"
     return "tight" if list(mu()) == list(map(Fraction, beta)) else "not-tight"
 
@@ -469,7 +461,7 @@ def is_tight(X: Complex, field: FieldSpec, mode: str = "p18",
     mode "direct" checks injectivity of every induced inclusion in every
     degree (cost 2^m, cap 12 by default) and returns a violating
     (subset, degree) witness; mode "p18" uses the mu = beta criterion for
-    2-neighbourly complexes.
+    2-neighbourly complexes and a point (``_complete_edges``).
     """
     if mode == "direct":
         if cap is None:
@@ -478,20 +470,24 @@ def is_tight(X: Complex, field: FieldSpec, mode: str = "p18",
             raise BudgetError(f"direct tightness on {X.m} vertices exceeds cap {cap}")
         if not is_connected(X):
             return TightnessResult(False, mode, ((), 0))
-        tests = [_inclusion_test(X, j, field) for j in range(X.dim + 1)]
+        if X.dim < 0:
+            return TightnessResult(True, mode)
+        fbd = _faces_by_dim(X)
+        reduced = reduced_betti_of_faces(fbd, field)
         for amask in range(1 << X.m):
-            for j, injective in enumerate(tests):
-                if not injective(amask):
+            defects = _exactness_defects(fbd, reduced, amask, 1 << X.m, field)
+            for j, s in enumerate(defects):
+                if s:  # the first nonzero s_j is k_j, as k_{j-1} = 0
                     return TightnessResult(False, mode,
                                            (tuple(X.name_of(v) for v in bits(amask)), j))
         return TightnessResult(True, mode)
     if mode == "p18":
-        nb = neighbourliness(X)
-        if nb < 2:
+        complete = _complete_edges(X)
+        if not complete:
             return TightnessResult(False, mode)
         mu = mu_vector(X, field, SIGMA_CAP if cap is None else cap, jobs)
         beta = betti(X, field).beta
-        return TightnessResult(_p18(nb, lambda: mu, beta) == "tight", mode,
+        return TightnessResult(_p18(complete, lambda: mu, beta) == "tight", mode,
                                None, mu, beta)
     raise ComplexError(f"unknown tightness mode {mode!r}")
 
@@ -574,6 +570,7 @@ def criterion_battery(M: Complex, k: int, field: FieldSpec,
     f = f_vector(M)
     g = g_vector(M)
     nb = neighbourliness(M)
+    complete = _complete_edges(M)
     closed = is_closed_pseudomanifold(M)
     beta_f = betti(M, field).beta
     orient = beta_f[d] == 1 if closed else None  # homology.orientable
@@ -581,7 +578,7 @@ def criterion_battery(M: Complex, k: int, field: FieldSpec,
 
     def tight() -> bool:
         # is_tight(M, field, "p18"), with the battery's own mu and beta
-        return _p18(nb, get_mu, beta_f) == "tight"
+        return _p18(complete, get_mu, beta_f) == "tight"
 
     # -- mu/g relations for 2-neighbourly W_k members
     if wk_certified and nb >= 2 and d >= 2 * k >= 2:
@@ -630,7 +627,7 @@ def criterion_battery(M: Complex, k: int, field: FieldSpec,
     # -- W_1 tightness characterization
     if wk_certified and k == 1:
         t = tight()
-        rhs = nb >= 2 and bool(orient)
+        rhs = complete and bool(orient)
         if d != 3:
             ok = t == rhs
             lines.append(CheckLine("P22a", "holds" if ok else "fails",

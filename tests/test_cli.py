@@ -26,6 +26,14 @@ def test_tight_exit_codes(capsys):
     assert run(["tight", "corpus:rp2_6", "--field", "q"]) == 1
 
 
+def test_tight_on_a_single_vertex(capsys, tmp_path):
+    point = tmp_path / "point.txt"
+    point.write_text("a\n")
+    for mode in ("p18", "direct"):
+        assert run(["tight", str(point), "--mode", mode]) == 0
+        assert capsys.readouterr().out.startswith("tight: yes")
+
+
 def test_bad_input_exit_code(capsys, tmp_path):
     assert run(["fvec", "corpus:nothing"]) == 3
     assert run(["betti", "corpus:torus_7", "--field", "z6"]) == 3

@@ -111,8 +111,9 @@ def test_euler_poincare_on_corpus(corp, fields):
         f = f_vector(e.complex)
         chi = sum((-1) ** i * fi for i, fi in enumerate(f))
         for fld in fields:
-            bt = betti(e.complex, fld)
-            assert bt.euler() == chi, (e.name, str(fld))
+            beta = betti(e.complex, fld).beta
+            assert sum((-1) ** i * b for i, b in enumerate(beta)) == chi, \
+                (e.name, str(fld))
 
 
 def test_relative_betti_pair_ball_mod_boundary():
@@ -468,25 +469,37 @@ def test_relative_betti_edge_pairs(corp):
         assert relative_betti_pair(empty, empty, field) == []
 
 
+def reference_mu_via_pairs(X, field):
+    """The covering-pair average with no cone and no clearing: the
+    relative chains of (X[B], X[B-x]) are the faces of X[B] that contain
+    x, and each boundary map is ranked over all its columns with the rows
+    inside X[B-x] dropped."""
+    m, d = X.m, X.dim
+    sums = [[0] * (m + 1) for _ in range(d + 1)]
+    for bmask in range(1, 1 << m):
+        for x in bits(bmask):
+            xbit = 1 << x
+            rel = [[f for f in X.faces_of_dim(i) if not f & ~bmask and f & xbit]
+                   for i in range(d + 1)]
+            ranks = [0] * (d + 2)
+            for i in range(1, d + 1):
+                ranks[i] = rank([{r: v for r, v in _boundary_col_signed(f).items()
+                                  if r & xbit} for f in rel[i]], field)
+            for i in range(d + 1):
+                sums[i][bmask.bit_count()] += len(rel[i]) - ranks[i] - ranks[i + 1]
+    return tuple(sum((Fraction(sums[i][j], m * comb(m - 1, j - 1))
+                      for j in range(1, m + 1)), Fraction(0))
+                 for i in range(d + 1))
+
+
 @pytest.mark.parametrize("name", ["torus_7", "rp2_6"])
 def test_relative_pairs_give_mu_via_pairs(corp, name):
-    """The covering-pair average of relative Betti numbers, taken through
-    ``relative_betti``, equals ``mu_via_pairs``, which keeps its own
+    """``mu_via_pairs``, which takes each pair through the cone, equals
+    the average of the pairs' relative Betti numbers from row-dropped,
     uncleared ranks."""
     X = corp[name].complex
-    m, d = X.m, X.dim
     for field in ORACLE_FIELDS:
-        sums = [[0] * (m + 1) for _ in range(d + 1)]
-        for bmask in range(1, 1 << m):
-            B = list(bits(bmask))
-            for x in B:
-                rel = relative_betti(X, [v for v in B if v != x], B, field)
-                for i, v in enumerate(rel):
-                    sums[i][len(B)] += v
-        mu = tuple(sum((Fraction(sums[i][j], m * comb(m - 1, j - 1))
-                        for j in range(1, m + 1)), Fraction(0))
-                   for i in range(d + 1))
-        assert mu == mu_via_pairs(X, field)
+        assert mu_via_pairs(X, field) == reference_mu_via_pairs(X, field)
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,7 +508,8 @@ def test_euler_poincare_property(data, field):
     X = data.draw(sample_complexes())
     X = induced(X, bits(subset_mask(data.draw, X)))
     chi = sum((-1) ** i * fi for i, fi in enumerate(f_vector(X)))
-    assert betti(X, field).euler() == chi
+    beta = betti(X, field).beta
+    assert sum((-1) ** i * b for i, b in enumerate(beta)) == chi
 
 
 # -- the rank kernel against dense Gaussian elimination ----------------------
@@ -671,6 +685,27 @@ def test_inclusion_injective_matches_cycle_boundary_meet(corp):
                         X, bits(amask), j, field), (X.facets_as_names(), amask, j)
                     failures += not got
     assert failures > 0  # the inputs reach the non-injective case
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(ORACLE_FIELDS))
+def test_inclusion_injective_matches_cycle_boundary_meet_on_samples(data, field):
+    X = data.draw(sample_complexes())
+    A = list(bits(subset_mask(data.draw, X)))
+    for j in range(X.dim + 1):
+        assert inclusion_injective(X, A, j, field) == \
+            reference_inclusion_injective(X, A, j, field), (A, j)
+
+
+def test_inclusion_injective_on_a_point():
+    """H_0 of {∅} and of the point itself both go in injectively; the
+    second degree does not exist."""
+    point = Complex.from_facets([["a"]])
+    for field in ORACLE_FIELDS:
+        assert inclusion_injective(point, [], 0, field)
+        assert inclusion_injective(point, [0], 0, field)
+        with pytest.raises(InputError):
+            inclusion_injective(point, [0], 1, field)
 
 
 

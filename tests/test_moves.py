@@ -583,7 +583,8 @@ def test_wk_membership_jobs_refused_below_one_and_capped(monkeypatch,
     assert stub_pool_sizes == [2]
 
 
-def test_wk_membership_pool_agrees(corp, pool_sizes):
+def test_wk_membership_pool_agrees(corp, pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # jobs=2 on one CPU too
     M = corp["M_1_3"].complex
 
     def outcomes(jobs):

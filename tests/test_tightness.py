@@ -1025,6 +1025,30 @@ def test_p18_refutes_disconnected_inputs_by_neighbourliness():
             assert is_tight(X, fld, "p18") == tightness.TightnessResult(False, "p18")
 
 
+def test_tight_modes_agree_on_small_inputs():
+    """A point has a complete 1-skeleton, so P18 applies to it, and it is
+    tight: mu = beta = (1,).  {∅} stays refuted by the p18 mode (above)
+    and is tight in the direct mode, which has no inclusion to test."""
+    inputs = [(standard_ball(d), True) for d in range(4)]
+    inputs += [(Complex.from_facets(["ab"]), True),
+               (Complex.from_facets(["a", "b"]), False),
+               (standard_sphere(1), True)]
+    for X, tight in inputs:
+        for fld in (QQ, Z2):
+            for mode in ("direct", "p18"):
+                assert is_tight(X, fld, mode).tight == tight, \
+                    (X.facets_as_names(), str(fld), mode)
+    point = standard_ball(0)
+    assert is_tight(point, QQ, "p18") == tightness.TightnessResult(
+        True, "p18", None, (1,), (1,))
+    assert morse_report(point, Z2).verdict == "tight"
+    # W_1's characterization reads 2-neighbourliness by the same gate
+    assert "P22a: holds (tight=True, 2-neighbourly and orientable=True)" in \
+        map(str, criterion_battery(point, 1, QQ, wk_certified=True))
+    for fld in (QQ, Z2):
+        assert is_tight(Complex.empty(), fld, "direct").tight is True
+
+
 def test_tight_modes_agree(corp):
     for name in ("torus_7", "rp2_6", "lutz_S2_8", "M_1_2"):
         X = corp[name].complex
