@@ -49,30 +49,15 @@ def _vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def cmd_fvec(args):
-    X = _load(args.input)
-    print(f"f = {_vec(f_vector(X))}")
-    _emit_json(args, {"f": list(f_vector(X))})
+def cmd_vec(args, X, fld):
+    name = args.verb[0]
+    v = {"f": f_vector, "h": h_vector, "g": g_vector}[name](X)
+    print(f"{name} = {_vec(v)}")
+    _emit_json(args, {name: list(v)})
     return OK
 
 
-def cmd_hvec(args):
-    X = _load(args.input)
-    print(f"h = {_vec(h_vector(X))}")
-    _emit_json(args, {"h": list(h_vector(X))})
-    return OK
-
-
-def cmd_gvec(args):
-    X = _load(args.input)
-    print(f"g = {_vec(g_vector(X))}")
-    _emit_json(args, {"g": list(g_vector(X))})
-    return OK
-
-
-def cmd_betti(args):
-    X = _load(args.input)
-    fld = FieldSpec.parse(args.field)
+def cmd_betti(args, X, fld):
     bt = betti(X, fld)
     print(f"betti({fld}) = {_vec(bt.beta)}")
     _emit_json(args, {"field": str(fld), "beta": list(bt.beta),
@@ -80,18 +65,14 @@ def cmd_betti(args):
     return OK
 
 
-def cmd_sigma(args):
-    X = _load(args.input)
-    fld = FieldSpec.parse(args.field)
+def cmd_sigma(args, X, fld):
     sig = sigma_vector(X, fld, cap=args.cap, jobs=args.jobs)
     print(f"sigma({fld}) = {_vec(sig)}")
     _emit_json(args, {"field": str(fld), "sigma": [str(s) for s in sig]})
     return OK
 
 
-def cmd_mu(args):
-    X = _load(args.input)
-    fld = FieldSpec.parse(args.field)
+def cmd_mu(args, X, fld):
     rep = morse_report(X, fld, cap=args.cap, jobs=args.jobs)
     print(f"mu({fld}) = {_vec(rep.mu)}")
     print(f"beta({fld}) = {_vec(rep.beta.beta)}")
@@ -100,9 +81,7 @@ def cmd_mu(args):
     return OK
 
 
-def cmd_tight(args):
-    X = _load(args.input)
-    fld = FieldSpec.parse(args.field)
+def cmd_tight(args, X, fld):
     res = is_tight(X, fld, mode=args.mode, cap=args.cap, jobs=args.jobs)
     if res.mode == "p18" and res.mu is not None:
         detail = f"mu = {_vec(res.mu)}, beta = {_vec(res.beta)}"
@@ -118,8 +97,7 @@ def cmd_tight(args):
     return OK if res.tight else REFUTED
 
 
-def cmd_moves(args):
-    X = _load(args.input)
+def cmd_moves(args, X, fld):
     mvs = enumerate_bistellar(X)
     print(f"{len(mvs)} admissible bistellar moves of positive index "
           f"(0-moves are available at every one of the {len(X.facets)} facets)")
@@ -130,8 +108,7 @@ def cmd_moves(args):
     return OK
 
 
-def cmd_stellate(args):
-    X = _load(args.input)
+def cmd_stellate(args, X, fld):
     print(f"# seed={args.seed}")
     out = stellation_search(X, args.k, budget=args.budget, seed=args.seed)
     print(f"status: {out.status}; nodes: {out.nodes}")
@@ -144,8 +121,7 @@ def cmd_stellate(args):
     return OK if out.found else EXHAUSTED
 
 
-def cmd_shellcheck(args):
-    X = _load(args.input)
+def cmd_shellcheck(args, X, fld):
     if args.order:
         order = _facet_lines(read_text(args.order))
     elif args.input == "corpus:lutz_B2":
@@ -165,8 +141,7 @@ def cmd_shellcheck(args):
     return OK
 
 
-def cmd_shellfind(args):
-    X = _load(args.input)
+def cmd_shellfind(args, X, fld):
     out = find_shelling(X, budget=args.budget)
     print(f"status: {out.status}; nodes: {out.nodes}")
     if out.found:
@@ -179,8 +154,7 @@ def cmd_shellfind(args):
     return {"found": OK, "none": REFUTED, "exhausted": EXHAUSTED}[out.status]
 
 
-def cmd_ears(args):
-    X = _load(args.input)
+def cmd_ears(args, X, fld):
     es = ears(X)
     print(f"{len(es)} ear(s)")
     for e in es:
@@ -189,8 +163,7 @@ def cmd_ears(args):
     return OK
 
 
-def cmd_stacked(args):
-    X = _load(args.input)
+def cmd_stacked(args, X, fld):
     ok = is_k_stacked_ball(X, args.k)
     tree = is_1_stacked_via_tree(X) if args.k == 1 else None
     print(f"{args.k}-stacked: {'yes' if ok else 'no'}"
@@ -199,18 +172,10 @@ def cmd_stacked(args):
     return OK if ok else REFUTED
 
 
-def cmd_canonical_ball(args):
-    return _canonical(args, canonical_ball)
-
-
-def cmd_canonical_manifold(args):
-    return _canonical(args, canonical_manifold)
-
-
-def _canonical(args, fn):
-    X = _load(args.input)
+def cmd_canonical(args, X, fld):
+    build = canonical_ball if args.verb == "canonical-ball" else canonical_manifold
     try:
-        out = fn(X, args.k)
+        out = build(X, args.k)
     except HypothesisViolation as exc:
         print(f"hypothesis violated: {exc}")
         return REFUTED
@@ -224,8 +189,7 @@ def _canonical(args, fn):
     return OK
 
 
-def cmd_wk(args):
-    X = _load(args.input)
+def cmd_wk(args, X, fld):
     print(f"# seed={args.seed}")
     rep = w_k_membership(X, args.k, budget=args.budget, seed=args.seed,
                          jobs=args.jobs)
@@ -238,7 +202,7 @@ def cmd_wk(args):
     return OK if rep.certified else EXHAUSTED
 
 
-def cmd_kn(args):
+def cmd_kn(args, X, fld):
     mbar, m = klee_novik(args.k, args.d)
     print(f"Mbar({args.k},{args.d}): {len(mbar.facets)} facets, f = {_vec(f_vector(mbar))}")
     print(f"M({args.k},{args.d}):    {len(m.facets)} facets, f = {_vec(f_vector(m))}")
@@ -252,7 +216,7 @@ def cmd_kn(args):
     return OK
 
 
-def cmd_corpus(args):
+def cmd_corpus(args, X, fld):
     if args.action == "list":
         for name, e in sorted(corpus().items()):
             print(f"{name:16s} m={e.complex.m:3d} dim={e.complex.dim} "
@@ -279,8 +243,7 @@ def cmd_corpus(args):
     return BADINPUT
 
 
-def cmd_identities(args):
-    X = _load(args.input)
+def cmd_identities(args, X, fld):
     ds = check_dehn_sommerville(X)
     kl = check_klee(X)
     print(f"dehn-sommerville residuals: {_vec(ds.residuals)}  "
@@ -292,7 +255,7 @@ def cmd_identities(args):
     return OK if kl.all_zero else REFUTED
 
 
-def cmd_verify_paper(args):
+def cmd_verify_paper(args, X, fld):
     ok = verify_mod.run_all(jobs=args.jobs)
     return OK if ok else REFUTED
 
@@ -328,9 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add("fvec", cmd_fvec)
-    add("hvec", cmd_hvec)
-    add("gvec", cmd_gvec)
+    for verb in ("fvec", "hvec", "gvec"):
+        add(verb, cmd_vec)
     add("betti", cmd_betti, field=True)
     add("sigma", cmd_sigma, field=True, cap=True, jobs=True)
     add("mu", cmd_mu, field=True, cap=True, jobs=True)
@@ -344,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("shellfind", cmd_shellfind, budget=True)
     add("ears", cmd_ears)
     add("stacked", cmd_stacked, k="required")
-    add("canonical-ball", cmd_canonical_ball, k="required", save=True)
-    add("canonical-manifold", cmd_canonical_manifold, k="required", save=True)
+    for verb in ("canonical-ball", "canonical-manifold"):
+        add(verb, cmd_canonical, k="required", save=True)
     add("wk", cmd_wk, k="required", budget=True, seed=True, jobs=True)
     p = add("kn", cmd_kn, inputs=False, k="required", save=True)
     p.add_argument("--d", type=int, required=True)
@@ -374,7 +336,9 @@ def run(argv=None) -> int:
     if getattr(args, "jobs", None) is not None:
         args.jobs = _worker_count(args.jobs)
     try:
-        return args.fn(args)
+        X = _load(args.input) if "input" in args else None
+        fld = FieldSpec.parse(args.field) if "field" in args else None
+        return args.fn(args, X, fld)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXHAUSTED

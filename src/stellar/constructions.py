@@ -149,10 +149,10 @@ def random_stacked_ball(d: int, n_facets: int, seed: int = 0) -> Complex:
 
     The ridge is drawn from the boundary ridges in lexicographic order of
     their vertex ids, and the ids are those ``Complex.from_facets`` gives
-    the facets so far followed by the new one, as ``moves.replay_shelling``
-    builds it.  As in ``random_stacked_sphere``, the moves are replayed on
-    plain tuples with that numbering, the boundary ridges are kept by
-    vertex name, and the complex is built once at the end.  The
+    the facets so far followed by the new one; the pinned balls depend on
+    that numbering.  As in ``random_stacked_sphere``, the moves are
+    replayed on plain tuples with that numbering, the boundary ridges are
+    kept by vertex name, and the complex is built once at the end.  The
     renumbering moves most vertices at almost every step, so a step still
     sorts the facets and the boundary ridges once.
     """

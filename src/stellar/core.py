@@ -55,10 +55,6 @@ def ids_of(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask
@@ -177,11 +173,10 @@ class Complex:
     pure facet list and compares a facet only with the facets through
     its lowest vertex otherwise.  The private ``Complex._checked`` builds
     the same fields without these checks, for a caller that already knows
-    its facets to be distinct, increasing id tuples of one size (so none
-    contains another) over every id: ``moves.apply_bistellar`` uses it for
-    the result of a checked move on a pure complex.  The complex whose only
-    face is the empty set is represented with a single empty facet and
-    ``dim == -1``.
+    its facets to be distinct, increasing id tuples, none inside another,
+    over every id: ``moves.apply_bistellar`` uses it for the result of a
+    checked move.  The complex whose only face is the empty set is
+    represented with a single empty facet and ``dim == -1``.
 
     Two caches are built lazily and never change what a query returns:
     the face index ``_faces_by_dim``, and ``_moves``, the bistellar move
@@ -214,8 +209,8 @@ class Complex:
     def _checked(cls, names: Sequence[str],
                  facets: Sequence[Sequence[int]]) -> "Complex":
         """``Complex(names, facets)`` without its checks, for a caller
-        that knows the facets to be distinct, increasing id tuples of one
-        size that use every id 0..m-1, and the names to be distinct."""
+        that knows the facets to be distinct increasing id tuples over
+        every id 0..m-1, none inside another, and the names distinct."""
         norm = sorted(facets)
         bit = [1 << i for i in range(len(names))].__getitem__
         X = object.__new__(cls)
@@ -301,7 +296,7 @@ class Complex:
 
     def has_face(self, face: Iterable[int] | int) -> bool:
         mask = face if isinstance(face, int) else mask_of(face)
-        return mask in self._index()[popcount(mask) - 1 + 1] if popcount(mask) <= self.dim + 1 else False
+        return mask in self._index()[mask.bit_count()] if mask.bit_count() <= self.dim + 1 else False
 
     def facets_as_names(self) -> list[tuple[str, ...]]:
         return [tuple(self.names[v] for v in f) for f in self.facets]
@@ -593,7 +588,7 @@ def connected_sum(X: Complex, Y: Complex, sigma_x: Iterable[int],
     """
     sx = mask_of(sigma_x)
     sy = mask_of(sigma_y)
-    if popcount(sx) != popcount(sy):
+    if sx.bit_count() != sy.bit_count():
         raise InputError("gluing faces must have equal dimension")
     x_facet = sx in X.facet_masks
     y_facet = sy in Y.facet_masks

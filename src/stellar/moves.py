@@ -47,7 +47,7 @@ from .core import (Complex, ComplexError, InputError, RangeError,
                    _mask_from_names, _maximal, _rebuild, _renumbered,
                    _ridge_facets, _vertex_links, _worker_count, bits,
                    boundary, dual_graph, facet_hash, ids_of, is_connected,
-                   is_closed_pseudomanifold, mask_of, popcount, submasks)
+                   is_closed_pseudomanifold, mask_of, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -368,8 +368,9 @@ def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
     kept = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
     added = [sorted((alpha - {str(a)}) | beta) for a in mv.alpha]
     names, facets = _renumbered(X.names, kept, added)
-    # a checked move on a pure complex gives distinct facets of one size
-    Y = (Complex._checked if X.is_pure() else Complex)(names, facets)
+    # a checked move gives distinct facets, none inside another: a kept
+    # facet inside a new one would contain beta, which is not a face of X
+    Y = Complex._checked(names, facets)
     state, X._moves = X._moves, None
     if state is not None:
         state.advance(mv)
@@ -466,7 +467,7 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
                 "the would-be free face is already present")
         steps.append(ShellingMove(B_target.names_of_mask(sigma & ~tmask),
                                   B_target.names_of_mask(tmask),
-                                  popcount(tmask) - 1))
+                                  tmask.bit_count() - 1))
         yfaces.update(submasks(sigma))
     h = h_vector(B_target)
     counts = [0] * (d + 2)
@@ -481,18 +482,17 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
 
 def replay_shelling(start: Complex, steps) -> Complex:
     """Adjoin the facet alpha + beta of each step, checking that the step
-    is the shelling step ``_present_ridges`` finds.  The face set is kept
-    over ids of its own, one per name in order of appearance.
+    is the shelling step ``_present_ridges`` finds.
 
     Before any step is replayed, a start that is not pure, and a step
     whose index is not |beta| - 1, whose facet size differs from the
     start's or that repeats a vertex, is a ``MoveError``.  The facets then
     all have one size, and a step whose facet is already a face fails the
     step test, so every step adds a new facet that contains no other.  The
-    result is ``Complex.from_facets`` of the facets so far (in id order)
-    and the new one, step after step, as its ids depend on that numbering;
-    the numbering is replayed on plain tuples (``core._renumbered``) and
-    the complex is built once, at the end."""
+    steps act on facet masks and one face set over ids of their own: the
+    start's ids, then a new id for each new name in the order the steps
+    first use it; the complex is built once, at the end, with those ids.
+    """
     steps = tuple(steps)
     if not start.is_pure():
         raise MoveError("shelling replay needs a pure start")
@@ -505,19 +505,17 @@ def replay_shelling(start: Complex, steps) -> Complex:
             raise MoveError(f"move {mv} has inconsistent index")
         if len(set(entry)) != len(entry):
             raise MoveError(f"move {mv} repeats a vertex")
-    names, facets = list(start.names), list(start.facets)
-    ids = dict(zip(start.names, range(start.m)))
-    faces = set().union(*map(submasks, start.facet_masks))
+    ids, facets = dict(start._id_of), list(start.facet_masks)
+    faces = set().union(*map(submasks, facets))
     for mv in steps:
         am, bm = (mask_of(ids.setdefault(str(v), len(ids)) for v in part)
                   for part in (mv.alpha, mv.beta))
         sigma = am | bm
         if _present_ridges(sigma, faces) != bm or bm in faces:
             raise MoveError(f"invalid shelling step {mv}")
-        names, facets = _renumbered(names, facets, [(*mv.alpha, *mv.beta)])
-        facets.sort()
+        facets.append(sigma)
         faces.update(submasks(sigma))
-    return Complex(names, facets)
+    return _rebuild(list(ids), facets)
 
 
 def _peeling(masks):

@@ -44,10 +44,10 @@ from functools import lru_cache, reduce
 from math import comb
 from operator import and_
 
-from .core import Complex, ComplexError, _automorphism_generators, \
-    _classes, _map_jobs, _rebuild, _ridge_facets, _vertex_links, \
-    _worker_count, bits, ids_of, is_closed_pseudomanifold, is_connected, \
-    link, neighbourliness, popcount
+from .core import Complex, ComplexError, RangeError, \
+    _automorphism_generators, _classes, _map_jobs, _rebuild, _ridge_facets, \
+    _vertex_links, _worker_count, bits, ids_of, is_closed_pseudomanifold, \
+    is_connected, link, neighbourliness
 from .homology import BettiTable, FieldSpec, _cone, _exactness_defects, \
     _faces_by_dim, betti, is_homology_sphere, reduced_betti_of_faces
 from .vectors import f_vector, g_vector
@@ -363,7 +363,7 @@ def mu_via_pairs(X: Complex, field: FieldSpec,
     faces_by_dim, w = _faces_by_dim(X), 1 << m
     sums = [[0] * (m + 1) for _ in range(d + 1)]  # over |B| = j
     for bmask in range(1, 1 << m):
-        j = popcount(bmask)
+        j = bmask.bit_count()
         notb = ~bmask
         K = [[f for f in fs if not f & notb] for fs in faces_by_dim]
         for x in bits(bmask):
@@ -513,6 +513,8 @@ def sigma_g_report(S: Complex, k: int, field: FieldSpec, certified: bool,
     bounds below index k-1 and equalities from k-1 up.  Without a
     stellatedness certificate the verdict is not-applicable (the paper
     gives no guidance for uncertified inputs)."""
+    if k < 0:
+        raise RangeError(f"k={k} must be at least 0")
     lines: list[CheckLine] = []
     d = S.dim
     if not certified or d < 2 * k - 1:
@@ -564,6 +566,8 @@ def criterion_battery(M: Complex, k: int, field: FieldSpec,
     never decides that itself.  Each line reports whether the hypothesis
     applies and whether the conclusion holds, with exact arithmetic.
     """
+    if k < 0:
+        raise RangeError(f"k={k} must be at least 0")
     lines: list[CheckLine] = []
     d = M.dim
     n = M.m

@@ -28,12 +28,9 @@ def h_from_f(f: tuple[int, ...], d: int) -> tuple[int, ...]:
 
 
 def g_from_f(f: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """g_j = sum_{i=-1}^{j-1} (-1)^(j-i-1) C(d-i+1, j-i-1) f_i, 0 <= j <= d+1."""
-    full = (1,) + tuple(f)
-    return tuple(
-        sum((-1) ** (j - i - 1) * comb(d - i + 1, j - i - 1) * full[i + 1]
-            for i in range(-1, j))
-        for j in range(d + 2))
+    """g_0 = h_0 and g_j = h_j - h_{j-1}, 1 <= j <= d+1, with h = h_from_f(f, d)."""
+    h = h_from_f(f, d)
+    return h[:1] + tuple(b - a for a, b in zip(h, h[1:]))
 
 
 def f_from_g(d: int, g: tuple[int, ...]) -> tuple[int, ...]:
@@ -168,6 +165,8 @@ def w_k_gvector_relations(X: Complex, k: int) -> WkGvectorReport:
     """Check the determined part of the g-vector of a W_k(d) member and,
     for even d >= 2k, the Euler characteristic formula."""
     d = X.dim
+    if not 0 <= k <= d:
+        raise RangeError(f"k={k} out of range 0..{d}")
     g = g_vector(X)
     gk1 = Fraction(g[k + 1], comb(d + 2, k + 1))
     residuals = tuple(

@@ -1,5 +1,6 @@
 """CLI surface: verbs, exit codes, deterministic JSON."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -243,6 +244,157 @@ def test_verify_paper_exit_codes(capsys, monkeypatch):
 def test_moves_verb(capsys):
     assert run(["moves", "corpus:S3_16"]) == 0
     assert "0 admissible" in capsys.readouterr().out
+
+EMPTY = "e3b0c44298fc1c14"  # the digest of no output
+ARGPARSE = "argparse"  # stderr is argparse's usage text; see below
+
+# one row per invocation: argv, exit code, and the first 16 hex digits of
+# the SHA-256 of stdout, of stderr and of the --json file (None: no file)
+CLI_PINS = [
+    ("fvec corpus:torus_7 --json r.json", 0,
+     "d1a3ee494c87c3e3", EMPTY, "d6178d7a1d963a94"),
+    ("hvec corpus:lutz_S3_8 --json r.json", 0,
+     "62be82c5357f0207", EMPTY, "c2b76cd0a3415f66"),
+    ("gvec corpus:M_1_3 --json r.json", 0,
+     "0e1373f58444e6aa", EMPTY, "a26b18731099adc3"),
+    ("betti corpus:rp2_6 --field z2 --json r.json", 0,
+     "d97ade09394896a3", EMPTY, "848164ad4c84eda1"),
+    ("betti corpus:rp2_6", 0,
+     "4e53507240c5d9bf", EMPTY, None),
+    ("sigma corpus:torus_7 --field z3 --json r.json", 0,
+     "a4d29253041eb9cc", EMPTY, "501d3c5554b0593d"),
+    ("sigma corpus:torus_7 --cap 0", 2,
+     EMPTY, "74f63587c9de356b", None),
+    ("mu corpus:torus_7 --json r.json", 0,
+     "bcf9c1699407fee9", EMPTY, "fb2abc4aab03fc8c"),
+    ("mu corpus:rp2_6 --field z2 --json r.json", 0,
+     "72ac6223c9b03d7e", EMPTY, "e1c7eb6918f1c624"),
+    ("tight corpus:torus_7 --json r.json", 0,
+     "39959186a861904a", EMPTY, "84c86f0a51ffd1b8"),
+    ("tight corpus:rp2_6 --json r.json", 1,
+     "f7961ff0bbf62c1b", EMPTY, "0e9a80c8dafa71f9"),
+    ("tight corpus:rp2_6 --mode direct --json r.json", 1,
+     "edd0196c12c2fb75", EMPTY, "7e74b7969aea1605"),
+    ("moves corpus:lutz_S2_8 --json r.json", 0,
+     "e8dca4aef2311cd2", EMPTY, "65de58a6b2710cdb"),
+    ("moves corpus:S3_16", 0,
+     "4c2b17a7e1ec5acd", EMPTY, None),
+    ("stellate corpus:lutz_S3_8 --k 2 --json r.json", 0,
+     "d13d09948d42edaf", EMPTY, "000fa6662c60cf99"),
+    ("stellate corpus:lutz_S2_8 --k 1 --seed 3", 0,
+     "150bae04d0fd56e0", EMPTY, None),
+    ("stellate corpus:S3_16 --k 3 --budget 100 --json r.json", 2,
+     "8853502c5c34b3ba", EMPTY, "931cf295390b8cb8"),
+    ("shellcheck corpus:lutz_B2 --json r.json", 0,
+     "f1f78aed4c102a47", EMPTY, "22f82b0dd21352d6"),
+    ("shellcheck corpus:lutz_B1 --order order.txt --json r.json", 1,
+     "35da3a11b7b2682f", EMPTY, None),
+    ("shellcheck corpus:lutz_B2 --order bad.fct", 3,
+     EMPTY, "64ca8180995d9f25", None),
+    ("shellcheck corpus:torus_7", 3,
+     EMPTY, "bd07265e28a5445f", None),
+    ("shellfind corpus:lutz_B2 --json r.json", 0,
+     "8753d50bea368b4d", EMPTY, "f76b47e8a10751a2"),
+    ("shellfind corpus:ziegler_B2 --json r.json", 1,
+     "70d0447d856b0aa5", EMPTY, "708c34838ec9f1a0"),
+    ("shellfind corpus:lutz_B2 --budget 0", 2,
+     "e6b8c2b4243d8907", EMPTY, None),
+    ("shellfind pinched.fct", 1,
+     "70d0447d856b0aa5", EMPTY, None),
+    ("ears corpus:ziegler_B2 --json r.json", 0,
+     "fc9e3750a8d82ace", EMPTY, "620724d541114ee8"),
+    ("ears corpus:lutz_B1", 0,
+     "0053ae1818579240", EMPTY, None),
+    ("stacked corpus:lutz_B1 --k 1 --json r.json", 0,
+     "44db4f5655b8780c", EMPTY, "33965cb26b8b2eed"),
+    ("stacked corpus:B4_16 --k 1", 1,
+     "c6876f154462ee3f", EMPTY, None),
+    ("stacked corpus:B4_16 --k 2 --json r.json", 0,
+     "85c534475d2025ca", EMPTY, "3fe2a703df13b253"),
+    ("canonical-ball corpus:lutz_S2_8 --k 1 --save ball.fct --json r.json", 0,
+     "7b7d2bd1b4a08def", EMPTY, "10cb8efdc82793e8"),
+    ("canonical-ball corpus:torus_7 --k 1 --json r.json", 1,
+     "772345c7417f0709", EMPTY, None),
+    ("canonical-ball corpus:lutz_S2_8 --k -1", 3,
+     EMPTY, "858e43b8a5e125ec", None),
+    ("canonical-manifold corpus:M_1_4 --k 1 --save mbar.fct --json r.json", 0,
+     "7924919b4c46caaa", EMPTY, "61001105117c3bc6"),
+    ("canonical-manifold corpus:M_1_2 --k 1", 3,
+     EMPTY, "77f354305a0cf63b", None),
+    ("wk corpus:M_1_2 --k 1 --json r.json", 0,
+     "8dc5c7e3d5a284d0", EMPTY, "66295c39140c3daa"),
+    ("wk corpus:S3_16 --k 1 --budget 10 --json r.json", 2,
+     "a0d85194a9fd798f", EMPTY, "d94c93dbf7a5394d"),
+    ("kn --k 1 --d 3 --save m.fct --save-mbar mbar.fct --json r.json", 0,
+     "36f3169160352470", EMPTY, "dc68f052642ffa03"),
+    ("corpus list", 0,
+     "ca53916151c55c2c", EMPTY, None),
+    ("corpus verify", 0,
+     "639cb9772ea14ed5", EMPTY, None),
+    ("corpus export torus_7 t7.fct", 0,
+     "4afb0d5ba1937fb3", EMPTY, None),
+    ("corpus export torus_7", 3,
+     EMPTY, "b59c95ab32e24026", None),
+    ("identities corpus:S3_16 --json r.json", 0,
+     "c9966754e7e46686", EMPTY, "9ad9fce79d498516"),
+    ("identities pinched.fct --json r.json", 1,
+     "074fa4ea45117adc", EMPTY, "2059c7f70e0969b4"),
+    ("identities corpus:rp2_6", 0,
+     "71686fc808127954", EMPTY, None),
+    ("fvec missing.fct", 3,
+     EMPTY, "2098f449e4286874", None),
+    ("fvec corpus:nothing", 3,
+     EMPTY, "a2de863e6c6f68f4", None),
+    ("betti bad.fct", 3,
+     EMPTY, "64ca8180995d9f25", None),
+    ("betti corpus:torus_7 --field z4", 3,
+     EMPTY, "3cb64c00b941dc74", None),
+    ("sigma corpus:torus_7 --jobs 0", 3,
+     EMPTY, "0eedd0c4dc258f92", None),
+    ("sigma corpus:torus_7 --cap -1", 3,
+     EMPTY, "0f8401fb1843094e", None),
+    ("stellate corpus:lutz_S3_8 --k 1 --budget -1", 3,
+     EMPTY, "5d85b152b3916c5f", None),
+    ("fvec", 3,
+     EMPTY, ARGPARSE, None),
+    ("frobnicate corpus:torus_7", 3,
+     EMPTY, ARGPARSE, None),
+]
+
+
+@pytest.fixture
+def cli_workdir(tmp_path, monkeypatch):
+    """A working directory holding the rows' input files, so every path a
+    message names is relative."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pinched.fct").write_text("a b f\na b c\na c d\nc d e\nd e f\n")
+    (tmp_path / "bad.fct").write_bytes(b"1 2 3\n2 3 \xff\n")
+    (tmp_path / "order.txt").write_text("1 2 3\n")
+    return tmp_path
+
+
+def _digest(data):
+    return None if data is None else hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_cli_outputs_pinned(cli_workdir, capsys):
+    """Every verb but verify-paper, every exit code from 0 to 3 and the
+    input-error paths give pinned stdout, stderr and --json bytes.  The
+    wording of argparse's own errors varies between Python versions and
+    terminal widths, so those rows pin stderr's first word only."""
+    report = cli_workdir / "r.json"
+    for argv, code, out_pin, err_pin, json_pin in CLI_PINS:
+        got = run(argv.split())
+        out, err = capsys.readouterr()
+        written = report.read_bytes() if report.exists() else None
+        report.unlink(missing_ok=True)
+        assert got == code, argv
+        assert _digest(out.encode()) == out_pin, argv
+        if err_pin is ARGPARSE:
+            assert err.startswith("usage: "), argv
+        else:
+            assert _digest(err.encode()) == err_pin, argv
+        assert _digest(written) == json_pin, argv
 
 
 # facet text with the separators the parser treats specially: line and

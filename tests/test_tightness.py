@@ -31,6 +31,7 @@ from stellar.tightness import (BudgetError, _ball_closure, _byte_tables,
                                is_tight, morse_report, mu_vector,
                                mu_via_pairs, p23_bounds, sigma_g_report,
                                sigma_vector)
+from stellar.vectors import w_k_gvector_relations
 
 Z2 = FieldSpec.prime(2)
 ORACLE_FIELDS = (QQ, Z2, FieldSpec.prime(3))
@@ -1102,6 +1103,20 @@ def test_sigma_g_report_kn_link(corp):
     lk = link(corp["M_2_4"].complex, (0,))
     lines = sigma_g_report(lk, 2, QQ, certified=True)
     assert all(l.status == "holds" for l in lines)
+
+
+@pytest.mark.parametrize("X, k", [
+    (standard_sphere(2), -2), (standard_sphere(2), -1),
+    (standard_sphere(2), 3), (Complex.empty(), 0)])
+def test_out_of_range_k_is_a_range_error(X, k):
+    """The W_k g-vector relations need 0 <= k <= dim, the sigma/g report
+    and the battery k >= 0; any other k is refused before any work."""
+    with pytest.raises(RangeError, match=f"k={k}"):
+        w_k_gvector_relations(X, k)
+    if k < 0:
+        for check in (sigma_g_report, criterion_battery):
+            with pytest.raises(RangeError, match=f"k={k}"):
+                check(X, k, QQ, True)
 
 
 def test_p23_bounds_m14(corp):
