@@ -195,8 +195,8 @@ def cmd_wk(args, X, fld):
                          jobs=args.jobs)
     print(f"W_{args.k} membership: {rep.verdict}")
     for name, out in rep.per_vertex.items():
-        extra = f"{out.certificate.length} moves" if out.found else "exhausted"
-        print(f"  link of {name}: {out.status} ({extra})")
+        extra = f" ({out.certificate.length} moves)" if out.found else ""
+        print(f"  link of {name}: {out.status}{extra}")
     _emit_json(args, {"k": args.k, "verdict": rep.verdict,
                       "links": {n: o.status for n, o in rep.per_vertex.items()}})
     return OK if rep.certified else EXHAUSTED
@@ -233,14 +233,13 @@ def cmd_corpus(args, X, fld):
                 print(f"error: {exc}", file=sys.stderr)
             print(f"[{'FAIL' if name in failed else 'ok'}] {name}")
         return REFUTED if failed else OK
-    if args.action == "export":
-        if not args.name or not args.path:
-            print("corpus export NAME PATH", file=sys.stderr)
-            return BADINPUT
-        save_facets(corpus_complex(args.name), args.path, header=args.name)
-        print(f"wrote {args.path}")
-        return OK
-    return BADINPUT
+    # argparse admits no action but list, verify and export
+    if not args.name or not args.path:
+        print("corpus export NAME PATH", file=sys.stderr)
+        return BADINPUT
+    save_facets(corpus_complex(args.name), args.path, header=args.name)
+    print(f"wrote {args.path}")
+    return OK
 
 
 def cmd_identities(args, X, fld):

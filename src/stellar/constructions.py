@@ -9,13 +9,14 @@ Each entry is built, and its face vector checked, on its first read.
 """
 from __future__ import annotations
 
+import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 
 from .core import (Complex, ComplexError, InputError, RangeError,
-                   _facet_lines, _renumbered, boundary, join)
+                   _facet_lines, boundary, join)
 from .vectors import f_vector
 
 
@@ -118,62 +119,44 @@ def moebius_torus_7() -> Complex:
 
 
 def random_stacked_sphere(d: int, m: int, seed: int = 0) -> Complex:
-    """A stacked d-sphere on m vertices grown by random 0-moves.
-
-    Each 0-move subdivides a facet drawn from the facets in the order of
-    their vertex ids, and the ids are those ``Complex.from_facets`` gives
-    the result of the move, as ``moves.apply_bistellar`` builds it.  The
-    moves are replayed on plain tuples with that numbering, and the
-    complex is built once at the end.
-    """
-    import random
-
-    if d < 0 < m:
-        raise RangeError("a stacked sphere with a vertex needs d >= 0")
+    """A stacked d-sphere on m vertices grown by random 0-moves, each on
+    a facet drawn uniformly from a list that it leaves by a swap with the
+    last, so the run is linear in m.  Only m = d + 2 is stacked for d = 0,
+    as a 0-move on S^0 replaces a point; (d, m) = (-1, 0) gives the empty
+    complex, and any other m below d + 2 is a RangeError."""
+    if (d, m) == (-1, 0):
+        return Complex.empty()
+    if d < 0 or m < d + 2 or (d == 0 and m > 2):
+        raise RangeError(f"no stacked {d}-sphere has {m} vertices")
     rng = random.Random(seed)
-    X = standard_sphere(d)
-    names, facets = list(X.names), list(X.facets)
-    while len(names) < m:
+    facets = list(combinations(range(1, d + 3), d + 1))
+    for new in range(d + 3, m + 1):
         i = rng.randrange(len(facets))
-        facet = [names[v] for v in facets[i]]
-        new = {str(len(names) + 1)}
-        added = [sorted(set(facet) - {a} | new) for a in facet]
-        names, facets = _renumbered(names, facets[:i] + facets[i + 1:], added)
-        facets.sort()
-    return Complex(names, facets)
+        old = facets[i]
+        facets[i] = facets[-1]
+        facets.pop()
+        facets.extend(tuple(v for v in old if v != u) + (new,) for u in old)
+    return Complex.from_facets(facets)
 
 
 def random_stacked_ball(d: int, n_facets: int, seed: int = 0) -> Complex:
     """A stacked d-ball, d >= 1, grown by random index-0 shelling moves
-    (attach a fresh vertex over a random boundary ridge).
-
-    The ridge is drawn from the boundary ridges in lexicographic order of
-    their vertex ids, and the ids are those ``Complex.from_facets`` gives
-    the facets so far followed by the new one; the pinned balls depend on
-    that numbering.  As in ``random_stacked_sphere``, the moves are
-    replayed on plain tuples with that numbering, the boundary ridges are
-    kept by vertex name, and the complex is built once at the end.  The
-    renumbering moves most vertices at almost every step, so a step still
-    sorts the facets and the boundary ridges once.
-    """
-    import random
-
+    (attach a fresh vertex over a boundary ridge drawn uniformly from a
+    list that it leaves by a swap with the last), in time linear in
+    ``n_facets``."""
     if d < 1:
         raise RangeError("stacked ball needs d >= 1")
     rng = random.Random(seed)
-    X = standard_ball(d)
-    names, facets = list(X.names), list(X.facets)
-    bd = {frozenset(r) for r in combinations(names, d)}
-    while len(facets) < n_facets:
-        id_of = dict(zip(names, range(len(names)))).__getitem__
-        ridges = sorted(sorted(map(id_of, r)) for r in bd)
-        ridge = [names[v] for v in ridges[rng.randrange(len(ridges))]]
-        new = str(len(names) + 1)
-        names, facets = _renumbered(names, facets, [ridge + [new]])
-        facets.sort()
-        bd.remove(frozenset(ridge))
-        bd.update(frozenset(r + (new,)) for r in combinations(ridge, d - 1))
-    return Complex(names, facets)
+    facets = [tuple(range(1, d + 2))]
+    free = list(combinations(facets[0], d))
+    for new in range(d + 2, d + n_facets + 1):
+        i = rng.randrange(len(free))
+        ridge = free[i]
+        free[i] = free[-1]
+        free.pop()
+        facets.append(ridge + (new,))
+        free.extend(tuple(v for v in ridge if v != x) + (new,) for x in ridge)
+    return Complex.from_facets(facets)
 
 
 # -- the corpus ---------------------------------------------------------------

@@ -140,30 +140,6 @@ def _mask_from_names(ids: dict[str, int], names: Iterable[object]) -> int:
     return mask
 
 
-def _renumbered(names: Sequence[str], kept: Sequence[Sequence[int]],
-                added: Iterable[Sequence[object]]) -> tuple[list[str], list[tuple[int, ...]]]:
-    """The names, and the facets as increasing id tuples in input order,
-    of a facet list made of ``kept``, each a tuple of increasing ids into
-    ``names`` (so listed by its names in id order), followed by ``added``,
-    each a sequence of names, with ids given in first-occurrence order.
-
-    This is the one numbering rule: ``Complex.from_facets`` applies it to
-    its input.  Nothing is parsed and nothing is checked, so a caller that
-    builds a complex from the result must know that no entry repeats or
-    contains another.
-    """
-    order = dict.fromkeys(chain.from_iterable(kept))
-    new_id = [0] * len(names)
-    for i, v in enumerate(order):
-        new_id[v] = i
-    ids = {names[v]: i for i, v in enumerate(order)}
-    renamed = map(map, repeat(new_id.__getitem__), kept)
-    facets = list(map(tuple, map(sorted, renamed)))
-    for f in added:
-        facets.append(tuple(sorted([ids.setdefault(str(t), len(ids)) for t in f])))
-    return list(ids), facets
-
-
 class Complex:
     """An immutable finite abstract simplicial complex, stored by facets.
 
@@ -175,8 +151,9 @@ class Complex:
     the same fields without these checks, for a caller that already knows
     its facets to be distinct, increasing id tuples, none inside another,
     over every id: ``moves.apply_bistellar`` uses it for the result of a
-    checked move.  The complex whose only face is the empty set is
-    represented with a single empty facet and ``dim == -1``.
+    checked move, which keeps the ids of the complex it came from.  The
+    complex whose only face is the empty set is represented with a single
+    empty facet and ``dim == -1``.
 
     Two caches are built lazily and never change what a query returns:
     the face index ``_faces_by_dim``, and ``_moves``, the bistellar move
@@ -238,26 +215,28 @@ class Complex:
     def from_facets(facet_list: Sequence[Sequence[object]]) -> "Complex":
         """Build a complex from vertex-name lists, one facet per entry.
 
-        Names are assigned dense ids in first-occurrence order
-        (``_renumbered``).  Entries dominated by another entry are dropped
-        with a warning, and the ids left unused are compacted
+        Names are assigned dense ids in first-occurrence order; no other
+        constructor numbers names.  Entries dominated by another entry are
+        dropped with a warning, and the ids left unused are compacted
         (``_rebuild``); a repeated vertex inside one entry is an error.
         """
         if not facet_list:
             raise InputError("empty facet list")
-        entries = [[str(t) for t in entry] for entry in facet_list]
-        for toks in entries:
+        ids: dict[str, int] = {}
+        raw = []
+        for entry in facet_list:
+            toks = [str(t) for t in entry]
             if not toks:
                 raise InputError("empty facet in input")
             if len(set(toks)) != len(toks):
                 raise InputError(f"duplicate vertex within facet {toks}")
-        names, raw = _renumbered((), (), entries)
+            raw.append(tuple(sorted([ids.setdefault(t, len(ids)) for t in toks])))
         keep = _maximal(map(mask_of, raw))
         if len(keep) == len(raw):
-            return Complex(names, raw)
+            return Complex(list(ids), raw)
         warnings.warn(f"dropped {len(raw) - len(keep)} inclusion-dominated "
                       "input facet(s)", stacklevel=2)
-        return _rebuild(names, keep)
+        return _rebuild(list(ids), keep)
 
     # -- basic queries ----------------------------------------------------
 

@@ -13,15 +13,14 @@ vertices (the cold path) and caches it in the complex's ``_moves`` slot:
 ``enumerate_bistellar`` asks for low = 1, the full state, and
 ``stellation_search`` for d-k+1 (a state never starts below 1).  A complex without a state, such as the
 second of two moves applied to one complex, or with one that starts
-above the index asked for, builds one cold.  ``apply_bistellar`` builds
-the result by replaying ``Complex.from_facets``' first-occurrence
-numbering on plain tuples, updates the state by the faces of alpha +
-beta, and hands it on to the result, clearing it from the complex it
-came from, so a chain of moves keeps one state alive.  On a pure complex
-the result skips the constructor's checks (``Complex._checked``): a
-checked move there gives distinct facets of one size, so none repeats or
-contains another.  A non-pure complex goes through the public
-constructor.  Each listing emits the held moves of the indices asked for
+above the index asked for, builds one cold.  ``apply_bistellar`` keeps
+the complex's ids (a 0-move's new vertex takes the next id, and an
+index-d move closes up the id of the vertex it deletes), updates the
+state by the faces of alpha + beta, and hands it on to the result,
+clearing it from the complex it came from, so a chain of moves keeps one
+state alive.  The result skips the constructor's checks
+(``Complex._checked``): a checked move gives distinct facets, none
+inside another.  Each listing emits the held moves of the indices asked for
 under the current complex's ids and sorts them once.  The admissibility
 check ``_check_bistellar`` scans the facets and never reads a state;
 ``replay_bistellar`` checks every step of a certificate with it on a set
@@ -44,10 +43,10 @@ from operator import and_
 
 from .core import (Complex, ComplexError, InputError, RangeError,
                    StructureError, _classes, _face_counts, _map_jobs,
-                   _mask_from_names, _maximal, _rebuild, _renumbered,
-                   _ridge_facets, _vertex_links, _worker_count, bits,
-                   boundary, dual_graph, facet_hash, ids_of, is_connected,
-                   is_closed_pseudomanifold, mask_of, submasks)
+                   _mask_from_names, _maximal, _rebuild, _ridge_facets,
+                   _vertex_links, _worker_count, bits, boundary, dual_graph,
+                   facet_hash, ids_of, is_connected, is_closed_pseudomanifold,
+                   mask_of, submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -135,8 +134,8 @@ class _MoveState:
     complex the state was built from, then one new number per vertex a
     0-move adds (``vname`` gives each number's name, and ``sid`` each
     name's latest number).  They are never renumbered, so a move touches
-    only the faces of alpha + beta, although ``from_facets``'
-    first-occurrence ids move at almost every step.
+    only the faces of alpha + beta, although an index-d move closes up
+    the ids of the complex.
 
     A move of index i has an alpha of d+1-i vertices, so the state keeps
     the window of faces of at most ``top`` = d+1-low vertices: ``star``
@@ -356,18 +355,24 @@ def _check_bistellar(d: int, ids: dict, facets, mv: BistellarMove) -> tuple[int,
 def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
     """Apply a checked bistellar move, returning the new complex.
 
-    The result is what ``Complex.from_facets`` gives the facets of X
-    without the star of alpha (in X's order, names in id order) followed
-    by alpha - a + beta for each a in ``mv.alpha`` (names sorted): its
-    first-occurrence numbering is replayed on plain tuples.  When X holds
-    a move state, the state is updated by the move and handed on to the
-    result, and X no longer holds it.
+    The result keeps X's ids: a 0-move's new vertex takes id m, and an
+    index-d move closes up the id of the vertex it deletes, so the ids
+    above it drop by one.  These are the ids ``replay_bistellar`` gives.
+    When X holds a move state, the state is updated by the move and
+    handed on to the result, and X no longer holds it.
     """
-    am, _ = _check_bistellar(X.dim, X._id_of, X.facet_masks, mv)
-    alpha, beta = set(map(str, mv.alpha)), set(map(str, mv.beta))
-    kept = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
-    added = [sorted((alpha - {str(a)}) | beta) for a in mv.alpha]
-    names, facets = _renumbered(X.names, kept, added)
+    am, bm = _check_bistellar(X.dim, X._id_of, X.facet_masks, mv)
+    names = list(X.names)
+    if mv.index == 0:
+        bm = 1 << X.m
+        names.append(str(mv.beta[0]))
+    u = am | bm
+    facets = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
+    facets += [ids_of(u ^ 1 << a) for a in bits(am)]
+    if am & (am - 1) == 0:  # the one vertex of alpha is in no facet now
+        v = am.bit_length() - 1
+        del names[v]
+        facets = [tuple(i - (i > v) for i in f) for f in facets]
     # a checked move gives distinct facets, none inside another: a kept
     # facet inside a new one would contain beta, which is not a face of X
     Y = Complex._checked(names, facets)
@@ -402,9 +407,9 @@ def replay_bistellar(start: Complex, steps) -> Complex:
     index-d move deleted earlier), and the complex is built once, at the
     end, with its ids compacted in increasing order.  A checked move makes
     no facet contain another, so the result equals the chain of
-    ``apply_bistellar`` calls as a labelled complex, and a bad step raises
-    what the chain raises there; only the ids can differ.  The replay
-    never reads or changes a move state.
+    ``apply_bistellar`` calls, names and facets alike, and a bad step
+    raises what the chain raises there.  The replay never reads or changes
+    a move state.
     """
     d, names, ids = start.dim, list(start.names), dict(start._id_of)
     facets = set(start.facet_masks)
@@ -916,9 +921,7 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
     jobs = _worker_count(jobs)
     if not is_connected(M):
         raise StructureError("W_k membership needs a connected complex")
-    # numbered by from_facets on the facets in M's order, as the pins need
-    links = [Complex.from_facets(list(map(M.names_of_mask, lk)))
-             for lk in _vertex_links(M)]
+    links = [_rebuild(M.names, lk) for lk in _vertex_links(M)]
     classes: list[tuple[int, list[int] | None]] = [(v, None) for v in range(M.m)]
     plain = [v for v, lk in enumerate(links) if not _is_standard_sphere(lk)]
     for v, (r, image) in zip(plain, _classes([links[v] for v in plain])):

@@ -280,7 +280,7 @@ CLI_PINS = [
     ("moves corpus:S3_16", 0,
      "4c2b17a7e1ec5acd", EMPTY, None),
     ("stellate corpus:lutz_S3_8 --k 2 --json r.json", 0,
-     "d13d09948d42edaf", EMPTY, "000fa6662c60cf99"),
+     "d13d09948d42edaf", EMPTY, "749d31a4c071595a"),
     ("stellate corpus:lutz_S2_8 --k 1 --seed 3", 0,
      "150bae04d0fd56e0", EMPTY, None),
     ("stellate corpus:S3_16 --k 3 --budget 100 --json r.json", 2,
@@ -324,7 +324,7 @@ CLI_PINS = [
     ("wk corpus:M_1_2 --k 1 --json r.json", 0,
      "8dc5c7e3d5a284d0", EMPTY, "66295c39140c3daa"),
     ("wk corpus:S3_16 --k 1 --budget 10 --json r.json", 2,
-     "a0d85194a9fd798f", EMPTY, "d94c93dbf7a5394d"),
+     "27e5d6aea3cc2848", EMPTY, "d94c93dbf7a5394d"),
     ("kn --k 1 --d 3 --save m.fct --save-mbar mbar.fct --json r.json", 0,
      "36f3169160352470", EMPTY, "dc68f052642ffa03"),
     ("corpus list", 0,

@@ -283,26 +283,24 @@ def test_d4_16_construction(corp):
     assert all("6'" in f for f in d4.facets_as_names())
 
 
-# SHA-256 of [names, facets_as_names()] of random_stacked_ball(d, n, seed),
-# as the ball was built when each step rebuilt the complex and recomputed
-# its boundary
+# SHA-256 of [names, facets_as_names()] of random_stacked_ball(d, n, seed)
 STACKED_BALL_PINS = {
-    (2, 60, 0): "357e233c7c0f46e065d4b3d35bfd49a9a5d7924c06c728eaa6e23c780119f821",
-    (2, 60, 1): "eb9427c215cda1356ff4c4d44c7e47c976889c0142844c34de3c264dfad4e139",
-    (2, 60, 2): "b035c5258ececeb25a041e18dc579197740f67f2b469e0c63bc94672caa9a532",
-    (2, 60, 3): "9db61e0ce92955b20ac28a7c7f068069f958ac18ff0d2853ab7fbf39ffdee25f",
-    (2, 60, 4): "f57982adf6cd171ca2e131811e38f9a96cbe5f5fa610174e7d3ae177818f9247",
-    (2, 60, 5): "b1d3f821e106af407c02f6c1c07f4bc4622385ef20f97bc034434e8b7c1e9c43",
-    (3, 60, 0): "14a70c93c20848e3e900ed254bdc561a6c61f2133930b2b24d4fcc792030fa08",
-    (3, 60, 1): "f71c5cc66a173d33e822e4a20abd8a3b90a98df4e2d38bf6450bce1214efaa97",
-    (3, 60, 2): "51bbfc8329cdc1e3c541e818d6c4624fd2d1780379a7524b38d418304a009cac",
-    (3, 60, 3): "50ef461ab0b0d04428670e1c7929a2899813d31e485979b229b0806e484b5301",
-    (3, 60, 4): "9be132108eb47cdc5bcf5d870cd86f4d75d717b4f1a46d840441af877b587ac4",
-    (3, 60, 5): "336d9a84037b21c3b398372c3f17863afe557654e7e46dd281b71d0969d827ee",
-    (1, 9, 3): "1def5ad4afc3a1c1b0c3a51d96daa312c48230a7eaea7045b375dee8ea8d9ca7",
-    (4, 30, 2): "e3e012e6ba9ef9afe2842b0ec70939d5a51002c052c77fa76006b3b90897c97a",
+    (2, 60, 0): "f5be0d60e759763fcb0d9e8dfd8cd1c3534713f9c50c4479a9199d57090aa7fd",
+    (2, 60, 1): "0a08e758438166331837e8b881501a09daeec829377a72aab52768906b8ac193",
+    (2, 60, 2): "37cc9a2026c3fc92a27debee5146fdbf58f6dde9dbb97e369764d3fe2d080a8a",
+    (2, 60, 3): "665dfb3c5be5fa7f2df4755d58c3da306ac038905446c345c835b34648e4c550",
+    (2, 60, 4): "2d6a655f919f06b2eab3c7870ed09ff4f487c583e248ccef0359036dbac5c328",
+    (2, 60, 5): "15bf748b3cf779baa9b32cb4d7a01dd42167d5038f45760acc3c226d3eb8b754",
+    (3, 60, 0): "25760b56224f80659937411bb140ea5e4ac9e61b49e44af05609f24db420ac00",
+    (3, 60, 1): "9aaca781b5e8e570a1a1f4a7d156546e2c349b2ad0279074d5fcb0fa44ead739",
+    (3, 60, 2): "4f001b25747953d2af8393f21e8c6f7836826abd0c3ec9be45b69d71809a689c",
+    (3, 60, 3): "152f1d9cfdba2a115c253879ec99e0d8eedc303b50c73454f6d42619bfe7d125",
+    (3, 60, 4): "e67c61a332cf4e05858f7f1c634d1f5fb41df176cd284eb8ea58691492c95886",
+    (3, 60, 5): "53a22427b5f66bb87e75d608a49c4ce150271d53a16e18d09268b7dc3432b393",
+    (1, 9, 3): "623e8043274f747b4f1fc0ed089da8f86a2e6a53296c173facd7e76da42d86cd",
+    (4, 30, 2): "ddc4c42d36d2386a9c1b29d8aaef593f6ae2d1f67673345d20097fde76d4ed39",
     (2, 1, 0): "4111b2d5198b35ab5c0cdaac813cf25a02dadb9d74d83c7779526bce27aecce8",
-    (3, 400, 7): "90e330399908f0f54948ee16b07b0ba96e099dc141b5c5f7341f732e9237ef72",
+    (3, 400, 7): "6e7ddaf61300d51bdb9a41b0c651b24bd1b50da8694d122e3ea6487c509368cc",
 }
 
 
@@ -322,22 +320,20 @@ def test_random_stacked_ball_needs_positive_dimension():
 
 
 # SHA-256 of [names, facets_as_names()] of random_stacked_sphere(d, m,
-# seed), as the sphere was built when each 0-move went through
-# apply_bistellar and Complex.from_facets
+# seed)
 STACKED_SPHERE_PINS = {
     (2, 5, 0): "ad3d1d3186a726f9788a8126b1c6a008a6322222521ec97bc2407cce3c9f2fb7",
-    (2, 12, 1): "ebc11efe40b469bac44a9de529f93d9156bd0cc12b6253aa4c785660ac4861a6",
-    (2, 40, 2): "fc79fa3bbcf6742deb1ee05d6cd62b34a977b68f75cbc4d1db9e9656e3d49eda",
-    (2, 100, 3): "e02781f154ab2d040860f22eaa2cc59ad58ee153f4a68004fd0178a684a2bb48",
+    (2, 12, 1): "579e787f3db0dd870560870da6cf7e81238c12b5bd6e622e4e9f1ee9b5fd966d",
+    (2, 40, 2): "3d126bff2df61e66dd05cc2f17e595f2db3e8676229322fd9fee55db383f176b",
+    (2, 100, 3): "8c4a1ddf377efe7d6c4a3a8683cabb167cccb9c56c3460de8754cc5c70c261c5",
     (3, 6, 0): "8ec27a4dc5d7e5b269aa5586d4b30f5d7b2e314ad91c3e73ecf029bdbc452881",
-    (3, 30, 1): "4b7fa835bc2e8037d556125bce5ded2a3a677811dbaaba32a7fa901a32f7456e",
-    (3, 60, 2): "7247fc8e168890bc94c80fffc75d2a487c95f4e2908431e9c2dd2abd06932f4c",
-    (3, 120, 4): "494078f25d8711303a8117801ffe5c374e809424581c8d1f0b3b4815c3d42549",
+    (3, 30, 1): "6bb2f94cb32e837f8ee4ee414e6a9d5cfd82177bae0094c16a4af6bf812e4234",
+    (3, 60, 2): "07cf5816e2067d109f80955addc92e9244ba0b48abe9ae623726918039efdef8",
+    (3, 120, 4): "85315af129f929754345c933f1093575072f3f0b73d74375623741046300ae17",
     (4, 7, 0): "0c9570d9a8dc5a5bb6068ab8bf2ae90a215b981c1206845c8e4a9b7b6191b7c1",
-    (4, 20, 5): "057688e6be2f8ca9cbea50b8045c1bb353e3a9273947bf0de973675218d859b9",
-    (4, 50, 6): "a42e2c7e4c4a88e46351d7d8e2d7e67332e1d98ef0c896e4e1aa7ec9068bd328",
-    (1, 9, 2): "1c2a8daf750332d4746423a4a0aff027abdcb70b191a6e6a5bb4e86264da9dba",
-    (3, 4, 0): "14f827928b16d5f3fb3939ed3b74be795f1c8465334b6e5c786f28972fa0dfb9",
+    (4, 20, 5): "bd7582d38fadf0687efa7cb3496c50d60bb4c0b6687939fb06aa51344e9c72c2",
+    (4, 50, 6): "c9420dc4a268912bec1876ee31d6cb5a8619eb3d0ad37d141b0c0f683e374c8b",
+    (1, 9, 2): "2f32ed0aba76977ad475db688a53fe74e1635b911eb9ddd338ad9fe015584780",
 }
 
 
@@ -347,10 +343,18 @@ def test_random_stacked_sphere_pinned(d, m, seed):
     digest = hashlib.sha256(
         json.dumps([list(S.names), S.facets_as_names()]).encode()).hexdigest()
     assert digest == STACKED_SPHERE_PINS[d, m, seed]
-    assert S.m == max(m, d + 2) and len(S.facets) == (d + 2) + (S.m - d - 2) * d
+    assert S.m == m and len(S.facets) == (d + 2) + (m - d - 2) * d
 
 
 def test_random_stacked_sphere_of_dimension_minus_one():
     assert random_stacked_sphere(-1, 0) == Complex.empty()
+
+
+@pytest.mark.parametrize("d,m", [(3, 4), (2, 3), (1, 0), (0, 1), (0, 3),
+                                 (0, 50), (-1, 1), (-2, 0)])
+def test_random_stacked_sphere_refuses_vertex_counts(d, m):
+    """A stacked d-sphere has d + 2 vertices, or more for d >= 1 only: a
+    0-move on S^0 replaces a point.  Any other count is refused before
+    the first move, so a count that no move reaches cannot hang."""
     with pytest.raises(RangeError):
-        random_stacked_sphere(-1, 1)
+        random_stacked_sphere(d, m)

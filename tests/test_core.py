@@ -411,10 +411,21 @@ def test_antichain_check_matches_quadratic_reference(entries):
         assert Complex([str(v) for v in ids], norm).facets == tuple(norm)
 
 
+@pytest.mark.parametrize("names,facets,message", [
+    (("a",), (), "at least one facet"),
+    (("a", "a"), ((0, 1),), "duplicate vertex names"),
+    (("a", "b"), ((0,),), "exactly 0..m-1"),
+    (("a",), ((0, 1),), "exactly 0..m-1"),
+])
+def test_constructor_refusals(names, facets, message):
+    with pytest.raises(InputError, match=message):
+        Complex(names, facets)
+
+
 def loop_from_facets(facet_list):
     """``Complex.from_facets`` with its own loops for the first-occurrence
     ids and the compaction of unused names: the oracle of the version
-    built on ``_renumbered`` and ``_rebuild``."""
+    that compacts them through ``_rebuild``."""
     if not facet_list:
         raise InputError("empty facet list")
     name_ids = {}

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import warnings
 
@@ -19,7 +20,8 @@ from stellar.core import (Complex, ComplexError, RangeError, StructureError,
                           _ridge_facets, antistar, bits, boundary, facet_hash,
                           induced, join, link, mask_of, submasks)
 from stellar.moves import (BistellarMove, HypothesisViolation, MoveCertificate,
-                           MoveError, ShellingMove, apply_bistellar,
+                           MoveError, ShellingMove, ShellingOrderError,
+                           apply_bistellar,
                            apply_reverse, bistellar_face_delta, canonical_ball,
                            canonical_manifold, ears, enumerate_bistellar,
                            find_shelling, is_1_stacked_via_tree,
@@ -155,6 +157,55 @@ def test_verify_shelling_rejects_bad_order(corp):
     order[1], order[-1] = order[-1], order[1]
     with pytest.raises(MoveError):
         verify_shelling(corp["lutz_B2"].complex, order)
+
+
+def test_verify_shelling_refusals():
+    # 125 meets 123 in the edge 12 alone, so its free face would be the
+    # vertex 5, which 345 brought in already
+    order = ["123", "234", "345", "125"]
+    with pytest.raises(ShellingOrderError, match="position 3 .*"
+                       "the would-be free face is already present"):
+        verify_shelling(Complex.from_facets(order), order)
+    # every step is a shelling step, but the dangling edge 34 is no
+    # facet of a pure 2-ball, so the h-vector counts no such step
+    order = ["123", "34"]
+    with pytest.raises(MoveError, match=re.escape(
+            "h-vector cross-check failed: [1, 0, 0] vs (1, -1, 0)")):
+        verify_shelling(Complex.from_facets(order), order)
+
+
+# each refusal of the bistellar admissibility check on the octahedron,
+# whose antipodal pairs are x_i, y_i
+BISTELLAR_REFUSALS = [
+    (("x1", "x2"), ("y1", "y2"), 0, "has inconsistent index"),
+    (("x1", "y1", "x2"), ("n",), 0, r"0-move core \('x1', 'y1', 'x2'\) is not a facet"),
+    (("x1", "x2"), ("x1", "y3"), 1, "alpha and beta overlap"),
+    (("x1",), ("x2", "y2", "x3"), 2, "inadmissible: the induced subcomplex"),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,index,message", BISTELLAR_REFUSALS)
+def test_bistellar_refusals(alpha, beta, index, message):
+    X, mv = cross_polytope(2), BistellarMove(alpha, beta, index)
+    with pytest.raises(MoveError, match=message):
+        apply_bistellar(X, mv)
+    with pytest.raises(MoveError, match=message):
+        replay_bistellar(X, [mv])
+
+
+def test_stellation_certificate_refusals(monkeypatch):
+    """A certificate whose steps replay to S from a simplex boundary is
+    still refused with a step of index k or more, or with move counts
+    other than the g-vector.  Every true build sequence realizes the
+    g-vector, so a wrong g-vector stands in for a wrong certificate."""
+    S = random_stacked_sphere(3, 8, seed=0)
+    out = stellation_search(S, 1)
+    steps = out.certificate.steps
+    with pytest.raises(MoveError, match="exceeds index bound"):
+        moves._stellation_certificate(S, out.start, steps, 0)
+    monkeypatch.setattr(moves, "g_vector", lambda X: (1, 0, 0))
+    with pytest.raises(MoveError, match="move counts disagree with g-vector"):
+        moves._stellation_certificate(S, out.start, steps, 1)
 
 
 def test_single_facet_ball_empty_certificate():
@@ -309,13 +360,13 @@ def chain_replay(start, steps):
 
 
 def bistellar_outcome(replay, start, steps):
-    """The facet-name set of the replay from a fresh copy of ``start``, or
-    the type and message of what it raised."""
+    """The names and facets of the replay from a fresh copy of ``start``,
+    or the type and message of what it raised."""
     try:
         X = replay(Complex(start.names, start.facets), steps)
     except ComplexError as exc:
         return type(exc), str(exc)
-    return X.facet_name_set()
+    return X.names, X.facets
 
 
 @st.composite
@@ -645,18 +696,18 @@ def grown_ball(B, extra):
     return Complex.from_facets(facets)
 
 
-# status, nodes and the SHA-256 of the certificate JSON, as the search
-# gave them when it still recounted every ridge at every node
+# status, nodes and the SHA-256 of the certificate JSON; the counts are
+# those the search gave when it still recounted every ridge at every node
 SHELLING_PINS = {
     "lutz_B2": ("found", 14,
                 "e270360a2957c1d60bb472091a89214c47739220f9e0cdd4fee33a2b11428533"),
     "ziegler_B2": ("none", 0, None),
     "stacked(2,40,1)": ("found", 39,
-                        "abba5877aec478f86c57e78044cf5a9f69bd6ba3282b487b60bb959106362b23"),
+                        "27bdcc38b2afc6672d200e53bd8253b23d1ec4fd08e1dc46674ed87c37d137fe"),
     "stacked(3,40,2)": ("found", 39,
-                        "fdacdb840ca65e0db3fd9f8ce86607f5250bb9f92744cb03baa2a1d6d67df3c7"),
+                        "248606408ba68328bcb695909d22eeb69510f4dd82dc39ae84538dd3fc37a95a"),
     "stacked(4,25,3)": ("found", 24,
-                        "3c7ad9d6ffba32d9fd35871cf1faacc0cc8d2906cf8d03847e218efc2b632680"),
+                        "266853ed50e543a08009da2d4ce7777368e4901d976d857bef365ebec8a053dd"),
     "ziegler_B2+4": ("none", 18, None),
     "ziegler_B2+4,budget=10": ("exhausted", 11, None),
 }
@@ -826,23 +877,22 @@ def stellation_case(corp, name):
 
 
 # status, nodes and the SHA-256 of the certificate JSON of
-# stellation_search(X, k, budget, seed), as the search gave them when
-# every step enumerated the moves from scratch and rebuilt the complex
-# through Complex.from_facets
+# stellation_search(X, k, budget, seed), where every move keeps its
+# parent's vertex ids
 STELLATION_PINS = {
     "stacked(3,30,1),k=1": (
         "found", 25,
-        "73362c4da9fa912600f10c60240994e038dbaf90c3c656217db38746e1c9eec6"),
+        "466c271d903c568090785e03bd2af7c5031dc866193a194db1ce81c20f7691ed"),
     "lk(M_2_5,0),k=2": (
         "found", 21,
-        "59a87bfcbc3a80e6ec5d08e9ba4bcb50e77f59023c7db95f0925aa9b4d0a8701"),
+        "7cc06826032a5e0ccf60e55e56924abeb9b812fd0eb98a72bddd98896be9fbd2"),
     "pentagon,k=1": (
         "found", 2,
         "a15813491171e16c582bf7cfd8f8f35ab1a56eb0eea670a570a125435859767a"),
     "S3_16,k=3,budget=10^4": ("exhausted", 0, None),
     "flipped(1),k=3": (
         "found", 31,
-        "0a9e826732ff3f06926a7ab18bf979e006b508c8db44ca6d1bf04d4dcedd8238"),
+        "2d3c54e6f072ba30ce3ab2c789980319ef6a04c2ce306d4f6665aa3e746a01bd"),
     "flipped(1),k=1,budget=500": ("exhausted", 501, None),
 }
 
@@ -857,18 +907,17 @@ def test_stellation_search_pinned(corp, name):
 
 # the same for searches with k = d + 1, which may take moves of every
 # index: their window d - k + 1 = 0 is held as the full state, since
-# index-0 moves are never listed.  As the search gave them when every
-# move state held the faces of every size
+# index-0 moves are never listed
 STELLATION_TOP_PINS = {
     "stacked(3,10,0),k=4": (
         random_stacked_sphere, (3, 10, 0), 4, "found", 6,
-        "bf68a04f75b4f809d3918b479d573edf7bc3b77268ad579e1c60d53a94ecf340"),
+        "2be23553e02cff0568d963d484623490fc22084f38cb5d304562460f6d2a5a56"),
     "stacked(4,14,2),k=5": (
-        random_stacked_sphere, (4, 14, 2), 5, "found", 9,
-        "4bb71ac93864e4d43804dea3d12b4b8072485c887dafa5c61980a4f00841dfd3"),
+        random_stacked_sphere, (4, 14, 2), 5, "found", 8,
+        "9ec7a7a37ef07370e6871951bbe505dbcf697ea55a02e82ad46486ce51c8d377"),
     "flipped(1),k=4": (
         flipped_sphere, (1,), 4, "found", 31,
-        "2b1d31be446fb167f1c98e9b022418c9c4068dde57874414c3960737bdd640ad"),
+        "a03927220cce4df15b9e184677c7a79eb74f539f747d0d69345e94dacd4b147a"),
 }
 
 
@@ -895,23 +944,23 @@ def test_w_k_membership_on_non_standard_links():
 
 
 # (nodes, certificate digest) of each vertex link in w_k_membership(M_2_5,
-# 2): the links form one class, so x1's is the search under the same
-# rebuild-every-step engine, and the others' are x1's certificate carried
+# 2): the links form one class, so x1's is the search of LINK_SEARCH_PINS,
+# and the others' are x1's certificate carried
 WK_M25_PINS = {
-    "x1": (21, "59a87bfcbc3a80e6ec5d08e9ba4bcb50e77f59023c7db95f0925aa9b4d0a8701"),
-    "x2": (21, "4a6a16a55bee38025336f9ba9b7e87d1af323fe272b1dddc491e2608c5cc818b"),
-    "x3": (21, "f5f202f57b2a12ba7dc0a9d6dc32b1395ced4b86568786795d04f1c290d81e31"),
-    "x4": (21, "2d3f1c279294069cc599f05f46be1b3e8a48e06d491a06ab18452773df56bbf5"),
-    "x5": (21, "3b1817fe1bdb524e3a6c7f88420a0e1451d5cd4a00ad797c21cd3dbb8e4d1b5d"),
-    "x6": (21, "89ffb83bc2f07c510ceb24ce21f70ffc8b486e8d6c3ad716b6034fa62b227fab"),
-    "x7": (21, "a18918416a3912c69eb060f9f23cc053f27ecf7487901b2e45b8a7471eea955f"),
-    "y1": (21, "e2ce4068bfd464e11d30fbeff2e1b56c626bed40ec21fb7aff0c7cb412fcb3bc"),
-    "y2": (21, "4ab2a35c3d3ae16be475d4a1e64d769c6fb3c13f111973d317b9b33e7fb91279"),
-    "y3": (21, "ad2513e48eff4b624065ae45a7f6c8010e607375250bba6e2d844400cbcc947d"),
-    "y4": (21, "b84c5125c43285239f1bcba90cad27a033bfc060469ff1e98beb3409bf9394c9"),
-    "y5": (21, "78a90af3e30eea2846b37b3f5a1dedb3532031057344fdcd2f40d7d34799cd5b"),
-    "y6": (21, "3f8bfce9206d02d90f6fd2e1ac984ed6481d01f36cfd2985565664141b9b8777"),
-    "y7": (21, "3c31c8b79f9515ad5a0cbc673d67406826ec747e6e8dd09d13821899591a968c"),
+    "x1": (21, "7cc06826032a5e0ccf60e55e56924abeb9b812fd0eb98a72bddd98896be9fbd2"),
+    "x2": (21, "41bb05941f410dc79090bfed5c6402709b7d2ee481993f69e3e3b3f9585dc5e5"),
+    "x3": (21, "609a724df7fe2d377538333dc6a00ad78cdb442f7f7212460e2d104b99fb6d02"),
+    "x4": (21, "c5a2f2c58399cf56f3f5b3fd33ba9059c5933366496eab6210ce7cf06f73acf7"),
+    "x5": (21, "d174faa24207634ce9b83dfd7b57eff2976cc6f4a6e182380b4030fc6d39a2a3"),
+    "x6": (21, "706a6e60107419f7c96f727bb1955e32f18d66be3611a868bd7322c5a29e14f2"),
+    "x7": (21, "d8d817e7d807b38c4db1a5eeade2e1e82628b4dd0141e25e12ab9679d5aaca95"),
+    "y1": (21, "49ff17574f9e4348b7d9f42c813fe98aa9a96b2aef6ba07e62e9d4134ca103b8"),
+    "y2": (21, "e9e1322bc438a5635b224eb6703433b48aeb0f1e3cd2bd08b13c6d563da06cb8"),
+    "y3": (21, "9edfa2d15ab48353186bc395cf89d85042e3f77e481ac0d8c110527de59f9e59"),
+    "y4": (21, "3201317769f020bd0dc893b553a901c6e1163ddab102028a5b94b7485d0746fc"),
+    "y5": (21, "20e1fba68392813b2ea54f6a93458203c385fde7a7d18053495d4f6d91c97b83"),
+    "y6": (21, "b58af46801012779cb7c16683c5b8178b41f685926f7ff9bdd7b58dd623afa31"),
+    "y7": (21, "6d43c25062438504e31dcabd235bf1ecfe912bb61b48635e5b1ad849b92c4922"),
 }
 
 
@@ -934,32 +983,31 @@ def test_w_k_membership_pinned(corp, monkeypatch):
 
 # (nodes, certificate digest) of stellation_search(lk, 2, seed=v) on the
 # link lk of each vertex v of M_2_5 and of the 7-vertex torus, numbered
-# by Complex.from_facets as w_k_membership numbers it, under the same
-# rebuild-every-step engine: the searches of w_k_membership when it
-# searched every link
+# on M's ids as w_k_membership numbers it: the searches of w_k_membership
+# when it searched every link
 LINK_SEARCH_PINS = {
     "M_2_5": {
-        "x1": (21, "59a87bfcbc3a80e6ec5d08e9ba4bcb50e77f59023c7db95f0925aa9b4d0a8701"),
-        "x2": (21, "4f033b80736419c0537b575899b602497694f52037967c7eafbaa14b3248858d"),
-        "x3": (21, "819e1b8883352f466bf0eabf7dce2c8047cfabb41ce21025cd19a76492734ba4"),
-        "x4": (21, "1329183dda24acd85bf565a4af0aefc1f6eeb469562a423efe2885a7348fb99e"),
-        "x5": (21, "dfcb03e186b6c40ca9a603bd6ed778a3c8071aa159ccb12f6584407efc1b0c05"),
-        "x6": (21, "66163eb434e6edce18a9f9599424b6fc596162b26cabf3dcdcb19a0cf269a1bf"),
-        "x7": (21, "61c753266e5c22c427cd447edd9fff812f348cb15c787ec7f499368e1cf8428b"),
-        "y1": (21, "fd7f393e6c8ef69b98f969018dabffd329bd0083cf2ff8affe4aa193be8b8711"),
-        "y2": (21, "b7ff50a1718147af9412694209084ec2e0d790b8e780fb6fbd3db6279f5a3bec"),
-        "y3": (21, "9c463c880e1bbcbd044d4453fd5dc8e651af2cefeaf9184c46a558b93bfdc94a"),
-        "y4": (21, "45edd4f978c9d6df32a9187ae295c997551e74ef0d3364fdd654d982ffb3ec55"),
-        "y5": (21, "834ebcd2295ee4d0efa7d5508f72dca8b36094ea17589afa0df0b6532a912e52"),
-        "y6": (21, "6cd3f3d90383a5a04e45ae7e8a3a195bee75a3e555743e8f5a575efa776dc8c5"),
-        "y7": (21, "ecc89b4e2f28cc1d756e49f2c4c7daa8882fe661090e5169d7066fa2992e3321"),
+        "x1": (21, "7cc06826032a5e0ccf60e55e56924abeb9b812fd0eb98a72bddd98896be9fbd2"),
+        "x2": (21, "25d1c511cd0a1f2b6237b5f4f16c47abee075da4d1d9e89d8da226b1284015f3"),
+        "x3": (21, "29f8f3c61c068f8110c2cf5358687c4f2df8eb479b40300284883be06aeef7f8"),
+        "x4": (21, "ca70e8dbe89b181e8ce109397568dc56b074fdddb54e59df891f1d4cfb802cec"),
+        "x5": (21, "a990d2b2124959c9c09f52767f648c7fc1bc612adc9199be484a9fe7d9de88ce"),
+        "x6": (21, "76379ae4037bd76612e5bad92fdc3f0270930e5bd4e3160a14a927eef0aa3d38"),
+        "x7": (21, "b8b8f19346e6c983282d59353380dbb5cc1f079a6ee9a7216717801af20c4bc2"),
+        "y1": (21, "0e67132a8c2229d944b63a976c66402679c5f5b67127cada0748db12c5e77402"),
+        "y2": (21, "6036c954e5c07685b3ac983b4c7323c9b19694425e50df2cbcca2e7f2df5c474"),
+        "y3": (21, "4690885bb94daca1c4f135f31976ed547738f9b3dd4e96200461984b94ffd6e4"),
+        "y4": (21, "46bd782bbafd85e7f2676bf750fec43876ff3bdafec8dfdb66df0e6a0f7cdb59"),
+        "y5": (21, "75254ee710fe7dea01b0f6f292fc3ca1374d961f81817d6c592e31453d4ae6cf"),
+        "y6": (21, "4361229746dab2bec69ad25de7ecebb7b0491ae89e52ab8be54c1697ea23d47c"),
+        "y7": (21, "b6aee424fdc5d55a5caa479a1ac3f64a37a848320efb4d8ad59e091f1b79b651"),
     },
     "torus_7": {
         "0": (3, "c5432ec08094ac94873e248054aaa69ee3560b0150c12d5e0d989143ca763c1d"),
         "1": (3, "80e84a8b4a8f1e3b6cef222b72021d58604b2996e837ac6e43269bce2a05a2f6"),
         "2": (3, "2117717a46ee967a511a222742bbc981ab8887e6ce0f1a415e51d4dfa1e259f9"),
         "3": (3, "cc6c1480b6d602c073a5ec81ac987c9c70535e182fdfe132c5c3a3d6c1126928"),
-        "4": (3, "87232edcdf72aa14828321b9d402ed3d41e6d088707ff2d0581276cfa0e988ad"),
+        "4": (3, "b4b756c15b6798bb733bc856a872410fd455578792d23ba3a9fc53f80fb3fdcd"),
         "5": (3, "fa47ae4f900aedce9c785acbbce51d1ca29e7be00ecf99d8badc4f58e3c11863"),
         "6": (3, "1769cc476161e79e8de109a81ab483a99d311caa13a9014a346461dcf2fba191"),
     },
@@ -971,8 +1019,7 @@ def test_link_searches_pinned(corp, name):
     M = corp[name].complex
     got = {}
     for v in range(M.m):
-        lk = Complex.from_facets(link(M, (v,)).facets_as_names())
-        out = stellation_search(lk, 2, seed=v)
+        out = stellation_search(link(M, (v,)), 2, seed=v)
         got[M.name_of(v)] = (out.nodes, certificate_digest(out))
     assert got == LINK_SEARCH_PINS[name]
 
@@ -1093,11 +1140,10 @@ def walk_digest(X, steps, seed):
     return h.hexdigest()
 
 
-# walk_digest of 150 steps from random_stacked_sphere(3, 60, seed), as the
-# walk went when every step enumerated from scratch and re-parsed the facets
+# walk_digest of 150 steps from random_stacked_sphere(3, 60, seed)
 WALK_PINS = {
-    1: "37097779218ae59fd6f8528fdd39d2a5bfdcbe22faae24ad31f0d9447b35053d",
-    2: "b0c66120c68ef9ec8dce94eeaaf08ac92a732df77d1e0316f49de17210867e44",
+    1: "8a4dbb89e806cc6ebb5b6cb85d2e7427297afb63b936f9227c455f5b4ad13d0a",
+    2: "feeeec3353dbce8fbf7291d70c8e9746dcd226ce57e0e1f2b36e4ec5dd50bd35",
 }
 
 

@@ -1183,3 +1183,23 @@ def test_battery_lines_on_certified_spheres(name, k):
     assert [(l.prop, l.status) for l in lines] == [
         (p, "equality" if p in equality else "holds")
         for p in BATTERY_LINES[name, k].split()]
+
+
+# the lines of the battery where the caller's certificate claim is wrong:
+# the torus is no sphere, and P20c shows that S3_16 is not in W_1
+FAILING_LINES = {
+    ("sigma_g_report", "torus_7", 0): "P19a:fails P19b:holds P19c:fails",
+    ("criterion_battery", "S3_16", 1):
+        "P20a:holds P20b:holds P20c:fails P21ab:holds P22b:holds P23a:holds "
+        "P23b:holds L9:holds",
+    ("criterion_battery", "torus_7", 0):
+        "P20:not-applicable P21ab:holds P21c:fails P21d:fails "
+        "P23:not-applicable L9:holds L10:holds",
+}
+
+
+@pytest.mark.parametrize("check,name,k", sorted(FAILING_LINES))
+def test_battery_lines_that_fail(corp, check, name, k):
+    lines = getattr(tightness, check)(corp[name].complex, k, QQ, True)
+    assert [f"{l.prop}:{l.status}" for l in lines] == \
+        FAILING_LINES[check, name, k].split()
