@@ -15,12 +15,12 @@ import sys
 
 from . import verify as verify_mod
 from .constructions import CorpusError, corpus, corpus_complex, klee_novik
-from .core import (Complex, ComplexError, _facet_lines, _worker_count,
-                   facet_hash, load_facets, read_text, save_facets)
+from .core import (Complex, ComplexError, InputError, _facet_lines,
+                   _worker_count, facet_hash, load_facets, read_text, save_facets)
 from .homology import FieldSpec, betti
-from .moves import (HypothesisViolation, canonical_ball, canonical_manifold,
-                    ears, enumerate_bistellar, find_shelling,
-                    is_1_stacked_via_tree, is_k_stacked_ball,
+from .moves import (HypothesisViolation, MoveError, canonical_ball,
+                    canonical_manifold, ears, enumerate_bistellar,
+                    find_shelling, is_1_stacked_via_tree, is_k_stacked_ball,
                     stellation_search, verify_shelling, w_k_membership)
 from .tightness import (SIGMA_CAP, BudgetError, is_tight, morse_report,
                         sigma_vector)
@@ -131,7 +131,7 @@ def cmd_shellcheck(args, X, fld):
         return BADINPUT
     try:
         cert = verify_shelling(X, order)
-    except ComplexError as exc:
+    except (InputError, MoveError) as exc:  # a non-pure input is exit 3
         print(f"invalid shelling: {exc}")
         return REFUTED
     print(f"valid shelling; {cert.length} moves, k-bound {cert.k_bound}, "

@@ -157,10 +157,10 @@ class Complex:
 
     Two caches are built lazily and never change what a query returns:
     the face index ``_faces_by_dim``, and ``_moves``, the bistellar move
-    state that ``moves.enumerate_bistellar`` and ``moves.stellation_search``
-    list from.  ``moves.apply_bistellar``
-    hands the move state on to the complex it returns and clears it here,
-    so a chain of moves keeps one state alive.
+    state that ``moves.enumerate_bistellar`` lists from.
+    ``moves.apply_bistellar`` hands it on to the complex it returns, and
+    ``moves.stellation_search`` moves it on alone and gives it to the
+    complex it finds; both clear it here, so one state stays alive.
     """
 
     __slots__ = ("names", "facets", "facet_masks", "dim", "m",

@@ -11,35 +11,35 @@ its work local.  ``_move_state(X, low)`` builds a ``_MoveState`` of the
 moves of index >= low from the stars of the faces of at most d+1-low
 vertices (the cold path) and caches it in the complex's ``_moves`` slot:
 ``enumerate_bistellar`` asks for low = 1, the full state, and
-``stellation_search`` for d-k+1 (a state never starts below 1).  A complex without a state, such as the
-second of two moves applied to one complex, or with one that starts
-above the index asked for, builds one cold.  ``apply_bistellar`` keeps
-the complex's ids (a 0-move's new vertex takes the next id, and an
-index-d move closes up the id of the vertex it deletes), updates the
-state by the faces of alpha + beta, and hands it on to the result,
-clearing it from the complex it came from, so a chain of moves keeps one
-state alive.  The result skips the constructor's checks
+``stellation_search`` for d-k+1 (a state never starts below 1).  A
+complex without a state, or with one that starts above the index asked
+for, builds one cold.  ``apply_bistellar`` keeps the complex's ids (a
+0-move's new vertex takes the next id, and an index-d move closes up the
+id of the vertex it deletes), updates the state by the faces of alpha +
+beta and hands it on to the result, which skips the constructor's checks
 (``Complex._checked``): a checked move gives distinct facets, none
-inside another.  Each listing emits the held moves of the indices asked for
-under the current complex's ids and sorts them once.  The admissibility
-check ``_check_bistellar`` scans the facets and never reads a state;
-``replay_bistellar`` checks every step of a certificate with it on a set
-of facet masks and builds one complex at the end.  Move lists,
-certificates and search node counts are the same on every path; tests
-compare the state of each window with the cold path and with
-``verify.brute_force_bistellar`` along random walks, and the replay with
-a chain of ``apply_bistellar`` calls.
+inside another.  The state's vertex numbers rise with the ids, so it
+builds each move once and keeps the moves in listing order.
+``stellation_search`` walks on a state and a set of facet masks alone,
+as ``replay_bistellar`` replays (``_replay_step``): ``_check_bistellar``
+checks every step by scanning the facets, never reading a state, and a
+complex is built only for a certificate.  Move lists, certificates and
+search node counts are the same on every path; tests compare the state
+with the cold path, an id-sorted listing and
+``verify.brute_force_bistellar`` along random walks, and the search and
+the replay with a chain of ``apply_bistellar`` calls.
 """
 from __future__ import annotations
 
 import json
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from math import comb
-from operator import and_
+from operator import and_, attrgetter
 
 from .core import (Complex, ComplexError, InputError, RangeError,
                    StructureError, _classes, _face_counts, _map_jobs,
@@ -127,15 +127,17 @@ class MoveCertificate:
 
 class _MoveState:
     """The admissible bistellar moves of index >= ``low`` of one complex,
-    kept up to date as ``apply_bistellar`` hands the state from a complex
-    to its successor.
+    kept up to date as ``apply_bistellar`` or ``stellation_search`` moves
+    the complex on.
 
     Faces are masks over the state's own vertex numbers: the ids of the
     complex the state was built from, then one new number per vertex a
     0-move adds (``vname`` gives each number's name, and ``sid`` each
     name's latest number).  They are never renumbered, so a move touches
-    only the faces of alpha + beta, although an index-d move closes up
-    the ids of the complex.
+    only the faces of alpha + beta.  Yet the live vertices' numbers rise
+    with the ids of the complex holding the state, since moves keep their
+    parent's ids in order (an index-d move closes them up) and a 0-move's
+    vertex takes the top id and the top number: ``bits`` is id order.
 
     A move of index i has an alpha of d+1-i vertices, so the state keeps
     the window of faces of at most ``top`` = d+1-low vertices: ``star``
@@ -144,19 +146,22 @@ class _MoveState:
     ``top`` highest vertices contains it.  ``cand`` maps each face alpha of
     the window with i+1 owners whose union less alpha is a set beta of i+1
     vertices to beta; ``by_beta`` is its reverse index.  The move (alpha,
-    beta) is admissible iff beta is not a face, and ``moves`` maps the
-    alpha of each to the names of alpha and beta, in no particular order.
-    A move on U = alpha + beta changes the stars of the faces of U in the
-    window, which are rechecked; the faces of U that contain alpha vanish
-    and those that contain beta appear, which rechecks the alphas that
-    ``by_beta`` lists under them.  The full state is the window low = 1;
-    a caller that asks for index >= 0 (a search with k = d + 1) gets it,
-    as index-0 moves are never listed.  ``_move_state`` rebuilds a state
-    cold for a caller that asks for an index below ``low``.
+    beta) is admissible iff beta is not a face; ``moves`` maps the alpha of
+    each to its ``BistellarMove``, built once, and ``rows`` lists them in
+    ``enumerate_bistellar``'s order: sorted once after the cold build, then
+    kept so by bisection.  A move on U = alpha + beta changes the stars of
+    the faces of U in the window, which are rechecked; the faces of U that
+    contain alpha vanish and those that contain beta appear, which
+    rechecks the alphas that ``by_beta`` lists under them.  The full state
+    is the window low = 1; a caller that asks for index >= 0 (a search
+    with k = d + 1) gets it, as index-0 moves are never listed.
+    ``_move_state`` rebuilds a state cold for a caller that asks for an
+    index below ``low``.
     """
 
     __slots__ = ("d", "low", "top", "vname", "sid", "star", "cand",
-                 "by_beta", "moves")
+                 "by_beta", "moves", "rows")
+    row = attrgetter("index", "alpha", "beta")  # enumerate_bistellar's order
 
     def __init__(self, X: Complex, low: int):
         low = max(low, 1)  # index-0 moves are never listed
@@ -178,10 +183,12 @@ class _MoveState:
         self.star = star
         self.cand: dict[int, int] = {}
         self.by_beta: dict[int, list[int]] = {}
-        self.moves: dict[int, tuple] = {}
+        self.moves: dict[int, BistellarMove] = {}
+        self.rows = None
         for alpha, owners in star.items():
             if len(owners) + alpha.bit_count() == self.d + 2:
                 self._candidate(alpha, owners)
+        self.rows = sorted(self.moves.values(), key=self.row)
 
     def _window(self, mask: int) -> list[int]:
         """The nonempty faces of the simplex ``mask`` in the window."""
@@ -201,12 +208,19 @@ class _MoveState:
             return face in self.star
         return any(fm & face == face for fm in self.star.get(sub, ()))
 
-    def mask(self, names) -> int:
-        return mask_of(self.sid[str(n)] for n in names)
+    def _record(self, alpha: int, beta: int) -> None:
+        if alpha not in self.moves:
+            name = self.vname.__getitem__
+            mv = self.moves[alpha] = BistellarMove(tuple(map(name, bits(alpha))),
+                                                   tuple(map(name, bits(beta))),
+                                                   beta.bit_count() - 1)
+            if self.rows is not None:  # None during the cold build
+                insort(self.rows, mv, key=self.row)
 
-    def _names(self, alpha: int, beta: int) -> tuple:
-        vname = self.vname
-        return ([vname[v] for v in bits(alpha)], [vname[v] for v in bits(beta)])
+    def _drop(self, alpha: int) -> None:
+        mv = self.moves.pop(alpha, None)
+        if mv is not None:
+            del self.rows[bisect_left(self.rows, self.row(mv), key=self.row)]
 
     def _recheck(self, alpha: int, owners) -> None:
         """Recompute whether the face alpha of the window, contained in
@@ -218,7 +232,7 @@ class _MoveState:
             alphas.remove(alpha)
             if not alphas:
                 del self.by_beta[beta]
-            self.moves.pop(alpha, None)
+            self._drop(alpha)
         # a move of index i needs i + 1 owners, and |alpha| = d + 1 - i
         if owners is not None and len(owners) + alpha.bit_count() == self.d + 2:
             self._candidate(alpha, owners)
@@ -235,7 +249,7 @@ class _MoveState:
         self.cand[alpha] = beta
         self.by_beta.setdefault(beta, []).append(alpha)
         if not self._is_face(beta):
-            self.moves[alpha] = self._names(alpha, beta)
+            self._record(alpha, beta)
 
     def advance(self, mv: BistellarMove) -> None:
         """Apply the checked move ``mv``: on U = alpha + beta, the facets
@@ -244,7 +258,7 @@ class _MoveState:
         if mv.index == 0:
             sid[str(mv.beta[0])] = len(self.vname)
             self.vname.append(str(mv.beta[0]))
-        alpha, beta = self.mask(mv.alpha), self.mask(mv.beta)
+        alpha, beta = (mask_of(sid[str(n)] for n in part) for part in (mv.alpha, mv.beta))
         u = alpha | beta
         removed = [(1 << b, u ^ (1 << b)) for b in bits(beta)]
         added = [(1 << a, u ^ (1 << a)) for a in bits(alpha)]
@@ -262,24 +276,18 @@ class _MoveState:
                 del star[face]
                 owners = None
             self._recheck(face, owners)
-        by_beta, moves = self.by_beta, self.moves
+        by_beta = self.by_beta
         for t in submasks(beta):  # U - t, t in beta, contains alpha: vanishes
             for a in by_beta.get(u ^ t, ()):
-                moves[a] = self._names(a, u ^ t)
+                self._record(a, u ^ t)
         for t in submasks(alpha):  # U - t, t in alpha, contains beta: appears
             for a in by_beta.get(u ^ t, ()):
-                moves.pop(a, None)
+                self._drop(a)
 
-    def listing(self, X: Complex, min_index: int) -> list[BistellarMove]:
-        """The moves of index >= ``min_index`` >= ``low`` of ``X``, the
-        complex holding the state, with names in X's id order, sorted as
-        ``enumerate_bistellar`` returns them.  Rows sort by index first,
-        so this is a tail of the full listing."""
-        id_of = X._id_of.__getitem__
-        rows = sorted((len(b) - 1, tuple(sorted(a, key=id_of)),
-                       tuple(sorted(b, key=id_of)))
-                      for a, b in self.moves.values() if len(b) - 1 >= min_index)
-        return [BistellarMove(a, b, i) for i, a, b in rows]
+    def listing(self, min_index: int) -> list[BistellarMove]:
+        """The moves of index >= ``min_index`` >= ``low``, as
+        ``enumerate_bistellar`` lists them: a tail of ``rows``."""
+        return self.rows[bisect_left(self.rows, min_index, key=attrgetter("index")):]
 
 
 def _move_state(X: Complex, low: int = 1) -> _MoveState:
@@ -309,7 +317,7 @@ def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
     state kept for the higher indices of a search is replaced by a full
     one.  Either way the list is the same.
     """
-    return _move_state(X).listing(X, 1)
+    return _move_state(X).listing(1)
 
 
 def _check_bistellar(d: int, ids: dict, facets, mv: BistellarMove) -> tuple[int, int]:
@@ -398,32 +406,37 @@ def bistellar_face_delta(d: int, index: int) -> tuple[int, ...]:
     return tuple(c(d + 1 - lo, i - lo) - c(lo + 1, d - i + 1) for i in range(d + 1))
 
 
+def _replay_step(d: int, names: list, ids: dict, facets: set, mv: BistellarMove) -> None:
+    """Check ``mv`` and apply it in place to the facet masks ``facets``
+    over ``ids``, a map from the live ``names`` to their ids: a 0-move's
+    vertex takes a new id, also for a name that was deleted earlier."""
+    am, bm = _check_bistellar(d, ids, facets, mv)
+    if mv.index == 0:
+        bm = 1 << len(names)
+        ids[str(mv.beta[0])] = len(names)
+        names.append(str(mv.beta[0]))
+    u = am | bm
+    facets.difference_update([u ^ (1 << b) for b in bits(bm)])
+    facets.update(u ^ (1 << a) for a in bits(am))
+    if am & (am - 1) == 0:  # the one vertex of alpha is in no facet now
+        del ids[names[am.bit_length() - 1]]
+
+
 def replay_bistellar(start: Complex, steps) -> Complex:
     """Apply the bistellar moves ``steps`` to ``start``, each checked by
     ``_check_bistellar`` as ``apply_bistellar`` checks it.
 
-    The moves act on a set of facet masks over the ids of ``start``, with
-    a new id for each vertex a 0-move adds (also for a name that an
-    index-d move deleted earlier), and the complex is built once, at the
-    end, with its ids compacted in increasing order.  A checked move makes
-    no facet contain another, so the result equals the chain of
-    ``apply_bistellar`` calls, names and facets alike, and a bad step
-    raises what the chain raises there.  The replay never reads or changes
-    a move state.
+    The moves act on a set of facet masks over the ids of ``start``
+    (``_replay_step``), and the complex is built once, at the end, with
+    its ids compacted in increasing order.  A checked move makes no facet
+    contain another, so the result equals the chain of ``apply_bistellar``
+    calls, names and facets alike, and a bad step raises what the chain
+    raises there.  The replay never reads or changes a move state.
     """
     d, names, ids = start.dim, list(start.names), dict(start._id_of)
     facets = set(start.facet_masks)
     for mv in steps:
-        am, bm = _check_bistellar(d, ids, facets, mv)
-        if mv.index == 0:
-            bm = 1 << len(names)
-            ids[str(mv.beta[0])] = len(names)
-            names.append(str(mv.beta[0]))
-        u = am | bm
-        facets.difference_update([u ^ (1 << b) for b in bits(bm)])
-        facets.update(u ^ (1 << a) for a in bits(am))
-        if am & (am - 1) == 0:  # the one vertex of alpha is in no facet now
-            del ids[names[am.bit_length() - 1]]
+        _replay_step(d, names, ids, facets, mv)
     return _rebuild(names, facets)
 
 
@@ -454,6 +467,8 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
     complex in closure(alpha) * boundary(beta).  A cross-check against the
     h-vector (exactly h_j steps of index j-1) is always performed.
     """
+    if not B_target.is_pure():
+        raise StructureError("verify_shelling needs a pure complex")
     masks = [B_target.mask_from_names(f) for f in order]
     if sorted(masks) != sorted(B_target.facet_masks):
         raise InputError("order is not a permutation of the facets")
@@ -788,9 +803,11 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
     Reduces S by bistellar moves of index >= d-k+1 (the reverses of
     building moves of index < k), greedy on the face-count change with
     seeded random tie-breaking and simulated-annealing acceptance of
-    worsening moves; restarts on dead ends.  The returned certificate is
-    replayed independently before being returned.  Exhaustion refutes
-    nothing.
+    worsening moves; restarts on dead ends.  A walk moves S's move state
+    on with the facet masks and ids of ``replay_bistellar``, which
+    ``_check_bistellar`` scans at every step, so no state is trusted, and
+    builds a complex, holding the state, only at a simplex boundary.  The
+    certificate is replayed independently.  Exhaustion refutes nothing.
     """
     d = S.dim
     if k < 0 or k > d + 1:
@@ -805,18 +822,20 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
     deltas = {i: sum(bistellar_face_delta(d, i)) for i in range(min_index, d + 1)}
     nodes = 0
     while nodes < budget:
-        current = S
+        state, S._moves = _move_state(S, min_index), None  # the walk moves it on
+        names, ids, facets = list(S.names), dict(S._id_of), set(S.facet_masks)
         trail: list[BistellarMove] = []
         temp = 2.0
         while nodes < budget:
-            if _is_standard_sphere(current):
+            if len(facets) == d + 2 and len(ids) == d + 2:  # a simplex boundary
+                start, start._moves = _rebuild(names, facets), state
                 steps = tuple(mv.reversed(d) for mv in reversed(trail))
-                cert = _stellation_certificate(S, current, steps, k)
-                return SearchOutcome("found", cert, nodes, current)
-            pool = _move_state(current, min_index).listing(current, min_index)
+                cert = _stellation_certificate(S, start, steps, k)
+                return SearchOutcome("found", cert, nodes, start)
+            pool = state.listing(min_index)
             if not pool:
-                if not trail:
-                    # deterministic dead end at the root: nothing to try
+                if not trail:  # a dead end at the root: S keeps its state
+                    S._moves = state
                     return SearchOutcome("exhausted", None, nodes)
                 break  # restart
             best = min(deltas[mv.index] for mv in pool)
@@ -828,7 +847,8 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
             nodes += 1
             if delta > 0 and rng.random() >= math.exp(-delta / temp):
                 continue  # reject this proposal, costs a node
-            current = apply_bistellar(current, mv)
+            _replay_step(d, names, ids, facets, mv)  # the state is not trusted
+            state.advance(mv)
             trail.append(mv)
             temp = max(temp * 0.99, 0.05)
         nodes += 1  # restart overhead

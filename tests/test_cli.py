@@ -293,6 +293,8 @@ CLI_PINS = [
      EMPTY, "64ca8180995d9f25", None),
     ("shellcheck corpus:torus_7", 3,
      EMPTY, "bd07265e28a5445f", None),
+    ("shellcheck dangling.fct --order dangling.fct", 3,
+     EMPTY, "db64475a498c63c8", None),
     ("shellfind corpus:lutz_B2 --json r.json", 0,
      "8753d50bea368b4d", EMPTY, "f76b47e8a10751a2"),
     ("shellfind corpus:ziegler_B2 --json r.json", 1,
@@ -370,6 +372,7 @@ def cli_workdir(tmp_path, monkeypatch):
     (tmp_path / "pinched.fct").write_text("a b f\na b c\na c d\nc d e\nd e f\n")
     (tmp_path / "bad.fct").write_bytes(b"1 2 3\n2 3 \xff\n")
     (tmp_path / "order.txt").write_text("1 2 3\n")
+    (tmp_path / "dangling.fct").write_text("1 2 3\n3 4\n")
     return tmp_path
 
 

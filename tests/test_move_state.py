@@ -1,15 +1,19 @@
-"""The bistellar move state that enumerate_bistellar caches and
-apply_bistellar hands on, against the cold path and independent oracles."""
+"""The bistellar move state that enumerate_bistellar caches, and that
+apply_bistellar and stellation_search move on, against the cold path and
+independent oracles."""
 import copy
+import math
 import pickle
+import random
 from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stellar.constructions import random_stacked_sphere, standard_sphere
-from stellar.core import Complex
+from stellar import moves
+from stellar.constructions import corpus, random_stacked_sphere, standard_sphere
+from stellar.core import Complex, link
 from stellar.moves import (BistellarMove, MoveError, _move_state, _MoveState,
                            apply_bistellar, enumerate_bistellar,
                            replay_bistellar, stellation_search)
@@ -43,10 +47,34 @@ def draw_move(draw, X, pool, used):
     return BistellarMove(draw(st.sampled_from(X.facets_as_names())), (name,), 0)
 
 
+def reference_listing(state, X, min_index):
+    """The listing as each call once built it: every held move's names
+    sorted by the ids of X, the complex holding the state, and all rows
+    sorted afresh."""
+    id_of = X._id_of.__getitem__
+    rows = sorted((mv.index, tuple(sorted(mv.alpha, key=id_of)),
+                   tuple(sorted(mv.beta, key=id_of)))
+                  for mv in state.moves.values() if mv.index >= min_index)
+    return [BistellarMove(a, b, i) for i, a, b in rows]
+
+
+def check_rows(X, pool):
+    """The numbers of the state X holds increase with X's ids, and from
+    every index on it lists the per-call id-sorted reference, which is
+    that tail of the cold listing ``pool``."""
+    state = X._moves
+    numbers = [state.sid[n] for n in X.names]
+    assert numbers == sorted(set(numbers))
+    for i in range(X.dim + 2):
+        assert state.listing(i) == reference_listing(state, X, i) == \
+            [mv for mv in pool if mv.index >= i]
+
+
 def state_walk(draw, max_steps=16, brute_m=0):
-    """Walk a random stacked 2-, 3- or 4-sphere by 0-moves and moves of
-    every index 1..d (index d deletes a vertex), checking each complex
-    on the way.  Each step either lists the moves first, so the state is
+    """Walk a random stacked 2-, 3- or 4-sphere by 0-moves, which may
+    reuse the name of a deleted vertex, and moves of every index 1..d
+    (index d deletes a vertex), checking each complex on the way.  Each
+    step either lists the moves first (``check_rows``), so the state is
     handed on, or applies a move from a cold listing, so several moves can
     pile up in the state before it is read."""
     d = draw(st.sampled_from((2, 3, 4)))
@@ -54,11 +82,10 @@ def state_walk(draw, max_steps=16, brute_m=0):
                               seed=draw(st.integers(0, 10 ** 6)))
     used: set[str] = set()
     for _ in range(draw(st.integers(1, max_steps))):
+        pool = cold(X)
         if draw(st.booleans()):
-            pool = enumerate_bistellar(X)
-            assert pool == cold(X)
-        else:
-            pool = cold(X)
+            assert enumerate_bistellar(X) == pool
+            check_rows(X, pool)
         if X.m <= brute_m:
             assert pool == brute_force_bistellar(X)
         mv = draw_move(draw, X, pool, used)
@@ -132,8 +159,8 @@ def test_windowed_states_match_the_full_listing(data):
         assert full == pool
         for low, W in walkers.items():
             want = [mv for mv in pool if mv.index >= low]
-            assert _MoveState(X, low).listing(X, low) == want
-            assert W._moves.low == low and W._moves.listing(W, low) == want
+            assert _MoveState(X, low).listing(low) == want
+            assert W._moves.low == low and W._moves.listing(low) == want
             # the state holds the faces of at most d + 1 - low vertices
             assert max(map(int.bit_count, W._moves.star)) == d + 1 - low
         mv = draw_move(data.draw, X, pool, used)
@@ -212,14 +239,15 @@ def test_replay_through_deleted_and_restored_vertices():
 
 def test_a_corrupt_state_is_caught():
     """A move that the state lists wrongly, with a star that agrees with
-    it, fails the facet scan of apply_bistellar, so neither a step nor a
-    search trusts the state."""
+    it, fails the facet scan of apply_bistellar and of the search's own
+    step, so neither a step nor a search trusts the state."""
     X = random_stacked_sphere(3, 12, seed=6)
     enumerate_bistellar(X)
     state = X._moves
     alpha, beta = next((a, b) for a, b in state.cand.items() if b in state.star)
     del state.star[beta]
-    state.moves = {alpha: state._names(alpha, beta)}
+    state.moves, state.rows = {}, []
+    state._record(alpha, beta)  # the one move held, and listed
     (bogus,) = enumerate_bistellar(X)
     with pytest.raises(MoveError, match="already a face"):
         apply_bistellar(X, bogus)
@@ -264,7 +292,7 @@ def test_trusted_results_and_filtered_listings(data):
     for _ in range(data.draw(st.integers(1, 12))):
         pool = enumerate_bistellar(X)
         for i in range(d + 2):
-            assert _move_state(X).listing(X, i) == \
+            assert _move_state(X).listing(i) == \
                 [mv for mv in pool if mv.index >= i]
         mv = draw_move(data.draw, X, pool, used)
         want = replay_bistellar(X, [mv])
@@ -318,6 +346,113 @@ def test_a_window_from_index_0_is_the_full_state():
     X = random_stacked_sphere(3, 10, seed=0)
     state = _move_state(X, 0)
     assert state.low == 1 and state.top == X.dim
-    assert state.listing(X, 0) == enumerate_bistellar(X) == cold(X)
-    Y = apply_bistellar(X, state.listing(X, 0)[0])
-    assert Y._moves is state and state.listing(Y, 0) == cold(Y)
+    assert state.listing(0) == enumerate_bistellar(X) == cold(X)
+    Y = apply_bistellar(X, state.listing(0)[0])
+    assert Y._moves is state and state.listing(0) == cold(Y)
+
+
+def chain_search(S, k, budget=10 ** 6, seed=0):
+    """``stellation_search`` as it walked when every node built the next
+    complex by ``apply_bistellar``, which hands the move state on."""
+    d = S.dim
+    if moves._is_standard_sphere(S):
+        cert = moves.MoveCertificate("bistellar", (), moves.facet_hash(S),
+                                     moves.facet_hash(S))
+        return moves.SearchOutcome("found", cert, 0, S)
+    min_index = d - k + 1
+    rng = random.Random(seed)
+    deltas = {i: sum(moves.bistellar_face_delta(d, i))
+              for i in range(min_index, d + 1)}
+    nodes = 0
+    while nodes < budget:
+        current = S
+        trail = []
+        temp = 2.0
+        while nodes < budget:
+            if moves._is_standard_sphere(current):
+                steps = tuple(mv.reversed(d) for mv in reversed(trail))
+                cert = moves._stellation_certificate(S, current, steps, k)
+                return moves.SearchOutcome("found", cert, nodes, current)
+            pool = _move_state(current, min_index).listing(min_index)
+            if not pool:
+                if not trail:
+                    return moves.SearchOutcome("exhausted", None, nodes)
+                break
+            best = min(deltas[mv.index] for mv in pool)
+            if rng.random() < 0.1:
+                mv = rng.choice(pool)
+            else:
+                mv = rng.choice([m for m in pool if deltas[m.index] == best])
+            delta = deltas[mv.index]
+            nodes += 1
+            if delta > 0 and rng.random() >= math.exp(-delta / temp):
+                continue
+            current = apply_bistellar(current, mv)
+            trail.append(mv)
+            temp = max(temp * 0.99, 0.05)
+        nodes += 1
+    return moves.SearchOutcome("exhausted", None, nodes)
+
+
+@st.composite
+def search_inputs(draw):
+    """A random stacked 2-, 3- or 4-sphere after a short walk by moves of
+    every index, ``lutz_S3_8``, or the link of a vertex of ``M_2_5``."""
+    kind = draw(st.sampled_from(("walked", "lutz_S3_8", "link")))
+    if kind == "lutz_S3_8":
+        return corpus()["lutz_S3_8"].complex
+    if kind == "link":
+        M = corpus()["M_2_5"].complex
+        return link(M, (draw(st.integers(0, M.m - 1)),))
+    d = draw(st.sampled_from((2, 3, 4)))
+    X = random_stacked_sphere(d, draw(st.integers(d + 3, d + 8)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    used: set[str] = set()
+    for _ in range(draw(st.integers(0, 4))):
+        X = apply_bistellar(X, draw_move(draw, X, cold(X), used))
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_inputs(), st.data())
+def test_search_on_the_state_matches_the_chain(X, data):
+    """For every k = 1..d+1, on seeds and budgets small enough to exhaust
+    and restart, the search on the move state alone gives the chain's
+    status, nodes, certificate and start complex, names and facets.  At
+    a dead end at the root, S keeps its state, as in the chain."""
+    k = data.draw(st.integers(1, X.dim + 1))
+    budget = data.draw(st.integers(1, 120))
+    seed = data.draw(st.integers(0, 10 ** 6))
+    S = Complex(X.names, X.facets)
+    got = stellation_search(S, k, budget, seed)
+    want = chain_search(Complex(X.names, X.facets), k, budget, seed)
+    assert (got.status, got.nodes, got.certificate) == \
+        (want.status, want.nodes, want.certificate)
+    if want.found:
+        assert (got.start.names, got.start.facets) == \
+            (want.start.names, want.start.facets)
+    if want.status == "exhausted" and want.nodes == 0:
+        assert S._moves is not None
+
+
+def test_search_builds_no_complex_per_node(monkeypatch):
+    """At 3,590 facets the search takes 1,195 nodes and builds two
+    complexes, the start it found and the replay of its certificate, not
+    one per node."""
+    S = random_stacked_sphere(3, 1200, seed=2)
+    built = []
+    init, checked = Complex.__init__, Complex._checked.__func__
+
+    def spy_init(self, names, facets):
+        built.append("__init__")
+        init(self, names, facets)
+
+    def spy_checked(cls, names, facets):
+        built.append("_checked")
+        return checked(cls, names, facets)
+
+    monkeypatch.setattr(Complex, "__init__", spy_init)
+    monkeypatch.setattr(Complex, "_checked", classmethod(spy_checked))
+    out = stellation_search(S, 1, seed=0)
+    assert len(S.facets) == 3590 and out.found and out.nodes == 1195
+    assert built == ["__init__", "__init__"]

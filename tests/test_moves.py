@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import random
-import re
 import sys
 import warnings
 
@@ -166,12 +165,13 @@ def test_verify_shelling_refusals():
     with pytest.raises(ShellingOrderError, match="position 3 .*"
                        "the would-be free face is already present"):
         verify_shelling(Complex.from_facets(order), order)
-    # every step is a shelling step, but the dangling edge 34 is no
-    # facet of a pure 2-ball, so the h-vector counts no such step
+    # every step would be a shelling step, but with the dangling edge 34
+    # the complex is not pure: refused before any step, as find_shelling
+    # refuses it
     order = ["123", "34"]
-    with pytest.raises(MoveError, match=re.escape(
-            "h-vector cross-check failed: [1, 0, 0] vs (1, -1, 0)")):
-        verify_shelling(Complex.from_facets(order), order)
+    for search in (lambda X: verify_shelling(X, order), find_shelling):
+        with pytest.raises(StructureError, match="needs a pure complex"):
+            search(Complex.from_facets(order))
 
 
 # each refusal of the bistellar admissibility check on the octahedron,
