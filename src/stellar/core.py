@@ -156,11 +156,11 @@ class Complex:
     empty facet and ``dim == -1``.
 
     Two caches are built lazily and never change what a query returns:
-    the face index ``_faces_by_dim``, and ``_moves``, the bistellar move
-    state that ``moves.enumerate_bistellar`` lists from.
-    ``moves.apply_bistellar`` hands it on to the complex it returns, and
-    ``moves.stellation_search`` moves it on alone and gives it to the
-    complex it finds; both clear it here, so one state stays alive.
+    the face index ``_faces_by_dim``, and ``_moves``, the complex's own
+    full bistellar move state, which ``moves.enumerate_bistellar`` builds
+    and ``moves.apply_bistellar`` hands on to the complex it returns,
+    clearing it here, so each state has one holder.
+    ``moves.stellation_search`` keeps its own and never touches this slot.
     """
 
     __slots__ = ("names", "facets", "facet_masks", "dim", "m",

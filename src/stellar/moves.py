@@ -7,27 +7,26 @@ carry order-insensitive SHA-256 digests of their start and end facet sets
 being returned by any search.
 
 A bistellar move of index i changes only i+1 facets, so the engine keeps
-its work local.  ``_move_state(X, low)`` builds a ``_MoveState`` of the
-moves of index >= low from the stars of the faces of at most d+1-low
-vertices (the cold path) and caches it in the complex's ``_moves`` slot:
-``enumerate_bistellar`` asks for low = 1, the full state, and
-``stellation_search`` for d-k+1 (a state never starts below 1).  A
-complex without a state, or with one that starts above the index asked
-for, builds one cold.  ``apply_bistellar`` keeps the complex's ids (a
-0-move's new vertex takes the next id, and an index-d move closes up the
-id of the vertex it deletes), updates the state by the faces of alpha +
-beta and hands it on to the result, which skips the constructor's checks
+its work local.  A ``_MoveState(X, low)`` holds the moves of index >= low,
+built from the stars of the faces of at most d+1-low vertices (the cold
+path), and has one owner.  A complex holds only its own full state
+(low = 1) in its ``_moves`` slot: ``enumerate_bistellar`` builds it, and
+``apply_bistellar`` updates it by the faces of alpha + beta and hands it
+on to the result.  The result keeps the complex's ids (a 0-move's new
+vertex takes the next id, and an index-d move closes up the id of the
+vertex it deletes) and skips the constructor's checks
 (``Complex._checked``): a checked move gives distinct facets, none
 inside another.  The state's vertex numbers rise with the ids, so it
-builds each move once and keeps the moves in listing order.
-``stellation_search`` walks on a state and a set of facet masks alone,
-as ``replay_bistellar`` replays (``_replay_step``): ``_check_bistellar``
-checks every step by scanning the facets, never reading a state, and a
-complex is built only for a certificate.  Move lists, certificates and
-search node counts are the same on every path; tests compare the state
-with the cold path, an id-sorted listing and
-``verify.brute_force_bistellar`` along random walks, and the search and
-the replay with a chain of ``apply_bistellar`` calls.
+builds each move once and keeps the moves in listing order.  Each walk
+of ``stellation_search`` builds and drops a state of the window
+low = d-k+1 and a set of facet masks, as ``replay_bistellar`` replays
+(``_replay_step``): ``_check_bistellar`` checks every step by scanning
+the facets, never reading a state, and a complex is built only for a
+certificate.  Move lists, certificates and search node counts are the
+same on every path; tests compare the state with the cold path, an
+id-sorted listing and ``verify.brute_force_bistellar`` along random
+walks, and the search and the replay with a chain of ``apply_bistellar``
+calls.
 """
 from __future__ import annotations
 
@@ -43,10 +42,10 @@ from operator import and_, attrgetter
 
 from .core import (Complex, ComplexError, InputError, RangeError,
                    StructureError, _classes, _face_counts, _map_jobs,
-                   _mask_from_names, _maximal, _rebuild, _ridge_facets,
-                   _vertex_links, _worker_count, bits, boundary, dual_graph,
-                   facet_hash, ids_of, is_connected, is_closed_pseudomanifold,
-                   mask_of, submasks)
+                   _mask_from_names, _maximal, _rebuild, _vertex_links,
+                   _worker_count, bits, boundary, dual_graph, facet_hash,
+                   ids_of, is_connected, is_closed_pseudomanifold, mask_of,
+                   submasks)
 from .vectors import g_vector, h_vector
 
 
@@ -127,8 +126,8 @@ class MoveCertificate:
 
 class _MoveState:
     """The admissible bistellar moves of index >= ``low`` of one complex,
-    kept up to date as ``apply_bistellar`` or ``stellation_search`` moves
-    the complex on.
+    kept up to date by ``advance``, for one owner: a complex (low = 1) or
+    a walk of ``stellation_search``.
 
     Faces are masks over the state's own vertex numbers: the ids of the
     complex the state was built from, then one new number per vertex a
@@ -153,19 +152,18 @@ class _MoveState:
     the faces of U in the window, which are rechecked; the faces of U that
     contain alpha vanish and those that contain beta appear, which
     rechecks the alphas that ``by_beta`` lists under them.  The full state
-    is the window low = 1; a caller that asks for index >= 0 (a search
-    with k = d + 1) gets it, as index-0 moves are never listed.
-    ``_move_state`` rebuilds a state cold for a caller that asks for an
-    index below ``low``.
+    is the window low = 1; a search with k = d + 1, which asks for index
+    >= 0, gets it, as index-0 moves are never listed.
     """
 
-    __slots__ = ("d", "low", "top", "vname", "sid", "star", "cand",
-                 "by_beta", "moves", "rows")
+    __slots__ = ("d", "top", "vname", "sid", "star", "cand", "by_beta",
+                 "moves", "rows")
     row = attrgetter("index", "alpha", "beta")  # enumerate_bistellar's order
 
     def __init__(self, X: Complex, low: int):
-        low = max(low, 1)  # index-0 moves are never listed
-        self.d, self.low, self.top = X.dim, low, X.dim + 1 - low
+        if not X.is_pure():
+            raise StructureError("bistellar moves need a pure complex")
+        self.d, self.top = X.dim, X.dim + 1 - max(low, 1)  # no index-0 move is listed
         self.vname = list(X.names)
         self.sid = dict(zip(X.names, range(X.m)))
         star: dict[int, list[int]] = {}
@@ -290,18 +288,6 @@ class _MoveState:
         return self.rows[bisect_left(self.rows, min_index, key=attrgetter("index")):]
 
 
-def _move_state(X: Complex, low: int = 1) -> _MoveState:
-    """The move state of ``X`` for the moves of index >= ``low``: the one
-    X holds if its window reaches down to ``low``, else one built cold
-    and cached in its place."""
-    state = X._moves
-    if state is None or state.low > low:
-        if not X.is_pure():
-            raise StructureError("bistellar moves need a pure complex")
-        state = X._moves = _MoveState(X, low)
-    return state
-
-
 def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
     """All admissible bistellar moves of index >= 1, sorted by (index,
     alpha, beta), each listing its vertex names in id order.
@@ -313,11 +299,12 @@ def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
     The first call on a complex builds its full ``_MoveState`` from the
     star of every proper face (the cold path) and caches it in
     ``X._moves``; later calls, and calls on the complexes that
-    ``apply_bistellar`` hands the state on to, read the moves from it.  A
-    state kept for the higher indices of a search is replaced by a full
-    one.  Either way the list is the same.
+    ``apply_bistellar`` hands the state on to, read the moves from it.
+    Either way the list is the same.
     """
-    return _move_state(X).listing(1)
+    if X._moves is None:
+        X._moves = _MoveState(X, 1)
+    return X._moves.listing(1)
 
 
 def _check_bistellar(d: int, ids: dict, facets, mv: BistellarMove) -> tuple[int, int]:
@@ -539,20 +526,19 @@ def replay_shelling(start: Complex, steps) -> Complex:
 
 
 def _peeling(masks):
-    """Counters of the complex with facets ``masks`` while its facets are
-    peeled and restored one at a time, updated instead of recounted: which
-    facets are live, the number of live facets on each ridge
-    (``ridge_count``) and containing each face (``face_count``), and the
-    number of boundary ridges (ridges on one live facet) containing each
-    face.  Returns live, ridge_count, face_count, ``toggle(i, step)``,
-    which peels facet i (step -1) or restores it (step +1), and ``ear(i)``.
+    """Counters of the pure complex with facets ``masks`` while its facets
+    are peeled and restored one at a time, updated instead of recounted:
+    which facets are live, the number of live facets containing each face
+    (``face_count``; on a ridge, the live facets on it) and the number of
+    boundary ridges (ridges on one live facet) containing each face.
+    Returns live, face_count, ``toggle(i, step)``, which peels facet i
+    (step -1) or restores it (step +1), and ``ear(i)``.
 
     ``ear(i)`` is the ear test of a live facet i: E, its vertices opposite
     its boundary ridges, when E is neither empty nor the whole facet and
     no boundary ridge contains E; else 0."""
     ridges = [[(fm ^ (1 << v), 1 << v) for v in bits(fm)] for fm in masks]
     live = [True] * len(masks)
-    ridge_count = {r: len(o) for r, o in _ridge_facets(masks).items()}
     face_count = _face_counts(masks)
     bd_cover: dict[int, int] = {}
 
@@ -560,18 +546,18 @@ def _peeling(masks):
         for sub in submasks(r):
             bd_cover[sub] = bd_cover.get(sub, 0) + step
 
-    for r, c in ridge_count.items():
-        if c == 1:
-            cover(r, 1)
+    for rs in ridges:
+        for r, _ in rs:
+            if face_count[r] == 1:  # the one facet on r lists it once
+                cover(r, 1)
 
     def toggle(i: int, step: int) -> None:
         live[i] = step > 0
         for sub in submasks(masks[i]):
             face_count[sub] += step
         for r, _ in ridges[i]:
-            before = ridge_count[r]
-            after = ridge_count[r] = before + step
-            if before == 1:
+            after = face_count[r]
+            if after - step == 1:
                 cover(r, -1)
             if after == 1:
                 cover(r, 1)
@@ -579,11 +565,11 @@ def _peeling(masks):
     def ear(i: int) -> int:
         emask = 0
         for r, vbit in ridges[i]:
-            if ridge_count[r] == 1:
+            if face_count[r] == 1:
                 emask |= vbit
         return 0 if emask == masks[i] or bd_cover.get(emask, 0) else emask
 
-    return live, ridge_count, face_count, toggle, ear
+    return live, face_count, toggle, ear
 
 
 def ears(B: Complex) -> list[tuple[str, ...]]:
@@ -593,10 +579,12 @@ def ears(B: Complex) -> list[tuple[str, ...]]:
     simplex-boundary facets: ``_peeling``'s ear test on B, which reads
     purity as no boundary ridge containing E.  A single-facet ball
     reports its facet."""
+    if not B.is_pure():
+        raise StructureError("ears need a pure complex")
     if len(B.facet_masks) == 1:
         return [B.facets_as_names()[0]]
-    _, ridge_count, _, _, ear = _peeling(B.facet_masks)
-    if max(ridge_count.values()) > 2:
+    _, face_count, _, ear = _peeling(B.facet_masks)
+    if max(face_count[fm ^ 1 << v] for fm in B.facet_masks for v in bits(fm)) > 2:
         raise StructureError("ears need a weak pseudomanifold")
     return [tuple(sorted(B.names_of_mask(fm)))
             for i, fm in enumerate(B.facet_masks) if ear(i)]
@@ -643,7 +631,7 @@ def find_shelling(B: Complex, budget: int = 10 ** 6) -> SearchOutcome:
     if not B.is_pure():
         raise StructureError("find_shelling needs a pure complex")
     masks = B.facet_masks
-    live, _, face_count, toggle, ear = _peeling(masks)
+    live, face_count, toggle, ear = _peeling(masks)
 
     def candidates():
         for i, fm in enumerate(masks):
@@ -803,11 +791,14 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
     Reduces S by bistellar moves of index >= d-k+1 (the reverses of
     building moves of index < k), greedy on the face-count change with
     seeded random tie-breaking and simulated-annealing acceptance of
-    worsening moves; restarts on dead ends.  A walk moves S's move state
-    on with the facet masks and ids of ``replay_bistellar``, which
-    ``_check_bistellar`` scans at every step, so no state is trusted, and
-    builds a complex, holding the state, only at a simplex boundary.  The
-    certificate is replayed independently.  Exhaustion refutes nothing.
+    worsening moves; restarts on dead ends.  Each walk moves a state of
+    its own on (S's ``_moves`` is never read or written) with the facet
+    masks and ids of ``replay_bistellar``, which ``_check_bistellar``
+    scans at every step, so no state is trusted, and builds a complex only
+    at a simplex boundary.  An index-i move changes the face count by
+    2^(d+1-i) - 2^(i+1), which falls as i rises, so the best moves are the
+    listing's top-index block.  The certificate is replayed independently.
+    Exhaustion refutes nothing.
     """
     d = S.dim
     if k < 0 or k > d + 1:
@@ -822,27 +813,24 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
     deltas = {i: sum(bistellar_face_delta(d, i)) for i in range(min_index, d + 1)}
     nodes = 0
     while nodes < budget:
-        state, S._moves = _move_state(S, min_index), None  # the walk moves it on
+        state = _MoveState(S, min_index)
         names, ids, facets = list(S.names), dict(S._id_of), set(S.facet_masks)
         trail: list[BistellarMove] = []
         temp = 2.0
         while nodes < budget:
             if len(facets) == d + 2 and len(ids) == d + 2:  # a simplex boundary
-                start, start._moves = _rebuild(names, facets), state
+                start = _rebuild(names, facets)
                 steps = tuple(mv.reversed(d) for mv in reversed(trail))
                 cert = _stellation_certificate(S, start, steps, k)
                 return SearchOutcome("found", cert, nodes, start)
             pool = state.listing(min_index)
             if not pool:
-                if not trail:  # a dead end at the root: S keeps its state
-                    S._moves = state
+                if not trail:  # a dead end at the root
                     return SearchOutcome("exhausted", None, nodes)
                 break  # restart
-            best = min(deltas[mv.index] for mv in pool)
-            if rng.random() < 0.1:
-                mv = rng.choice(pool)
-            else:
-                mv = rng.choice([m for m in pool if deltas[m.index] == best])
+            if rng.random() >= 0.1:  # the best-delta moves
+                pool = state.listing(pool[-1].index)
+            mv = rng.choice(pool)
             delta = deltas[mv.index]
             nodes += 1
             if delta > 0 and rng.random() >= math.exp(-delta / temp):
@@ -931,14 +919,16 @@ def w_k_membership(M: Complex, k: int, budget: int = 10 ** 6, seed: int = 0,
     renamed and validated against its own link, and it reports the
     representative's nodes, or exhausted if that search was.
 
-    ``jobs`` below 1 is a RangeError, and above the CPU count is cut to
-    it.  With ``jobs`` > 1 the representatives' searches go to a
-    ``multiprocessing`` pool with the platform's default start method,
-    when there are two or more.  Under ``spawn`` (macOS, Windows) or
-    ``forkserver`` (Linux from Python 3.14) each worker re-imports the
-    calling script, so a script that passes jobs > 1 must make the call
-    under ``if __name__ == "__main__":``."""
+    ``jobs`` below 1 and a k outside 0..dim M are RangeErrors, raised before
+    any link is built; ``jobs`` above the CPU count is cut to it.  With
+    ``jobs`` > 1 the representatives' searches go to a ``multiprocessing``
+    pool with the platform's default start method, when there are two or
+    more.  Under ``spawn`` (macOS, Windows) or ``forkserver`` (Linux from
+    Python 3.14) each worker re-imports the calling script, so a script
+    that passes jobs > 1 must call under ``if __name__ == "__main__":``."""
     jobs = _worker_count(jobs)
+    if not 0 <= k <= M.dim:  # stellation_search's range on M's links
+        raise RangeError(f"k={k} out of range for dimension {M.dim}")
     if not is_connected(M):
         raise StructureError("W_k membership needs a connected complex")
     links = [_rebuild(M.names, lk) for lk in _vertex_links(M)]

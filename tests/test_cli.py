@@ -307,6 +307,8 @@ CLI_PINS = [
      "fc9e3750a8d82ace", EMPTY, "620724d541114ee8"),
     ("ears corpus:lutz_B1", 0,
      "0053ae1818579240", EMPTY, None),
+    ("ears dangling.fct", 3,
+     EMPTY, "73b93e47eb7bd099", None),
     ("stacked corpus:lutz_B1 --k 1 --json r.json", 0,
      "44db4f5655b8780c", EMPTY, "33965cb26b8b2eed"),
     ("stacked corpus:B4_16 --k 1", 1,
@@ -327,6 +329,8 @@ CLI_PINS = [
      "8dc5c7e3d5a284d0", EMPTY, "66295c39140c3daa"),
     ("wk corpus:S3_16 --k 1 --budget 10 --json r.json", 2,
      "27e5d6aea3cc2848", EMPTY, "d94c93dbf7a5394d"),
+    ("wk corpus:M_2_5 --k 9", 3,
+     "0ab57eb693311d74", "20f73471984c106f", None),
     ("kn --k 1 --d 3 --save m.fct --save-mbar mbar.fct --json r.json", 0,
      "36f3169160352470", EMPTY, "dc68f052642ffa03"),
     ("corpus list", 0,

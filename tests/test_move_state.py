@@ -1,6 +1,6 @@
-"""The bistellar move state that enumerate_bistellar caches, and that
-apply_bistellar and stellation_search move on, against the cold path and
-independent oracles."""
+"""The bistellar move state that enumerate_bistellar caches and
+apply_bistellar hands on, and the windowed states that stellation_search
+keeps to itself, against the cold path and independent oracles."""
 import copy
 import math
 import pickle
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from stellar import moves
 from stellar.constructions import corpus, random_stacked_sphere, standard_sphere
 from stellar.core import Complex, link
-from stellar.moves import (BistellarMove, MoveError, _move_state, _MoveState,
+from stellar.moves import (BistellarMove, MoveError, _MoveState,
                            apply_bistellar, enumerate_bistellar,
                            replay_bistellar, stellation_search)
 from stellar.verify import brute_force_bistellar
@@ -143,56 +143,47 @@ def test_windowed_states_match_the_full_listing(data):
     """Walk a random stacked 2-, 3- or 4-sphere by 0-moves, which may
     reuse the name of a deleted vertex, and moves of every index 1..d
     (index d deletes a vertex).  At every step a state of each window
-    low = 1..d, built cold or handed on by every move since the start,
-    lists the moves of index >= low of the full listing and of the cold
-    one, from the stars of the faces in its window alone."""
+    low = 1..d, built cold or moved on by every move since the start, as
+    a search moves its own, lists the moves of index >= low of the full
+    listing and of the cold one, from the stars of the faces in its
+    window alone."""
     d = data.draw(st.sampled_from((2, 3, 4)))
     X = random_stacked_sphere(d, data.draw(st.integers(d + 2, d + 5)),
                               seed=data.draw(st.integers(0, 10 ** 6)))
-    walkers = {}
-    for low in range(1, d + 1):
-        walkers[low] = Complex(X.names, X.facets)
-        walkers[low]._moves = _MoveState(walkers[low], low)
+    walkers = {low: _MoveState(X, low) for low in range(1, d + 1)}
     used: set[str] = set()
     for _ in range(data.draw(st.integers(1, 12))):
         pool, full = cold(X), enumerate_bistellar(X)
         assert full == pool
-        for low, W in walkers.items():
+        for low, state in walkers.items():
             want = [mv for mv in pool if mv.index >= low]
             assert _MoveState(X, low).listing(low) == want
-            assert W._moves.low == low and W._moves.listing(low) == want
+            assert state.top == d + 1 - low and state.listing(low) == want
             # the state holds the faces of at most d + 1 - low vertices
-            assert max(map(int.bit_count, W._moves.star)) == d + 1 - low
+            assert max(map(int.bit_count, state.star)) == d + 1 - low
         mv = draw_move(data.draw, X, pool, used)
         X = apply_bistellar(X, mv)
-        walkers = {low: apply_bistellar(W, mv) for low, W in walkers.items()}
+        for state in walkers.values():
+            state.advance(mv)
 
 
-def test_a_windowed_state_is_rebuilt_for_a_full_listing():
-    """A complex holding the state of a search for index >= 3 answers
-    ``enumerate_bistellar`` with the full cold list, from a state that it
-    builds for every index and keeps."""
-    X = random_stacked_sphere(3, 14, seed=7)
-    windowed = _move_state(X, 3)
-    assert windowed.low == 3 and X._moves is windowed
-    assert enumerate_bistellar(X) == cold(X)
-    assert X._moves is not windowed and X._moves.low == 1
-    assert _move_state(X, 3) is X._moves  # a full state serves index >= 3
-
-
-def test_a_search_reuses_a_full_state():
-    """A search started on a complex that already holds a full state lists
-    its first pool from that state and hands it on along the trail; the
-    outcome is that of a search from a fresh copy, which builds the
-    window of its index bound."""
+def test_a_search_leaves_the_state_of_s_alone():
+    """A search neither reads nor writes the move state of S: a full state
+    that S holds is the same object afterwards and still lists S's moves,
+    a fresh S still holds none, the start it finds holds none, and the
+    outcome is that of a search from a fresh copy."""
     X = random_stacked_sphere(3, 30, seed=1)
     enumerate_bistellar(X)
     state = X._moves
     out = stellation_search(X, 1)
-    assert out.found and out.start._moves is state and state.low == 1
-    fresh = stellation_search(Complex(X.names, X.facets), 1)
-    assert fresh.start._moves.low == 3
+    assert out.found and X._moves is state and state.listing(1) == cold(X)
+    assert out.start._moves is None
+    Y = Complex(X.names, X.facets)
+    fresh = stellation_search(Y, 1)
+    assert Y._moves is None and fresh.start._moves is None
     assert (out.nodes, out.certificate) == (fresh.nodes, fresh.certificate)
+    assert (out.start.names, out.start.facets) == \
+        (fresh.start.names, fresh.start.facets)
 
 
 def test_state_is_handed_on_and_released():
@@ -237,22 +228,36 @@ def test_replay_through_deleted_and_restored_vertices():
     assert as_sets(enumerate_bistellar(back)) == as_sets(cold(start))
 
 
-def test_a_corrupt_state_is_caught():
-    """A move that the state lists wrongly, with a star that agrees with
-    it, fails the facet scan of apply_bistellar and of the search's own
-    step, so neither a step nor a search trusts the state."""
-    X = random_stacked_sphere(3, 12, seed=6)
-    enumerate_bistellar(X)
-    state = X._moves
+def corrupt(state):
+    """Make ``state`` list one move wrongly, with a star that agrees with
+    it: a beta that is a face is dropped from the star, and its move is
+    the one move held, and listed."""
     alpha, beta = next((a, b) for a, b in state.cand.items() if b in state.star)
     del state.star[beta]
     state.moves, state.rows = {}, []
-    state._record(alpha, beta)  # the one move held, and listed
+    state._record(alpha, beta)
+
+
+def test_a_corrupt_state_is_caught(monkeypatch):
+    """A move that a corrupt state lists fails the facet scan of
+    apply_bistellar, on the state X holds, and of the search's own step,
+    on the state the search builds, so neither a step nor a search trusts
+    the state."""
+    X = random_stacked_sphere(3, 12, seed=6)
+    enumerate_bistellar(X)
+    corrupt(X._moves)
     (bogus,) = enumerate_bistellar(X)
     with pytest.raises(MoveError, match="already a face"):
         apply_bistellar(X, bogus)
+    init = _MoveState.__init__
+
+    def corrupt_init(self, Y, low):
+        init(self, Y, low)
+        corrupt(self)
+
+    monkeypatch.setattr(_MoveState, "__init__", corrupt_init)
     with pytest.raises(MoveError, match="already a face"):
-        stellation_search(X, 3, budget=1000)
+        stellation_search(Complex(X.names, X.facets), 3, budget=1000)
 
 
 def test_names_are_compared_as_strings():
@@ -292,7 +297,7 @@ def test_trusted_results_and_filtered_listings(data):
     for _ in range(data.draw(st.integers(1, 12))):
         pool = enumerate_bistellar(X)
         for i in range(d + 2):
-            assert _move_state(X).listing(i) == \
+            assert X._moves.listing(i) == \
                 [mv for mv in pool if mv.index >= i]
         mv = draw_move(data.draw, X, pool, used)
         want = replay_bistellar(X, [mv])
@@ -344,16 +349,20 @@ def test_a_window_from_index_0_is_the_full_state():
     """A search with k = d + 1 asks for the moves of index >= 0; index-0
     moves are never listed, so its state is the full one."""
     X = random_stacked_sphere(3, 10, seed=0)
-    state = _move_state(X, 0)
-    assert state.low == 1 and state.top == X.dim
+    state = _MoveState(X, 0)
+    assert state.top == X.dim
     assert state.listing(0) == enumerate_bistellar(X) == cold(X)
-    Y = apply_bistellar(X, state.listing(0)[0])
-    assert Y._moves is state and state.listing(0) == cold(Y)
+    mv = state.listing(0)[0]
+    Y = apply_bistellar(X, mv)
+    state.advance(mv)
+    assert state.listing(0) == cold(Y)
 
 
 def chain_search(S, k, budget=10 ** 6, seed=0):
     """``stellation_search`` as it walked when every node built the next
-    complex by ``apply_bistellar``, which hands the move state on."""
+    complex by ``apply_bistellar``, which hands the move state on: the
+    chain attaches a state of its window to each complex that holds
+    none."""
     d = S.dim
     if moves._is_standard_sphere(S):
         cert = moves.MoveCertificate("bistellar", (), moves.facet_hash(S),
@@ -373,7 +382,9 @@ def chain_search(S, k, budget=10 ** 6, seed=0):
                 steps = tuple(mv.reversed(d) for mv in reversed(trail))
                 cert = moves._stellation_certificate(S, current, steps, k)
                 return moves.SearchOutcome("found", cert, nodes, current)
-            pool = _move_state(current, min_index).listing(min_index)
+            if current._moves is None:
+                current._moves = _MoveState(current, min_index)
+            pool = current._moves.listing(min_index)
             if not pool:
                 if not trail:
                     return moves.SearchOutcome("exhausted", None, nodes)
@@ -418,12 +429,15 @@ def search_inputs(draw):
 def test_search_on_the_state_matches_the_chain(X, data):
     """For every k = 1..d+1, on seeds and budgets small enough to exhaust
     and restart, the search on the move state alone gives the chain's
-    status, nodes, certificate and start complex, names and facets.  At
-    a dead end at the root, S keeps its state, as in the chain."""
+    status, nodes, certificate and start complex, names and facets.  S,
+    with or without a full state of its own, keeps what it held."""
     k = data.draw(st.integers(1, X.dim + 1))
     budget = data.draw(st.integers(1, 120))
     seed = data.draw(st.integers(0, 10 ** 6))
     S = Complex(X.names, X.facets)
+    if data.draw(st.booleans()):
+        enumerate_bistellar(S)
+    held = S._moves
     got = stellation_search(S, k, budget, seed)
     want = chain_search(Complex(X.names, X.facets), k, budget, seed)
     assert (got.status, got.nodes, got.certificate) == \
@@ -431,8 +445,9 @@ def test_search_on_the_state_matches_the_chain(X, data):
     if want.found:
         assert (got.start.names, got.start.facets) == \
             (want.start.names, want.start.facets)
-    if want.status == "exhausted" and want.nodes == 0:
-        assert S._moves is not None
+    assert S._moves is held
+    if held is not None:
+        assert held.listing(1) == cold(S)
 
 
 def test_search_builds_no_complex_per_node(monkeypatch):

@@ -440,11 +440,15 @@ def test_ears(corp):
     assert ears(corp["lutz_B2"].complex) == [("2", "4", "5", "7")]
     b = standard_ball(3)
     assert ears(b) == [b.facets_as_names()[0]]
+    with pytest.raises(StructureError, match="^ears need a pure complex$"):
+        ears(Complex.from_facets(["123", "34", "45"]))
 
 
 def ridge_map_ears(B):
     """``ears`` with the boundary ridges read from the ridge map: the
     oracle of the version that reads them off the dual graph."""
+    if not B.is_pure():
+        raise StructureError("ears need a pure complex")
     if len(B.facet_masks) == 1:
         return [B.facets_as_names()[0]]
     owners = _ridge_facets(B.facet_masks)
@@ -637,6 +641,27 @@ def test_wk_membership_jobs_refused_below_one_and_capped(monkeypatch,
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert w_k_membership(M, 1, jobs=64).verdict == "member"
     assert stub_pool_sizes == [2]
+
+
+def test_wk_membership_refuses_k_before_any_search(monkeypatch):
+    """k outside 0..dim M is refused, naming M's dimension, before any
+    search is mapped; k = 0 and k = dim M are searched."""
+    M = random_stacked_sphere(3, 12, seed=3)
+    mapped = []
+    real_map = moves._map_jobs
+
+    def spy(fn, tasks, jobs):
+        mapped.append(len(tasks))
+        return real_map(fn, tasks, jobs)
+
+    monkeypatch.setattr(moves, "_map_jobs", spy)
+    for k in (-1, M.dim + 1):
+        with pytest.raises(RangeError, match=f"^k={k} out of range for dimension 3$"):
+            w_k_membership(M, k, jobs=2)
+    assert mapped == []
+    for k in (0, M.dim):
+        w_k_membership(M, k)
+    assert len(mapped) == 2 and all(mapped)
 
 
 def test_wk_membership_pool_agrees(corp, pool_sizes, monkeypatch):
