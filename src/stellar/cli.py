@@ -109,8 +109,8 @@ def cmd_moves(args, X, fld):
 
 
 def cmd_stellate(args, X, fld):
-    print(f"# seed={args.seed}")
     out = stellation_search(X, args.k, budget=args.budget, seed=args.seed)
+    print(f"# seed={args.seed}")
     print(f"status: {out.status}; nodes: {out.nodes}")
     payload = {"status": out.status, "nodes": out.nodes}
     if out.found:
@@ -190,9 +190,9 @@ def cmd_canonical(args, X, fld):
 
 
 def cmd_wk(args, X, fld):
-    print(f"# seed={args.seed}")
     rep = w_k_membership(X, args.k, budget=args.budget, seed=args.seed,
                          jobs=args.jobs)
+    print(f"# seed={args.seed}")
     print(f"W_{args.k} membership: {rep.verdict}")
     for name, out in rep.per_vertex.items():
         extra = f" ({out.certificate.length} moves)" if out.found else ""

@@ -425,7 +425,7 @@ class DualGraph:
     facets i and j are joined when they share a ridge.  ``edges`` is the
     set of owner pairs (i, j), i < j, of ``_ridge_facets`` (None when X is
     not pure or a ridge lies in three or more facets), and ``connected``
-    is whether those pairs reach every facet (``_reaches_all``).
+    is whether they join the facets into one component (``_components``).
     ``dual_graph`` and the pseudomanifold tests read them."""
 
     __slots__ = ("n", "edges", "connected")
@@ -437,7 +437,7 @@ class DualGraph:
             owners = _ridge_facets(X.facet_masks).values()
             if all(len(o) <= 2 for o in owners):
                 self.edges = frozenset(tuple(o) for o in owners if len(o) == 2)
-                self.connected = _reaches_all(self.n, self.edges)
+                self.connected = _components(range(self.n), self.edges) == 1
 
     def is_connected(self) -> bool:
         return self.connected
@@ -448,21 +448,6 @@ class DualGraph:
     def is_path(self) -> bool:
         return self.is_tree() and max(
             Counter(chain.from_iterable(self.edges)).values(), default=0) <= 2
-
-
-def _reaches_all(n: int, pairs: Iterable[Sequence[int]]) -> bool:
-    """Whether the edges ``pairs`` join the nodes 0..n-1, n >= 1, into one
-    component: a breadth-first search from node 0."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(j)
-        adj[j].append(i)
-    queue, seen = [0], {0}
-    for i in queue:
-        new = set(adj[i]) - seen
-        seen |= new
-        queue += new
-    return len(queue) == n
 
 
 def dual_graph(X: Complex) -> DualGraph:
@@ -497,12 +482,14 @@ def _closed_pseudomanifold(facet_masks: Sequence[int]) -> bool:
         return len(facet_masks) <= 2
     owners = _ridge_facets(facet_masks).values()
     return all(len(o) == 2 for o in owners) and \
-        _reaches_all(len(facet_masks), owners)
+        _components(range(len(facet_masks)), owners) == 1
 
 
-def _components(vert_masks, edge_masks) -> int:
-    """Number of connected components of a graph given as bitmasks."""
-    parent = {v: v for v in vert_masks}
+def _components(nodes: Iterable, pairs: Iterable[Sequence]) -> int:
+    """Number of connected components of the graph on ``nodes`` whose
+    edges join the two ends of each of ``pairs``, by union-find.  A
+    caller holding edges as bitmasks e passes (e & -e, e & (e - 1))."""
+    parent = {v: v for v in nodes}
 
     def find(a):
         while parent[a] != a:
@@ -511,9 +498,8 @@ def _components(vert_masks, edge_masks) -> int:
         return a
 
     n = len(parent)
-    for e in edge_masks:
-        lo = e & -e
-        ra, rb = find(lo), find(e ^ lo)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
             n -= 1
@@ -543,7 +529,8 @@ def _map_jobs(fn, tasks: list, jobs: int) -> list:
 
 
 def is_connected(X: Complex) -> bool:
-    return X.m <= 1 or _components(X.faces_of_dim(0), X.faces_of_dim(1)) == 1
+    return X.m <= 1 or _components(X.faces_of_dim(0), (
+        (e & -e, e & (e - 1)) for e in X.faces_of_dim(1))) == 1
 
 
 def neighbourliness(X: Complex) -> int:
@@ -581,12 +568,9 @@ def connected_sum(X: Complex, Y: Complex, sigma_x: Iterable[int],
     sx_names = set(X.names_of_mask(sx))
     if set(matching) != sy_names or set(matching.values()) != sx_names:
         raise InputError("matching must biject the gluing face vertex names")
-    xf = [f for f in X.facets_as_names() if mask_of(X.id_of(n) for n in f) != sx]
-    yf = []
-    for f in Y.facets_as_names():
-        if mask_of(Y.id_of(n) for n in f) == sy:
-            continue
-        yf.append(tuple(matching.get(n, n) for n in f))
+    xf = [f for f, fm in zip(X.facets_as_names(), X.facet_masks) if fm != sx]
+    yf = [tuple(matching.get(n, n) for n in f)
+          for f, fm in zip(Y.facets_as_names(), Y.facet_masks) if fm != sy]
     rest_y = {n for f in yf for n in f} - set(matching.values()) - set(matching)
     clash = rest_y & set(X.names)
     if clash:

@@ -260,7 +260,8 @@ def reduced_betti_of_faces(faces_by_dim: list[list[int]],
         return [-1] + [0] * (len(faces_by_dim) - 1)
     edges = faces_by_dim[1] if len(faces_by_dim) > 1 else []
     ranks = _boundary_ranks(faces_by_dim, field)
-    ranks[0], ranks[1] = 1, len(verts) - _components(verts, edges)
+    ranks[0], ranks[1] = 1, len(verts) - _components(
+        verts, ((e & -e, e & (e - 1)) for e in edges))
     return [len(fs) - ranks[i] - ranks[i + 1]
             for i, fs in enumerate(faces_by_dim)]
 

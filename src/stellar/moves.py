@@ -167,17 +167,13 @@ class _MoveState:
         self.vname = list(X.names)
         self.sid = dict(zip(X.names, range(X.m)))
         star: dict[int, list[int]] = {}
-        top = self.top
-        for fm in X.facet_masks:  # _window(fm) inline, a list less per facet
-            sub = (fm - 1) & fm  # a facet has d + 1 > top vertices
-            while sub:
-                if sub.bit_count() <= top:
-                    owners = star.get(sub)
-                    if owners is None:
-                        star[sub] = [fm]
-                    else:
-                        owners.append(fm)
-                sub = (sub - 1) & fm
+        for fm in X.facet_masks:
+            for sub in self._window(fm):
+                owners = star.get(sub)
+                if owners is None:
+                    star[sub] = [fm]
+                else:
+                    owners.append(fm)
         self.star = star
         self.cand: dict[int, int] = {}
         self.by_beta: dict[int, list[int]] = {}
@@ -477,14 +473,14 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
                                   tmask.bit_count() - 1))
         yfaces.update(submasks(sigma))
     h = h_vector(B_target)
-    counts = [0] * (d + 2)
-    for s in steps:
-        counts[s.index + 1] += 1
-    if counts[1:] != list(h[1:]):
-        raise MoveError(f"h-vector cross-check failed: {counts[1:]} vs {h[1:]}")
     start = Complex.from_facets([B_target.names_of_mask(first)])
-    return MoveCertificate("shelling", tuple(steps), facet_hash(start),
+    cert = MoveCertificate("shelling", tuple(steps), facet_hash(start),
                            facet_hash(B_target))
+    tally = cert.index_counts()
+    counts = [tally.get(j, 0) for j in range(d + 1)]
+    if counts != list(h[1:]):
+        raise MoveError(f"h-vector cross-check failed: {counts} vs {h[1:]}")
+    return cert
 
 
 def replay_shelling(start: Complex, steps) -> Complex:
@@ -781,7 +777,9 @@ def canonical_manifold(M: Complex, k: int) -> Complex:
 
 
 def _is_standard_sphere(X: Complex) -> bool:
-    return X.m == X.dim + 2 and len(X.facet_masks) == X.dim + 2
+    """Whether X is the boundary of a simplex: d + 2 facets on d + 2
+    vertices, or {∅}, the boundary of a point, with no vertex."""
+    return X.m in (0, X.dim + 2) and len(X.facet_masks) == X.dim + 2
 
 
 def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,

@@ -5,23 +5,22 @@ over all vertex subsets (guarded by a cap on the vertex count); the
 mu-vector averages link sigmas.  Everything is exact rational arithmetic.
 
 The integer table behind sigma (sum of reduced beta_i over the j-subsets)
-comes from the first of four paths whose hypothesis passes an exact
+comes from the first of three paths whose hypothesis passes an exact
 check:
 
 1. cone apex -- some vertex a lies in every facet, so X = a * L: induced
    subcomplexes containing a are contractible and the others are those
-   of L, whose table goes back through the same four paths;
-2. Alexander duality -- X is an F-homology sphere of dimension <= 3
-   (``homology.is_homology_sphere``): the top Betti numbers of X[A] come
-   from the components of X[V - A] and beta_1 of a 3-sphere's X[A] from
-   the Euler characteristic, so the table needs only the component
-   counts of the induced 1-skeletons summed by size, which
-   ``_component_tallies`` works out for 2^14 subsets at a time as the
-   bits of Python ints;
-3. the ball path -- X is pure of dimension <= 3 with a boundary and
-   S = X u w * bd(X) passes the same test: X[A] = S[A] whenever A avoids
-   the new vertex w, so the table of X is S's duality table over those A;
-4. the class path (``_class_sums``) -- one homology run per class
+   of L, whose table goes back through the same three paths;
+2. Alexander duality -- X is pure of dimension <= 3 and its closure S
+   passes ``homology.is_homology_sphere``: S is X when X has no boundary
+   ridge (a closed input is its own closure), else S = X u w * bd(X),
+   and X[A] = S[A] whenever A avoids the new vertex w.  The top Betti
+   numbers of S[A] come from the components of S[V - A] and beta_1 of a
+   3-sphere's S[A] from the Euler characteristic, so the table needs
+   only the component counts of the induced 1-skeletons summed by size,
+   which ``_component_tallies`` works out for 2^14 subsets at a time as
+   the bits of Python ints;
+3. the class path (``_class_sums``) -- one homology run per class
    {g(A) : g in G} of vertex subsets, weighted by the class's size, as
    X[A] and X[g(A)] are isomorphic.  G is Aut(X), whose generators
    ``_automorphism_generators`` finds for any complex by the refinement
@@ -193,16 +192,16 @@ def _duality_sums(X: Complex, S: Complex) -> list[list[int]]:
 
 
 def _ball_closure(X: Complex) -> Complex | None:
-    """S = X u w * bd(X) on ids 0..m, with w = m, the candidate sphere of
-    the ball path; None unless X is pure of dimension <= 3 with at least
-    one boundary ridge (a ridge on exactly one facet)."""
+    """The candidate sphere S of the duality path, for X pure of dimension
+    <= 3 (else None): X itself when no ridge of X lies on exactly one
+    facet, else S = X u w * bd(X) on ids 0..m, with w = m."""
     if X.dim > 3 or not X.is_pure():
         return None
     w = 1 << X.m
     caps = [r | w for r, owners in _ridge_facets(X.facet_masks).items()
             if len(owners) == 1]
     if not caps:
-        return None
+        return X
     return Complex([str(v) for v in range(X.m + 1)],
                    [ids_of(f) for f in X.facet_masks + tuple(caps)])
 
@@ -263,11 +262,10 @@ def _class_sums(X: Complex, field: FieldSpec, gens: list[list[int]],
 
 def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]:
     """sums[i][j] = sum of reduced beta_i(X[A]) over the j-subsets A, from
-    the first of four paths whose hypothesis holds: cone apex, Alexander
-    duality for an F-homology sphere of dimension <= 3, the same duality
-    for a ball whose closure ``_ball_closure`` is such a sphere, or
-    ``_class_sums`` under the generators of Aut(X) that
-    ``_automorphism_generators`` finds."""
+    the first of three paths whose hypothesis holds: cone apex, Alexander
+    duality when the closure ``_ball_closure`` of X (X itself if closed)
+    is an F-homology sphere of dimension <= 3, or ``_class_sums`` under
+    the generators of Aut(X) that ``_automorphism_generators`` finds."""
     apex = reduce(and_, X.facet_masks)
     if apex:
         lk = link(X, (apex.bit_length() - 1,))
@@ -275,8 +273,6 @@ def _subset_sums(X: Complex, field: FieldSpec, jobs: int = 1) -> list[list[int]]
             return [[-1, 0]]
         return [row + [0] for row in _subset_sums(lk, field, jobs)] \
             + [[0] * (X.m + 1)]
-    if X.dim <= 3 and is_homology_sphere(X, field):
-        return _duality_sums(X, X)
     S = _ball_closure(X)
     if S is not None and is_homology_sphere(S, field):
         return _duality_sums(X, S)
@@ -289,10 +285,10 @@ def sigma_vector(X: Complex, field: FieldSpec, cap: int | None = SIGMA_CAP,
     average running over all vertex subsets including the empty one.
 
     The sums come from ``_subset_sums``: the cone-apex path when some
-    vertex lies in every facet, the duality path when X passes
-    ``is_homology_sphere`` in dimension <= 3, the ball path when X's
-    ``_ball_closure`` does, else the class path: one homology run per
-    class of subsets under Aut(X), whose generators
+    vertex lies in every facet, the duality path when X's
+    ``_ball_closure`` (X itself if it has no boundary) passes
+    ``is_homology_sphere`` in dimension <= 3, else the class path: one
+    homology run per class of subsets under Aut(X), whose generators
     ``_automorphism_generators`` finds, or per subset when the group is
     trivial, with ``jobs`` processes once there are at least 2^12
     classes.  The cap applies to m whichever path runs.

@@ -85,10 +85,10 @@ class ResidualReport:
 
 
 def check_dehn_sommerville(X: Complex) -> ResidualReport:
-    """Residuals g_{d+2-i} + g_i (zero for triangulated spheres)."""
+    """Residuals g_{d+2-i} + g_i (zero for triangulated spheres): those of
+    ``check_klee`` at chi = chi(S^d)."""
     d = X.dim
-    g = g_vector(X)
-    res = tuple(g[d + 2 - i] + g[i] for i in range(1, d + 2))
+    res = check_klee(X, 2 if d % 2 == 0 else 0).residuals
     return ResidualReport("dehn-sommerville", res, f"d={d}")
 
 

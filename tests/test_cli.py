@@ -330,7 +330,9 @@ CLI_PINS = [
     ("wk corpus:S3_16 --k 1 --budget 10 --json r.json", 2,
      "27e5d6aea3cc2848", EMPTY, "d94c93dbf7a5394d"),
     ("wk corpus:M_2_5 --k 9", 3,
-     "0ab57eb693311d74", "20f73471984c106f", None),
+     EMPTY, "20f73471984c106f", None),
+    ("wk point.fct --k 0", 0,
+     "edfd3da3f5e18b57", EMPTY, None),
     ("kn --k 1 --d 3 --save m.fct --save-mbar mbar.fct --json r.json", 0,
      "36f3169160352470", EMPTY, "dc68f052642ffa03"),
     ("corpus list", 0,
@@ -361,6 +363,8 @@ CLI_PINS = [
      EMPTY, "0f8401fb1843094e", None),
     ("stellate corpus:lutz_S3_8 --k 1 --budget -1", 3,
      EMPTY, "5d85b152b3916c5f", None),
+    ("stellate corpus:lutz_S3_8 --k 9", 3,
+     EMPTY, "a76c0aed243f717e", None),
     ("fvec", 3,
      EMPTY, ARGPARSE, None),
     ("frobnicate corpus:torus_7", 3,
@@ -377,6 +381,7 @@ def cli_workdir(tmp_path, monkeypatch):
     (tmp_path / "bad.fct").write_bytes(b"1 2 3\n2 3 \xff\n")
     (tmp_path / "order.txt").write_text("1 2 3\n")
     (tmp_path / "dangling.fct").write_text("1 2 3\n3 4\n")
+    (tmp_path / "point.fct").write_text("1\n")
     return tmp_path
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import warnings
 
@@ -149,6 +150,15 @@ def test_verify_shelling_lutz(corp):
     h = h_vector(corp["lutz_B2"].complex)
     counts = cert.index_counts()
     assert all(counts.get(j - 1, 0) == h[j] for j in range(1, len(h)))
+
+
+def test_verify_shelling_tally_meets_the_h_vector(corp, monkeypatch):
+    """The step tally, by index, is checked against h_1..h_{d+1}."""
+    monkeypatch.setattr(moves, "h_vector", lambda X: (1, 4, 9, 1, 0))
+    with pytest.raises(MoveError, match=re.escape(
+            "h-vector cross-check failed: [4, 10, 0, 0] vs (4, 9, 1, 0)")):
+        verify_shelling(corp["lutz_B2"].complex,
+                        [list(f) for f in LUTZ_B2_SHELLING])
 
 
 def test_verify_shelling_rejects_bad_order(corp):
@@ -578,6 +588,10 @@ def test_stellation_pentagon():
 def test_stellation_standard_is_empty():
     out = stellation_search(standard_sphere(3), 1)
     assert out.found and out.certificate.length == 0
+    # {∅} is the boundary of a point, the standard (-1)-sphere
+    out = stellation_search(Complex.empty(), 0)
+    assert out.found and out.certificate.length == 0
+    assert out.start == Complex.empty()
 
 
 def test_stellation_unflippable_exhausts(corp):
@@ -623,6 +637,8 @@ def test_wk_membership(corp):
     assert rep.certified
     rep = w_k_membership(standard_sphere(3), 0)
     assert rep.certified  # standard links only
+    rep = w_k_membership(Complex.from_facets([["1"]]), 0)
+    assert rep.certified and rep.per_vertex["1"].found  # its link is {∅}
     # cross polytope links are cross polytopes: not (d-2)-stellated, so
     # the search dead-ends deterministically
     rep = w_k_membership(cross_polytope(2), 0, budget=100)

@@ -249,12 +249,26 @@ def test_ball_gate_rejects(corp):
     assert closure is not None and closure.m == mobius.m + 1
     nonpure = Complex.from_facets(["abc", "cde", "ea"])
     assert _ball_closure(nonpure) is None
-    assert _ball_closure(corp["torus_7"].complex) is None  # no boundary
+    torus = corp["torus_7"].complex
+    assert _ball_closure(torus) is torus  # no boundary: its own closure
     assert _ball_closure(standard_ball(4)) is None  # dimension 4
     for field in ORACLE_FIELDS:
         assert not is_homology_sphere(closure, field)  # it is RP^2
-        for X in (mobius, nonpure):
+        for X in (mobius, nonpure, torus):
             assert _subset_sums(X, field) == loop_table(X, field)
+
+
+def test_one_sphere_gate_per_subset_sums(corp, monkeypatch):
+    """The duality path tests one closure: a ball's, a closed input's own,
+    and none for an input of dimension above 3."""
+    calls = []
+    real = tightness.is_homology_sphere
+    monkeypatch.setattr(tightness, "is_homology_sphere",
+                        lambda X, field: calls.append(X) or real(X, field))
+    for name, gates in (("lutz_B2", 1), ("torus_7", 1), ("M_2_4", 0)):
+        calls.clear()
+        _subset_sums(corp[name].complex, QQ)
+        assert len(calls) == gates, name
 
 
 def count_components(tables, amask):
