@@ -11,7 +11,7 @@ import os
 import warnings
 from collections import Counter
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -147,11 +147,11 @@ class Complex:
     in some facet.  ``facets`` are pairwise inclusion-incomparable; the
     constructor checks this with ``_dominated``, which costs O(F) on a
     pure facet list and compares a facet only with the facets through
-    its lowest vertex otherwise.  The private ``Complex._checked`` builds
-    the same fields without these checks, for a caller that already knows
-    its facets to be distinct, increasing id tuples, none inside another,
-    over every id: ``moves.apply_bistellar`` uses it for the result of a
-    checked move, which keeps the ids of the complex it came from.  The
+    its lowest vertex otherwise.  The private ``Complex._checked`` fills
+    the same fields without checks, sorts or masking, for a caller that
+    passes sorted, distinct, increasing id tuples, none inside another,
+    over every id, with their masks: ``moves.apply_bistellar`` splices a
+    checked move into the complex it came from, keeping its ids.  The
     complex whose only face is the empty set is represented with a single
     empty facet and ``dim == -1``.
 
@@ -183,15 +183,13 @@ class Complex:
         self._fill(names, norm, masks)
 
     @classmethod
-    def _checked(cls, names: Sequence[str],
-                 facets: Sequence[Sequence[int]]) -> "Complex":
-        """``Complex(names, facets)`` without its checks, for a caller
-        that knows the facets to be distinct increasing id tuples over
-        every id 0..m-1, none inside another, and the names distinct."""
-        norm = sorted(facets)
-        bit = [1 << i for i in range(len(names))].__getitem__
+    def _checked(cls, names: Sequence[str], facets: Sequence, masks: Sequence[int]) -> "Complex":
+        """``Complex(names, facets)`` without its checks, sorting or
+        masking: the caller passes sorted, distinct, increasing id tuples
+        over every id 0..m-1, none inside another, their masks and
+        distinct names."""
         X = object.__new__(cls)
-        X._fill(tuple(names), norm, list(map(sum, map(map, repeat(bit), norm))))
+        X._fill(tuple(names), facets, masks)
         return X
 
     def _fill(self, names: tuple, norm: list, masks: list) -> None:

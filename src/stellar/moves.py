@@ -14,19 +14,20 @@ path), and has one owner.  A complex holds only its own full state
 ``apply_bistellar`` updates it by the faces of alpha + beta and hands it
 on to the result.  The result keeps the complex's ids (a 0-move's new
 vertex takes the next id, and an index-d move closes up the id of the
-vertex it deletes) and skips the constructor's checks
-(``Complex._checked``): a checked move gives distinct facets, none
-inside another.  The state's vertex numbers rise with the ids, so it
-builds each move once and keeps the moves in listing order.  Each walk
-of ``stellation_search`` builds and drops a state of the window
+vertex it deletes) and is spliced into the complex's sorted facets and
+masks by bisection, so ``Complex._checked`` neither sorts, masks nor
+checks: a checked move gives distinct facets, none inside another.  The
+state's vertex numbers rise with the ids, so it builds each move once
+and keeps the moves in listing order.  Each walk of
+``stellation_search`` builds and drops a state of the window
 low = d-k+1 and a set of facet masks, as ``replay_bistellar`` replays
-(``_replay_step``): ``_check_bistellar`` checks every step by scanning
-the facets, never reading a state, and a complex is built only for a
+(``_replay_step``): ``_check_bistellar`` checks every step by one scan
+of the facets, never reading a state, and a complex is built only for a
 certificate.  Move lists, certificates and search node counts are the
 same on every path; tests compare the state with the cold path, an
 id-sorted listing and ``verify.brute_force_bistellar`` along random
-walks, and the search and the replay with a chain of ``apply_bistellar``
-calls.
+walks, a splice with the replay from pure and non-pure starts, and the
+search and the replay with a chain of ``apply_bistellar`` calls.
 """
 from __future__ import annotations
 
@@ -278,10 +279,14 @@ class _MoveState:
             for a in by_beta.get(u ^ t, ()):
                 self._drop(a)
 
+    def first(self, min_index: int) -> int:
+        """The position in ``rows`` of the first move of index >= ``min_index``."""
+        return bisect_left(self.rows, min_index, key=attrgetter("index"))
+
     def listing(self, min_index: int) -> list[BistellarMove]:
         """The moves of index >= ``min_index`` >= ``low``, as
         ``enumerate_bistellar`` lists them: a tail of ``rows``."""
-        return self.rows[bisect_left(self.rows, min_index, key=attrgetter("index")):]
+        return self.rows[self.first(min_index):]
 
 
 def enumerate_bistellar(X: Complex) -> list[BistellarMove]:
@@ -307,9 +312,9 @@ def _check_bistellar(d: int, ids: dict, facets, mv: BistellarMove) -> tuple[int,
     """Admissibility of ``mv`` on the d-complex whose vertex names have
     the ids ``ids`` and whose facets are the masks ``facets``; returns
     (alpha_mask, beta_mask), beta_mask == 0 for 0-moves (the new vertex
-    does not exist yet).  The star tests scan the facets and never read a
-    move state, so a certificate replay checks every step independently
-    of the search that found it."""
+    does not exist yet).  The star tests scan the facets once and never
+    read a move state, so a certificate replay checks every step
+    independently of the search that found it."""
     if len(mv.alpha) + len(mv.beta) != d + 2:
         raise MoveError(f"move {mv} has wrong size for dimension {d}")
     if mv.index != len(mv.beta) - 1:
@@ -332,11 +337,10 @@ def _check_bistellar(d: int, ids: dict, facets, mv: BistellarMove) -> tuple[int,
         raise MoveError(f"move {mv}: beta vertices must exist for index >= 1") from None
     if am & bm:
         raise MoveError(f"move {mv}: alpha and beta overlap")
-    if any(fm & bm == bm for fm in facets):
+    near = [fm for fm in facets if fm & am == am or fm & bm == bm]
+    if any(fm & bm == bm for fm in near):
         raise MoveError(f"move {mv}: beta is already a face")
-    owners = [fm for fm in facets if fm & am == am]
-    expect = {am | (bm ^ (1 << b)) for b in bits(bm)}
-    if set(owners) != expect:
+    if set(near) != {am | (bm ^ (1 << b)) for b in bits(bm)}:  # near is alpha's star
         raise MoveError(
             f"move {mv} inadmissible: the induced subcomplex on alpha+beta "
             "is not closure(alpha) * boundary(beta)")
@@ -358,15 +362,25 @@ def apply_bistellar(X: Complex, mv: BistellarMove) -> Complex:
         bm = 1 << X.m
         names.append(str(mv.beta[0]))
     u = am | bm
-    facets = [f for f, fm in zip(X.facets, X.facet_masks) if fm & am != am]
-    facets += [ids_of(u ^ 1 << a) for a in bits(am)]
+    # splice by bisection: the facets U - b, b in beta, out; U - a, a in alpha, in
+    facets, masks = list(X.facets), list(X.facet_masks)
+    for b in bits(bm):
+        at = bisect_left(facets, ids_of(u ^ 1 << b))
+        del facets[at], masks[at]
+    for a in bits(am):
+        f = ids_of(u ^ 1 << a)
+        at = bisect_left(facets, f)
+        facets.insert(at, f)
+        masks.insert(at, u ^ 1 << a)
     if am & (am - 1) == 0:  # the one vertex of alpha is in no facet now
-        v = am.bit_length() - 1
-        del names[v]
-        facets = [tuple(i - (i > v) for i in f) for f in facets]
+        v, low = am.bit_length() - 1, am - 1
+        down = [i - (i > v) for i in range(len(names))]  # a 0-move's id m too
+        del names[v]  # closing up id v is monotone, so the order holds
+        facets = [tuple(map(down.__getitem__, f)) if f[-1] > v else f for f in facets]
+        masks = [fm & low | fm >> 1 & ~low for fm in masks]
     # a checked move gives distinct facets, none inside another: a kept
     # facet inside a new one would contain beta, which is not a face of X
-    Y = Complex._checked(names, facets)
+    Y = Complex._checked(names, facets, masks)
     state, X._moves = X._moves, None
     if state is not None:
         state.advance(mv)
@@ -444,7 +458,8 @@ def _present_ridges(sigma: int, faces) -> int:
 
 def verify_shelling(B_target: Complex, order) -> MoveCertificate:
     """Check that ``order`` (a permutation of the facets, given by vertex
-    names) is a shelling of ``B_target`` and return its certificate.
+    names, none repeated) is a shelling of ``B_target`` and return its
+    certificate.
 
     The per-step index is dim(beta) where the new facet meets the old
     complex in closure(alpha) * boundary(beta).  A cross-check against the
@@ -453,6 +468,9 @@ def verify_shelling(B_target: Complex, order) -> MoveCertificate:
     if not B_target.is_pure():
         raise StructureError("verify_shelling needs a pure complex")
     masks = [B_target.mask_from_names(f) for f in order]
+    for f, fm in zip(order, masks):
+        if fm.bit_count() != len(f):  # mask_from_names folds a repeat
+            raise MoveError(f"order entry {' '.join(map(str, f))} repeats a vertex")
     if sorted(masks) != sorted(B_target.facet_masks):
         raise InputError("order is not a permutation of the facets")
     d = B_target.dim
@@ -599,7 +617,9 @@ class SearchOutcome:
 
 
 def find_shelling(B: Complex, budget: int = 10 ** 6) -> SearchOutcome:
-    """Backtracking search for a shelling order of the ball ``B``.
+    """Backtracking search for a shelling order of the ball ``B``.  No
+    facet of a closed complex passes the ear test, so a closed input of
+    two or more facets, even a shellable sphere, is a ``StructureError``.
 
     The search peels facets in reverse (last shelled first).  A facet is
     peelable only if re-adding it to the remainder is a valid shelling
@@ -628,6 +648,8 @@ def find_shelling(B: Complex, budget: int = 10 ** 6) -> SearchOutcome:
         raise StructureError("find_shelling needs a pure complex")
     masks = B.facet_masks
     live, face_count, toggle, ear = _peeling(masks)
+    if len(masks) > 1 and 1 not in (face_count[fm ^ 1 << v] for fm in masks for v in bits(fm)):
+        raise StructureError("find_shelling needs a ball: this complex has no boundary ridge")
 
     def candidates():
         for i, fm in enumerate(masks):
@@ -821,14 +843,14 @@ def stellation_search(S: Complex, k: int, budget: int = 10 ** 6,
                 steps = tuple(mv.reversed(d) for mv in reversed(trail))
                 cert = _stellation_certificate(S, start, steps, k)
                 return SearchOutcome("found", cert, nodes, start)
-            pool = state.listing(min_index)
-            if not pool:
+            rows, lo = state.rows, state.first(min_index)
+            if lo == len(rows):
                 if not trail:  # a dead end at the root
                     return SearchOutcome("exhausted", None, nodes)
                 break  # restart
             if rng.random() >= 0.1:  # the best-delta moves
-                pool = state.listing(pool[-1].index)
-            mv = rng.choice(pool)
+                lo = state.first(rows[-1].index)
+            mv = rows[lo + rng.randrange(len(rows) - lo)]  # rng.choice of the tail
             delta = deltas[mv.index]
             nodes += 1
             if delta > 0 and rng.random() >= math.exp(-delta / temp):

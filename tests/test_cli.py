@@ -125,6 +125,9 @@ def test_shellfind_exit_codes(capsys, tmp_path):
     pinched = tmp_path / "pinched.fct"  # refuted by the free-face test
     pinched.write_text("a b f\na b c\na c d\nc d e\nd e f\n")
     assert run(["shellfind", str(pinched)]) == 1
+    sphere = tmp_path / "sphere.fct"  # shellable, but no ball: refused
+    sphere.write_text("1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
+    assert run(["shellfind", str(sphere)]) == 3
 
 
 def test_ears_stacked(capsys):
@@ -303,6 +306,10 @@ CLI_PINS = [
      "e6b8c2b4243d8907", EMPTY, None),
     ("shellfind pinched.fct", 1,
      "70d0447d856b0aa5", EMPTY, None),
+    ("shellfind tetra.fct", 3,
+     EMPTY, "1c14245dd674c493", None),
+    ("shellcheck twin.fct --order repeat.txt", 1,
+     "a030d5ec134a7a43", EMPTY, None),
     ("ears corpus:ziegler_B2 --json r.json", 0,
      "fc9e3750a8d82ace", EMPTY, "620724d541114ee8"),
     ("ears corpus:lutz_B1", 0,
@@ -382,6 +389,9 @@ def cli_workdir(tmp_path, monkeypatch):
     (tmp_path / "order.txt").write_text("1 2 3\n")
     (tmp_path / "dangling.fct").write_text("1 2 3\n3 4\n")
     (tmp_path / "point.fct").write_text("1\n")
+    (tmp_path / "tetra.fct").write_text("1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
+    (tmp_path / "twin.fct").write_text("1 2 3\n1 2 4\n")
+    (tmp_path / "repeat.txt").write_text("1 2 3\n1 1 2 4\n")
     return tmp_path
 
 

@@ -5,7 +5,8 @@ import copy
 import math
 import pickle
 import random
-from itertools import count
+import re
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,58 @@ def test_pure_results_skip_the_constructor(monkeypatch):
         assert getattr(got, name) == getattr(want, name), name
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_splice_matches_the_replay_from_a_non_pure_start(data):
+    """Walk a random stacked 2-, 3- or 4-sphere with one to three dangling
+    facets of fewer vertices (a vertex of its own and some of the
+    sphere's, or an edge the sphere lacks) by 0-moves and moves of every
+    index 1..d of the sphere, so that the splice bisects among facets of
+    mixed lengths and an index-d move renumbers them.  Each result of
+    apply_bistellar equals the replay's field by field, and a move that a
+    dangling facet makes inadmissible raises on both."""
+    draw = data.draw
+    d = draw(st.sampled_from((2, 3, 4)))
+    S = random_stacked_sphere(d, draw(st.integers(d + 2, d + 6)),
+                              seed=draw(st.integers(0, 10 ** 6)))
+    extra = [(f"p{j}",) + tuple(draw(st.lists(st.sampled_from(S.names),
+                                              max_size=d - 1, unique=True)))
+             for j in range(draw(st.integers(1, 3)))]
+    edges = {frozenset(e) for f in S.facets_as_names() for e in combinations(f, 2)}
+    missing = [e for e in combinations(S.names, 2) if frozenset(e) not in edges]
+    if missing and draw(st.booleans()):
+        extra.append(draw(st.sampled_from(missing)))
+    extra = [f for f in extra if not any(set(f) < set(g) for g in extra)]
+    X = Complex.from_facets(S.facets_as_names() + extra)
+    used: set[str] = set()
+    for _ in range(draw(st.integers(1, 12))):
+        assert not X.is_pure()
+        top = Complex.from_facets([f for f in X.facets_as_names() if len(f) == d + 1])
+        mv = draw_move(draw, top, enumerate_bistellar(top), used)
+        try:
+            want = replay_bistellar(X, [mv])
+        except MoveError as exc:
+            with pytest.raises(MoveError, match=re.escape(str(exc))):
+                apply_bistellar(X, mv)
+            continue
+        Y = apply_bistellar(X, mv)
+        for name in FIELDS:
+            assert getattr(Y, name) == getattr(want, name), name
+        assert Y == from_facets_route(X, mv) and Y._moves is None
+        X = Y
+
+
+def test_a_0_move_in_dimension_0_replaces_its_point():
+    """In dimension 0 a 0-move is also an index-d move: the new vertex
+    takes id m while its alpha, a point, is deleted and the ids close up."""
+    X = Complex.from_facets([["a"], ["b"], ["c"]])
+    for core in ("a", "b", "c"):
+        mv = BistellarMove((core,), ("new",), 0)
+        got, want = apply_bistellar(X, mv), replay_bistellar(X, [mv])
+        for name in FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+
+
 def test_a_move_that_leaves_no_facet_still_raises():
     """A move with an empty alpha would leave no facet: an index-(d+1)
     move on the boundary of a simplex, or a 0-move on the complex {∅}.
@@ -462,9 +515,9 @@ def test_search_builds_no_complex_per_node(monkeypatch):
         built.append("__init__")
         init(self, names, facets)
 
-    def spy_checked(cls, names, facets):
+    def spy_checked(cls, names, facets, masks):
         built.append("_checked")
-        return checked(cls, names, facets)
+        return checked(cls, names, facets, masks)
 
     monkeypatch.setattr(Complex, "__init__", spy_init)
     monkeypatch.setattr(Complex, "_checked", classmethod(spy_checked))

@@ -445,6 +445,28 @@ def test_find_shelling(corp):
     assert (out.status, out.nodes) == ("none", 0)
 
 
+def test_find_shelling_refuses_closed_inputs():
+    """No facet of a complex without a boundary ridge passes the ear test,
+    so the search, which is for balls, refuses a closed input of two or
+    more facets instead of answering "none" for a shellable sphere."""
+    S = standard_sphere(2)
+    assert verify_shelling(S, S.facets_as_names()).length == 3
+    for X in (S, Complex.from_facets(["a", "b"]), corpus()["torus_7"].complex):
+        with pytest.raises(StructureError, match="no boundary ridge"):
+            find_shelling(X)
+    assert find_shelling(Complex.from_facets(["a"])).found
+
+
+def test_verify_shelling_refuses_a_repeated_vertex():
+    """An order entry that names a vertex twice is refused, as
+    replay_shelling refuses such a step, not folded into its vertex set."""
+    X = Complex.from_facets(["123", "124"])
+    assert verify_shelling(X, ["123", "124"]).length == 1
+    for entry in (["1", "1", "2", "4"], ["1", 1, "2", "4"]):
+        with pytest.raises(MoveError, match="entry 1 1 2 4 repeats a vertex"):
+            verify_shelling(X, [["1", "2", "3"], entry])
+
+
 def test_ears(corp):
     assert ears(corp["ziegler_B2"].complex) == []
     assert ears(corp["lutz_B2"].complex) == [("2", "4", "5", "7")]
